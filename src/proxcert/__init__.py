@@ -33,6 +33,7 @@ from .model import (
     ConeSpec,
     ConicProblem,
     ConstraintMap,
+    InvariantViolation,
     LineSearchFailure,
     OracleCounters,
     ProxTerm,
@@ -42,6 +43,7 @@ from .model import (
     composite_value,
     instrument_composite,
     instrument_conic,
+    value_and_gradient,
 )
 from .outer import (
     KktReport,

@@ -23,6 +23,7 @@ from .model import (
     SolveTimeout,
     composite_value,
     instrument_composite,
+    value_and_gradient,
 )
 
 # Line-search acceptance slack: analytic equality cases (e.g. exact
@@ -235,18 +236,18 @@ def trial_step(
 ) -> TrialStep:
     """Evaluate one accelerated step at a fixed gamma and test the curvature bound.
 
-    Costs exactly one gradient and one prox evaluation.
+    Costs exactly one gradient and one prox evaluation; f(y) and grad f(y)
+    come from one fused oracle call.
     """
     mu = problem.mu
     alpha = solve_alpha(gamma_prev, gamma, alpha_prev, mu)
     beta = mu * gamma / alpha
     y = ((1.0 - alpha) * x + alpha * (1.0 - beta) * z) / (1.0 - alpha * beta)
-    grad_y = problem.smooth.gradient(y)
+    f_y, grad_y = value_and_gradient(problem.smooth, y)
     step = gamma / alpha
     z_new = problem.nonsmooth.prox(step, beta * y + (1.0 - beta) * z - step * grad_y)
     x_new = (1.0 - alpha) * x + alpha * z_new
     f_new = problem.smooth.value(x_new)
-    f_y = problem.smooth.value(y)
     diff = x_new - y
     cross = float(grad_y @ diff)
     lhs = 2.0 * gamma * (f_new - f_y - cross)
@@ -321,7 +322,8 @@ def _probe(problem: CompositeProblem, v) -> tuple[Array, Array, float]:
     v = np.asarray(v, dtype=float)
     if not problem.nonsmooth.value(v) < math.inf:
         raise ValueError("v must lie in the domain of the nonsmooth term")
-    return v, problem.smooth.gradient(v), problem.smooth.value(v)
+    f_v, grad_v = value_and_gradient(problem.smooth, v)
+    return v, grad_v, f_v
 
 
 def _adaptive_core(problem, v, grad_v, f_v, gamma_start, delta, max_backtracks):

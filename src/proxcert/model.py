@@ -8,7 +8,7 @@ the oracles themselves, so problems stay immutable and shareable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Protocol, runtime_checkable
 
@@ -22,6 +22,15 @@ class LineSearchFailure(RuntimeError):
 
     Signals a non-convex oracle, an inconsistent gradient, or iterates
     escaping into a region of unbounded curvature.
+    """
+
+
+class InvariantViolation(AssertionError):
+    """A solver guarantee failed to hold at run time.
+
+    Raised instead of ``assert`` so that the check survives ``python -O``;
+    it signals a defect in the solver or an oracle, not bad input.  It
+    subclasses AssertionError, which the bare asserts it replaces raised.
     """
 
 
@@ -40,7 +49,14 @@ class SolveTimeout(RuntimeError):
 
 @runtime_checkable
 class SmoothOracle(Protocol):
-    """Differentiable term: value(x) and gradient(x), both finite on dom(P)."""
+    """Differentiable term: value(x) and gradient(x), both finite on dom(P).
+
+    An oracle may also define ``value_and_gradient(x) -> (value, gradient)``
+    to share work between the two at one point (a residual, a projection);
+    the solvers call it through :func:`value_and_gradient`, which falls back
+    to the two separate calls when it is absent.  It must return exactly
+    what ``value(x)`` and ``gradient(x)`` would.
+    """
 
     dim: int
 
@@ -65,19 +81,38 @@ class ProxTerm(Protocol):
     def prox(self, gamma: float, z: Array) -> Array: ...
 
 
+def value_and_gradient(oracle: SmoothOracle, x: Array) -> tuple[float, Array]:
+    """(value(x), gradient(x)) in one fused call when the oracle offers one."""
+    fused = getattr(oracle, "value_and_gradient", None)
+    if fused is None:
+        return oracle.value(x), oracle.gradient(x)
+    return fused(x)
+
+
 @dataclass(frozen=True)
 class CallableSmooth:
-    """Smooth oracle assembled from plain callables."""
+    """Smooth oracle assembled from plain callables.
+
+    ``value_and_gradient_fn``, when given, returns both outputs at once and
+    must agree with the separate callables.
+    """
 
     dim: int
     value_fn: Callable[[Array], float]
     gradient_fn: Callable[[Array], Array]
+    value_and_gradient_fn: Callable[[Array], tuple[float, Array]] | None = None
 
     def value(self, x: Array) -> float:
         return float(self.value_fn(x))
 
     def gradient(self, x: Array) -> Array:
         return np.asarray(self.gradient_fn(x), dtype=float)
+
+    def value_and_gradient(self, x: Array) -> tuple[float, Array]:
+        if self.value_and_gradient_fn is None:
+            return self.value(x), self.gradient(x)
+        f, g = self.value_and_gradient_fn(x)
+        return float(f), np.asarray(g, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -177,6 +212,7 @@ class ConeSpec:
     """
 
     blocks: tuple[tuple[ConeBlock, int], ...]
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = tuple((ConeBlock(kind), int(size)) for kind, size in self.blocks)
@@ -184,10 +220,7 @@ class ConeSpec:
         for kind, size in blocks:
             if size < 1:
                 raise ValueError(f"{kind.value} block size must be >= 1, got {size}")
-
-    @property
-    def dim(self) -> int:
-        return sum(size for _, size in self.blocks)
+        object.__setattr__(self, "dim", sum(size for _, size in blocks))
 
     @classmethod
     def nonneg(cls, m: int) -> "ConeSpec":
@@ -258,6 +291,10 @@ class _CountingSmooth:
     def gradient(self, x: Array) -> Array:
         self._counters.grad_f_evals += 1
         return self._inner.gradient(x)
+
+    def value_and_gradient(self, x: Array) -> tuple[float, Array]:
+        self._counters.grad_f_evals += 1
+        return value_and_gradient(self._inner, x)
 
 
 class _CountingProx:

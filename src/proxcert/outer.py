@@ -20,10 +20,12 @@ from .model import (
     CallableSmooth,
     CompositeProblem,
     ConicProblem,
+    InvariantViolation,
     OracleCounters,
     SolveTimeout,
     instrument_composite,
     instrument_conic,
+    value_and_gradient,
 )
 from .proxcone import dist_polar, normal_cone_gap, project_dual
 
@@ -146,8 +148,13 @@ def shifted_proximal_subproblem(
     def gradient(x):
         return smooth.gradient(x) + (x - center) / rho
 
+    def fused(x):
+        f, g = value_and_gradient(smooth, x)
+        d = x - center
+        return f + float(d @ d) / (2.0 * rho), g + d / rho
+
     return CompositeProblem(
-        smooth=CallableSmooth(problem.dim, value, gradient),
+        smooth=CallableSmooth(problem.dim, value, gradient, fused),
         nonsmooth=problem.nonsmooth,
         mu=problem.mu + 1.0 / rho,
     )
@@ -194,9 +201,11 @@ def build_al_subproblem(
 
     Smooth part: f(x) + (dist(lam + rho g(x), -K)^2 - ||lam||^2 +
     ||x - center||^2) / (2 rho); nonsmooth part: the original P; convexity
-    modulus mu + 1/rho.  When ``counters`` is given, each value/gradient
-    evaluation books one cone projection (g and adjoint calls are booked by
-    the constraint map itself).
+    modulus mu + 1/rho.  Each evaluation, fused or not, maps and projects
+    once: the value uses dist(., -K) = ||project_dual(.)|| and the gradient
+    the projection itself.  When ``counters`` is given, each evaluation
+    books one cone projection (g and adjoint calls are booked by the
+    constraint map itself).
     """
     center = np.asarray(center, dtype=float)
     lam = np.asarray(lam, dtype=float).copy()
@@ -205,23 +214,33 @@ def build_al_subproblem(
     smooth = conic.base.smooth
     lam_sq = float(lam @ lam)
 
-    def value(x):
+    def multiplier(x):
         shifted = lam + rho * constraint.value(x)
         if counters is not None:
             counters.cone_proj_evals += 1
-        d = dist_polar(cone, shifted)
+        return project_dual(cone, shifted)
+
+    def value_at(x, f, proj):
+        d = float(np.linalg.norm(proj))
         dx = x - center
-        return smooth.value(x) + (d * d - lam_sq + float(dx @ dx)) / (2.0 * rho)
+        return f + (d * d - lam_sq + float(dx @ dx)) / (2.0 * rho)
+
+    def gradient_at(x, g, proj):
+        return g + constraint.adjoint_apply(x, proj) + (x - center) / rho
+
+    def value(x):
+        return value_at(x, smooth.value(x), multiplier(x))
 
     def gradient(x):
-        shifted = lam + rho * constraint.value(x)
-        if counters is not None:
-            counters.cone_proj_evals += 1
-        multiplier = project_dual(cone, shifted)
-        return smooth.gradient(x) + constraint.adjoint_apply(x, multiplier) + (x - center) / rho
+        return gradient_at(x, smooth.gradient(x), multiplier(x))
+
+    def fused(x):
+        proj = multiplier(x)
+        f, g = value_and_gradient(smooth, x)
+        return value_at(x, f, proj), gradient_at(x, g, proj)
 
     return CompositeProblem(
-        smooth=CallableSmooth(conic.base.dim, value, gradient),
+        smooth=CallableSmooth(conic.base.dim, value, gradient, fused),
         nonsmooth=conic.base.nonsmooth,
         mu=conic.base.mu + 1.0 / rho,
     )
@@ -289,6 +308,14 @@ def _require_dual(conic: ConicProblem, lam) -> Array:
     return lam
 
 
+def _check_inner_residual(certificate: Certificate, eta_k: float, k: int) -> None:
+    if not certificate.residual <= eta_k:
+        raise InvariantViolation(
+            f"inner solve at outer step {k} returned residual {certificate.residual} "
+            f"above its target eta_k = {eta_k}"
+        )
+
+
 def _inner_params(params: OuterParams, gamma0: float, eta_k: float) -> ApgParams:
     return ApgParams(
         gamma0=gamma0,
@@ -348,7 +375,7 @@ def ppa_unconstrained(
         x_new = res.x
         step = float(np.linalg.norm(x_new - x))
         bound = eta_k + step / rho_k
-        assert res.certificate.residual <= eta_k
+        _check_inner_residual(res.certificate, eta_k, k)
         rows.append(
             OuterTraceRow(
                 k=k,
@@ -430,7 +457,11 @@ def prox_al(
         mu_k = mu + 1.0 / rho_k
         # step base 1/rho_k keeps mu_k * gamma0 < 1 automatically; the
         # clamp inside the inner solver must stay inactive.
-        assert mu_k / rho_k <= 1.0 - 1e-9
+        if not mu_k / rho_k <= 1.0 - 1e-9:
+            raise InvariantViolation(
+                f"mu_k * gamma0 = {mu_k / rho_k} at outer step {k} would engage the "
+                "inner step clamp; choose rho0 further above (mu + sqrt(mu^2 + 4))/2"
+            )
         sub = build_al_subproblem(counted, x, lam, rho_k, counters=counters)
         before = counters.snapshot()
         res = apg_terminating(
@@ -447,7 +478,7 @@ def prox_al(
         step = math.sqrt(
             float(np.linalg.norm(x_new - x)) ** 2 + float(np.linalg.norm(lam_new - lam)) ** 2
         )
-        assert res.certificate.residual <= eta_k
+        _check_inner_residual(res.certificate, eta_k, k)
         report = kkt_report(conic, x_new, lam_new, res.certificate, rho_k, x, lam)
         rows.append(
             OuterTraceRow(

@@ -60,14 +60,22 @@ class QuarticOracle:
         return self.rows.shape[1]
 
     def value(self, x: Array) -> float:
+        return self._value(x, self.rows @ x - self.offsets)
+
+    def gradient(self, x: Array) -> Array:
+        return self._gradient(x, self.rows @ x - self.offsets)
+
+    def value_and_gradient(self, x: Array) -> tuple[float, Array]:
         r = self.rows @ x - self.offsets
+        return self._value(x, r), self._gradient(x, r)
+
+    def _value(self, x: Array, r: Array) -> float:
         out = 0.25 * float(self.coeffs @ (r**4))
         if self.mu_add:
             out += 0.5 * self.mu_add * float(x @ x)
         return out
 
-    def gradient(self, x: Array) -> Array:
-        r = self.rows @ x - self.offsets
+    def _gradient(self, x: Array, r: Array) -> Array:
         grad = self.rows.T @ (self.coeffs * r**3)
         if self.mu_add:
             grad = grad + self.mu_add * x

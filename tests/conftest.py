@@ -21,6 +21,15 @@ def make_quartic_1d():
     )
 
 
+class SeparateOnly:
+    """Smooth oracle with value and gradient but no fused value_and_gradient."""
+
+    def __init__(self, inner):
+        self.dim = inner.dim
+        self.value = inner.value
+        self.gradient = inner.gradient
+
+
 @pytest.fixture
 def quadratic():
     return make_quadratic()

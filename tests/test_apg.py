@@ -22,7 +22,7 @@ from proxcert import (
 )
 from proxcert.problems import QuarticSpec, gen_quartic, reference_solve
 
-from conftest import make_quadratic
+from conftest import SeparateOnly, make_quadratic
 from helpers import accounting_violations, trajectory_invariant_violations
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -311,3 +311,27 @@ def test_alpha0_below_lower_bound_rejected():
     problem = make_quadratic(mu=1.0)
     with pytest.raises(ValueError, match="alpha0"):
         apg_run(problem, ApgParams(gamma0=0.9, alpha0=0.3), [1.0])
+
+
+@pytest.mark.parametrize(
+    "separate",
+    [lambda s: CallableSmooth(s.dim, s.value, s.gradient), SeparateOnly],
+    ids=["callable-smooth", "no-fused-method"],
+)
+def test_fused_and_separate_oracles_give_identical_traces(separate):
+    fused = gen_quartic(QuarticSpec(n=12, k_terms=6, seed=31, mu_add=0.3, prox=L1Term(12, 0.1)))
+    plain = CompositeProblem(separate(fused.smooth), fused.nonsmooth, mu=fused.mu)
+    assert hasattr(fused.smooth, "value_and_gradient")
+    params = ApgParams(epsilon=1e-8, M=4)
+    a = apg_terminating(fused, params, np.ones(12))
+    b = apg_terminating(plain, params, np.ones(12))
+
+    def rows(trace):
+        return [(r.t, r.n_t, r.gamma_t, r.alpha_t, r.F, r.grad_evals, r.prox_evals,
+                 r.cert_residual, r.cert_backtracks) for r in trace.rows]
+
+    assert rows(a.trace) == rows(b.trace)
+    for name in ("x_pre", "x_tilde", "witness"):
+        assert np.array_equal(getattr(a.certificate, name), getattr(b.certificate, name))
+    assert (a.certificate.gamma_tilde, a.certificate.residual) == (
+        b.certificate.gamma_tilde, b.certificate.residual)

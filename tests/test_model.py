@@ -6,6 +6,7 @@ from proxcert import (
     BoxTerm,
     CallableSmooth,
     CompositeProblem,
+    ConeBlock,
     ConeSpec,
     ConicProblem,
     L1Term,
@@ -15,6 +16,7 @@ from proxcert import (
     check_gradient,
     composite_value,
     instrument_composite,
+    value_and_gradient,
 )
 from proxcert.model import AffineConstraint
 from proxcert.problems import (
@@ -24,7 +26,7 @@ from proxcert.problems import (
     ineq_quadratic_1d,
 )
 
-from conftest import make_quadratic, make_quartic_1d
+from conftest import SeparateOnly, make_quadratic, make_quartic_1d
 
 
 class TestCheckGradient:
@@ -140,3 +142,56 @@ def test_instrument_composite_counts_only_oracle_calls():
     problem.smooth.gradient(x)
     problem.nonsmooth.prox(1.0, x)
     assert (counters.grad_f_evals, counters.prox_evals) == (1, 1)
+
+
+class TestValueAndGradient:
+    @pytest.mark.parametrize("mu_add", [0.0, 0.7])
+    def test_quartic_fused_is_bit_identical(self, mu_add):
+        oracle = gen_quartic(QuarticSpec(n=9, k_terms=5, seed=3, mu_add=mu_add)).smooth
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            x = rng.uniform(-2.0, 2.0, size=9)
+            f, g = oracle.value_and_gradient(x)
+            assert f == oracle.value(x)
+            assert np.array_equal(g, oracle.gradient(x))
+
+    def test_fallback_without_fused_method(self):
+        oracle = gen_quartic(QuarticSpec(n=4, k_terms=3, seed=8, mu_add=0.5)).smooth
+        plain = SeparateOnly(oracle)
+        x = np.array([0.3, -1.0, 0.2, 0.9])
+        f, g = value_and_gradient(plain, x)
+        assert f == oracle.value(x)
+        assert np.array_equal(g, oracle.gradient(x))
+
+    def test_callable_smooth_with_and_without_fused_callable(self):
+        calls = []
+
+        def fused(x):
+            calls.append(x)
+            return 0.5 * float(x @ x), x.copy()
+
+        two = CallableSmooth(2, lambda x: 0.5 * float(x @ x), lambda x: x.copy())
+        three = CallableSmooth(2, two.value_fn, two.gradient_fn, fused)
+        x = np.array([1.5, -2.0])
+        for oracle in (two, three):
+            f, g = value_and_gradient(oracle, x)
+            assert (f, g.tolist()) == (3.125, [1.5, -2.0])
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("wrap", [lambda s: s, SeparateOnly])
+    def test_fused_call_books_one_gradient(self, wrap):
+        base = gen_quartic(QuarticSpec(n=3, k_terms=2, seed=4, mu_add=1.0))
+        counters = OracleCounters()
+        problem = instrument_composite(
+            CompositeProblem(wrap(base.smooth), base.nonsmooth, mu=1.0), counters
+        )
+        value_and_gradient(problem.smooth, np.ones(3))
+        assert (counters.grad_f_evals, counters.prox_evals) == (1, 0)
+
+
+def test_cone_dim_is_fixed_at_construction():
+    cone = ConeSpec(((ConeBlock.NONNEG, 2), (ConeBlock.SOC, 3), (ConeBlock.ZERO, 1)))
+    assert cone.dim == 6
+    assert ConeSpec.nonneg(0).dim == 0
+    assert cone == ConeSpec((("nonneg", 2), ("soc", 3), ("zero", 1)))
+    assert "dim" not in repr(cone)

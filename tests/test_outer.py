@@ -5,7 +5,9 @@ from proxcert import (
     Certificate,
     ConeSpec,
     ConicProblem,
+    InvariantViolation,
     L1Term,
+    OracleCounters,
     OuterParams,
     SolveTimeout,
     ZeroTerm,
@@ -13,9 +15,11 @@ from proxcert import (
     al_value,
     build_al_subproblem,
     check_gradient,
+    instrument_conic,
     kkt_report,
     multiplier_update,
     ppa_unconstrained,
+    project_dual,
     prox_al,
     residual_certificate,
     shifted_proximal_subproblem,
@@ -292,3 +296,76 @@ class TestOuterParams:
                 OuterParams(epsilon=1e-4, gamma0=9.0, rho0=10.0, alpha0=0.5),
                 [1.0],
             )
+
+
+class TestFusedSubproblems:
+    def _conic(self):
+        from proxcert.model import ConeBlock
+
+        base = gen_quartic(QuarticSpec(n=5, k_terms=4, seed=12, mu_add=0.5))
+        rng = np.random.default_rng(6)
+        cone = ConeSpec(((ConeBlock.NONNEG, 3), (ConeBlock.ZERO, 2), (ConeBlock.SOC, 4)))
+        constraint = AffineConstraint(rng.uniform(-1.0, 1.0, size=(9, 5)), rng.uniform(-1.0, 1.0, 9))
+        return ConicProblem(base=base, constraint=constraint, cone=cone)
+
+    def test_al_fused_is_bit_identical_and_projects_once(self):
+        conic = self._conic()
+        counters = OracleCounters()
+        counted = instrument_conic(conic, counters)
+        lam = project_dual(conic.cone, np.linspace(-1.0, 1.0, 9))
+        sub = build_al_subproblem(counted, np.full(5, 0.1), lam, 3.0, counters=counters)
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            x = rng.uniform(-1.5, 1.5, size=5)
+            before = counters.snapshot()
+            f, g = sub.smooth.value_and_gradient(x)
+            assert (
+                counters.grad_f_evals - before.grad_f_evals,
+                counters.g_evals - before.g_evals,
+                counters.cone_proj_evals - before.cone_proj_evals,
+            ) == (1, 1, 1)
+            assert f == sub.smooth.value(x)
+            assert np.array_equal(g, sub.smooth.gradient(x))
+
+    def test_shifted_fused_is_bit_identical(self):
+        problem = gen_quartic(QuarticSpec(n=6, k_terms=3, seed=2))
+        sub = shifted_proximal_subproblem(problem, np.linspace(-0.5, 0.5, 6), 7.0)
+        x = np.linspace(1.0, -1.0, 6)
+        f, g = sub.smooth.value_and_gradient(x)
+        assert f == sub.smooth.value(x)
+        assert np.array_equal(g, sub.smooth.gradient(x))
+
+
+class TestInvariantViolation:
+    @staticmethod
+    def _overshooting(monkeypatch):
+        import dataclasses
+
+        from proxcert import outer
+
+        solve = outer.apg_terminating
+
+        def overshoot(problem, params, init, **kwargs):
+            res = solve(problem, params, init, **kwargs)
+            cert = dataclasses.replace(res.certificate, residual=2.0 * params.epsilon)
+            return dataclasses.replace(res, certificate=cert)
+
+        monkeypatch.setattr(outer, "apg_terminating", overshoot)
+
+    def test_ppa_inner_residual_above_target(self, quartic_1d, monkeypatch):
+        self._overshooting(monkeypatch)
+        with pytest.raises(InvariantViolation, match="eta_k"):
+            ppa_unconstrained(quartic_1d, OuterParams(epsilon=1e-4), [1.0])
+
+    def test_prox_al_inner_residual_above_target(self, ineq1d, monkeypatch):
+        self._overshooting(monkeypatch)
+        with pytest.raises(InvariantViolation, match="eta_k"):
+            prox_al(ineq1d, OuterParams(epsilon=1e-4), np.zeros(1), np.zeros(1))
+
+    def test_prox_al_step_clamp_guard(self, ineq1d):
+        # rho0 passes the strict validation but mu_k / rho_k rounds to within
+        # 1e-9 of 1, where the inner solver's step clamp would engage
+        critical = (2.0 + np.sqrt(8.0)) / 2.0
+        params = OuterParams(epsilon=1e-4, rho0=critical * (1.0 + 1e-12))
+        with pytest.raises(InvariantViolation, match="clamp"):
+            prox_al(ineq1d, params, np.zeros(1), np.zeros(1))
