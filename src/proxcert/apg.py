@@ -11,7 +11,8 @@ checker can recompute from the stored data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,8 +95,12 @@ class ApgParams:
         return gamma0, min(1.0, max(self.alpha0, lower))
 
 
-@dataclass(frozen=True)
-class ApgState:
+# The per-trial and per-iteration records below are NamedTuples: immutable
+# like a frozen dataclass, at a fraction of its construction cost, which the
+# solver pays once per backtracking trial.
+
+
+class ApgState(NamedTuple):
     """Iterate pair (x, z) plus the previous step scalars driving the recursion."""
 
     t: int
@@ -106,8 +111,7 @@ class ApgState:
     lambda_prod: float = 1.0  # running product of (1 - alpha_i), diagnostic
 
 
-@dataclass(frozen=True)
-class StepReport:
+class StepReport(NamedTuple):
     """Outcome of one accepted iteration."""
 
     n_t: int
@@ -134,8 +138,7 @@ class Certificate:
     residual: float
 
 
-@dataclass(frozen=True)
-class TrialStep:
+class TrialStep(NamedTuple):
     """One backtracking trial at a fixed gamma."""
 
     gamma: float
@@ -150,8 +153,7 @@ class TrialStep:
     accepted: bool
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     """Per-iteration record; vectors are None when iterate recording is off."""
 
     t: int
@@ -242,11 +244,12 @@ def trial_step(
     mu = problem.mu
     alpha = solve_alpha(gamma_prev, gamma, alpha_prev, mu)
     beta = mu * gamma / alpha
-    y = ((1.0 - alpha) * x + alpha * (1.0 - beta) * z) / (1.0 - alpha * beta)
+    x_part = (1.0 - alpha) * x
+    y = (x_part + alpha * (1.0 - beta) * z) / (1.0 - alpha * beta)
     f_y, grad_y = value_and_gradient(problem.smooth, y)
     step = gamma / alpha
     z_new = problem.nonsmooth.prox(step, beta * y + (1.0 - beta) * z - step * grad_y)
-    x_new = (1.0 - alpha) * x + alpha * z_new
+    x_new = x_part + alpha * z_new
     f_new = problem.smooth.value(x_new)
     diff = x_new - y
     cross = float(grad_y @ diff)
@@ -272,6 +275,8 @@ def initial_state(problem: CompositeProblem, params: ApgParams, init) -> ApgStat
     x = np.asarray(init, dtype=float).copy()
     if x.shape != (problem.dim,):
         raise ValueError(f"init has shape {x.shape}, expected ({problem.dim},)")
+    if not np.isfinite(x).all():
+        raise ValueError("init must be finite")
     if not problem.nonsmooth.value(x) < math.inf:
         raise ValueError("init must lie in the domain of the nonsmooth term")
     return ApgState(
@@ -280,15 +285,20 @@ def initial_state(problem: CompositeProblem, params: ApgParams, init) -> ApgStat
 
 
 def apg_iteration(
-    problem: CompositeProblem, state: ApgState, params: ApgParams
+    problem: CompositeProblem,
+    state: ApgState,
+    params: ApgParams,
+    gamma0: float | None = None,
 ) -> tuple[ApgState, StepReport]:
     """One accelerated iteration with backtracking; returns the new state and report.
 
     Tries gamma = base * delta**n for n = 0, 1, ... and accepts the first n
     satisfying the local curvature bound; each trial costs one gradient and
-    one prox evaluation.
+    one prox evaluation.  ``gamma0`` may pass the restart value
+    ``params.effective(problem.mu)[0]`` that a solver resolved once.
     """
-    gamma0, _ = params.effective(problem.mu)
+    if gamma0 is None:
+        gamma0, _ = params.effective(problem.mu)
     base = state.gamma_prev if params.warm_start_gamma else gamma0
     for n in range(params.max_backtracks + 1):
         gamma = base * params.delta**n
@@ -412,6 +422,8 @@ def _make_row(
     report: StepReport,
     counters: OracleCounters,
     record_iterates: bool,
+    cert: Certificate | None = None,
+    cert_backtracks: int | None = None,
 ) -> TraceRow:
     return TraceRow(
         t=state_before.t,
@@ -423,6 +435,9 @@ def _make_row(
         lambda_prod=state_after.lambda_prod,
         grad_evals=counters.grad_f_evals,
         prox_evals=counters.prox_evals,
+        cert_residual=None if cert is None else cert.residual,
+        certificate=cert,
+        cert_backtracks=cert_backtracks,
         x_before=state_before.x if record_iterates else None,
         z_before=state_before.z if record_iterates else None,
         alpha_before=state_before.alpha_prev,
@@ -465,7 +480,7 @@ def apg_run(
     """
     problem, state, trace = _prepare(problem, params, init, counters)
     while state.t <= params.max_iters:
-        new_state, report = apg_iteration(problem, state, params)
+        new_state, report = apg_iteration(problem, state, params, trace.gamma0)
         trace.rows.append(_make_row(state, new_state, report, trace.counters, record_iterates))
         state = new_state
         if stop is not None and stop(state, report):
@@ -501,29 +516,24 @@ def apg_terminating(
     best: Certificate | None = None
     while state.t <= params.max_iters:
         t = state.t
-        new_state, report = apg_iteration(problem, state, params)
-        row = _make_row(state, new_state, report, trace.counters, record_iterates)
-        state = new_state
+        new_state, report = apg_iteration(problem, state, params, gamma0)
+        cert = n_tilde = None
         if t % params.M == 0:
             cert, n_tilde = certified_prox_step(
-                problem, state.x, gamma0, params.delta, params.max_backtracks
+                problem, new_state.x, gamma0, params.delta, params.max_backtracks
             )
-            row = replace(
-                row,
-                cert_residual=cert.residual,
-                certificate=cert,
-                cert_backtracks=n_tilde,
-                grad_evals=trace.counters.grad_f_evals,
-                prox_evals=trace.counters.prox_evals,
-            )
-            if best is None or cert.residual < best.residual:
-                best = cert
-            trace.rows.append(row)
-            if cert.residual <= params.epsilon:
-                trace.final_state = state
-                return TerminatingResult(x=cert.x_tilde, certificate=cert, trace=trace)
-        else:
-            trace.rows.append(row)
+        # built after the check, so a checked row's counts include its cost
+        trace.rows.append(
+            _make_row(state, new_state, report, trace.counters, record_iterates, cert, n_tilde)
+        )
+        state = new_state
+        if cert is None:
+            continue
+        if best is None or cert.residual < best.residual:
+            best = cert
+        if cert.residual <= params.epsilon:
+            trace.final_state = state
+            return TerminatingResult(x=cert.x_tilde, certificate=cert, trace=trace)
     trace.final_state = state
     raise SolveTimeout(
         f"no point certified at epsilon = {params.epsilon} within "

@@ -208,11 +208,15 @@ class ConeSpec:
     """Product cone: ordered blocks of nonnegative-orthant, zero, and second-order cones.
 
     Second-order blocks store the scalar coordinate first: (t, xbar) with
-    ||xbar|| <= t.
+    ||xbar|| <= t.  ``dim``, ``has_soc`` and the read-only ``orthant_mask``
+    (True on nonnegative-orthant coordinates) are derived from the blocks
+    once, at construction.
     """
 
     blocks: tuple[tuple[ConeBlock, int], ...]
     dim: int = field(init=False, repr=False, compare=False)
+    has_soc: bool = field(init=False, repr=False, compare=False)
+    orthant_mask: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = tuple((ConeBlock(kind), int(size)) for kind, size in self.blocks)
@@ -220,7 +224,14 @@ class ConeSpec:
         for kind, size in blocks:
             if size < 1:
                 raise ValueError(f"{kind.value} block size must be >= 1, got {size}")
-        object.__setattr__(self, "dim", sum(size for _, size in blocks))
+        mask = np.repeat(
+            np.array([kind is ConeBlock.NONNEG for kind, _ in blocks], dtype=bool),
+            [size for _, size in blocks],
+        )
+        mask.flags.writeable = False
+        object.__setattr__(self, "dim", mask.size)
+        object.__setattr__(self, "has_soc", any(kind is ConeBlock.SOC for kind, _ in blocks))
+        object.__setattr__(self, "orthant_mask", mask)
 
     @classmethod
     def nonneg(cls, m: int) -> "ConeSpec":

@@ -221,7 +221,7 @@ def build_al_subproblem(
         return project_dual(cone, shifted)
 
     def value_at(x, f, proj):
-        d = float(np.linalg.norm(proj))
+        d = math.sqrt(float(proj @ proj))
         dx = x - center
         return f + (d * d - lam_sq + float(dx @ dx)) / (2.0 * rho)
 
@@ -263,6 +263,7 @@ def kkt_report(
     rho: float,
     x_prev: Array,
     lam_prev: Array,
+    gval: Array | None = None,
 ) -> KktReport:
     """Assemble optimality witnesses from an inner certificate and multiplier step.
 
@@ -272,14 +273,15 @@ def kkt_report(
     at x.  Then s = u - (x - x_prev)/rho is an explicit stationarity
     witness, and w = (lam_prev + rho g(x) - lam_new)/rho lies in the normal
     cone of K* at lam_new with ||g(x) - w|| = ||lam_new - lam_prev||/rho
-    bounding the complementarity residual.
+    bounding the complementarity residual.  ``gval`` may pass g(x) when the
+    caller has already evaluated it.
     """
     x = np.asarray(x, dtype=float)
     x_prev = np.asarray(x_prev, dtype=float)
     lam_new = np.asarray(lam_new, dtype=float)
     lam_prev = np.asarray(lam_prev, dtype=float)
     s = inner_certificate.witness - (x - x_prev) / rho
-    gval = conic.constraint.value(x)
+    gval = conic.constraint.value(x) if gval is None else np.asarray(gval, dtype=float)
     w = (lam_prev + rho * gval - lam_new) / rho
     defects = normal_cone_gap(conic.cone, lam_new, w)
     w_norm = float(np.linalg.norm(w))
@@ -301,6 +303,8 @@ def _require_dual(conic: ConicProblem, lam) -> Array:
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (conic.cone.dim,):
         raise ValueError(f"lam has shape {lam.shape}, expected ({conic.cone.dim},)")
+    if not np.isfinite(lam).all():
+        raise ValueError("lam must be finite")
     if conic.cone.dim:
         drift = np.abs(lam - project_dual(conic.cone, lam))
         if float(np.max(drift)) > 1e-9:
@@ -440,6 +444,11 @@ def prox_al(
         raise ValueError(
             f"rho0 must exceed (mu + sqrt(mu^2 + 4))/2 = {critical}, got {rho0}"
         )
+    if not mu / rho0 + 1.0 / rho0**2 <= 1.0 - 1e-9:
+        raise ValueError(
+            f"rho0 = {rho0} lies within rounding of (mu + sqrt(mu^2 + 4))/2 = {critical}: "
+            "the inner step clamp would engage at outer step 0; choose rho0 further above it"
+        )
     if not math.sqrt((mu + 1.0 / rho0) / rho0) <= params.alpha0 <= 1:
         raise ValueError("alpha0 must lie in [sqrt((mu + 1/rho0)/rho0), 1]")
 
@@ -479,7 +488,7 @@ def prox_al(
             float(np.linalg.norm(x_new - x)) ** 2 + float(np.linalg.norm(lam_new - lam)) ** 2
         )
         _check_inner_residual(res.certificate, eta_k, k)
-        report = kkt_report(conic, x_new, lam_new, res.certificate, rho_k, x, lam)
+        report = kkt_report(conic, x_new, lam_new, res.certificate, rho_k, x, lam, gval)
         rows.append(
             OuterTraceRow(
                 k=k,

@@ -8,7 +8,8 @@ and project_dual onto the dual cone K*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,6 +74,9 @@ class BoxTerm:
 
     lower: Array
     upper: Array
+    # the bounds widened by the domain slack, fixed at construction
+    _lower_edge: Array = field(init=False, repr=False, compare=False)
+    _upper_edge: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lower = np.asarray(self.lower, dtype=float)
@@ -83,6 +87,8 @@ class BoxTerm:
             raise ValueError("box requires lower <= upper componentwise")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "_lower_edge", lower - _EDGE * (1.0 + np.abs(lower)))
+        object.__setattr__(self, "_upper_edge", upper + _EDGE * (1.0 + np.abs(upper)))
 
     @property
     def dim(self) -> int:
@@ -90,9 +96,7 @@ class BoxTerm:
 
     def value(self, x: Array) -> float:
         x = _as_vector(x, self.dim, "x")
-        slack_lo = _EDGE * (1.0 + np.abs(self.lower))
-        slack_hi = _EDGE * (1.0 + np.abs(self.upper))
-        inside = np.all(x >= self.lower - slack_lo) and np.all(x <= self.upper + slack_hi)
+        inside = (x >= self._lower_edge).all() and (x <= self._upper_edge).all()
         return 0.0 if inside else np.inf
 
     def prox(self, gamma: float, z: Array) -> Array:
@@ -109,7 +113,7 @@ class NonnegativeTerm:
 
     def value(self, x: Array) -> float:
         x = _as_vector(x, self.dim, "x")
-        return 0.0 if np.all(x >= -_EDGE * (1.0 + np.abs(x))) else np.inf
+        return 0.0 if (x >= -_EDGE * (1.0 + np.abs(x))).all() else np.inf
 
     def prox(self, gamma: float, z: Array) -> Array:
         _check_gamma(gamma)
@@ -162,8 +166,16 @@ def project_second_order(u: Array) -> Array:
 
 
 def project_polar(cone: ConeSpec, u) -> Array:
-    """Euclidean projection onto -K, blockwise."""
-    u = _as_vector(u, cone.dim, "u")
+    """Euclidean projection onto -K."""
+    return _polar(cone, _as_vector(u, cone.dim, "u"))
+
+
+def _polar(cone: ConeSpec, u: Array) -> Array:
+    """project_polar for a vector already checked against cone.dim."""
+    if not cone.has_soc:
+        # Bit for bit the blockwise loop below, signed zeros and NaN included:
+        # np.minimum on orthant coordinates, +0.0 on zero-cone coordinates.
+        return np.where(cone.orthant_mask, np.minimum(u, 0.0), 0.0)
     out = np.empty_like(u)
     start = 0
     for kind, size in cone.blocks:
@@ -182,12 +194,13 @@ def project_polar(cone: ConeSpec, u) -> Array:
 def project_dual(cone: ConeSpec, u) -> Array:
     """Euclidean projection onto the dual cone K* (Moreau complement of -K)."""
     u = _as_vector(u, cone.dim, "u")
-    return u - project_polar(cone, u)
+    return u - _polar(cone, u)
 
 
 def dist_polar(cone: ConeSpec, u) -> float:
     """Distance from u to -K, equal to ||project_dual(cone, u)||."""
-    return float(np.linalg.norm(project_dual(cone, u)))
+    dual = project_dual(cone, u)
+    return math.sqrt(float(dual @ dual))
 
 
 def normal_cone_gap(cone: ConeSpec, lam, w) -> tuple[float, float]:

@@ -259,6 +259,11 @@ class TestApgTerminating:
         checked = [row.t for row in info.value.trace.rows if row.certificate is not None]
         assert checked == [3, 6, 9]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_init(self, quadratic, bad):
+        with pytest.raises(ValueError, match="init must be finite"):
+            apg_terminating(quadratic, ApgParams(epsilon=1e-6), [bad])
+
 
 def test_trajectory_invariants_on_quartic():
     problem = gen_quartic(QuarticSpec(n=6, k_terms=4, seed=17, mu_add=1.0))
@@ -305,6 +310,26 @@ def test_gamma_clamp_keeps_update_well_defined():
     assert alpha0 == 1.0
     res = apg_terminating(problem, ApgParams(gamma0=0.5, M=1, epsilon=1e-8), [1.0])
     assert res.certificate.residual <= 1e-8
+
+
+def test_records_are_immutable(quartic_1d):
+    params = ApgParams()
+    state = initial_state(quartic_1d, params, [1.0])
+    new_state, report = apg_iteration(quartic_1d, state, params)
+    trial = trial_step(quartic_1d, state.x, state.z, state.alpha_prev, state.gamma_prev, 1.0)
+    row = apg_run(quartic_1d, params, [1.0], stop=lambda s, r: True).rows[0]
+    for record, name in ((new_state, "t"), (report, "gamma_t"), (trial, "accepted"), (row, "F")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+
+
+def test_resolved_gamma0_matches_standalone_iteration(quartic_1d):
+    params = ApgParams(gamma0=3.0)
+    state = initial_state(quartic_1d, params, [1.5])
+    alone = apg_iteration(quartic_1d, state, params)
+    resolved = apg_iteration(quartic_1d, state, params, params.effective(quartic_1d.mu)[0])
+    assert alone[1].gamma_t == resolved[1].gamma_t
+    assert np.array_equal(alone[0].x, resolved[0].x)
 
 
 def test_alpha0_below_lower_bound_rejected():

@@ -79,6 +79,22 @@ class TestSolve:
         assert summary["kkt"]["complementarity"] <= 1e-4
         assert summary["outer_iterations"] == len(rows)
 
+    def test_rho0_within_rounding_of_critical_is_validation_error(self, tmp_path, capsys):
+        # 1 + sqrt(2) is the critical rho0 of ineq-1d (mu = 2); this value is
+        # 2.3e-12 above it, where the inner step clamp would engage
+        doc = {
+            "version": 1,
+            "solver": "prox-al",
+            "epsilon": 1e-4,
+            "problem": {"kind": "named", "name": "ineq-1d"},
+            "params": {"rho0": 2.4142135623754},
+        }
+        code, summary, _ = run_solve(tmp_path, doc)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: rho0") and err.count("\n") == 1
+        assert summary is None
+
     def test_solver_problem_compatibility(self, tmp_path):
         doc = {
             "version": 1,

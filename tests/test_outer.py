@@ -24,7 +24,7 @@ from proxcert import (
     residual_certificate,
     shifted_proximal_subproblem,
 )
-from proxcert.model import AffineConstraint
+from proxcert.model import AffineConstraint, CallableConstraint
 from proxcert.problems import (
     QuarticSpec,
     eq_quadratic_2d,
@@ -150,6 +150,11 @@ class TestPpaUnconstrained:
         s = cert.witness - (res.x - res.center_final) / res.rho_final
         assert np.array_equal(s, res.witness)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_init(self, quartic_1d, bad):
+        with pytest.raises(ValueError, match="init must be finite"):
+            ppa_unconstrained(quartic_1d, OuterParams(epsilon=1e-4), [bad])
+
     def test_requires_mu_zero(self):
         problem = gen_quartic(QuarticSpec(n=2, k_terms=2, seed=1, mu_add=1.0))
         with pytest.raises(ValueError, match="mu = 0"):
@@ -229,6 +234,45 @@ class TestProxAl:
     def test_rho0_validation(self, ineq1d):
         with pytest.raises(ValueError, match="rho0"):
             prox_al(ineq1d, OuterParams(epsilon=1e-4, rho0=1.0), np.zeros(1), np.zeros(1))
+
+    def test_rho0_within_rounding_of_critical_rejected(self, ineq1d):
+        # rho0 exceeds the critical value, but mu_0 / rho_0 rounds to within
+        # 1e-9 of 1, where the inner solver's step clamp would engage
+        critical = (2.0 + np.sqrt(8.0)) / 2.0
+        params = OuterParams(epsilon=1e-4, rho0=critical * (1.0 + 1e-12))
+        with pytest.raises(ValueError, match="step clamp"):
+            prox_al(ineq1d, params, np.zeros(1), np.zeros(1))
+
+    def test_rejects_non_finite_start(self, ineq1d):
+        params = OuterParams(epsilon=1e-4)
+        with pytest.raises(ValueError, match="init must be finite"):
+            prox_al(ineq1d, params, np.array([np.nan]), np.zeros(1))
+        for lam in ([np.nan], [np.inf]):
+            with pytest.raises(ValueError, match="lam must be finite"):
+                prox_al(ineq1d, params, np.zeros(1), np.array(lam))
+
+    def test_maps_x_new_once_per_outer_step(self, ineq1d):
+        # kkt_report reuses the counted g(x_new) of the multiplier update, so
+        # every raw call of g is one that g_evals books
+        raw_calls = []
+        matrix, shift = ineq1d.constraint.matrix, ineq1d.constraint.shift
+
+        def value(x):
+            raw_calls.append(1)
+            return matrix @ x + shift
+
+        counting = CallableConstraint(1, 1, value, lambda x, v: matrix.T @ v)
+        conic = ConicProblem(base=ineq1d.base, constraint=counting, cone=ineq1d.cone)
+        res = prox_al(conic, OuterParams(epsilon=1e-4), np.zeros(1), np.zeros(1))
+        assert len(res.trace.rows) == 12
+        assert res.trace.counters.g_evals == 398
+        assert len(raw_calls) == res.trace.counters.g_evals
+        last = res.trace.rows[-1]
+        again = kkt_report(ineq1d, last.x_new, last.lam_new, last.certificate, last.rho_k,
+                           last.center, last.lam_prev)
+        assert np.array_equal(again.stationarity_witness, res.report.stationarity_witness)
+        assert np.array_equal(again.complementarity_witness, res.report.complementarity_witness)
+        assert again.witness_defects == res.report.witness_defects
 
     def test_timeout_carries_best_report(self, ineq1d):
         with pytest.raises(SolveTimeout) as info:
@@ -363,9 +407,11 @@ class TestInvariantViolation:
             prox_al(ineq1d, OuterParams(epsilon=1e-4), np.zeros(1), np.zeros(1))
 
     def test_prox_al_step_clamp_guard(self, ineq1d):
-        # rho0 passes the strict validation but mu_k / rho_k rounds to within
-        # 1e-9 of 1, where the inner solver's step clamp would engage
-        critical = (2.0 + np.sqrt(8.0)) / 2.0
-        params = OuterParams(epsilon=1e-4, rho0=critical * (1.0 + 1e-12))
-        with pytest.raises(InvariantViolation, match="clamp"):
+        # The rho0 validation rules the clamp out at outer step 0, and rho_k
+        # only grows while zeta > 1.  A schedule forced to shrink behind the
+        # back of OuterParams' own checks (rho_k = 10, 5, 2.5, 1.25) reaches
+        # the guard at outer step 3, where mu_k / rho_k = 2.24.
+        params = OuterParams(epsilon=1e-4)
+        object.__setattr__(params, "zeta", 0.5)
+        with pytest.raises(InvariantViolation, match="outer step 3"):
             prox_al(ineq1d, params, np.zeros(1), np.zeros(1))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,9 @@ from proxcert import (
     normal_cone_gap,
     project_dual,
     project_polar,
+    project_second_order,
 )
+from proxcert.proxcone import _EDGE
 
 ORTHANT2 = ConeSpec.nonneg(2)
 ZERO1 = ConeSpec.zeros(1)
@@ -31,6 +35,31 @@ def bundled_terms():
         NonnegativeTerm(4),
         SquaredL2Term(0.7, rng.uniform(-1.0, 1.0, 4)),
     ]
+
+
+def blockwise_polar(cone, u):
+    """Reference projection onto -K, one block at a time."""
+    out = np.empty_like(u)
+    start = 0
+    for kind, size in cone.blocks:
+        block = u[start:start + size]
+        if kind is ConeBlock.NONNEG:
+            out[start:start + size] = np.minimum(block, 0.0)
+        elif kind is ConeBlock.ZERO:
+            out[start:start + size] = 0.0
+        else:
+            out[start:start + size] = -project_second_order(-block)
+        start += size
+    return out
+
+
+def random_cone(rng, kinds):
+    blocks = tuple((kinds[int(rng.integers(len(kinds)))], int(rng.integers(1, 6)))
+                   for _ in range(int(rng.integers(0, 5))))
+    return ConeSpec(blocks)
+
+
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5, -1.5, 5e-324, -5e-324])
 
 
 class TestProx:
@@ -161,6 +190,34 @@ class TestProjections:
             assert abs(float(dual @ polar)) <= 1e-10 * (1.0 + float(u @ u))
             assert np.max(np.abs(project_polar(cone, polar) - polar)) <= 1e-12
 
+    def test_orthant_zero_fast_path_is_bit_identical(self):
+        rng = np.random.default_rng(23)
+        cones = [ConeSpec(())] + [
+            random_cone(rng, (ConeBlock.NONNEG, ConeBlock.ZERO)) for _ in range(300)
+        ]
+        for cone in cones:
+            assert not cone.has_soc
+            u = np.where(rng.random(cone.dim) < 0.5, rng.choice(SPECIAL, cone.dim),
+                         rng.uniform(-3.0, 3.0, cone.dim))
+            polar = blockwise_polar(cone, u)
+            with np.errstate(invalid="ignore"):  # inf - inf on zero-cone coordinates
+                dual = u - polar
+                assert project_dual(cone, u).tobytes() == dual.tobytes()
+            assert project_polar(cone, u).tobytes() == polar.tobytes()
+
+    def test_soc_cones_keep_the_blockwise_loop(self):
+        rng = np.random.default_rng(24)
+        kinds = (ConeBlock.NONNEG, ConeBlock.ZERO, ConeBlock.SOC)
+        for _ in range(300):
+            cone = ConeSpec(random_cone(rng, kinds).blocks + ((ConeBlock.SOC, 3),))
+            assert cone.has_soc
+            u = rng.uniform(-3.0, 3.0, cone.dim)
+            polar = project_polar(cone, u)
+            dual = project_dual(cone, u)
+            assert polar.tobytes() == blockwise_polar(cone, u).tobytes()
+            assert np.max(np.abs(dual + polar - u)) <= 1e-12
+            assert abs(float(dual @ polar)) <= 1e-10 * (1.0 + float(u @ u))
+
     def test_dual_output_in_dual_cone(self):
         rng = np.random.default_rng(22)
         for _ in range(1000):
@@ -193,3 +250,49 @@ def test_cone_spec_validation():
     with pytest.raises(ValueError, match="size"):
         ConeSpec(((ConeBlock.SOC, 0),))
     assert MIXED.dim == 8
+
+
+def test_cone_spec_cached_fields_stay_out_of_repr_and_equality():
+    assert repr(ORTHANT2) == "ConeSpec(blocks=((<ConeBlock.NONNEG: 'nonneg'>, 2),))"
+    assert [f.name for f in dataclasses.fields(MIXED) if f.repr or f.compare] == ["blocks"]
+    same = ConeSpec(((ConeBlock.NONNEG, 2),))
+    assert same == ORTHANT2 and hash(same) == hash(ORTHANT2)
+    assert ORTHANT2 != ZERO2
+    assert MIXED.orthant_mask.tolist() == [True] * 3 + [False] * 5
+    with pytest.raises(ValueError):
+        MIXED.orthant_mask[0] = False
+
+
+def reference_box_value(box, x):
+    slack_lo = _EDGE * (1.0 + np.abs(box.lower))
+    slack_hi = _EDGE * (1.0 + np.abs(box.upper))
+    inside = np.all(x >= box.lower - slack_lo) and np.all(x <= box.upper + slack_hi)
+    return 0.0 if inside else np.inf
+
+
+def test_box_value_at_slack_edge():
+    lower = np.array([-2.0, 0.0, 1e-300, -3e8])
+    upper = np.array([-1.0, 0.0, 1.0, 7e10])
+    box = BoxTerm(lower, upper)
+    for i in range(lower.size):
+        lo_edge = lower[i] - _EDGE * (1.0 + abs(lower[i]))
+        hi_edge = upper[i] + _EDGE * (1.0 + abs(upper[i]))
+        for point, expected in ((lo_edge, 0.0), (np.nextafter(lo_edge, -np.inf), np.inf),
+                                (hi_edge, 0.0), (np.nextafter(hi_edge, np.inf), np.inf)):
+            x = 0.5 * (lower + upper)
+            x[i] = point
+            assert box.value(x) == reference_box_value(box, x) == expected
+
+
+def test_nonneg_value_at_slack_edge():
+    term = NonnegativeTerm(1)
+
+    def reference(x):
+        return 0.0 if np.all(x >= -_EDGE * (1.0 + np.abs(x))) else np.inf
+
+    edge = -_EDGE
+    while reference(np.array([np.nextafter(edge, -np.inf)])) == 0.0:
+        edge = np.nextafter(edge, -np.inf)
+    for point, expected in ((edge, 0.0), (np.nextafter(edge, -np.inf), np.inf), (-0.0, 0.0)):
+        x = np.array([point])
+        assert term.value(x) == reference(x) == expected
