@@ -285,20 +285,15 @@ def initial_state(problem: CompositeProblem, params: ApgParams, init) -> ApgStat
 
 
 def apg_iteration(
-    problem: CompositeProblem,
-    state: ApgState,
-    params: ApgParams,
-    gamma0: float | None = None,
+    problem: CompositeProblem, state: ApgState, params: ApgParams
 ) -> tuple[ApgState, StepReport]:
     """One accelerated iteration with backtracking; returns the new state and report.
 
     Tries gamma = base * delta**n for n = 0, 1, ... and accepts the first n
     satisfying the local curvature bound; each trial costs one gradient and
-    one prox evaluation.  ``gamma0`` may pass the restart value
-    ``params.effective(problem.mu)[0]`` that a solver resolved once.
+    one prox evaluation.
     """
-    if gamma0 is None:
-        gamma0, _ = params.effective(problem.mu)
+    gamma0, _ = params.effective(problem.mu)
     base = state.gamma_prev if params.warm_start_gamma else gamma0
     for n in range(params.max_backtracks + 1):
         gamma = base * params.delta**n
@@ -480,7 +475,7 @@ def apg_run(
     """
     problem, state, trace = _prepare(problem, params, init, counters)
     while state.t <= params.max_iters:
-        new_state, report = apg_iteration(problem, state, params, trace.gamma0)
+        new_state, report = apg_iteration(problem, state, params)
         trace.rows.append(_make_row(state, new_state, report, trace.counters, record_iterates))
         state = new_state
         if stop is not None and stop(state, report):
@@ -516,7 +511,7 @@ def apg_terminating(
     best: Certificate | None = None
     while state.t <= params.max_iters:
         t = state.t
-        new_state, report = apg_iteration(problem, state, params, gamma0)
+        new_state, report = apg_iteration(problem, state, params)
         cert = n_tilde = None
         if t % params.M == 0:
             cert, n_tilde = certified_prox_step(

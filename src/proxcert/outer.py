@@ -444,12 +444,14 @@ def prox_al(
         raise ValueError(
             f"rho0 must exceed (mu + sqrt(mu^2 + 4))/2 = {critical}, got {rho0}"
         )
-    if not mu / rho0 + 1.0 / rho0**2 <= 1.0 - 1e-9:
+    # the step-clamp guard of outer step 0 below, in the loop's own arithmetic
+    mu_0 = mu + 1.0 / rho0
+    if not mu_0 / rho0 <= 1.0 - 1e-9:
         raise ValueError(
             f"rho0 = {rho0} lies within rounding of (mu + sqrt(mu^2 + 4))/2 = {critical}: "
             "the inner step clamp would engage at outer step 0; choose rho0 further above it"
         )
-    if not math.sqrt((mu + 1.0 / rho0) / rho0) <= params.alpha0 <= 1:
+    if not math.sqrt(mu_0 / rho0) <= params.alpha0 <= 1:
         raise ValueError("alpha0 must lie in [sqrt((mu + 1/rho0)/rho0), 1]")
 
     counters = OracleCounters()

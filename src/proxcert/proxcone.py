@@ -79,12 +79,15 @@ class BoxTerm:
     _upper_edge: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
+        # private read-only copies, so the edges below cannot go stale
+        lower = np.array(self.lower, dtype=float)
+        upper = np.array(self.upper, dtype=float)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("lower/upper must be 1-d arrays of equal length")
         if np.any(lower > upper):
             raise ValueError("box requires lower <= upper componentwise")
+        lower.flags.writeable = False
+        upper.flags.writeable = False
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "_lower_edge", lower - _EDGE * (1.0 + np.abs(lower)))
@@ -172,22 +175,17 @@ def project_polar(cone: ConeSpec, u) -> Array:
 
 def _polar(cone: ConeSpec, u: Array) -> Array:
     """project_polar for a vector already checked against cone.dim."""
-    if not cone.has_soc:
-        # Bit for bit the blockwise loop below, signed zeros and NaN included:
-        # np.minimum on orthant coordinates, +0.0 on zero-cone coordinates.
-        return np.where(cone.orthant_mask, np.minimum(u, 0.0), 0.0)
-    out = np.empty_like(u)
-    start = 0
-    for kind, size in cone.blocks:
-        stop = start + size
-        block = u[start:stop]
-        if kind is ConeBlock.NONNEG:
-            out[start:stop] = np.minimum(block, 0.0)
-        elif kind is ConeBlock.ZERO:
-            out[start:stop] = 0.0
-        else:  # SOC is self-dual, so -K projection is the negated projection of -u
-            out[start:stop] = -project_second_order(-block)
-        start = stop
+    # np.minimum on orthant coordinates, +0.0 on zero-cone coordinates; SOC
+    # coordinates are overwritten below.
+    out = np.where(cone.orthant_mask, np.minimum(u, 0.0), 0.0)
+    if cone.has_soc:
+        start = 0
+        for kind, size in cone.blocks:
+            stop = start + size
+            if kind is ConeBlock.SOC:
+                # SOC is self-dual, so -K projection is the negated projection of -u
+                out[start:stop] = -project_second_order(-u[start:stop])
+            start = stop
     return out
 
 

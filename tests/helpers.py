@@ -2,7 +2,30 @@
 
 import math
 
+import numpy as np
+
 from proxcert import trial_step
+from proxcert.problems import ConstrainedSpec, QuarticSpec
+
+
+def criterion6_specs() -> list[ConstrainedSpec]:
+    """The 20 fixed instances of acceptance criterion 6 (generator seed 777)."""
+    rng = np.random.default_rng(777)
+    specs = []
+    for i in range(20):
+        n = int(rng.integers(2, 31))
+        m1 = int(rng.integers(0, 11))
+        m2 = int(rng.integers(0, 6))
+        k = int(rng.integers(1, 6))
+        mu = [1.0, 0.5, 0.0, 1.0][i % 4]
+        n = n if mu > 0 else min(n, 12)
+        specs.append(
+            ConstrainedSpec(
+                base=QuarticSpec(n=n, k_terms=k, seed=2000 + i, mu_add=mu),
+                m1=m1, m2=m2, seed=3000 + i,
+            )
+        )
+    return specs
 
 
 def trajectory_invariant_violations(problem, trace, delta=0.5, alpha_tol=1e-12):

@@ -39,7 +39,7 @@ from proxcert.problems import (
 )
 from proxcert.proxcone import project_dual, project_polar
 
-from helpers import accounting_violations, trajectory_invariant_violations
+from helpers import accounting_violations, criterion6_specs, trajectory_invariant_violations
 
 
 def report(number, name, violations):
@@ -222,18 +222,7 @@ def test_criterion_6_kkt_certification():
     if res.report.stationarity_residual > eps or res.report.complementarity_residual > eps:
         violations.append(("eq-qp-2d", "residuals"))
 
-    rng = np.random.default_rng(777)
-    for i in range(20):
-        n = int(rng.integers(2, 31))
-        m1 = int(rng.integers(0, 11))
-        m2 = int(rng.integers(0, 6))
-        k = int(rng.integers(1, 6))
-        mu = [1.0, 0.5, 0.0, 1.0][i % 4]
-        n = n if mu > 0 else min(n, 12)
-        spec = ConstrainedSpec(
-            base=QuarticSpec(n=n, k_terms=k, seed=2000 + i, mu_add=mu),
-            m1=m1, m2=m2, seed=3000 + i,
-        )
+    for i, spec in enumerate(criterion6_specs()):
         inst = gen_constrained(spec)
         res = prox_al(
             inst.conic, OuterParams(epsilon=eps), inst.x_feas,

@@ -323,15 +323,6 @@ def test_records_are_immutable(quartic_1d):
             setattr(record, name, 0)
 
 
-def test_resolved_gamma0_matches_standalone_iteration(quartic_1d):
-    params = ApgParams(gamma0=3.0)
-    state = initial_state(quartic_1d, params, [1.5])
-    alone = apg_iteration(quartic_1d, state, params)
-    resolved = apg_iteration(quartic_1d, state, params, params.effective(quartic_1d.mu)[0])
-    assert alone[1].gamma_t == resolved[1].gamma_t
-    assert np.array_equal(alone[0].x, resolved[0].x)
-
-
 def test_alpha0_below_lower_bound_rejected():
     problem = make_quadratic(mu=1.0)
     with pytest.raises(ValueError, match="alpha0"):

@@ -11,28 +11,15 @@ import numpy as np
 import pytest
 
 from proxcert import NonnegativeTerm, OuterParams, ppa_unconstrained, prox_al
-from proxcert.problems import ConstrainedSpec, QuarticSpec, gen_constrained, gen_quartic
+from proxcert.problems import QuarticSpec, gen_constrained, gen_quartic
+
+from helpers import criterion6_specs
 
 COUNTER_KEYS = ("grad_f_evals", "prox_evals", "g_evals", "adjoint_evals", "cone_proj_evals")
 
 
 def totals(counters):
     return tuple(getattr(counters, key) for key in COUNTER_KEYS)
-
-
-def criterion6_spec(i: int) -> ConstrainedSpec:
-    """Instance i of the 20-instance suite of acceptance criterion 6."""
-    rng = np.random.default_rng(777)
-    for _ in range(i + 1):
-        n = int(rng.integers(2, 31))
-        m1 = int(rng.integers(0, 11))
-        m2 = int(rng.integers(0, 6))
-        k = int(rng.integers(1, 6))
-    mu = (1.0, 0.5, 0.0, 1.0)[i % 4]
-    n = n if mu > 0 else min(n, 12)
-    return ConstrainedSpec(
-        base=QuarticSpec(n=n, k_terms=k, seed=2000 + i, mu_add=mu), m1=m1, m2=m2, seed=3000 + i
-    )
 
 
 @pytest.mark.parametrize(
@@ -47,7 +34,7 @@ def criterion6_spec(i: int) -> ConstrainedSpec:
     ],
 )
 def test_criterion6_instance_counts(i, expected_totals, expected_inner):
-    inst = gen_constrained(criterion6_spec(i))
+    inst = gen_constrained(criterion6_specs()[i])
     res = prox_al(
         inst.conic, OuterParams(epsilon=1e-4), inst.x_feas, np.zeros(inst.conic.cone.dim)
     )

@@ -205,13 +205,20 @@ class TestProjections:
                 assert project_dual(cone, u).tobytes() == dual.tobytes()
             assert project_polar(cone, u).tobytes() == polar.tobytes()
 
-    def test_soc_cones_keep_the_blockwise_loop(self):
+    def test_soc_cones_match_the_blockwise_reference(self):
         rng = np.random.default_rng(24)
         kinds = (ConeBlock.NONNEG, ConeBlock.ZERO, ConeBlock.SOC)
         for _ in range(300):
             cone = ConeSpec(random_cone(rng, kinds).blocks + ((ConeBlock.SOC, 3),))
             assert cone.has_soc
             u = rng.uniform(-3.0, 3.0, cone.dim)
+            soc = np.repeat([kind is ConeBlock.SOC for kind, _ in cone.blocks],
+                            [size for _, size in cone.blocks])
+            special = ~soc & (rng.random(cone.dim) < 0.5)
+            u_special = u.copy()
+            u_special[special] = rng.choice(SPECIAL, int(special.sum()))
+            assert (project_polar(cone, u_special).tobytes()
+                    == blockwise_polar(cone, u_special).tobytes())
             polar = project_polar(cone, u)
             dual = project_dual(cone, u)
             assert polar.tobytes() == blockwise_polar(cone, u).tobytes()
@@ -282,6 +289,18 @@ def test_box_value_at_slack_edge():
             x = 0.5 * (lower + upper)
             x[i] = point
             assert box.value(x) == reference_box_value(box, x) == expected
+
+
+def test_box_keeps_its_own_bounds():
+    lower = np.array([-1.0, 0.0])
+    upper = np.array([1.0, 2.0])
+    box = BoxTerm(lower, upper)
+    lower[0] = 0.5
+    upper[1] = 0.1
+    assert box.value(np.array([-1.0, 2.0])) == 0.0
+    assert box.prox(1.0, np.array([-5.0, 5.0])).tolist() == [-1.0, 2.0]
+    with pytest.raises(ValueError):
+        box.lower[0] = 0.5
 
 
 def test_nonneg_value_at_slack_edge():
