@@ -35,6 +35,7 @@ from .model import (
     ConstraintMap,
     InvariantViolation,
     LineSearchFailure,
+    NonFiniteOracleOutput,
     OracleCounters,
     ProxTerm,
     SmoothOracle,

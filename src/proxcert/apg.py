@@ -20,6 +20,7 @@ from .model import (
     Array,
     CompositeProblem,
     LineSearchFailure,
+    NonFiniteOracleOutput,
     OracleCounters,
     SolveTimeout,
     composite_value,
@@ -101,7 +102,11 @@ class ApgParams:
 
 
 class ApgState(NamedTuple):
-    """Iterate pair (x, z) plus the previous step scalars driving the recursion."""
+    """Iterate pair (x, z) plus the previous step scalars driving the recursion.
+
+    rx and rz are the affine images A x - b and A z - b when the smooth
+    oracle offers them (see SmoothOracle), else None.
+    """
 
     t: int
     x: Array
@@ -109,6 +114,8 @@ class ApgState(NamedTuple):
     alpha_prev: float
     gamma_prev: float
     lambda_prod: float = 1.0  # running product of (1 - alpha_i), diagnostic
+    rx: Array | None = None
+    rz: Array | None = None
 
 
 class StepReport(NamedTuple):
@@ -151,6 +158,8 @@ class TrialStep(NamedTuple):
     lhs: float
     rhs: float
     accepted: bool
+    rx_new: Array | None = None
+    rz_new: Array | None = None
 
 
 class TraceRow(NamedTuple):
@@ -235,22 +244,39 @@ def trial_step(
     alpha_prev: float,
     gamma_prev: float,
     gamma: float,
+    rx: Array | None = None,
+    rz: Array | None = None,
 ) -> TrialStep:
     """Evaluate one accelerated step at a fixed gamma and test the curvature bound.
 
     Costs exactly one gradient and one prox evaluation; f(y) and grad f(y)
-    come from one fused oracle call.
+    come from one fused oracle call.  Given the affine images rx, rz of x
+    and z, the images of y and x_new are formed as the same combinations of
+    images (the weights sum to 1, so the offset carries through) and only
+    z_new is mapped anew; the trial then returns rx_new and rz_new.
     """
+    smooth = problem.smooth
     mu = problem.mu
     alpha = solve_alpha(gamma_prev, gamma, alpha_prev, mu)
     beta = mu * gamma / alpha
     x_part = (1.0 - alpha) * x
-    y = (x_part + alpha * (1.0 - beta) * z) / (1.0 - alpha * beta)
-    f_y, grad_y = value_and_gradient(problem.smooth, y)
+    y_den = 1.0 - alpha * beta
+    y = (x_part + alpha * (1.0 - beta) * z) / y_den
+    if rx is None:
+        f_y, grad_y = value_and_gradient(smooth, y)
+    else:
+        rx_part = (1.0 - alpha) * rx
+        f_y, grad_y = smooth.value_and_gradient_at(y, (rx_part + alpha * (1.0 - beta) * rz) / y_den)
     step = gamma / alpha
     z_new = problem.nonsmooth.prox(step, beta * y + (1.0 - beta) * z - step * grad_y)
     x_new = x_part + alpha * z_new
-    f_new = problem.smooth.value(x_new)
+    if rx is None:
+        rx_new = rz_new = None
+        f_new = smooth.value(x_new)
+    else:
+        rz_new = smooth.image(z_new)
+        rx_new = rx_part + alpha * rz_new
+        f_new = smooth.value_at(x_new, rx_new)
     diff = x_new - y
     cross = float(grad_y @ diff)
     lhs = 2.0 * gamma * (f_new - f_y - cross)
@@ -267,6 +293,8 @@ def trial_step(
         lhs=lhs,
         rhs=rhs,
         accepted=accepts_curvature_bound(lhs, rhs, gamma, scale),
+        rx_new=rx_new,
+        rz_new=rz_new,
     )
 
 
@@ -279,8 +307,11 @@ def initial_state(problem: CompositeProblem, params: ApgParams, init) -> ApgStat
         raise ValueError("init must be finite")
     if not problem.nonsmooth.value(x) < math.inf:
         raise ValueError("init must lie in the domain of the nonsmooth term")
+    image = getattr(problem.smooth, "image", None)
+    rx = None if image is None else image(x)
     return ApgState(
-        t=1, x=x, z=x.copy(), alpha_prev=alpha0, gamma_prev=gamma0, lambda_prod=1.0
+        t=1, x=x, z=x.copy(), alpha_prev=alpha0, gamma_prev=gamma0, lambda_prod=1.0,
+        rx=rx, rz=rx,
     )
 
 
@@ -291,13 +322,17 @@ def apg_iteration(
 
     Tries gamma = base * delta**n for n = 0, 1, ... and accepts the first n
     satisfying the local curvature bound; each trial costs one gradient and
-    one prox evaluation.
+    one prox evaluation.  Raises NonFiniteOracleOutput at the first trial
+    whose curvature test is not finite.
     """
     gamma0, _ = params.effective(problem.mu)
     base = state.gamma_prev if params.warm_start_gamma else gamma0
     for n in range(params.max_backtracks + 1):
         gamma = base * params.delta**n
-        trial = trial_step(problem, state.x, state.z, state.alpha_prev, state.gamma_prev, gamma)
+        trial = trial_step(
+            problem, state.x, state.z, state.alpha_prev, state.gamma_prev, gamma,
+            state.rx, state.rz,
+        )
         if trial.accepted:
             new_state = ApgState(
                 t=state.t + 1,
@@ -306,6 +341,8 @@ def apg_iteration(
                 alpha_prev=trial.alpha,
                 gamma_prev=trial.gamma,
                 lambda_prod=state.lambda_prod * (1.0 - trial.alpha),
+                rx=trial.rx_new,
+                rz=trial.rz_new,
             )
             report = StepReport(
                 n_t=n,
@@ -316,6 +353,13 @@ def apg_iteration(
                 F_new=trial.f_new + problem.nonsmooth.value(trial.x_new),
             )
             return new_state, report
+        # only rejected trials are checked: a non-finite test never accepts
+        if not (math.isfinite(trial.lhs) and math.isfinite(trial.rhs)):
+            raise NonFiniteOracleOutput(
+                f"non-finite curvature test (lhs {trial.lhs}, rhs {trial.rhs}) at "
+                f"iteration {state.t}, backtracking trial {n}: the smooth term returned "
+                "a non-finite value or gradient"
+            )
     raise LineSearchFailure(
         f"line search failed after {params.max_backtracks + 1} trials at iteration "
         f"{state.t}; the smooth term may be non-convex, its gradient inconsistent, "
@@ -342,6 +386,11 @@ def _adaptive_core(problem, v, grad_v, f_v, gamma_start, delta, max_backtracks):
         rhs = float(diff @ diff)
         if accepts_curvature_bound(lhs, rhs, gamma, abs(f_cand) + abs(f_v) + abs(cross)):
             return cand, gamma, n
+        if not (math.isfinite(lhs) and math.isfinite(rhs)):
+            raise NonFiniteOracleOutput(
+                f"non-finite curvature test (lhs {lhs}, rhs {rhs}) at proximal-gradient "
+                f"trial {n}: the smooth term returned a non-finite value or gradient"
+            )
     raise LineSearchFailure(
         f"line search failed after {max_backtracks + 1} proximal-gradient trials"
     )

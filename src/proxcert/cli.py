@@ -12,10 +12,8 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +24,6 @@ from .apg import ApgParams, ApgTrace, apg_run, apg_terminating
 from .model import ConicProblem, LineSearchFailure, SolveTimeout
 from .outer import OuterParams, OuterTrace, ppa_unconstrained, prox_al
 from .proxcone import BoxTerm, L1Term, NonnegativeTerm, SquaredL2Term, ZeroTerm
-
-MAX_WORKERS_ENV = "PROXCERT_MAX_WORKERS"
 
 SOLVERS = ("apg", "apg-cert", "ppa", "prox-al")
 
@@ -438,24 +434,14 @@ def sweep(spec_path: str, epsilons: list[float], out_path: str) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    workers = max(1, int(os.environ.get(MAX_WORKERS_ENV, "1")))
-
-    def one(eps):
-        try:
-            return execute(spec, epsilon=eps)
-        except LineSearchFailure:
-            return None
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, epsilons))
-    else:
-        outcomes = [one(eps) for eps in epsilons]
-
     failed = False
     rows = []
     prev = None
-    for eps, outcome in zip(epsilons, outcomes):
+    for eps in epsilons:
+        try:
+            outcome = execute(spec, epsilon=eps)
+        except LineSearchFailure:
+            outcome = None
         if outcome is None or outcome.exit_code != 0:
             failed = True
             break

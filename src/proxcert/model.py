@@ -25,6 +25,15 @@ class LineSearchFailure(RuntimeError):
     """
 
 
+class NonFiniteOracleOutput(LineSearchFailure):
+    """A backtracking trial met a non-finite value or gradient.
+
+    Raised at the first such trial instead of exhausting the backtracking
+    budget; it subclasses LineSearchFailure, so handlers of that still
+    catch it.
+    """
+
+
 class InvariantViolation(AssertionError):
     """A solver guarantee failed to hold at run time.
 
@@ -56,6 +65,16 @@ class SmoothOracle(Protocol):
     the solvers call it through :func:`value_and_gradient`, which falls back
     to the two separate calls when it is absent.  It must return exactly
     what ``value(x)`` and ``gradient(x)`` would.
+
+    An oracle of the form f(x) = h(A x - b) + q(x) may also offer three
+    methods that let the accelerated solver carry affine images from one
+    iteration to the next instead of multiplying by A again:
+    ``image(x)`` returns A x - b, or None when caching does not pay (the
+    solver then keeps the plain path for the whole solve);
+    ``value_at(x, r)`` and ``value_and_gradient_at(x, r)`` return what
+    ``value(x)`` and ``value_and_gradient(x)`` would, given r = A x - b.
+    The solver forms images of combinations of points as the same
+    combinations of images, so they agree with ``image`` to rounding.
     """
 
     dim: int
@@ -153,9 +172,13 @@ class ConstraintMap(Protocol):
     def adjoint_apply(self, x: Array, v: Array) -> Array: ...
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineConstraint:
-    """g(x) = matrix @ x + shift."""
+    """g(x) = matrix @ x + shift.
+
+    Compared and hashed by identity (``eq=False``): generated field-wise
+    equality would compare the arrays elementwise and raise.
+    """
 
     matrix: Array
     shift: Array
@@ -291,10 +314,24 @@ class OracleCounters:
 
 
 class _CountingSmooth:
+    # Real methods, not __getattr__ forwarding: the image methods run once
+    # per backtracking trial.  An image or a value from an image books
+    # nothing, like value(); a gradient from an image books one.
     def __init__(self, inner: SmoothOracle, counters: OracleCounters):
         self._inner = inner
         self._counters = counters
+        self._image = getattr(inner, "image", None)
         self.dim = inner.dim
+
+    def image(self, x: Array) -> Array | None:
+        return None if self._image is None else self._image(x)
+
+    def value_at(self, x: Array, r: Array) -> float:
+        return self._inner.value_at(x, r)
+
+    def value_and_gradient_at(self, x: Array, r: Array) -> tuple[float, Array]:
+        self._counters.grad_f_evals += 1
+        return self._inner.value_and_gradient_at(x, r)
 
     def value(self, x: Array) -> float:
         return self._inner.value(x)

@@ -68,15 +68,19 @@ class L1Term:
         return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxTerm:
-    """Indicator of the box [lower, upper]; prox clips, independent of gamma."""
+    """Indicator of the box [lower, upper]; prox clips, independent of gamma.
+
+    Compared and hashed by identity, as field-wise equality over arrays
+    would raise.
+    """
 
     lower: Array
     upper: Array
     # the bounds widened by the domain slack, fixed at construction
-    _lower_edge: Array = field(init=False, repr=False, compare=False)
-    _upper_edge: Array = field(init=False, repr=False, compare=False)
+    _lower_edge: Array = field(init=False, repr=False)
+    _upper_edge: Array = field(init=False, repr=False)
 
     def __post_init__(self):
         # private read-only copies, so the edges below cannot go stale
@@ -124,9 +128,13 @@ class NonnegativeTerm:
         return np.maximum(z, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SquaredL2Term:
-    """P = (coef/2) * ||x - center||^2 with closed-form prox."""
+    """P = (coef/2) * ||x - center||^2 with closed-form prox.
+
+    Compared and hashed by identity, as field-wise equality over arrays
+    would raise.
+    """
 
     coef: float
     center: Array

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from proxcert import CallableSmooth, CompositeProblem, ZeroTerm
@@ -19,6 +20,21 @@ def make_quartic_1d():
         ZeroTerm(1),
         mu=0.0,
     )
+
+
+def nan_after(calls, dim=1):
+    """||x||^2/2 whose gradient turns NaN after ``calls`` gradient calls.
+
+    Returns the problem (mu = 1) and the list of points the gradient saw.
+    """
+    seen = []
+
+    def gradient(x):
+        seen.append(x)
+        return x.copy() if len(seen) <= calls else np.full_like(x, np.nan)
+
+    smooth = CallableSmooth(dim, lambda x: 0.5 * float(x @ x), gradient)
+    return CompositeProblem(smooth, ZeroTerm(dim), mu=1.0), seen
 
 
 class SeparateOnly:

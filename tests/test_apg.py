@@ -9,6 +9,7 @@ from proxcert import (
     CompositeProblem,
     L1Term,
     LineSearchFailure,
+    NonFiniteOracleOutput,
     SolveTimeout,
     ZeroTerm,
     adaptive_pg,
@@ -22,7 +23,7 @@ from proxcert import (
 )
 from proxcert.problems import QuarticSpec, gen_quartic, reference_solve
 
-from conftest import SeparateOnly, make_quadratic
+from conftest import SeparateOnly, make_quadratic, nan_after
 from helpers import accounting_violations, trajectory_invariant_violations
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -124,6 +125,20 @@ class TestIteration:
         state = initial_state(lying, params, [1.0])
         with pytest.raises(LineSearchFailure, match="line search failed"):
             apg_iteration(lying, state, params)
+
+
+class TestNonFiniteOracleOutput:
+    def test_first_nan_trial_raises(self):
+        problem, made = nan_after(3)
+        with pytest.raises(NonFiniteOracleOutput, match="iteration 4, backtracking trial 0"):
+            apg_terminating(problem, ApgParams(gamma0=0.5, epsilon=1e-8), [1.0])
+        assert len(made) == 4  # not the 103 of an exhausted line search
+
+    def test_certificate_step_raises_at_first_trial(self):
+        problem, made = nan_after(0)
+        with pytest.raises(NonFiniteOracleOutput, match="proximal-gradient trial 0"):
+            adaptive_pg(problem, np.array([1.0]), 1.0, 0.5)
+        assert len(made) == 1
 
 
 class TestApgRun:
@@ -338,6 +353,8 @@ def test_fused_and_separate_oracles_give_identical_traces(separate):
     fused = gen_quartic(QuarticSpec(n=12, k_terms=6, seed=31, mu_add=0.3, prox=L1Term(12, 0.1)))
     plain = CompositeProblem(separate(fused.smooth), fused.nonsmooth, mu=fused.mu)
     assert hasattr(fused.smooth, "value_and_gradient")
+    # below the image gate, so the QuarticOracle keeps the plain path too
+    assert fused.smooth.image(np.ones(12)) is None
     params = ApgParams(epsilon=1e-8, M=4)
     a = apg_terminating(fused, params, np.ones(12))
     b = apg_terminating(plain, params, np.ones(12))

@@ -3,7 +3,10 @@ import json
 
 import yaml
 
+from proxcert import problems
 from proxcert.cli import main
+
+from conftest import nan_after
 
 QUARTIC_PPA = {
     "version": 1,
@@ -94,6 +97,22 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: rho0") and err.count("\n") == 1
         assert summary is None
+
+    def test_nan_gradient_is_a_solve_failure(self, tmp_path, capsys, monkeypatch):
+        nan_problem, calls = nan_after(3, dim=2)
+        monkeypatch.setattr(problems, "gen_quartic", lambda spec: nan_problem)
+        doc = {
+            "version": 1,
+            "solver": "apg-cert",
+            "epsilon": 1e-6,
+            "problem": {"kind": "quartic", "n": 2, "k_terms": 1, "seed": 0, "mu_add": 1.0},
+            "init": [1.0, 1.0],
+        }
+        code, summary, _ = run_solve(tmp_path, doc)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("solve failed: non-finite") and err.count("\n") == 1
+        assert len(calls) == 4
 
     def test_solver_problem_compatibility(self, tmp_path):
         doc = {
@@ -225,18 +244,6 @@ class TestSweep:
         code, rows = self._sweep(tmp_path, doc, "1e-2,1e-13")
         assert code == 2
         assert len(rows) == 1
-
-    def test_parallel_workers_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PROXCERT_MAX_WORKERS", "2")
-        doc = {
-            "version": 1,
-            "solver": "apg-cert",
-            "epsilon": 1e-4,
-            "problem": {"kind": "quartic", "n": 4, "k_terms": 2, "seed": 2, "mu_add": 1.0},
-        }
-        code, rows = self._sweep(tmp_path, doc, "1e-3,1e-5")
-        assert code == 0
-        assert len(rows) == 2
 
     def test_scaling_band_strongly_convex(self, tmp_path):
         doc = {

@@ -1,0 +1,140 @@
+"""The affine-image path of the accelerated solver against the plain path.
+
+A QuarticOracle at or above IMAGE_MIN_ENTRIES offers images A x - b, and the
+solver then carries them in its state.  The plain path is forced by a
+CallableSmooth over the same oracle's value, gradient and fused methods,
+which offers no images.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from proxcert import (
+    ApgParams,
+    CallableSmooth,
+    CompositeProblem,
+    L1Term,
+    apg_run,
+    apg_terminating,
+    initial_state,
+)
+from proxcert.problems import IMAGE_MIN_ENTRIES, QuarticSpec, gen_quartic
+
+from helpers import accounting_violations, trajectory_invariant_violations
+
+K, N = 60, 500  # just above the gate, small enough for a fast suite
+
+
+def above_gate(seed=5):
+    return gen_quartic(
+        QuarticSpec(n=N, k_terms=K, seed=seed, mu_add=0.1, prox=L1Term(N, 0.01))
+    )
+
+
+def plain(problem):
+    s = problem.smooth
+    smooth = CallableSmooth(s.dim, s.value, s.gradient, s.value_and_gradient)
+    return CompositeProblem(smooth, problem.nonsmooth, mu=problem.mu)
+
+
+@pytest.fixture(scope="module")
+def pair():
+    problem = above_gate()
+    params = ApgParams(epsilon=1e-6, M=5)
+    x0 = np.full(N, 0.1)
+    images = apg_terminating(problem, params, x0)
+    return problem, images, apg_terminating(plain(problem), params, x0)
+
+
+def test_the_gate_selects_from_the_matrix_size():
+    assert K * N >= IMAGE_MIN_ENTRIES
+    x = np.ones(N)
+    oracle = above_gate().smooth
+    assert np.array_equal(oracle.image(x), oracle.rows @ x - oracle.offsets)
+    small = gen_quartic(QuarticSpec(n=N, k_terms=IMAGE_MIN_ENTRIES // N - 1, seed=5)).smooth
+    assert small.image(x) is None
+    params = ApgParams(epsilon=1e-6)
+    assert initial_state(above_gate(), params, x).rx is not None
+    assert initial_state(plain(above_gate()), params, x).rx is None
+
+
+def test_counts_and_iterates_match_the_plain_path(pair):
+    _, images, direct = pair
+    assert [r.n_t for r in images.trace.rows] == [r.n_t for r in direct.trace.rows]
+    assert [r.cert_backtracks for r in images.trace.rows] == [
+        r.cert_backtracks for r in direct.trace.rows
+    ]
+    assert images.trace.counters == direct.trace.counters
+    assert np.linalg.norm(images.x - direct.x) <= 1e-10 * np.linalg.norm(direct.x)
+
+
+def test_accounting_and_trajectory_invariants_hold(pair):
+    problem, images, _ = pair
+    assert any(row.certificate is not None for row in images.trace.rows)
+    assert accounting_violations(images.trace) == []
+    assert trajectory_invariant_violations(problem, images.trace) == []
+
+
+def test_certificate_recomputes_bit_for_bit_from_the_raw_oracle(pair):
+    problem, images, _ = pair
+    cert = images.certificate
+    grad = problem.smooth.gradient
+    x_tilde = problem.nonsmooth.prox(
+        cert.gamma_tilde, cert.x_pre - cert.gamma_tilde * grad(cert.x_pre)
+    )
+    assert np.array_equal(x_tilde, cert.x_tilde)
+    witness = (cert.x_pre - x_tilde) / cert.gamma_tilde + grad(x_tilde) - grad(cert.x_pre)
+    assert np.array_equal(witness, cert.witness)
+    assert cert.residual <= 1e-6
+
+
+class Tally:
+    """Forwards to a smooth oracle and counts the calls of each method."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+        self.calls = Counter()
+
+    def _forward(self, name, *args):
+        self.calls[name] += 1
+        return getattr(self.inner, name)(*args)
+
+    def value(self, x):
+        return self._forward("value", x)
+
+    def gradient(self, x):
+        return self._forward("gradient", x)
+
+    def value_and_gradient(self, x):
+        return self._forward("value_and_gradient", x)
+
+    def image(self, x):
+        return self._forward("image", x)
+
+    def value_at(self, x, r):
+        return self._forward("value_at", x, r)
+
+    def value_and_gradient_at(self, x, r):
+        return self._forward("value_and_gradient_at", x, r)
+
+
+def test_a_trial_maps_one_new_point():
+    # products with A: one in image(z_new), one (the transpose) in the
+    # gradient from an image; value_at and the image combinations need none
+    base = above_gate()
+    tally = Tally(base.smooth)
+    trace = apg_run(
+        CompositeProblem(tally, base.nonsmooth, mu=base.mu),
+        ApgParams(), np.zeros(N), stop=lambda s, r: s.t > 20,
+    )
+    trials = sum(row.n_t + 1 for row in trace.rows)
+    assert trials > len(trace.rows)  # some trials backtracked
+    assert tally.calls == Counter(
+        value=1,  # F at the start point
+        image=1 + trials,
+        value_at=trials,
+        value_and_gradient_at=trials,
+    )

@@ -11,6 +11,7 @@ from proxcert import (
     ConicProblem,
     L1Term,
     OracleCounters,
+    SquaredL2Term,
     ZeroTerm,
     apg_terminating,
     check_gradient,
@@ -20,6 +21,7 @@ from proxcert import (
 )
 from proxcert.model import AffineConstraint
 from proxcert.problems import (
+    IMAGE_MIN_ENTRIES,
     QuarticSpec,
     eq_quadratic_2d,
     gen_quartic,
@@ -187,6 +189,48 @@ class TestValueAndGradient:
         )
         value_and_gradient(problem.smooth, np.ones(3))
         assert (counters.grad_f_evals, counters.prox_evals) == (1, 0)
+
+
+    def test_image_calls_book_a_gradient_only_with_the_gradient(self):
+        n = 100
+        base = gen_quartic(QuarticSpec(n=n, k_terms=IMAGE_MIN_ENTRIES // n, seed=2, mu_add=0.5))
+        counters = OracleCounters()
+        smooth = instrument_composite(base, counters).smooth
+        x = np.linspace(-1.0, 1.0, n)
+        r = smooth.image(x)
+        assert smooth.value_at(x, r) == base.smooth.value(x)
+        assert counters.grad_f_evals == 0
+        f, g = smooth.value_and_gradient_at(x, r)
+        assert (f, g.tolist()) == (base.smooth.value(x), base.smooth.gradient(x).tolist())
+        assert (counters.grad_f_evals, counters.prox_evals) == (1, 0)
+
+    def test_counting_wrapper_offers_no_image_for_plain_oracles(self):
+        smooth = instrument_composite(make_quadratic(), OracleCounters()).smooth
+        assert smooth.image(np.ones(1)) is None
+
+
+def _holders():
+    """(term, a problem holding it) for each frozen dataclass with array fields."""
+    quartic = gen_quartic(QuarticSpec(n=2, k_terms=1, seed=1, mu_add=1.0))
+    box = BoxTerm(np.zeros(2), np.ones(2))
+    sq = SquaredL2Term(1.0, np.zeros(2))
+    affine = AffineConstraint(np.eye(2), np.zeros(2))
+    return {
+        "box": (box, CompositeProblem(quartic.smooth, box, mu=1.0)),
+        "squared_l2": (sq, CompositeProblem(quartic.smooth, sq, mu=1.0)),
+        "quartic": (quartic.smooth, quartic),
+        "affine": (affine, ConicProblem(quartic, affine, ConeSpec.nonneg(2))),
+    }
+
+
+@pytest.mark.parametrize("name", ["box", "squared_l2", "quartic", "affine"])
+def test_array_holding_terms_compare_and_hash_by_identity(name):
+    term, holder = _holders()[name]
+    twin, twin_holder = _holders()[name]
+    assert term == term and term != twin
+    assert len({term, twin, term}) == 2
+    assert holder == holder and holder != twin_holder
+    assert len({holder, twin_holder, holder}) == 2
 
 
 def test_cone_dim_is_fixed_at_construction():
