@@ -14,6 +14,8 @@ import json
 import math
 import sys
 import time
+import types
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +30,18 @@ from .proxcone import BoxTerm, L1Term, NonnegativeTerm, SquaredL2Term, ZeroTerm
 SOLVERS = ("apg", "apg-cert", "ppa", "prox-al")
 
 _TOP_KEYS = {"version", "solver", "epsilon", "problem", "params", "init"}
-_PARAM_KEYS = {
-    "gamma0", "alpha0", "delta", "M", "rho0", "zeta", "sigma", "eta0",
-    "max_iters", "max_outer", "max_backtracks", "warm_start_gamma",
+# The params: keys each solver reads are the fields of its params classes,
+# bar epsilon (a top-level key) and the composed inner params; prox-al sets
+# the inner gamma0 to 1/rho_k itself.
+_INNER_KEYS = {f.name for f in dataclasses.fields(ApgParams)} - {"epsilon"}
+_OUTER_KEYS = {f.name for f in dataclasses.fields(OuterParams)} - {"epsilon", "inner"}
+_SOLVER_KEYS = {
+    "apg": _INNER_KEYS,
+    "apg-cert": _INNER_KEYS,
+    "ppa": _OUTER_KEYS | _INNER_KEYS,
+    "prox-al": _OUTER_KEYS | (_INNER_KEYS - {"gamma0"}),
 }
+_KEY_TYPES = typing.get_type_hints(ApgParams) | typing.get_type_hints(OuterParams)
 _QUARTIC_KEYS = {"kind", "n", "k_terms", "seed", "mu_add", "prox"}
 _CONSTRAINED_KEYS = _QUARTIC_KEYS | {"m1", "m2", "constraint_seed"}
 _NAMED_KEYS = {"kind", "name"}
@@ -80,6 +90,33 @@ def _check_keys(mapping: dict, allowed: set, where: str):
         raise SpecError(f"unknown key(s) {unknown} in {where}")
 
 
+def _typed(key: str, value):
+    """A params: value as its field's type; SpecError unless it converts exactly.
+
+    Numbers may be written as strings (PyYAML reads 1e3 as one), int fields
+    take only integral values, and bool fields only YAML booleans.
+    """
+    kind = _KEY_TYPES[key]
+    if isinstance(kind, types.UnionType):  # optional: null keeps the default
+        if value is None:
+            return None
+        (kind,) = set(typing.get_args(kind)) - {type(None)}
+    if kind is bool:
+        if isinstance(value, bool):
+            return value
+    elif not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if kind is float:
+                return number
+            if number.is_integer():
+                return value if isinstance(value, int) else int(number)
+    raise SpecError(f"params.{key} must be {kind.__name__}, got {value!r}")
+
+
 def load_run_spec(path: str) -> RunSpec:
     with open(path, "r", encoding="utf-8") as fh:
         doc = yaml.safe_load(fh)
@@ -106,7 +143,8 @@ def load_run_spec(path: str) -> RunSpec:
     params = doc.get("params") or {}
     if not isinstance(params, dict):
         raise SpecError("params must be a mapping")
-    _check_keys(params, _PARAM_KEYS, "params")
+    _check_keys(params, _SOLVER_KEYS[solver], f"params of solver {solver}")
+    params = {key: _typed(key, value) for key, value in params.items()}
     epsilon = doc.get("epsilon")
     if epsilon is not None:
         epsilon = float(epsilon)
@@ -117,7 +155,7 @@ def load_run_spec(path: str) -> RunSpec:
     init = doc.get("init")
     if init is not None and not isinstance(init, list):
         raise SpecError("init must be a list of numbers")
-    return RunSpec(solver=solver, epsilon=epsilon, problem=problem, params=dict(params), init=init)
+    return RunSpec(solver=solver, epsilon=epsilon, problem=problem, params=params, init=init)
 
 
 def _build_prox(node, n: int):
@@ -182,37 +220,23 @@ def build_problem(spec: RunSpec):
     return problems.gen_constrained(cspec).conic, meta
 
 
-def _apg_params(spec: RunSpec, epsilon) -> ApgParams:
-    p = spec.params
-    return ApgParams(
-        gamma0=float(p.get("gamma0", 1.0)),
-        alpha0=float(p.get("alpha0", 1.0)),
-        delta=float(p.get("delta", 0.5)),
-        M=int(p.get("M", 10)),
-        epsilon=epsilon,
-        max_iters=int(p.get("max_iters", 1_000_000)),
-        max_backtracks=int(p.get("max_backtracks", 100)),
-        warm_start_gamma=bool(p.get("warm_start_gamma", False)),
-    )
+def _solver_params(spec: RunSpec, epsilon) -> ApgParams | OuterParams:
+    """The params object of the spec's solver: dataclass defaults plus its params:."""
+    inner = {key: value for key, value in spec.params.items() if key in _INNER_KEYS}
+    if spec.solver == "apg":
+        inner.setdefault("max_iters", 1000)  # no termination test, so a modest budget
+    if spec.solver in ("apg", "apg-cert"):
+        return ApgParams(epsilon=epsilon, **inner)
+    outer = {key: value for key, value in spec.params.items() if key in _OUTER_KEYS}
+    return OuterParams(epsilon=epsilon, inner=ApgParams(**inner), **outer)
 
 
-def _outer_params(spec: RunSpec, epsilon) -> OuterParams:
-    p = spec.params
-    return OuterParams(
-        epsilon=epsilon,
-        rho0=float(p["rho0"]) if "rho0" in p else None,
-        zeta=float(p.get("zeta", 2.0)),
-        sigma=float(p.get("sigma", 0.4)),
-        eta0=float(p.get("eta0", 1.0)),
-        gamma0=float(p.get("gamma0", 1.0)),
-        alpha0=float(p.get("alpha0", 1.0)),
-        delta=float(p.get("delta", 0.5)),
-        M=int(p.get("M", 10)),
-        max_outer=int(p.get("max_outer", 50)),
-        max_iters=int(p.get("max_iters", 1_000_000)),
-        max_backtracks=int(p.get("max_backtracks", 100)),
-        warm_start_gamma=bool(p.get("warm_start_gamma", False)),
-    )
+def _params_block(params: ApgParams | OuterParams, solver: str) -> dict:
+    """Every setting the solver reads, under its params: key, so it can be fed back."""
+    values = vars(params)
+    if isinstance(params, OuterParams):
+        values = vars(params.inner) | values
+    return {key: values[key] for key in _SOLVER_KEYS[solver]}
 
 
 def _default_init(problem, spec: RunSpec):
@@ -243,6 +267,9 @@ def execute(spec: RunSpec, epsilon: float | None = None) -> RunOutcome:
     """Run the configured solver; never raises on timeout (exit code 2 instead)."""
     epsilon = spec.epsilon if epsilon is None else epsilon
     built, meta = build_problem(spec)
+    if isinstance(built, ConicProblem) != (spec.solver == "prox-al"):
+        kind = "a constrained" if spec.solver == "prox-al" else "an unconstrained"
+        raise SpecError(f"solver {spec.solver} requires {kind} problem")
     started = time.perf_counter()
     summary: dict = {"version": 1, "solver": spec.solver, "epsilon": epsilon, "problem": meta}
 
@@ -254,29 +281,21 @@ def execute(spec: RunSpec, epsilon: float | None = None) -> RunOutcome:
         summary["wall_time_s"] = time.perf_counter() - started
         return RunOutcome(exit_code=code, summary=summary, inner_trace=inner, outer_trace=outer)
 
+    params = _solver_params(spec, epsilon)
+    if isinstance(params, OuterParams):
+        params = params.resolved(built)
+    summary["params"] = _params_block(params, spec.solver)
+
     if spec.solver in ("apg", "apg-cert"):
-        if isinstance(built, ConicProblem):
-            raise SpecError(f"solver {spec.solver} requires an unconstrained problem")
-        params = _apg_params(spec, epsilon)
-        gamma0, alpha0 = params.effective(built.mu)
-        summary["params"] = {
-            "gamma0": gamma0, "alpha0": alpha0, "delta": params.delta, "M": params.M,
-            "max_iters": params.max_iters, "max_backtracks": params.max_backtracks,
-        }
+        summary["params"]["gamma0"], summary["params"]["alpha0"] = params.effective(built.mu)
         init = _default_init(built, spec)
         if spec.solver == "apg":
-            if "max_iters" not in spec.params:
-                # no termination criterion, so default to a modest budget
-                params = dataclasses.replace(params, max_iters=1000)
-                summary["params"]["max_iters"] = params.max_iters
             trace = apg_run(built, params, init, record_iterates=False)
             return finish(
                 0, "iteration-budget",
                 {"iterations": len(trace.rows), "residual_bound": None, "F_final": trace.rows[-1].F},
                 inner=trace, counters=trace.counters,
             )
-        if not built.mu > 0:
-            raise SpecError("solver apg-cert requires mu > 0")
         try:
             res = apg_terminating(built, params, init, record_iterates=False)
         except SolveTimeout as exc:
@@ -293,17 +312,6 @@ def execute(spec: RunSpec, epsilon: float | None = None) -> RunOutcome:
         )
 
     if spec.solver == "ppa":
-        if isinstance(built, ConicProblem):
-            raise SpecError("solver ppa requires an unconstrained problem")
-        if built.mu != 0:
-            raise SpecError("solver ppa requires mu = 0")
-        params = _outer_params(spec, epsilon)
-        rho0 = params.rho0 if params.rho0 is not None else max(10.0, params.gamma0)
-        summary["params"] = {
-            "rho0": rho0, "zeta": params.zeta, "sigma": params.sigma, "eta0": params.eta0,
-            "gamma0": params.gamma0, "alpha0": params.alpha0, "delta": params.delta,
-            "M": params.M, "max_outer": params.max_outer, "max_iters": params.max_iters,
-        }
         init = _default_init(built, spec)
         try:
             res = ppa_unconstrained(built, params, init)
@@ -320,16 +328,6 @@ def execute(spec: RunSpec, epsilon: float | None = None) -> RunOutcome:
         )
 
     # prox-al
-    if not isinstance(built, ConicProblem):
-        raise SpecError("solver prox-al requires a constrained problem")
-    params = _outer_params(spec, epsilon)
-    mu = built.base.mu
-    rho0 = params.rho0 if params.rho0 is not None else max(10.0, (mu + math.sqrt(mu * mu + 4)) / 2 + 1.0)
-    summary["params"] = {
-        "rho0": rho0, "zeta": params.zeta, "sigma": params.sigma, "eta0": params.eta0,
-        "alpha0": params.alpha0, "delta": params.delta, "M": params.M,
-        "max_outer": params.max_outer, "max_iters": params.max_iters,
-    }
     init_x = _default_init(built.base, spec)
     init_lam = np.zeros(built.cone.dim)
     try:
@@ -440,6 +438,9 @@ def sweep(spec_path: str, epsilons: list[float], out_path: str) -> int:
     for eps in epsilons:
         try:
             outcome = execute(spec, epsilon=eps)
+        except (SpecError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         except LineSearchFailure:
             outcome = None
         if outcome is None or outcome.exit_code != 0:

@@ -9,8 +9,9 @@ certificate and the outer step length.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,11 +33,12 @@ from .proxcone import dist_polar, normal_cone_gap, project_dual
 
 @dataclass(frozen=True)
 class OuterParams:
-    """Schedule and inner-solver settings for the outer loops.
+    """Schedule of the outer loops and the settings of their inner solves.
 
-    rho0 defaults per solver when None: max(10, gamma0) for the proximal
-    point loop and max(10, (mu + sqrt(mu^2 + 4))/2 + 1) for the augmented
-    Lagrangian loop.
+    rho0 defaults per problem when None (see ``resolved``).  ``inner`` holds
+    the inner solver's settings; its epsilon must stay unset, since the
+    loops set it to eta_k on every step, and ``prox_al`` sets its gamma0 to
+    1/rho_k as well.
     """
 
     epsilon: float
@@ -44,14 +46,8 @@ class OuterParams:
     zeta: float = 2.0
     sigma: float = 0.4
     eta0: float = 1.0
-    gamma0: float = 1.0
-    alpha0: float = 1.0
-    delta: float = 0.5
-    M: int = 10
     max_outer: int = 50
-    max_iters: int = 1_000_000
-    max_backtracks: int = 100
-    warm_start_gamma: bool = False
+    inner: ApgParams = ApgParams()
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -64,6 +60,53 @@ class OuterParams:
             raise ValueError("eta0 must lie in (0, 1]")
         if self.max_outer < 1:
             raise ValueError("max_outer must be positive")
+        if self.inner.epsilon is not None:
+            raise ValueError("inner.epsilon must be unset: the outer loops set it to eta_k")
+
+    def resolved(self, problem: CompositeProblem | ConicProblem) -> "OuterParams":
+        """These params with rho0 set for ``problem``, checked as its loop needs.
+
+        A ConicProblem is solved by ``prox_al``, a CompositeProblem with
+        mu = 0 by ``ppa_unconstrained``.  rho0 defaults to max(10, c + 1) for
+        the former and max(10, gamma0) for the latter, where c = (mu +
+        sqrt(mu^2 + 4))/2 (1 when mu = 0), and must exceed c.  prox_al also
+        needs rho0 far enough above c that the inner step clamp stays off at
+        outer step 0.  alpha0 must lie in [sqrt(mu_0 * gamma_0), 1] for the
+        modulus mu_0 and step base gamma_0 of the first inner solve.
+        """
+        conic = isinstance(problem, ConicProblem)
+        mu = problem.base.mu if conic else problem.mu
+        if not conic and mu != 0:
+            raise ValueError("the proximal-point loop requires mu = 0")
+        gamma0, alpha0 = self.inner.gamma0, self.inner.alpha0
+        critical = (mu + math.sqrt(mu * mu + 4.0)) / 2.0
+        floor = critical + 1.0 if conic else gamma0
+        rho0 = self.rho0 if self.rho0 is not None else max(10.0, floor)
+        if not rho0 > critical:
+            raise ValueError(
+                f"rho0 must exceed (mu + sqrt(mu^2 + 4))/2 = {critical}, got {rho0}"
+            )
+        if conic:
+            # the step-clamp guard of outer step 0, in the loop's own arithmetic
+            mu_0 = mu + 1.0 / rho0
+            if not mu_0 / rho0 <= 1.0 - 1e-9:
+                raise ValueError(
+                    f"rho0 = {rho0} lies within rounding of (mu + sqrt(mu^2 + 4))/2 = "
+                    f"{critical}: the inner step clamp would engage at outer step 0; "
+                    "choose rho0 further above it"
+                )
+            if not math.sqrt(mu_0 / rho0) <= alpha0 <= 1:
+                raise ValueError("alpha0 must lie in [sqrt((mu + 1/rho0)/rho0), 1]")
+        else:
+            if not 0 < gamma0 <= rho0:
+                raise ValueError("gamma0 must satisfy 0 < gamma0 <= rho0")
+            if not math.sqrt(gamma0 / rho0) <= alpha0 <= 1:
+                raise ValueError("alpha0 must lie in [sqrt(gamma0/rho0), 1]")
+        # A copy rather than dataclasses.replace: only rho0 changes and no
+        # check of __post_init__ reads it, so none is run again.
+        params = copy.copy(self)
+        object.__setattr__(params, "rho0", rho0)
+        return params
 
 
 @dataclass(frozen=True)
@@ -320,19 +363,6 @@ def _check_inner_residual(certificate: Certificate, eta_k: float, k: int) -> Non
         )
 
 
-def _inner_params(params: OuterParams, gamma0: float, eta_k: float) -> ApgParams:
-    return ApgParams(
-        gamma0=gamma0,
-        alpha0=params.alpha0,
-        delta=params.delta,
-        M=params.M,
-        epsilon=eta_k,
-        max_iters=params.max_iters,
-        max_backtracks=params.max_backtracks,
-        warm_start_gamma=params.warm_start_gamma,
-    )
-
-
 def ppa_unconstrained(
     problem: CompositeProblem,
     params: OuterParams,
@@ -347,15 +377,7 @@ def ppa_unconstrained(
     eta_k + ||x_{k+1} - x_k||/rho_k a verified bound on dist(0, dF(x_{k+1}))
     at most epsilon.
     """
-    if problem.mu != 0:
-        raise ValueError("the proximal-point loop requires mu = 0")
-    rho0 = params.rho0 if params.rho0 is not None else max(10.0, params.gamma0)
-    if not rho0 > 1:
-        raise ValueError("rho0 must exceed 1")
-    if not 0 < params.gamma0 <= rho0:
-        raise ValueError("gamma0 must satisfy 0 < gamma0 <= rho0")
-    if not math.sqrt(params.gamma0 / rho0) <= params.alpha0 <= 1:
-        raise ValueError("alpha0 must lie in [sqrt(gamma0/rho0), 1]")
+    params = params.resolved(problem)
 
     counters = OracleCounters()
     base = instrument_composite(problem, counters)
@@ -365,13 +387,13 @@ def ppa_unconstrained(
     best_bound = math.inf
     best = None
     for k in range(params.max_outer):
-        rho_k = rho0 * params.zeta**k
+        rho_k = params.rho0 * params.zeta**k
         eta_k = params.eta0 * params.sigma**k
         sub = shifted_proximal_subproblem(base, x, rho_k)
         before = counters.snapshot()
         res = apg_terminating(
             sub,
-            _inner_params(params, params.gamma0, eta_k),
+            replace(params.inner, epsilon=eta_k),
             x,
             counters=counters,
             record_iterates=record_iterates,
@@ -437,22 +459,8 @@ def prox_al(
     epsilon/2; the returned report then carries stationarity and
     complementarity residuals at most epsilon.
     """
+    params = params.resolved(conic)
     mu = conic.base.mu
-    critical = (mu + math.sqrt(mu * mu + 4.0)) / 2.0
-    rho0 = params.rho0 if params.rho0 is not None else max(10.0, critical + 1.0)
-    if not rho0 > critical:
-        raise ValueError(
-            f"rho0 must exceed (mu + sqrt(mu^2 + 4))/2 = {critical}, got {rho0}"
-        )
-    # the step-clamp guard of outer step 0 below, in the loop's own arithmetic
-    mu_0 = mu + 1.0 / rho0
-    if not mu_0 / rho0 <= 1.0 - 1e-9:
-        raise ValueError(
-            f"rho0 = {rho0} lies within rounding of (mu + sqrt(mu^2 + 4))/2 = {critical}: "
-            "the inner step clamp would engage at outer step 0; choose rho0 further above it"
-        )
-    if not math.sqrt(mu_0 / rho0) <= params.alpha0 <= 1:
-        raise ValueError("alpha0 must lie in [sqrt((mu + 1/rho0)/rho0), 1]")
 
     counters = OracleCounters()
     counted = instrument_conic(conic, counters)
@@ -463,7 +471,7 @@ def prox_al(
     best = None
     best_res = math.inf
     for k in range(params.max_outer):
-        rho_k = rho0 * params.zeta**k
+        rho_k = params.rho0 * params.zeta**k
         eta_k = params.eta0 * params.sigma**k
         mu_k = mu + 1.0 / rho_k
         # step base 1/rho_k keeps mu_k * gamma0 < 1 automatically; the
@@ -477,7 +485,7 @@ def prox_al(
         before = counters.snapshot()
         res = apg_terminating(
             sub,
-            _inner_params(params, 1.0 / rho_k, eta_k),
+            replace(params.inner, gamma0=1.0 / rho_k, epsilon=eta_k),
             x,
             counters=counters,
             record_iterates=record_iterates,

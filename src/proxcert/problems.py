@@ -9,7 +9,7 @@ within this package (generator name recorded as GENERATOR_NAME).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -220,25 +220,10 @@ def reference_solve(problem: CompositeProblem, tol: float) -> tuple[Array, float
     if tol < 1e-12:
         raise ValueError("tol must be at least 1e-12")
     init = problem.nonsmooth.prox(1.0, np.zeros(problem.dim))
+    inner = ApgParams(M=5, max_iters=2_000_000, warm_start_gamma=True)
     if problem.mu > 0:
-        params = ApgParams(
-            gamma0=1.0, M=5, epsilon=tol, max_iters=2_000_000, warm_start_gamma=True
-        )
-        res = apg_terminating(problem, params, init, record_iterates=False)
+        res = apg_terminating(problem, replace(inner, epsilon=tol), init, record_iterates=False)
         return res.x, res.certificate.residual
-    params = OuterParams(
-        epsilon=tol,
-        rho0=10.0,
-        zeta=2.0,
-        sigma=0.25,
-        eta0=1.0,
-        gamma0=1.0,
-        alpha0=1.0,
-        delta=0.5,
-        M=5,
-        max_outer=80,
-        max_iters=2_000_000,
-        warm_start_gamma=True,
-    )
+    params = OuterParams(epsilon=tol, rho0=10.0, sigma=0.25, max_outer=80, inner=inner)
     res = ppa_unconstrained(problem, params, init, record_iterates=False)
     return res.x, res.residual_bound

@@ -1,6 +1,8 @@
 import csv
 import json
+from pathlib import Path
 
+import pytest
 import yaml
 
 from proxcert import problems
@@ -19,6 +21,21 @@ QUARTIC_PPA = {
 def write_spec(path, doc):
     path.write_text(yaml.safe_dump(doc))
     return str(path)
+
+
+NAMED_PROX_AL = {
+    "version": 1,
+    "solver": "prox-al",
+    "epsilon": 1e-4,
+    "problem": {"kind": "named", "name": "ineq-1d"},
+}
+APG_CERT = {
+    "version": 1,
+    "solver": "apg-cert",
+    "epsilon": 1e-6,
+    "problem": {"kind": "quartic", "n": 4, "k_terms": 3, "seed": 5, "mu_add": 1.0},
+}
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 INNER_HEADER = ["t", "n_t", "gamma_t", "alpha_t", "beta_t", "F", "lambda_prod",
@@ -201,6 +218,119 @@ class TestSolve:
         assert summary["residual_bound"] <= 1e-4
 
 
+# The params blocks the CLI wrote for these specs when each solver's block
+# was written out by hand; deriving the block from the params dataclasses
+# added keys but must keep every one of these values.
+PPA_BLOCK = {
+    "rho0": 10.0, "zeta": 2.0, "sigma": 0.4, "eta0": 1.0, "gamma0": 1.0, "alpha0": 1.0,
+    "delta": 0.5, "M": 10, "max_outer": 50, "max_iters": 1000000,
+}
+APG_BLOCK = {"gamma0": 1.0, "alpha0": 1.0, "delta": 0.5, "M": 10, "max_backtracks": 100}
+PPA_BOX = dict(QUARTIC_PPA, init=[0.5, -0.5], problem={
+    "kind": "quartic", "n": 2, "k_terms": 2, "seed": 6,
+    "prox": {"kind": "box", "lower": -1, "upper": 1},
+})
+APG_DEFAULT_BUDGET = {
+    "version": 1,
+    "solver": "apg",
+    "problem": {"kind": "quartic", "n": 3, "k_terms": 2, "seed": 4, "mu_add": 0.5},
+}
+PINNED_BLOCKS = [
+    (QUARTIC_PPA, PPA_BLOCK),
+    (PPA_BOX, PPA_BLOCK),
+    (NAMED_PROX_AL, {k: v for k, v in PPA_BLOCK.items() if k != "gamma0"}),
+    (APG_CERT, dict(APG_BLOCK, gamma0=0.999999999, max_iters=1000000)),
+    (
+        dict(APG_CERT, epsilon=1e-14, params={"max_iters": 5, "M": 2}, problem={
+            "kind": "quartic", "n": 3, "k_terms": 2, "seed": 5, "mu_add": 1.0,
+        }),
+        dict(APG_BLOCK, gamma0=0.999999999, M=2, max_iters=5),
+    ),
+    (
+        {"version": 1, "solver": "apg", "params": {"max_iters": 20},
+         "problem": {"kind": "quartic", "n": 2, "k_terms": 2, "seed": 4}},
+        dict(APG_BLOCK, max_iters=20),
+    ),
+    (APG_DEFAULT_BUDGET, dict(APG_BLOCK, max_iters=1000)),
+]
+FEED_BACK = {
+    "apg": APG_DEFAULT_BUDGET,
+    "apg-cert": APG_CERT,
+    "ppa": PPA_BOX,
+    "prox-al": {
+        "version": 1, "solver": "prox-al", "epsilon": 1e-4,
+        "problem": {
+            "kind": "constrained", "n": 4, "k_terms": 3, "seed": 2, "mu_add": 0.0,
+            "m1": 2, "m2": 1,
+        },
+    },
+}
+
+
+class TestParams:
+    @pytest.mark.parametrize("doc, block", PINNED_BLOCKS)
+    def test_block_keeps_pinned_values(self, tmp_path, doc, block):
+        _, summary, _ = run_solve(tmp_path, doc)
+        got = {key: summary["params"][key] for key in block}
+        assert repr(sorted(got.items())) == repr(sorted(block.items()))
+
+    @pytest.mark.parametrize("solver", sorted(FEED_BACK))
+    def test_block_fed_back_reproduces_the_run(self, tmp_path, solver):
+        doc = FEED_BACK[solver]
+        code, summary, _ = run_solve(tmp_path, doc)
+        assert code == 0
+        trace = (tmp_path / "trace.csv").read_bytes()
+        code, again, _ = run_solve(tmp_path, dict(doc, params=summary["params"]), "again.yaml")
+        assert code == 0
+        assert (tmp_path / "trace.csv").read_bytes() == trace
+        assert again["totals"] == summary["totals"]
+        assert again["params"] == summary["params"]
+
+    @pytest.mark.parametrize("doc, params", [
+        (NAMED_PROX_AL, {"gamma0": 1000}),  # prox-al sets gamma0 = 1/rho_k itself
+        (APG_CERT, {"rho0": 20.0, "zeta": 3.0}),
+    ])
+    def test_key_the_solver_does_not_read_rejected(self, tmp_path, capsys, doc, params):
+        code, summary, _ = run_solve(tmp_path, dict(doc, params=params))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown key") and err.count("\n") == 1
+        assert f"params of solver {doc['solver']}" in err
+        assert summary is None
+
+    @pytest.mark.parametrize("params, read", [
+        ({"rho0": "1e3"}, {"rho0": 1000.0}),  # PyYAML reads an unquoted 1e3 as this string
+        ({"M": 5.0, "max_outer": "60", "zeta": 2}, {"M": 5, "max_outer": 60, "zeta": 2.0}),
+        ({"warm_start_gamma": True}, {"warm_start_gamma": True}),
+        ({"rho0": None}, {"rho0": 10.0}),
+        ({"M": 2.7}, "M"),
+        ({"warm_start_gamma": "false"}, "warm_start_gamma"),
+        ({"warm_start_gamma": 1}, "warm_start_gamma"),
+        ({"max_iters": True}, "max_iters"),
+        ({"zeta": "two"}, "zeta"),
+        ({"sigma": [0.4]}, "sigma"),
+        ({"max_outer": None}, "max_outer"),
+    ])
+    def test_values_convert_exactly_or_fail(self, tmp_path, capsys, params, read):
+        code, summary, _ = run_solve(tmp_path, dict(QUARTIC_PPA, params=params))
+        if isinstance(read, str):
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: params.{read} must be") and err.count("\n") == 1
+            assert summary is None
+        else:
+            assert code == 0
+            got = {key: summary["params"][key] for key in read}
+            assert repr(sorted(got.items())) == repr(sorted(read.items()))
+
+    def test_readme_spec_solves(self, tmp_path):
+        section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+        block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        spec = tmp_path / "readme.yaml"
+        spec.write_text(block, encoding="utf-8")
+        assert main(["solve", "--spec", str(spec)]) == 0
+
+
 class TestSweep:
     def _sweep(self, tmp_path, doc, eps):
         spec = write_spec(tmp_path / "spec.yaml", doc)
@@ -244,6 +374,17 @@ class TestSweep:
         code, rows = self._sweep(tmp_path, doc, "1e-2,1e-13")
         assert code == 2
         assert len(rows) == 1
+
+    @pytest.mark.parametrize("doc", [
+        dict(QUARTIC_PPA, solver="apg-cert"),  # mu = 0
+        dict(QUARTIC_PPA, solver="prox-al"),  # no constraints
+    ])
+    def test_spec_rejected_by_solve_is_one_error_line(self, tmp_path, capsys, doc):
+        code, rows = self._sweep(tmp_path, doc, "1e-2,1e-4")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert rows is None
 
     def test_scaling_band_strongly_convex(self, tmp_path):
         doc = {

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from proxcert import (
+    ApgParams,
     Certificate,
     ConeSpec,
     ConicProblem,
@@ -333,11 +334,30 @@ class TestOuterParams:
         with pytest.raises(ValueError, match="epsilon"):
             OuterParams(epsilon=0.0)
 
+    def test_inner_epsilon_rejected(self):
+        with pytest.raises(ValueError, match="inner.epsilon"):
+            OuterParams(epsilon=1e-4, inner=ApgParams(epsilon=1e-6))
+
+    def test_resolved_rho0_defaults(self, quartic_1d, ineq1d):
+        params = OuterParams(epsilon=1e-4)
+        assert params.resolved(quartic_1d).rho0 == 10.0
+        assert params.resolved(ineq1d).rho0 == 10.0  # c + 1 = 3.41 for mu = 2
+        wide = OuterParams(epsilon=1e-4, inner=ApgParams(gamma0=12.0))
+        assert wide.resolved(quartic_1d).rho0 == 12.0
+        steep = ConicProblem(
+            base=gen_quartic(QuarticSpec(n=2, k_terms=1, seed=0, mu_add=20.0)),
+            constraint=eq_quadratic_2d().constraint,
+            cone=ConeSpec.zeros(1),
+        )
+        assert params.resolved(steep).rho0 == (20.0 + np.sqrt(404.0)) / 2.0 + 1.0
+        assert params.rho0 is None
+        assert OuterParams(epsilon=1e-4, rho0=30.0).resolved(steep).rho0 == 30.0
+
     def test_ppa_alpha0_range(self, quartic_1d):
         with pytest.raises(ValueError, match="alpha0"):
             ppa_unconstrained(
                 quartic_1d,
-                OuterParams(epsilon=1e-4, gamma0=9.0, rho0=10.0, alpha0=0.5),
+                OuterParams(epsilon=1e-4, rho0=10.0, inner=ApgParams(gamma0=9.0, alpha0=0.5)),
                 [1.0],
             )
 
