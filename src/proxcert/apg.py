@@ -1,9 +1,10 @@
 """Accelerated proximal gradient methods with backtracking and residual certificates.
 
 The iteration keeps an extrapolation triple (x, z, derived y) and per step
-backtracks the curvature proxy gamma_t = gamma0 * delta**n_t until a local
+backtracks the curvature proxy gamma_t = start * delta**n_t until a local
 quadratic upper bound holds, so only local Lipschitz continuity of the
-gradient is needed.  Termination is certified by an explicit subgradient
+gradient is needed.  The start of each search is set by one of three rules
+(see ApgParams).  Termination is certified by an explicit subgradient
 witness whose norm upper-bounds dist(0, dF(x)) and which any independent
 checker can recompute from the stored data.
 """
@@ -19,6 +20,7 @@ import numpy as np
 from .model import (
     Array,
     CompositeProblem,
+    InvariantViolation,
     LineSearchFailure,
     NonFiniteOracleOutput,
     OracleCounters,
@@ -41,6 +43,11 @@ _ACCEPT_EPS = 8.0 * np.finfo(float).eps
 _GAMMA_MARGIN = 1e-9
 
 
+def step_clamp(mu: float) -> float:
+    """The largest step the solvers take at modulus mu > 0: (1 - 1e-9)/mu."""
+    return (1.0 - _GAMMA_MARGIN) / mu
+
+
 def accepts_curvature_bound(lhs: float, rhs: float, gamma: float, value_scale: float) -> bool:
     """Line-search acceptance test with rounding slack.
 
@@ -54,10 +61,21 @@ def accepts_curvature_bound(lhs: float, rhs: float, gamma: float, value_scale: f
 class ApgParams:
     """Tuning knobs shared by the accelerated solvers.
 
-    gamma0 is the backtracking restart value (clamped to keep mu*gamma0 < 1
+    gamma0 is the first and largest step (clamped to keep mu*gamma0 < 1
     when mu > 0); alpha0 the initial extrapolation weight; delta the
     backtracking shrink factor; M the certificate cadence; epsilon the target
     residual for the certified solver.
+
+    Each iteration backtracks from a start step chosen by one of three rules:
+
+    - grow_gamma (the default) lets the step grow back: the start is
+      min(gamma_prev/delta, gamma0) when the previous accepted trial passed
+      its curvature test with margin delta (lhs <= delta * rhs, so the
+      curvature it measured admits the step gamma_prev/delta), and gamma_prev
+      otherwise.  The certificate's backtracked step starts there too.
+    - warm_start_gamma starts every iteration at gamma_prev and never grows;
+      it takes precedence over grow_gamma.  Certificates start at gamma0.
+    - with both off, every iteration restarts from gamma0, the paper's rule.
     """
 
     gamma0: float = 1.0
@@ -68,6 +86,7 @@ class ApgParams:
     max_iters: int = 1_000_000
     max_backtracks: int = 100
     warm_start_gamma: bool = False
+    grow_gamma: bool = True
 
     def __post_init__(self):
         if not self.gamma0 > 0:
@@ -87,7 +106,7 @@ class ApgParams:
         """Resolve (gamma0, alpha0) for a problem with convexity modulus mu."""
         gamma0 = self.gamma0
         if mu > 0:
-            gamma0 = min(gamma0, (1.0 - _GAMMA_MARGIN) / mu)
+            gamma0 = min(gamma0, step_clamp(mu))
         lower = math.sqrt(mu * gamma0)
         if self.alpha0 < lower - 1e-12:
             raise ValueError(
@@ -105,7 +124,9 @@ class ApgState(NamedTuple):
     """Iterate pair (x, z) plus the previous step scalars driving the recursion.
 
     rx and rz are the affine images A x - b and A z - b when the smooth
-    oracle offers them (see SmoothOracle), else None.
+    oracle offers them (see SmoothOracle), else None.  may_grow records that
+    the last accepted trial passed its curvature test with margin delta,
+    which lets the grow_gamma rule try gamma_prev/delta next.
     """
 
     t: int
@@ -116,6 +137,7 @@ class ApgState(NamedTuple):
     lambda_prod: float = 1.0  # running product of (1 - alpha_i), diagnostic
     rx: Array | None = None
     rz: Array | None = None
+    may_grow: bool = False
 
 
 class StepReport(NamedTuple):
@@ -194,7 +216,6 @@ class ApgTrace:
     gamma0: float
     alpha0: float
     mu: float
-    final_state: ApgState | None = None
 
 
 @dataclass(frozen=True)
@@ -224,7 +245,7 @@ def solve_alpha(gamma_prev: float, gamma_t: float, alpha_prev: float, mu: float)
         r1 = q / a
         root = r1 if r1 > 0 else c / q
     if not 0.0 < root <= 1.0 + 1e-12:
-        raise AssertionError(
+        raise InvariantViolation(
             f"alpha recursion produced root {root} outside (0, 1]; "
             "check mu*gamma <= 1"
         )
@@ -233,7 +254,7 @@ def solve_alpha(gamma_prev: float, gamma_t: float, alpha_prev: float, mu: float)
         - mu * root * gamma_t * gamma_prev
     scale = max(a, alpha_prev * alpha_prev * gamma_t, mu * gamma_t * gamma_prev)
     if abs(residual) > 1e-10 * scale:
-        raise AssertionError(f"alpha recursion residual {residual} exceeds tolerance")
+        raise InvariantViolation(f"alpha recursion residual {residual} exceeds tolerance")
     return root
 
 
@@ -315,18 +336,33 @@ def initial_state(problem: CompositeProblem, params: ApgParams, init) -> ApgStat
     )
 
 
+def first_trial(state: ApgState, params: ApgParams, gamma0: float) -> float:
+    """The step an iteration from ``state`` tries first, by the rule of ``params``.
+
+    gamma0 is the resolved step of ``params.effective``.
+    """
+    if params.warm_start_gamma:
+        return state.gamma_prev
+    if not params.grow_gamma:
+        return gamma0
+    if state.may_grow:
+        return min(state.gamma_prev / params.delta, gamma0)
+    return state.gamma_prev
+
+
 def apg_iteration(
     problem: CompositeProblem, state: ApgState, params: ApgParams
 ) -> tuple[ApgState, StepReport]:
     """One accelerated iteration with backtracking; returns the new state and report.
 
-    Tries gamma = base * delta**n for n = 0, 1, ... and accepts the first n
-    satisfying the local curvature bound; each trial costs one gradient and
-    one prox evaluation.  Raises NonFiniteOracleOutput at the first trial
-    whose curvature test is not finite.
+    Tries gamma = start * delta**n for n = 0, 1, ... from the rule's start
+    step (``first_trial``) and accepts the first n satisfying the local
+    curvature bound; each trial costs one gradient and one prox evaluation.
+    Raises NonFiniteOracleOutput at the first trial whose curvature test is
+    not finite.
     """
     gamma0, _ = params.effective(problem.mu)
-    base = state.gamma_prev if params.warm_start_gamma else gamma0
+    base = first_trial(state, params, gamma0)
     for n in range(params.max_backtracks + 1):
         gamma = base * params.delta**n
         trial = trial_step(
@@ -343,6 +379,7 @@ def apg_iteration(
                 lambda_prod=state.lambda_prod * (1.0 - trial.alpha),
                 rx=trial.rx_new,
                 rz=trial.rz_new,
+                may_grow=trial.lhs <= params.delta * trial.rhs,
             )
             report = StepReport(
                 n_t=n,
@@ -529,7 +566,6 @@ def apg_run(
         state = new_state
         if stop is not None and stop(state, report):
             break
-    trace.final_state = state
     return trace
 
 
@@ -543,10 +579,11 @@ def apg_terminating(
     """Accelerated solver with a periodically checked residual certificate.
 
     Requires mu > 0 and params.epsilon set.  Every M-th iteration a
-    backtracked proximal-gradient step is taken from the current iterate and
-    its witness norm compared against epsilon; the first point certified at
-    or below epsilon is returned together with its certificate and the full
-    trace.
+    backtracked proximal-gradient step is taken from the current iterate,
+    starting where the next iteration would start (gamma0 under
+    warm_start_gamma), and its witness norm compared against epsilon; the
+    first point certified at or below epsilon is returned together with its
+    certificate and the full trace.
 
     Raises SolveTimeout (carrying the best certificate seen) when the
     iteration budget runs out, and propagates line-search failures.
@@ -563,8 +600,9 @@ def apg_terminating(
         new_state, report = apg_iteration(problem, state, params)
         cert = n_tilde = None
         if t % params.M == 0:
+            start = gamma0 if params.warm_start_gamma else first_trial(new_state, params, gamma0)
             cert, n_tilde = certified_prox_step(
-                problem, new_state.x, gamma0, params.delta, params.max_backtracks
+                problem, new_state.x, start, params.delta, params.max_backtracks
             )
         # built after the check, so a checked row's counts include its cost
         trace.rows.append(
@@ -576,9 +614,7 @@ def apg_terminating(
         if best is None or cert.residual < best.residual:
             best = cert
         if cert.residual <= params.epsilon:
-            trace.final_state = state
             return TerminatingResult(x=cert.x_tilde, certificate=cert, trace=trace)
-    trace.final_state = state
     raise SolveTimeout(
         f"no point certified at epsilon = {params.epsilon} within "
         f"{params.max_iters} iterations (best residual "

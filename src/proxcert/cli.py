@@ -31,8 +31,9 @@ SOLVERS = ("apg", "apg-cert", "ppa", "prox-al")
 
 _TOP_KEYS = {"version", "solver", "epsilon", "problem", "params", "init"}
 # The params: keys each solver reads are the fields of its params classes,
-# bar epsilon (a top-level key) and the composed inner params; prox-al sets
-# the inner gamma0 to 1/rho_k itself.
+# bar epsilon (a top-level key) and the composed inner params.  The outer
+# loops set the inner gamma0 themselves (see OuterParams), except that ppa
+# reads it on the restart path (grow_gamma: false); see _read_keys.
 _INNER_KEYS = {f.name for f in dataclasses.fields(ApgParams)} - {"epsilon"}
 _OUTER_KEYS = {f.name for f in dataclasses.fields(OuterParams)} - {"epsilon", "inner"}
 _SOLVER_KEYS = {
@@ -42,6 +43,10 @@ _SOLVER_KEYS = {
     "prox-al": _OUTER_KEYS | (_INNER_KEYS - {"gamma0"}),
 }
 _KEY_TYPES = typing.get_type_hints(ApgParams) | typing.get_type_hints(OuterParams)
+_PROBLEM_TYPES = {
+    "n": int, "k_terms": int, "seed": int, "mu_add": float,
+    "m1": int, "m2": int, "constraint_seed": int,
+}
 _QUARTIC_KEYS = {"kind", "n", "k_terms", "seed", "mu_add", "prox"}
 _CONSTRAINED_KEYS = _QUARTIC_KEYS | {"m1", "m2", "constraint_seed"}
 _NAMED_KEYS = {"kind", "name"}
@@ -90,13 +95,20 @@ def _check_keys(mapping: dict, allowed: set, where: str):
         raise SpecError(f"unknown key(s) {unknown} in {where}")
 
 
-def _typed(key: str, value):
-    """A params: value as its field's type; SpecError unless it converts exactly.
+def _read_keys(solver: str, grow_gamma: bool) -> set:
+    """The params: keys the solver reads; ppa reads gamma0 only with grow_gamma off."""
+    keys = _SOLVER_KEYS[solver]
+    return keys - {"gamma0"} if solver == "ppa" and grow_gamma else keys
 
-    Numbers may be written as strings (PyYAML reads 1e3 as one), int fields
-    take only integral values, and bool fields only YAML booleans.
+
+def _typed(key: str, value, kind=None, where: str = "params"):
+    """A spec value as its field's type; SpecError unless it converts exactly.
+
+    ``kind`` defaults to the type of the params: field ``key``.  Numbers may
+    be written as strings (PyYAML reads 1e3 as one), int fields take only
+    integral values, and bool fields only YAML booleans.
     """
-    kind = _KEY_TYPES[key]
+    kind = _KEY_TYPES[key] if kind is None else kind
     if isinstance(kind, types.UnionType):  # optional: null keeps the default
         if value is None:
             return None
@@ -114,7 +126,7 @@ def _typed(key: str, value):
                 return number
             if number.is_integer():
                 return value if isinstance(value, int) else int(number)
-    raise SpecError(f"params.{key} must be {kind.__name__}, got {value!r}")
+    raise SpecError(f"{where}.{key} must be {kind.__name__}, got {value!r}")
 
 
 def load_run_spec(path: str) -> RunSpec:
@@ -145,6 +157,11 @@ def load_run_spec(path: str) -> RunSpec:
         raise SpecError("params must be a mapping")
     _check_keys(params, _SOLVER_KEYS[solver], f"params of solver {solver}")
     params = {key: _typed(key, value) for key, value in params.items()}
+    grow = params.get("grow_gamma", ApgParams.grow_gamma)
+    _check_keys(
+        params, _read_keys(solver, grow),
+        f"params of solver {solver} with grow_gamma: {str(grow).lower()}",
+    )
     epsilon = doc.get("epsilon")
     if epsilon is not None:
         epsilon = float(epsilon)
@@ -192,12 +209,16 @@ def build_problem(spec: RunSpec):
         if name == "eq-qp-2d":
             return problems.eq_quadratic_2d(), {"kind": "named", "name": name}
         raise SpecError(f"unknown named instance {name!r}")
-    n = int(node.get("n", 1))
+    sizes = {
+        key: _typed(key, node[key], kind, "problem")
+        for key, kind in _PROBLEM_TYPES.items() if key in node
+    }
+    n = sizes.get("n", 1)
     qspec = problems.QuarticSpec(
         n=n,
-        k_terms=int(node.get("k_terms", 1)),
-        seed=int(node.get("seed", 0)),
-        mu_add=float(node.get("mu_add", 0.0)),
+        k_terms=sizes.get("k_terms", 1),
+        seed=sizes.get("seed", 0),
+        mu_add=sizes.get("mu_add", 0.0),
         prox=_build_prox(node.get("prox"), n),
     )
     meta = {
@@ -212,9 +233,9 @@ def build_problem(spec: RunSpec):
         return problems.gen_quartic(qspec), meta
     cspec = problems.ConstrainedSpec(
         base=qspec,
-        m1=int(node.get("m1", 0)),
-        m2=int(node.get("m2", 0)),
-        seed=int(node.get("constraint_seed", qspec.seed + 1)),
+        m1=sizes.get("m1", 0),
+        m2=sizes.get("m2", 0),
+        seed=sizes.get("constraint_seed", qspec.seed + 1),
     )
     meta.update({"m1": cspec.m1, "m2": cspec.m2, "constraint_seed": cspec.seed})
     return problems.gen_constrained(cspec).conic, meta
@@ -236,7 +257,7 @@ def _params_block(params: ApgParams | OuterParams, solver: str) -> dict:
     values = vars(params)
     if isinstance(params, OuterParams):
         values = vars(params.inner) | values
-    return {key: values[key] for key in _SOLVER_KEYS[solver]}
+    return {key: values[key] for key in _read_keys(solver, values["grow_gamma"])}
 
 
 def _default_init(problem, spec: RunSpec):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .apg import ApgParams, Certificate, apg_terminating
+from .apg import ApgParams, Certificate, apg_terminating, step_clamp
 from .model import (
     Array,
     CallableSmooth,
@@ -37,8 +37,12 @@ class OuterParams:
 
     rho0 defaults per problem when None (see ``resolved``).  ``inner`` holds
     the inner solver's settings; its epsilon must stay unset, since the
-    loops set it to eta_k on every step, and ``prox_al`` sets its gamma0 to
-    1/rho_k as well.
+    loops set it to eta_k on every step.  The loops also choose the inner
+    step base (the inner gamma0) by the step rule: under inner.grow_gamma
+    (the default) both start every inner solve at the step clamp
+    (1 - 1e-9)/mu_k of its modulus mu_k = mu + 1/rho_k, and let the step
+    grow back to it.  With grow_gamma=False, the paper's restart rule,
+    ``prox_al`` uses 1/rho_k and ``ppa_unconstrained`` inner.gamma0.
     """
 
     epsilon: float
@@ -69,10 +73,15 @@ class OuterParams:
         A ConicProblem is solved by ``prox_al``, a CompositeProblem with
         mu = 0 by ``ppa_unconstrained``.  rho0 defaults to max(10, c + 1) for
         the former and max(10, gamma0) for the latter, where c = (mu +
-        sqrt(mu^2 + 4))/2 (1 when mu = 0), and must exceed c.  prox_al also
-        needs rho0 far enough above c that the inner step clamp stays off at
-        outer step 0.  alpha0 must lie in [sqrt(mu_0 * gamma_0), 1] for the
-        modulus mu_0 and step base gamma_0 of the first inner solve.
+        sqrt(mu^2 + 4))/2 (1 when mu = 0).  alpha0 must lie in
+        [sqrt(mu_0 * gamma_0), 1] for the modulus mu_0 = mu + 1/rho0 and the
+        first step gamma_0 of the first inner solve.  Under the grow rule
+        gamma_0 is the step clamp, so mu_0 * gamma_0 = 1 - 1e-9 and alpha0
+        must be within 5e-10 of 1; rho0 need only be positive and finite.  On
+        the restart path (inner.grow_gamma=False) gamma_0 is 1/rho0 for
+        prox_al and gamma0 <= rho0 for the proximal-point loop, and rho0 must
+        exceed c; prox_al also needs rho0 far enough above c that the inner
+        step clamp stays off at outer step 0.
         """
         conic = isinstance(problem, ConicProblem)
         mu = problem.base.mu if conic else problem.mu
@@ -82,26 +91,35 @@ class OuterParams:
         critical = (mu + math.sqrt(mu * mu + 4.0)) / 2.0
         floor = critical + 1.0 if conic else gamma0
         rho0 = self.rho0 if self.rho0 is not None else max(10.0, floor)
-        if not rho0 > critical:
-            raise ValueError(
-                f"rho0 must exceed (mu + sqrt(mu^2 + 4))/2 = {critical}, got {rho0}"
-            )
-        if conic:
-            # the step-clamp guard of outer step 0, in the loop's own arithmetic
+        if self.inner.grow_gamma:
+            if not 0 < rho0 < math.inf:
+                raise ValueError(f"rho0 must be positive and finite, got {rho0}")
             mu_0 = mu + 1.0 / rho0
-            if not mu_0 / rho0 <= 1.0 - 1e-9:
-                raise ValueError(
-                    f"rho0 = {rho0} lies within rounding of (mu + sqrt(mu^2 + 4))/2 = "
-                    f"{critical}: the inner step clamp would engage at outer step 0; "
-                    "choose rho0 further above it"
-                )
-            if not math.sqrt(mu_0 / rho0) <= alpha0 <= 1:
-                raise ValueError("alpha0 must lie in [sqrt((mu + 1/rho0)/rho0), 1]")
+            lower = math.sqrt(mu_0 * step_clamp(mu_0))
         else:
-            if not 0 < gamma0 <= rho0:
-                raise ValueError("gamma0 must satisfy 0 < gamma0 <= rho0")
-            if not math.sqrt(gamma0 / rho0) <= alpha0 <= 1:
-                raise ValueError("alpha0 must lie in [sqrt(gamma0/rho0), 1]")
+            if not rho0 > critical:
+                raise ValueError(
+                    f"rho0 must exceed (mu + sqrt(mu^2 + 4))/2 = {critical}, got {rho0}"
+                )
+            if conic:
+                mu_0 = mu + 1.0 / rho0
+                # the step-clamp guard of outer step 0, in the loop's own arithmetic
+                if not mu_0 / rho0 <= 1.0 - 1e-9:
+                    raise ValueError(
+                        f"rho0 = {rho0} lies within rounding of (mu + sqrt(mu^2 + 4))/2 = "
+                        f"{critical}: the inner step clamp would engage at outer step 0; "
+                        "choose rho0 further above it"
+                    )
+                lower = math.sqrt(mu_0 / rho0)
+            else:
+                if not 0 < gamma0 <= rho0:
+                    raise ValueError("gamma0 must satisfy 0 < gamma0 <= rho0")
+                lower = math.sqrt(gamma0 / rho0)
+        if not lower <= alpha0 <= 1:
+            raise ValueError(
+                f"alpha0 must lie in [sqrt(mu_0 * gamma_0), 1] = [{lower}, 1] for the "
+                f"modulus mu_0 and first step gamma_0 of the first inner solve, got {alpha0}"
+            )
         # A copy rather than dataclasses.replace: only rho0 changes and no
         # check of __post_init__ reads it, so none is run again.
         params = copy.copy(self)
@@ -329,7 +347,7 @@ def kkt_report(
     defects = normal_cone_gap(conic.cone, lam_new, w)
     w_norm = float(np.linalg.norm(w))
     if max(defects) > 1e-9 * (1.0 + w_norm):
-        raise AssertionError(
+        raise InvariantViolation(
             f"normal-cone witness defects {defects} exceed tolerance; the "
             "multiplier does not match the certificate's outer step"
         )
@@ -372,12 +390,14 @@ def ppa_unconstrained(
     """Certified solver for mu = 0 via proximal-point perturbations.
 
     Each outer step minimizes f + ||x - x_k||^2/(2 rho_k) + P with the
-    certified accelerated solver at target eta_k and stops once
-    ||x_{k+1} - x_k||/rho_k <= epsilon/2 and eta_k <= epsilon/2, which makes
-    eta_k + ||x_{k+1} - x_k||/rho_k a verified bound on dist(0, dF(x_{k+1}))
-    at most epsilon.
+    certified accelerated solver at target eta_k (step base: the step clamp
+    (1 - 1e-9) rho_k under the grow rule, params.inner.gamma0 on the
+    restart path) and stops once ||x_{k+1} - x_k||/rho_k <= epsilon/2 and
+    eta_k <= epsilon/2, which makes eta_k + ||x_{k+1} - x_k||/rho_k a
+    verified bound on dist(0, dF(x_{k+1})) at most epsilon.
     """
     params = params.resolved(problem)
+    inner = params.inner
 
     counters = OracleCounters()
     base = instrument_composite(problem, counters)
@@ -390,10 +410,11 @@ def ppa_unconstrained(
         rho_k = params.rho0 * params.zeta**k
         eta_k = params.eta0 * params.sigma**k
         sub = shifted_proximal_subproblem(base, x, rho_k)
+        gamma0 = step_clamp(sub.mu) if inner.grow_gamma else inner.gamma0
         before = counters.snapshot()
         res = apg_terminating(
             sub,
-            replace(params.inner, epsilon=eta_k),
+            replace(inner, gamma0=gamma0, epsilon=eta_k),
             x,
             counters=counters,
             record_iterates=record_iterates,
@@ -453,13 +474,15 @@ def prox_al(
     """First-order proximal augmented Lagrangian method with KKT certification.
 
     Each outer step solves the proximal AL subproblem with the certified
-    accelerated solver (step base 1/rho_k, modulus mu + 1/rho_k, target
-    eta_k), updates the multiplier by projected dual ascent, and stops once
-    both the scaled pair step ||(x, lam) step||/rho_k and eta_k fall to
-    epsilon/2; the returned report then carries stationarity and
+    accelerated solver (modulus mu_k = mu + 1/rho_k, target eta_k, step base
+    the step clamp (1 - 1e-9)/mu_k under the grow rule and 1/rho_k on the
+    restart path), updates the multiplier by projected dual ascent, and
+    stops once both the scaled pair step ||(x, lam) step||/rho_k and eta_k
+    fall to epsilon/2; the returned report then carries stationarity and
     complementarity residuals at most epsilon.
     """
     params = params.resolved(conic)
+    inner = params.inner
     mu = conic.base.mu
 
     counters = OracleCounters()
@@ -474,18 +497,22 @@ def prox_al(
         rho_k = params.rho0 * params.zeta**k
         eta_k = params.eta0 * params.sigma**k
         mu_k = mu + 1.0 / rho_k
-        # step base 1/rho_k keeps mu_k * gamma0 < 1 automatically; the
-        # clamp inside the inner solver must stay inactive.
-        if not mu_k / rho_k <= 1.0 - 1e-9:
-            raise InvariantViolation(
-                f"mu_k * gamma0 = {mu_k / rho_k} at outer step {k} would engage the "
-                "inner step clamp; choose rho0 further above (mu + sqrt(mu^2 + 4))/2"
-            )
+        if inner.grow_gamma:
+            gamma0 = step_clamp(mu_k)
+        else:
+            # step base 1/rho_k keeps mu_k * gamma0 < 1 automatically; the
+            # clamp inside the inner solver must stay inactive.
+            if not mu_k / rho_k <= 1.0 - 1e-9:
+                raise InvariantViolation(
+                    f"mu_k * gamma0 = {mu_k / rho_k} at outer step {k} would engage the "
+                    "inner step clamp; choose rho0 further above (mu + sqrt(mu^2 + 4))/2"
+                )
+            gamma0 = 1.0 / rho_k
         sub = build_al_subproblem(counted, x, lam, rho_k, counters=counters)
         before = counters.snapshot()
         res = apg_terminating(
             sub,
-            replace(params.inner, gamma0=1.0 / rho_k, epsilon=eta_k),
+            replace(inner, gamma0=gamma0, epsilon=eta_k),
             x,
             counters=counters,
             record_iterates=record_iterates,

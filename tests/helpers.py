@@ -28,18 +28,42 @@ def criterion6_specs() -> list[ConstrainedSpec]:
     return specs
 
 
-def trajectory_invariant_violations(problem, trace, delta=0.5, alpha_tol=1e-12):
+def rule_start(rule, gamma0, gamma_prev, may_grow, delta=0.5):
+    """The first trial step of an iteration under a start rule, from its inputs.
+
+    rule is "grow" (the default), "warm" or "restart"; may_grow says whether
+    the previous accepted trial passed its curvature test with margin delta.
+    """
+    if rule == "warm":
+        return gamma_prev
+    if rule == "restart":
+        return gamma0
+    return min(gamma_prev / delta, gamma0) if may_grow else gamma_prev
+
+
+def accepted_trial(problem, row):
+    """Re-evaluate the accepted trial of a trace row recorded with iterates."""
+    return trial_step(
+        problem, row.x_before, row.z_before, row.alpha_before, row.gamma_before, row.gamma_t
+    )
+
+
+def trajectory_invariant_violations(problem, trace, delta=0.5, alpha_tol=1e-12, rule="grow"):
     """Scan one accelerated-solver trace for violations of the step-scalar laws.
 
     Checks, for every accepted iteration: the extrapolation weight bounds
     sqrt(mu*gamma_t) <= alpha_t <= 1, beta_t in [0, 1], monotonicity of
-    alpha_t^2/gamma_t, the defining quadratic's residual (relative 1e-10),
-    and, when the step backtracked, that the next-larger candidate step is
-    genuinely rejected when re-evaluated.
+    alpha_t^2/gamma_t, and the defining quadratic's residual (relative
+    1e-10).  With iterates recorded it also checks the line search against
+    the start rule ``rule`` (see ``rule_start``): gamma_t must equal the
+    rule's start step times delta**n_t, and when the step backtracked, the
+    next-larger candidate step must be genuinely rejected when re-evaluated.
+    The grow rule's gate is re-evaluated from the previous accepted trial.
     """
     violations = []
     mu = trace.mu
     prev_ratio = trace.alpha0**2 / trace.gamma0
+    may_grow = False
     for row in trace.rows:
         if not math.sqrt(mu * row.gamma_t) <= row.alpha_t <= 1.0 + alpha_tol:
             violations.append((row.t, "alpha bounds"))
@@ -61,17 +85,24 @@ def trajectory_invariant_violations(problem, trace, delta=0.5, alpha_tol=1e-12):
         )
         if not abs(residual) <= 1e-10 * scale:
             violations.append((row.t, "alpha equation residual"))
-        if row.n_t > 0 and row.x_before is not None:
+        if row.x_before is None:
+            continue
+        start = rule_start(rule, trace.gamma0, row.gamma_before, may_grow, delta)
+        if row.gamma_t != start * delta**row.n_t:
+            violations.append((row.t, "start rule"))
+        if row.n_t > 0:
             rejected = trial_step(
                 problem,
                 row.x_before,
                 row.z_before,
                 row.alpha_before,
                 row.gamma_before,
-                trace.gamma0 * delta ** (row.n_t - 1),
+                start * delta ** (row.n_t - 1),
             )
             if rejected.accepted:
                 violations.append((row.t, "line search minimality"))
+        accepted = accepted_trial(problem, row)
+        may_grow = accepted.lhs <= delta * accepted.rhs
     return violations
 
 

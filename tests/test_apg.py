@@ -7,6 +7,7 @@ from proxcert import (
     ApgParams,
     CallableSmooth,
     CompositeProblem,
+    InvariantViolation,
     L1Term,
     LineSearchFailure,
     NonFiniteOracleOutput,
@@ -56,6 +57,11 @@ class TestSolveAlpha:
             )
             scale = max(gamma_prev, alpha_prev**2 * gamma_t, mu * gamma_t * gamma_prev)
             assert abs(residual) <= 1e-10 * scale
+
+    def test_root_outside_unit_interval_is_an_invariant_violation(self):
+        # mu * gamma_t = 3 > 1 puts the positive root above 1
+        with pytest.raises(InvariantViolation, match="outside"):
+            solve_alpha(1.0, 1.0, 1.0, 3.0)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -109,7 +115,8 @@ class TestIteration:
         assert new_state.z[0] == 0.0
 
     def test_gamma_is_exact_power(self, quartic_1d):
-        params = ApgParams(gamma0=1.0, delta=0.5)
+        # the paper's restart rule: every search starts at gamma0
+        params = ApgParams(gamma0=1.0, delta=0.5, grow_gamma=False)
         trace = apg_run(quartic_1d, params, [1.5], stop=lambda s, r: s.t > 40)
         for row in trace.rows:
             assert row.gamma_t == 1.0 * 0.5**row.n_t

@@ -107,7 +107,7 @@ class TestSolve:
             "solver": "prox-al",
             "epsilon": 1e-4,
             "problem": {"kind": "named", "name": "ineq-1d"},
-            "params": {"rho0": 2.4142135623754},
+            "params": {"rho0": 2.4142135623754, "grow_gamma": False},
         }
         code, summary, _ = run_solve(tmp_path, doc)
         assert code == 1
@@ -220,9 +220,11 @@ class TestSolve:
 
 # The params blocks the CLI wrote for these specs when each solver's block
 # was written out by hand; deriving the block from the params dataclasses
-# added keys but must keep every one of these values.
+# added keys but must keep every one of these values.  ppa's gamma0 left
+# the block when the grow rule became the default, since only the restart
+# path reads it.
 PPA_BLOCK = {
-    "rho0": 10.0, "zeta": 2.0, "sigma": 0.4, "eta0": 1.0, "gamma0": 1.0, "alpha0": 1.0,
+    "rho0": 10.0, "zeta": 2.0, "sigma": 0.4, "eta0": 1.0, "alpha0": 1.0,
     "delta": 0.5, "M": 10, "max_outer": 50, "max_iters": 1000000,
 }
 APG_BLOCK = {"gamma0": 1.0, "alpha0": 1.0, "delta": 0.5, "M": 10, "max_backtracks": 100}
@@ -238,7 +240,7 @@ APG_DEFAULT_BUDGET = {
 PINNED_BLOCKS = [
     (QUARTIC_PPA, PPA_BLOCK),
     (PPA_BOX, PPA_BLOCK),
-    (NAMED_PROX_AL, {k: v for k, v in PPA_BLOCK.items() if k != "gamma0"}),
+    (NAMED_PROX_AL, PPA_BLOCK),
     (APG_CERT, dict(APG_BLOCK, gamma0=0.999999999, max_iters=1000000)),
     (
         dict(APG_CERT, epsilon=1e-14, params={"max_iters": 5, "M": 2}, problem={
@@ -287,8 +289,9 @@ class TestParams:
         assert again["params"] == summary["params"]
 
     @pytest.mark.parametrize("doc, params", [
-        (NAMED_PROX_AL, {"gamma0": 1000}),  # prox-al sets gamma0 = 1/rho_k itself
+        (NAMED_PROX_AL, {"gamma0": 1000}),  # prox-al sets the inner gamma0 itself
         (APG_CERT, {"rho0": 20.0, "zeta": 3.0}),
+        (QUARTIC_PPA, {"gamma0": 2.0}),  # read only on the restart path
     ])
     def test_key_the_solver_does_not_read_rejected(self, tmp_path, capsys, doc, params):
         code, summary, _ = run_solve(tmp_path, dict(doc, params=params))
@@ -322,6 +325,41 @@ class TestParams:
             assert code == 0
             got = {key: summary["params"][key] for key in read}
             assert repr(sorted(got.items())) == repr(sorted(read.items()))
+
+    def test_ppa_reads_gamma0_on_the_restart_path(self, tmp_path):
+        restart = dict(QUARTIC_PPA, params={"gamma0": 2.0, "grow_gamma": False})
+        code, summary, _ = run_solve(tmp_path, restart)
+        assert code == 0
+        assert (summary["params"]["gamma0"], summary["params"]["grow_gamma"]) == (2.0, False)
+
+    @pytest.mark.parametrize("problem, key", [
+        ({"kind": "quartic", "n": 2.7, "k_terms": 1.9, "seed": 3.5, "mu_add": 1.0}, "n"),
+        ({"kind": "quartic", "n": 2, "k_terms": 1, "seed": 3.5}, "seed"),
+        ({"kind": "quartic", "n": 2, "k_terms": 1, "mu_add": "one"}, "mu_add"),
+        ({"kind": "quartic", "n": True, "k_terms": 1}, "n"),
+        ({"kind": "constrained", "n": 2, "k_terms": 1, "m1": 1.5}, "m1"),
+        ({"kind": "constrained", "n": 2, "k_terms": 1, "m2": None}, "m2"),
+        ({"kind": "constrained", "n": 2, "k_terms": 1, "constraint_seed": "7.5"},
+         "constraint_seed"),
+    ])
+    def test_problem_keys_convert_exactly_or_fail(self, tmp_path, capsys, problem, key):
+        solver = "prox-al" if problem["kind"] == "constrained" else "ppa"
+        doc = dict(QUARTIC_PPA, solver=solver, problem=problem)
+        code, summary, _ = run_solve(tmp_path, doc)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: problem.{key} must be") and err.count("\n") == 1
+        assert summary is None
+
+    def test_integral_problem_keys_accepted(self, tmp_path):
+        doc = dict(QUARTIC_PPA, problem={
+            "kind": "quartic", "n": 2.0, "k_terms": "2", "seed": 6, "mu_add": "0",
+        })
+        code, summary, _ = run_solve(tmp_path, doc)
+        assert code == 0
+        meta = summary["problem"]
+        assert (meta["n"], meta["k_terms"], meta["seed"], meta["mu_add"]) == (2, 2, 6, 0.0)
+        assert repr(meta["n"]) == "2" and repr(meta["mu_add"]) == "0.0"
 
     def test_readme_spec_solves(self, tmp_path):
         section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]

@@ -233,14 +233,18 @@ class TestProxAl:
         assert res.report.complementarity_residual <= 1e-6
 
     def test_rho0_validation(self, ineq1d):
+        # the restart path's step base 1/rho_k needs rho0 above the critical value
+        params = OuterParams(epsilon=1e-4, rho0=1.0, inner=ApgParams(grow_gamma=False))
         with pytest.raises(ValueError, match="rho0"):
-            prox_al(ineq1d, OuterParams(epsilon=1e-4, rho0=1.0), np.zeros(1), np.zeros(1))
+            prox_al(ineq1d, params, np.zeros(1), np.zeros(1))
 
     def test_rho0_within_rounding_of_critical_rejected(self, ineq1d):
         # rho0 exceeds the critical value, but mu_0 / rho_0 rounds to within
         # 1e-9 of 1, where the inner solver's step clamp would engage
         critical = (2.0 + np.sqrt(8.0)) / 2.0
-        params = OuterParams(epsilon=1e-4, rho0=critical * (1.0 + 1e-12))
+        params = OuterParams(
+            epsilon=1e-4, rho0=critical * (1.0 + 1e-12), inner=ApgParams(grow_gamma=False)
+        )
         with pytest.raises(ValueError, match="step clamp"):
             prox_al(ineq1d, params, np.zeros(1), np.zeros(1))
 
@@ -266,7 +270,7 @@ class TestProxAl:
         conic = ConicProblem(base=ineq1d.base, constraint=counting, cone=ineq1d.cone)
         res = prox_al(conic, OuterParams(epsilon=1e-4), np.zeros(1), np.zeros(1))
         assert len(res.trace.rows) == 12
-        assert res.trace.counters.g_evals == 398
+        assert res.trace.counters.g_evals == 494
         assert len(raw_calls) == res.trace.counters.g_evals
         last = res.trace.rows[-1]
         again = kkt_report(ineq1d, last.x_new, last.lam_new, last.certificate, last.rho_k,
@@ -325,6 +329,13 @@ class TestKktReport:
             kkt_report(ineq1d, x, np.array([5.0]), cert, 2.0, x, np.array([1.0]))
 
 
+    def test_mismatched_multiplier_is_an_invariant_violation(self, ineq1d):
+        x = np.array([0.75])
+        cert = Certificate(x_pre=x, x_tilde=x, gamma_tilde=1.0, witness=np.zeros(1), residual=0.0)
+        with pytest.raises(InvariantViolation, match="witness defects"):
+            kkt_report(ineq1d, x, np.array([5.0]), cert, 2.0, x, np.array([1.0]))
+
+
 class TestOuterParams:
     def test_sigma_zeta_product_constraint(self):
         with pytest.raises(ValueError, match="0 < sigma < 1/zeta"):
@@ -352,6 +363,27 @@ class TestOuterParams:
         assert params.resolved(steep).rho0 == (20.0 + np.sqrt(404.0)) / 2.0 + 1.0
         assert params.rho0 is None
         assert OuterParams(epsilon=1e-4, rho0=30.0).resolved(steep).rho0 == 30.0
+
+    def test_grow_path_needs_only_a_positive_finite_rho0(self, ineq1d):
+        # below the critical value (1 + sqrt(2) for mu = 2), which only the
+        # restart path's step base 1/rho_k needs exceeded
+        res = prox_al(ineq1d, OuterParams(epsilon=1e-4, rho0=1.0), np.zeros(1), np.zeros(1))
+        assert res.report.stationarity_residual <= 1e-4
+        for rho0 in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="rho0 must be positive and finite"):
+                OuterParams(epsilon=1e-4, rho0=rho0).resolved(ineq1d)
+
+    @pytest.mark.parametrize("conic", [False, True])
+    def test_grow_path_alpha0_checked_against_the_clamp(self, quartic_1d, ineq1d, conic):
+        # the first inner step is the clamp, so mu_0 * gamma_0 = 1 - 1e-9
+        problem = ineq1d if conic else quartic_1d
+        lower = OuterParams(epsilon=1e-4).resolved(problem)  # alpha0 = 1 passes
+        assert lower.inner.alpha0 == 1.0
+        with pytest.raises(ValueError, match=r"alpha0 must lie in \[sqrt\(mu_0 \* gamma_0\)"):
+            OuterParams(epsilon=1e-4, inner=ApgParams(alpha0=0.99999)).resolved(problem)
+        # the same alpha0 passes on the restart path, whose first step is smaller
+        restart = ApgParams(alpha0=0.99999, grow_gamma=False)
+        OuterParams(epsilon=1e-4, inner=restart).resolved(problem)
 
     def test_ppa_alpha0_range(self, quartic_1d):
         with pytest.raises(ValueError, match="alpha0"):
@@ -430,8 +462,9 @@ class TestInvariantViolation:
         # The rho0 validation rules the clamp out at outer step 0, and rho_k
         # only grows while zeta > 1.  A schedule forced to shrink behind the
         # back of OuterParams' own checks (rho_k = 10, 5, 2.5, 1.25) reaches
-        # the guard at outer step 3, where mu_k / rho_k = 2.24.
-        params = OuterParams(epsilon=1e-4)
+        # the guard at outer step 3, where mu_k / rho_k = 2.24.  The guard
+        # belongs to the restart path, whose step base is 1/rho_k.
+        params = OuterParams(epsilon=1e-4, inner=ApgParams(grow_gamma=False))
         object.__setattr__(params, "zeta", 0.5)
         with pytest.raises(InvariantViolation, match="outer step 3"):
             prox_al(ineq1d, params, np.zeros(1), np.zeros(1))

@@ -5,17 +5,22 @@ as it is, so they leave these numbers as they are.  A change that moves an
 iterate by one rounding moves a line-search decision sooner or later, and
 then one of these counts.  A change meant to move them must update them
 and say why.
+
+Each solve is pinned on both step rules: the paper's restart rule
+(grow_gamma=False, step base 1/rho_k in prox-AL and gamma0 in the
+proximal-point loop) and the default grow rule (step base at the clamp).
 """
 
 import numpy as np
 import pytest
 
-from proxcert import NonnegativeTerm, OuterParams, ppa_unconstrained, prox_al
+from proxcert import ApgParams, NonnegativeTerm, OuterParams, ppa_unconstrained, prox_al
 from proxcert.problems import QuarticSpec, gen_constrained, gen_quartic
 
 from helpers import criterion6_specs
 
 COUNTER_KEYS = ("grad_f_evals", "prox_evals", "g_evals", "adjoint_evals", "cone_proj_evals")
+RESTART = ApgParams(grow_gamma=False)
 
 
 def totals(counters):
@@ -36,7 +41,8 @@ def totals(counters):
 def test_criterion6_instance_counts(i, expected_totals, expected_inner):
     inst = gen_constrained(criterion6_specs()[i])
     res = prox_al(
-        inst.conic, OuterParams(epsilon=1e-4), inst.x_feas, np.zeros(inst.conic.cone.dim)
+        inst.conic, OuterParams(epsilon=1e-4, inner=RESTART), inst.x_feas,
+        np.zeros(inst.conic.cone.dim),
     )
     assert totals(res.trace.counters) == expected_totals
     assert [row.inner_iters for row in res.trace.rows] == expected_inner
@@ -44,8 +50,33 @@ def test_criterion6_instance_counts(i, expected_totals, expected_inner):
 
 def test_ppa_nonneg_counts():
     problem = gen_quartic(QuarticSpec(n=8, k_terms=3, seed=5, prox=NonnegativeTerm(8)))
-    res = ppa_unconstrained(problem, OuterParams(epsilon=1e-7), np.zeros(8))
+    res = ppa_unconstrained(problem, OuterParams(epsilon=1e-7, inner=RESTART), np.zeros(8))
     assert totals(res.trace.counters) == (2751, 2524, 0, 0, 0)
     assert [row.inner_iters for row in res.trace.rows] == [
         10, 10, 10, 10, 10, 10, 10, 10, 10, 20, 40, 40, 70, 90, 130, 180, 240, 330, 440, 610
     ]
+
+
+@pytest.mark.parametrize(
+    "i, expected_totals, expected_inner",
+    [
+        (2, (4301, 4105, 8430, 4301, 8430),
+         [10, 10, 10, 10, 10, 10, 10, 10, 30, 340, 650, 1240]),
+        (19, (669, 642, 1335, 669, 1335),
+         [10, 10, 10, 10, 10, 10, 10, 40, 40, 10, 80, 90]),
+    ],
+)
+def test_criterion6_instance_counts_grow(i, expected_totals, expected_inner):
+    inst = gen_constrained(criterion6_specs()[i])
+    res = prox_al(
+        inst.conic, OuterParams(epsilon=1e-4), inst.x_feas, np.zeros(inst.conic.cone.dim)
+    )
+    assert totals(res.trace.counters) == expected_totals
+    assert [row.inner_iters for row in res.trace.rows] == expected_inner
+
+
+def test_ppa_nonneg_counts_grow():
+    problem = gen_quartic(QuarticSpec(n=8, k_terms=3, seed=5, prox=NonnegativeTerm(8)))
+    res = ppa_unconstrained(problem, OuterParams(epsilon=1e-7), np.zeros(8))
+    assert totals(res.trace.counters) == (327, 308, 0, 0, 0)
+    assert [row.inner_iters for row in res.trace.rows] == [10] * 20
