@@ -3,7 +3,7 @@
 The iteration keeps an extrapolation triple (x, z, derived y) and per step
 backtracks the curvature proxy gamma_t = start * delta**n_t until a local
 quadratic upper bound holds, so only local Lipschitz continuity of the
-gradient is needed.  The start of each search is set by one of three rules
+gradient is needed.  The start of each search is set by one of two rules
 (see ApgParams).  Termination is certified by an explicit subgradient
 witness whose norm upper-bounds dist(0, dF(x)) and which any independent
 checker can recompute from the stored data.
@@ -66,16 +66,14 @@ class ApgParams:
     backtracking shrink factor; M the certificate cadence; epsilon the target
     residual for the certified solver.
 
-    Each iteration backtracks from a start step chosen by one of three rules:
-
-    - grow_gamma (the default) lets the step grow back: the start is
-      min(gamma_prev/delta, gamma0) when the previous accepted trial passed
-      its curvature test with margin delta (lhs <= delta * rhs, so the
-      curvature it measured admits the step gamma_prev/delta), and gamma_prev
-      otherwise.  The certificate's backtracked step starts there too.
-    - warm_start_gamma starts every iteration at gamma_prev and never grows;
-      it takes precedence over grow_gamma.  Certificates start at gamma0.
-    - with both off, every iteration restarts from gamma0, the paper's rule.
+    Each iteration backtracks from a start step chosen by one of two rules.
+    By default the step grows back: the start is min(gamma_prev/delta,
+    gamma0) when the previous accepted trial passed its curvature test with
+    margin delta (lhs <= delta * rhs, so the curvature it measured admits the
+    step gamma_prev/delta), and gamma_prev otherwise; the certificate's
+    backtracked step starts there too.  warm_start_gamma starts every
+    iteration at gamma_prev and never grows, and its certificates start at
+    gamma0.
     """
 
     gamma0: float = 1.0
@@ -86,7 +84,6 @@ class ApgParams:
     max_iters: int = 1_000_000
     max_backtracks: int = 100
     warm_start_gamma: bool = False
-    grow_gamma: bool = True
 
     def __post_init__(self):
         if not self.gamma0 > 0:
@@ -126,7 +123,7 @@ class ApgState(NamedTuple):
     rx and rz are the affine images A x - b and A z - b when the smooth
     oracle offers them (see SmoothOracle), else None.  may_grow records that
     the last accepted trial passed its curvature test with margin delta,
-    which lets the grow_gamma rule try gamma_prev/delta next.
+    which lets the default rule try gamma_prev/delta next.
     """
 
     t: int
@@ -341,11 +338,7 @@ def first_trial(state: ApgState, params: ApgParams, gamma0: float) -> float:
 
     gamma0 is the resolved step of ``params.effective``.
     """
-    if params.warm_start_gamma:
-        return state.gamma_prev
-    if not params.grow_gamma:
-        return gamma0
-    if state.may_grow:
+    if state.may_grow and not params.warm_start_gamma:
         return min(state.gamma_prev / params.delta, gamma0)
     return state.gamma_prev
 

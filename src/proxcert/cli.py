@@ -33,7 +33,7 @@ _TOP_KEYS = {"version", "solver", "epsilon", "problem", "params", "init"}
 # The params: keys each solver reads are the fields of its params classes,
 # bar epsilon (a top-level key) and the composed inner params.  The outer
 # loops set the inner gamma0 themselves (see OuterParams), except that ppa
-# reads it on the restart path (grow_gamma: false); see _read_keys.
+# reads it under warm_start_gamma: true; see _read_keys.
 _INNER_KEYS = {f.name for f in dataclasses.fields(ApgParams)} - {"epsilon"}
 _OUTER_KEYS = {f.name for f in dataclasses.fields(OuterParams)} - {"epsilon", "inner"}
 _SOLVER_KEYS = {
@@ -95,10 +95,10 @@ def _check_keys(mapping: dict, allowed: set, where: str):
         raise SpecError(f"unknown key(s) {unknown} in {where}")
 
 
-def _read_keys(solver: str, grow_gamma: bool) -> set:
-    """The params: keys the solver reads; ppa reads gamma0 only with grow_gamma off."""
+def _read_keys(solver: str, warm_start_gamma: bool) -> set:
+    """The params: keys the solver reads; ppa reads gamma0 only under warm_start_gamma."""
     keys = _SOLVER_KEYS[solver]
-    return keys - {"gamma0"} if solver == "ppa" and grow_gamma else keys
+    return keys - {"gamma0"} if solver == "ppa" and not warm_start_gamma else keys
 
 
 def _typed(key: str, value, kind=None, where: str = "params"):
@@ -157,10 +157,10 @@ def load_run_spec(path: str) -> RunSpec:
         raise SpecError("params must be a mapping")
     _check_keys(params, _SOLVER_KEYS[solver], f"params of solver {solver}")
     params = {key: _typed(key, value) for key, value in params.items()}
-    grow = params.get("grow_gamma", ApgParams.grow_gamma)
+    warm = params.get("warm_start_gamma", ApgParams.warm_start_gamma)
     _check_keys(
-        params, _read_keys(solver, grow),
-        f"params of solver {solver} with grow_gamma: {str(grow).lower()}",
+        params, _read_keys(solver, warm),
+        f"params of solver {solver} with warm_start_gamma: {str(warm).lower()}",
     )
     epsilon = doc.get("epsilon")
     if epsilon is not None:
@@ -257,7 +257,7 @@ def _params_block(params: ApgParams | OuterParams, solver: str) -> dict:
     values = vars(params)
     if isinstance(params, OuterParams):
         values = vars(params.inner) | values
-    return {key: values[key] for key in _read_keys(solver, values["grow_gamma"])}
+    return {key: values[key] for key in _read_keys(solver, values["warm_start_gamma"])}
 
 
 def _default_init(problem, spec: RunSpec):

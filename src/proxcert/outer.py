@@ -38,11 +38,11 @@ class OuterParams:
     rho0 defaults per problem when None (see ``resolved``).  ``inner`` holds
     the inner solver's settings; its epsilon must stay unset, since the
     loops set it to eta_k on every step.  The loops also choose the inner
-    step base (the inner gamma0) by the step rule: under inner.grow_gamma
-    (the default) both start every inner solve at the step clamp
-    (1 - 1e-9)/mu_k of its modulus mu_k = mu + 1/rho_k, and let the step
-    grow back to it.  With grow_gamma=False, the paper's restart rule,
-    ``prox_al`` uses 1/rho_k and ``ppa_unconstrained`` inner.gamma0.
+    step base (the inner gamma0) by the step rule: by default both start
+    every inner solve at the step clamp (1 - 1e-9)/mu_k of its modulus
+    mu_k = mu + 1/rho_k, and let the step grow back to it.  Under
+    inner.warm_start_gamma, whose step never grows, ``prox_al`` uses 1/rho_k
+    and ``ppa_unconstrained`` inner.gamma0.
     """
 
     epsilon: float
@@ -75,13 +75,13 @@ class OuterParams:
         the former and max(10, gamma0) for the latter, where c = (mu +
         sqrt(mu^2 + 4))/2 (1 when mu = 0).  alpha0 must lie in
         [sqrt(mu_0 * gamma_0), 1] for the modulus mu_0 = mu + 1/rho0 and the
-        first step gamma_0 of the first inner solve.  Under the grow rule
-        gamma_0 is the step clamp, so mu_0 * gamma_0 = 1 - 1e-9 and alpha0
-        must be within 5e-10 of 1; rho0 need only be positive and finite.  On
-        the restart path (inner.grow_gamma=False) gamma_0 is 1/rho0 for
-        prox_al and gamma0 <= rho0 for the proximal-point loop, and rho0 must
-        exceed c; prox_al also needs rho0 far enough above c that the inner
-        step clamp stays off at outer step 0.
+        first step gamma_0 of the first inner solve.  By default gamma_0 is
+        the step clamp, so mu_0 * gamma_0 = 1 - 1e-9 and alpha0 must be
+        within 5e-10 of 1; rho0 need only be positive and finite.  Under
+        inner.warm_start_gamma gamma_0 is 1/rho0 for prox_al and gamma0 <=
+        rho0 for the proximal-point loop, and rho0 must exceed c; prox_al
+        also needs rho0 far enough above c that the inner step clamp stays
+        off at outer step 0.
         """
         conic = isinstance(problem, ConicProblem)
         mu = problem.base.mu if conic else problem.mu
@@ -91,12 +91,7 @@ class OuterParams:
         critical = (mu + math.sqrt(mu * mu + 4.0)) / 2.0
         floor = critical + 1.0 if conic else gamma0
         rho0 = self.rho0 if self.rho0 is not None else max(10.0, floor)
-        if self.inner.grow_gamma:
-            if not 0 < rho0 < math.inf:
-                raise ValueError(f"rho0 must be positive and finite, got {rho0}")
-            mu_0 = mu + 1.0 / rho0
-            lower = math.sqrt(mu_0 * step_clamp(mu_0))
-        else:
+        if self.inner.warm_start_gamma:
             if not rho0 > critical:
                 raise ValueError(
                     f"rho0 must exceed (mu + sqrt(mu^2 + 4))/2 = {critical}, got {rho0}"
@@ -115,6 +110,11 @@ class OuterParams:
                 if not 0 < gamma0 <= rho0:
                     raise ValueError("gamma0 must satisfy 0 < gamma0 <= rho0")
                 lower = math.sqrt(gamma0 / rho0)
+        else:
+            if not 0 < rho0 < math.inf:
+                raise ValueError(f"rho0 must be positive and finite, got {rho0}")
+            mu_0 = mu + 1.0 / rho0
+            lower = math.sqrt(mu_0 * step_clamp(mu_0))
         if not lower <= alpha0 <= 1:
             raise ValueError(
                 f"alpha0 must lie in [sqrt(mu_0 * gamma_0), 1] = [{lower}, 1] for the "
@@ -391,8 +391,8 @@ def ppa_unconstrained(
 
     Each outer step minimizes f + ||x - x_k||^2/(2 rho_k) + P with the
     certified accelerated solver at target eta_k (step base: the step clamp
-    (1 - 1e-9) rho_k under the grow rule, params.inner.gamma0 on the
-    restart path) and stops once ||x_{k+1} - x_k||/rho_k <= epsilon/2 and
+    (1 - 1e-9) rho_k by default, params.inner.gamma0 under warm_start_gamma)
+    and stops once ||x_{k+1} - x_k||/rho_k <= epsilon/2 and
     eta_k <= epsilon/2, which makes eta_k + ||x_{k+1} - x_k||/rho_k a
     verified bound on dist(0, dF(x_{k+1})) at most epsilon.
     """
@@ -410,7 +410,7 @@ def ppa_unconstrained(
         rho_k = params.rho0 * params.zeta**k
         eta_k = params.eta0 * params.sigma**k
         sub = shifted_proximal_subproblem(base, x, rho_k)
-        gamma0 = step_clamp(sub.mu) if inner.grow_gamma else inner.gamma0
+        gamma0 = inner.gamma0 if inner.warm_start_gamma else step_clamp(sub.mu)
         before = counters.snapshot()
         res = apg_terminating(
             sub,
@@ -475,8 +475,8 @@ def prox_al(
 
     Each outer step solves the proximal AL subproblem with the certified
     accelerated solver (modulus mu_k = mu + 1/rho_k, target eta_k, step base
-    the step clamp (1 - 1e-9)/mu_k under the grow rule and 1/rho_k on the
-    restart path), updates the multiplier by projected dual ascent, and
+    the step clamp (1 - 1e-9)/mu_k by default and 1/rho_k under
+    warm_start_gamma), updates the multiplier by projected dual ascent, and
     stops once both the scaled pair step ||(x, lam) step||/rho_k and eta_k
     fall to epsilon/2; the returned report then carries stationarity and
     complementarity residuals at most epsilon.
@@ -497,9 +497,7 @@ def prox_al(
         rho_k = params.rho0 * params.zeta**k
         eta_k = params.eta0 * params.sigma**k
         mu_k = mu + 1.0 / rho_k
-        if inner.grow_gamma:
-            gamma0 = step_clamp(mu_k)
-        else:
+        if inner.warm_start_gamma:
             # step base 1/rho_k keeps mu_k * gamma0 < 1 automatically; the
             # clamp inside the inner solver must stay inactive.
             if not mu_k / rho_k <= 1.0 - 1e-9:
@@ -508,6 +506,8 @@ def prox_al(
                     "inner step clamp; choose rho0 further above (mu + sqrt(mu^2 + 4))/2"
                 )
             gamma0 = 1.0 / rho_k
+        else:
+            gamma0 = step_clamp(mu_k)
         sub = build_al_subproblem(counted, x, lam, rho_k, counters=counters)
         before = counters.snapshot()
         res = apg_terminating(

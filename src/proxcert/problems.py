@@ -214,8 +214,9 @@ def reference_solve(problem: CompositeProblem, tol: float) -> tuple[Array, float
     since that is a failure of the test infrastructure rather than a solver
     verdict.  The backtracking warm start is used because tolerances near
     the objective's floating-point granularity destabilize a search that
-    restarts from gamma0 (steps far above the local curvature bound get
-    accepted once the test quantities fall below value-rounding noise).
+    tries steps above the last accepted one, from gamma0 or grown back
+    (steps far above the local curvature bound get accepted once the test
+    quantities fall below value-rounding noise).
     """
     if tol < 1e-12:
         raise ValueError("tol must be at least 1e-12")

@@ -31,14 +31,13 @@ def criterion6_specs() -> list[ConstrainedSpec]:
 def rule_start(rule, gamma0, gamma_prev, may_grow, delta=0.5):
     """The first trial step of an iteration under a start rule, from its inputs.
 
-    rule is "grow" (the default), "warm" or "restart"; may_grow says whether
-    the previous accepted trial passed its curvature test with margin delta.
+    rule is "grow" (the default) or "warm" (warm_start_gamma); may_grow says
+    whether the previous accepted trial passed its curvature test with margin
+    delta.
     """
-    if rule == "warm":
-        return gamma_prev
-    if rule == "restart":
-        return gamma0
-    return min(gamma_prev / delta, gamma0) if may_grow else gamma_prev
+    if rule == "grow" and may_grow:
+        return min(gamma_prev / delta, gamma0)
+    return gamma_prev
 
 
 def accepted_trial(problem, row):

@@ -115,11 +115,13 @@ class TestIteration:
         assert new_state.z[0] == 0.0
 
     def test_gamma_is_exact_power(self, quartic_1d):
-        # the paper's restart rule: every search starts at gamma0
-        params = ApgParams(gamma0=1.0, delta=0.5, grow_gamma=False)
+        # backtracking halves and growth doubles, so every step stays on the
+        # grid gamma0 * delta**k, k >= 0
+        params = ApgParams(gamma0=1.0, delta=0.5)
         trace = apg_run(quartic_1d, params, [1.5], stop=lambda s, r: s.t > 40)
         for row in trace.rows:
-            assert row.gamma_t == 1.0 * 0.5**row.n_t
+            k = round(-math.log2(row.gamma_t))
+            assert k >= 0 and row.gamma_t == 1.0 * 0.5**k
 
     def test_line_search_failure_on_inconsistent_gradient(self):
         # a wrong-sign gradient makes the curvature ratio bounded away from

@@ -107,7 +107,7 @@ class TestSolve:
             "solver": "prox-al",
             "epsilon": 1e-4,
             "problem": {"kind": "named", "name": "ineq-1d"},
-            "params": {"rho0": 2.4142135623754, "grow_gamma": False},
+            "params": {"rho0": 2.4142135623754, "warm_start_gamma": True},
         }
         code, summary, _ = run_solve(tmp_path, doc)
         assert code == 1
@@ -220,9 +220,8 @@ class TestSolve:
 
 # The params blocks the CLI wrote for these specs when each solver's block
 # was written out by hand; deriving the block from the params dataclasses
-# added keys but must keep every one of these values.  ppa's gamma0 left
-# the block when the grow rule became the default, since only the restart
-# path reads it.
+# added keys but must keep every one of these values.  ppa's block holds
+# gamma0 only under warm_start_gamma: true, the one path that reads it.
 PPA_BLOCK = {
     "rho0": 10.0, "zeta": 2.0, "sigma": 0.4, "eta0": 1.0, "alpha0": 1.0,
     "delta": 0.5, "M": 10, "max_outer": 50, "max_iters": 1000000,
@@ -291,7 +290,7 @@ class TestParams:
     @pytest.mark.parametrize("doc, params", [
         (NAMED_PROX_AL, {"gamma0": 1000}),  # prox-al sets the inner gamma0 itself
         (APG_CERT, {"rho0": 20.0, "zeta": 3.0}),
-        (QUARTIC_PPA, {"gamma0": 2.0}),  # read only on the restart path
+        (QUARTIC_PPA, {"gamma0": 2.0}),  # read only under warm_start_gamma
     ])
     def test_key_the_solver_does_not_read_rejected(self, tmp_path, capsys, doc, params):
         code, summary, _ = run_solve(tmp_path, dict(doc, params=params))
@@ -326,11 +325,11 @@ class TestParams:
             got = {key: summary["params"][key] for key in read}
             assert repr(sorted(got.items())) == repr(sorted(read.items()))
 
-    def test_ppa_reads_gamma0_on_the_restart_path(self, tmp_path):
-        restart = dict(QUARTIC_PPA, params={"gamma0": 2.0, "grow_gamma": False})
-        code, summary, _ = run_solve(tmp_path, restart)
+    def test_ppa_reads_gamma0_under_warm_start(self, tmp_path):
+        warm = dict(QUARTIC_PPA, params={"gamma0": 2.0, "warm_start_gamma": True})
+        code, summary, _ = run_solve(tmp_path, warm)
         assert code == 0
-        assert (summary["params"]["gamma0"], summary["params"]["grow_gamma"]) == (2.0, False)
+        assert (summary["params"]["gamma0"], summary["params"]["warm_start_gamma"]) == (2.0, True)
 
     @pytest.mark.parametrize("problem, key", [
         ({"kind": "quartic", "n": 2.7, "k_terms": 1.9, "seed": 3.5, "mu_add": 1.0}, "n"),

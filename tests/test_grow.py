@@ -1,11 +1,10 @@
 """The grow rule: a step that grows back once per iteration, gated by the curvature.
 
-Under ApgParams.grow_gamma (the default) an iteration starts its search at
-min(gamma_prev/delta, gamma0) when the previous accepted trial passed its
-curvature test with margin delta, and at gamma_prev otherwise; the outer
-loops start their inner solves at the step clamp.  These tests check grow
-path traces from every solver against that rule, recomputed here from the
-raw oracles.
+By default an iteration starts its search at min(gamma_prev/delta, gamma0)
+when the previous accepted trial passed its curvature test with margin
+delta, and at gamma_prev otherwise; the outer loops start their inner
+solves at the step clamp.  These tests check grow path traces from every
+solver against that rule, recomputed here from the raw oracles.
 """
 
 import math
@@ -152,25 +151,11 @@ def test_certificates_reverify_from_raw_oracles(grow_traces):
         assert np.array_equal(x_tilde, cert.x_tilde)
 
 
-def test_warm_start_takes_precedence():
-    problem = gen_quartic(QuarticSpec(n=6, k_terms=4, seed=8, mu_add=0.5, prox=L1Term(6, 0.1)))
-    runs = [
-        apg_terminating(
-            problem, ApgParams(epsilon=1e-8, warm_start_gamma=True, grow_gamma=grow), np.zeros(6)
-        )
-        for grow in (True, False)
-    ]
-    rows = [[(r.n_t, r.gamma_t, r.alpha_t, r.F, r.cert_residual) for r in res.trace.rows]
-            for res in runs]
-    assert rows[0] == rows[1]
-    assert np.array_equal(runs[0].certificate.witness, runs[1].certificate.witness)
-
-
-def test_restart_rule_traces_pass_the_restart_check():
+def test_the_checker_tells_the_two_rules_apart():
     problem = gen_quartic(QuarticSpec(n=6, k_terms=4, seed=1, mu_add=0.3))
-    restart = apg_terminating(problem, ApgParams(epsilon=1e-8, grow_gamma=False), np.zeros(6))
+    warm = apg_terminating(problem, ApgParams(epsilon=1e-8, warm_start_gamma=True), np.zeros(6))
     grow = apg_terminating(problem, ApgParams(epsilon=1e-8), np.zeros(6))
-    assert trajectory_invariant_violations(problem, restart.trace, rule="restart") == []
+    assert trajectory_invariant_violations(problem, warm.trace, rule="warm") == []
     # the rules differ on this problem, so each trace fails the other's check
-    assert trajectory_invariant_violations(problem, grow.trace, rule="restart") != []
-    assert trajectory_invariant_violations(problem, restart.trace, rule="grow") != []
+    assert trajectory_invariant_violations(problem, grow.trace, rule="warm") != []
+    assert trajectory_invariant_violations(problem, warm.trace, rule="grow") != []

@@ -233,8 +233,8 @@ class TestProxAl:
         assert res.report.complementarity_residual <= 1e-6
 
     def test_rho0_validation(self, ineq1d):
-        # the restart path's step base 1/rho_k needs rho0 above the critical value
-        params = OuterParams(epsilon=1e-4, rho0=1.0, inner=ApgParams(grow_gamma=False))
+        # the warm path's step base 1/rho_k needs rho0 above the critical value
+        params = OuterParams(epsilon=1e-4, rho0=1.0, inner=ApgParams(warm_start_gamma=True))
         with pytest.raises(ValueError, match="rho0"):
             prox_al(ineq1d, params, np.zeros(1), np.zeros(1))
 
@@ -243,7 +243,7 @@ class TestProxAl:
         # 1e-9 of 1, where the inner solver's step clamp would engage
         critical = (2.0 + np.sqrt(8.0)) / 2.0
         params = OuterParams(
-            epsilon=1e-4, rho0=critical * (1.0 + 1e-12), inner=ApgParams(grow_gamma=False)
+            epsilon=1e-4, rho0=critical * (1.0 + 1e-12), inner=ApgParams(warm_start_gamma=True)
         )
         with pytest.raises(ValueError, match="step clamp"):
             prox_al(ineq1d, params, np.zeros(1), np.zeros(1))
@@ -366,7 +366,7 @@ class TestOuterParams:
 
     def test_grow_path_needs_only_a_positive_finite_rho0(self, ineq1d):
         # below the critical value (1 + sqrt(2) for mu = 2), which only the
-        # restart path's step base 1/rho_k needs exceeded
+        # warm path's step base 1/rho_k needs exceeded
         res = prox_al(ineq1d, OuterParams(epsilon=1e-4, rho0=1.0), np.zeros(1), np.zeros(1))
         assert res.report.stationarity_residual <= 1e-4
         for rho0 in (0.0, -1.0, float("inf"), float("nan")):
@@ -381,9 +381,9 @@ class TestOuterParams:
         assert lower.inner.alpha0 == 1.0
         with pytest.raises(ValueError, match=r"alpha0 must lie in \[sqrt\(mu_0 \* gamma_0\)"):
             OuterParams(epsilon=1e-4, inner=ApgParams(alpha0=0.99999)).resolved(problem)
-        # the same alpha0 passes on the restart path, whose first step is smaller
-        restart = ApgParams(alpha0=0.99999, grow_gamma=False)
-        OuterParams(epsilon=1e-4, inner=restart).resolved(problem)
+        # the same alpha0 passes on the warm path, whose first step is smaller
+        warm = ApgParams(alpha0=0.99999, warm_start_gamma=True)
+        OuterParams(epsilon=1e-4, inner=warm).resolved(problem)
 
     def test_ppa_alpha0_range(self, quartic_1d):
         with pytest.raises(ValueError, match="alpha0"):
@@ -463,8 +463,8 @@ class TestInvariantViolation:
         # only grows while zeta > 1.  A schedule forced to shrink behind the
         # back of OuterParams' own checks (rho_k = 10, 5, 2.5, 1.25) reaches
         # the guard at outer step 3, where mu_k / rho_k = 2.24.  The guard
-        # belongs to the restart path, whose step base is 1/rho_k.
-        params = OuterParams(epsilon=1e-4, inner=ApgParams(grow_gamma=False))
+        # belongs to the warm path, whose step base is 1/rho_k.
+        params = OuterParams(epsilon=1e-4, inner=ApgParams(warm_start_gamma=True))
         object.__setattr__(params, "zeta", 0.5)
         with pytest.raises(InvariantViolation, match="outer step 3"):
             prox_al(ineq1d, params, np.zeros(1), np.zeros(1))

@@ -6,9 +6,11 @@ iterate by one rounding moves a line-search decision sooner or later, and
 then one of these counts.  A change meant to move them must update them
 and say why.
 
-Each solve is pinned on both step rules: the paper's restart rule
-(grow_gamma=False, step base 1/rho_k in prox-AL and gamma0 in the
-proximal-point loop) and the default grow rule (step base at the clamp).
+Most solves run on the default step rule, which lets the step grow back
+and starts every inner solve at the step clamp.  test_warm_start_counts
+pins the warm_start_gamma path, which reference_solve uses and whose
+inner solves start at 1/rho_k in prox-AL and at gamma0 in the
+proximal-point loop.
 """
 
 import numpy as np
@@ -20,7 +22,7 @@ from proxcert.problems import QuarticSpec, gen_constrained, gen_quartic
 from helpers import criterion6_specs
 
 COUNTER_KEYS = ("grad_f_evals", "prox_evals", "g_evals", "adjoint_evals", "cone_proj_evals")
-RESTART = ApgParams(grow_gamma=False)
+WARM = ApgParams(warm_start_gamma=True)
 
 
 def totals(counters):
@@ -31,42 +33,14 @@ def totals(counters):
     "i, expected_totals, expected_inner",
     [
         # mu = 0, n = 11, 2 orthant and 1 zero constraint
-        (2, (8353, 7657, 16034, 8353, 16034),
-         [10, 10, 10, 10, 10, 10, 130, 240, 480, 910, 1760, 3380]),
-        # mu = 1, n = 4, 3 orthant and 5 zero constraints
-        (19, (478, 456, 958, 478, 958),
-         [10, 10, 10, 10, 20, 10, 20, 30, 30, 30, 30, 30]),
-    ],
-)
-def test_criterion6_instance_counts(i, expected_totals, expected_inner):
-    inst = gen_constrained(criterion6_specs()[i])
-    res = prox_al(
-        inst.conic, OuterParams(epsilon=1e-4, inner=RESTART), inst.x_feas,
-        np.zeros(inst.conic.cone.dim),
-    )
-    assert totals(res.trace.counters) == expected_totals
-    assert [row.inner_iters for row in res.trace.rows] == expected_inner
-
-
-def test_ppa_nonneg_counts():
-    problem = gen_quartic(QuarticSpec(n=8, k_terms=3, seed=5, prox=NonnegativeTerm(8)))
-    res = ppa_unconstrained(problem, OuterParams(epsilon=1e-7, inner=RESTART), np.zeros(8))
-    assert totals(res.trace.counters) == (2751, 2524, 0, 0, 0)
-    assert [row.inner_iters for row in res.trace.rows] == [
-        10, 10, 10, 10, 10, 10, 10, 10, 10, 20, 40, 40, 70, 90, 130, 180, 240, 330, 440, 610
-    ]
-
-
-@pytest.mark.parametrize(
-    "i, expected_totals, expected_inner",
-    [
         (2, (4301, 4105, 8430, 4301, 8430),
          [10, 10, 10, 10, 10, 10, 10, 10, 30, 340, 650, 1240]),
+        # mu = 1, n = 4, 3 orthant and 5 zero constraints
         (19, (669, 642, 1335, 669, 1335),
          [10, 10, 10, 10, 10, 10, 10, 40, 40, 10, 80, 90]),
     ],
 )
-def test_criterion6_instance_counts_grow(i, expected_totals, expected_inner):
+def test_criterion6_instance_counts(i, expected_totals, expected_inner):
     inst = gen_constrained(criterion6_specs()[i])
     res = prox_al(
         inst.conic, OuterParams(epsilon=1e-4), inst.x_feas, np.zeros(inst.conic.cone.dim)
@@ -75,8 +49,27 @@ def test_criterion6_instance_counts_grow(i, expected_totals, expected_inner):
     assert [row.inner_iters for row in res.trace.rows] == expected_inner
 
 
-def test_ppa_nonneg_counts_grow():
+def test_ppa_nonneg_counts():
     problem = gen_quartic(QuarticSpec(n=8, k_terms=3, seed=5, prox=NonnegativeTerm(8)))
     res = ppa_unconstrained(problem, OuterParams(epsilon=1e-7), np.zeros(8))
     assert totals(res.trace.counters) == (327, 308, 0, 0, 0)
     assert [row.inner_iters for row in res.trace.rows] == [10] * 20
+
+
+
+def test_warm_start_counts():
+    inst = gen_constrained(criterion6_specs()[19])
+    res = prox_al(
+        inst.conic, OuterParams(epsilon=1e-4, inner=WARM), inst.x_feas,
+        np.zeros(inst.conic.cone.dim),
+    )
+    assert totals(res.trace.counters) == (278, 256, 558, 278, 558)
+    assert [row.inner_iters for row in res.trace.rows] == [
+        10, 10, 10, 10, 20, 10, 10, 30, 20, 30, 30, 30
+    ]
+    problem = gen_quartic(QuarticSpec(n=8, k_terms=3, seed=5, prox=NonnegativeTerm(8)))
+    res = ppa_unconstrained(problem, OuterParams(epsilon=1e-7, inner=WARM), np.zeros(8))
+    assert totals(res.trace.counters) == (2751, 2522, 0, 0, 0)
+    assert [row.inner_iters for row in res.trace.rows] == [
+        10, 10, 10, 10, 10, 10, 10, 10, 10, 20, 40, 40, 70, 100, 130, 180, 240, 330, 440, 610
+    ]
