@@ -53,8 +53,6 @@ from .outer import (
     OuterTraceRow,
     PpaResult,
     ProxAlResult,
-    al_smooth_gradient,
-    al_value,
     build_al_subproblem,
     kkt_report,
     multiplier_update,

@@ -568,6 +568,7 @@ def apg_terminating(
     init,
     counters: OracleCounters | None = None,
     record_iterates: bool = True,
+    done=None,
 ) -> TerminatingResult:
     """Accelerated solver with a periodically checked residual certificate.
 
@@ -576,7 +577,10 @@ def apg_terminating(
     starting where the next iteration would start (gamma0 under
     warm_start_gamma), and its witness norm compared against epsilon; the
     first point certified at or below epsilon is returned together with its
-    certificate and the full trace.
+    certificate and the full trace.  ``done(certificate)``, when given, is
+    called at each checked certificate whose residual exceeds epsilon, and
+    only there; the solve also returns at the first one for which it is
+    true.  The outer loops pass their own stopping test this way.
 
     Raises SolveTimeout (carrying the best certificate seen) when the
     iteration budget runs out, and propagates line-search failures.
@@ -606,7 +610,7 @@ def apg_terminating(
             continue
         if best is None or cert.residual < best.residual:
             best = cert
-        if cert.residual <= params.epsilon:
+        if cert.residual <= params.epsilon or (done is not None and done(cert)):
             return TerminatingResult(x=cert.x_tilde, certificate=cert, trace=trace)
     raise SolveTimeout(
         f"no point certified at epsilon = {params.epsilon} within "

@@ -3,8 +3,14 @@ augmented Lagrangian method for conic constraints.
 
 Both drive the certified accelerated solver on a schedule rho_k = rho0 *
 zeta**k of proximal weights and eta_k = eta0 * sigma**k of inner residual
-targets, and terminate on a verifiable bound assembled from the last inner
-certificate and the outer step length.
+targets.  Each inner solve ends at its own target eta_k, or earlier at the
+first checked certificate that already proves the outer epsilon bound: the
+inner residual plus the scaled outer step, ||u|| + ||x_tilde - x_k||/rho_k,
+bounds the outer stationarity witness, and prox-AL also needs the scaled
+multiplier step at most epsilon.  That certificate ends the whole solve.
+The paper's test (eta_k and the scaled step both at most epsilon/2) implies
+this one, so every run is a prefix of the paper's: the same iterates, up to
+an exit that comes at or before the paper's.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .model import (
     instrument_conic,
     value_and_gradient,
 )
-from .proxcone import dist_polar, normal_cone_gap, project_dual
+from .proxcone import normal_cone_gap, project_dual
 
 
 @dataclass(frozen=True)
@@ -71,9 +77,10 @@ class OuterParams:
         """These params with rho0 set for ``problem``, checked as its loop needs.
 
         A ConicProblem is solved by ``prox_al``, a CompositeProblem with
-        mu = 0 by ``ppa_unconstrained``.  rho0 defaults to max(10, c + 1) for
-        the former and max(10, gamma0) for the latter, where c = (mu +
-        sqrt(mu^2 + 4))/2 (1 when mu = 0).  alpha0 must lie in
+        mu = 0 by ``ppa_unconstrained``.  rho0 defaults to max(10, c + 1),
+        where c = (mu + sqrt(mu^2 + 4))/2 (1 when mu = 0), except that the
+        proximal-point loop under inner.warm_start_gamma, whose step base is
+        gamma0, defaults to max(10, gamma0).  alpha0 must lie in
         [sqrt(mu_0 * gamma_0), 1] for the modulus mu_0 = mu + 1/rho0 and the
         first step gamma_0 of the first inner solve.  By default gamma_0 is
         the step clamp, so mu_0 * gamma_0 = 1 - 1e-9 and alpha0 must be
@@ -89,9 +96,10 @@ class OuterParams:
             raise ValueError("the proximal-point loop requires mu = 0")
         gamma0, alpha0 = self.inner.gamma0, self.inner.alpha0
         critical = (mu + math.sqrt(mu * mu + 4.0)) / 2.0
-        floor = critical + 1.0 if conic else gamma0
+        warm = self.inner.warm_start_gamma
+        floor = gamma0 if warm and not conic else critical + 1.0
         rho0 = self.rho0 if self.rho0 is not None else max(10.0, floor)
-        if self.inner.warm_start_gamma:
+        if warm:
             if not rho0 > critical:
                 raise ValueError(
                     f"rho0 must exceed (mu + sqrt(mu^2 + 4))/2 = {critical}, got {rho0}"
@@ -145,7 +153,11 @@ class KktReport:
 
 @dataclass(frozen=True)
 class OuterTraceRow:
-    """One outer iteration; grad/prox_evals are cumulative over the solve."""
+    """One outer iteration; grad/prox_evals are cumulative over the solve.
+
+    residual_bound, set by the proximal-point loop only, is ||u|| +
+    step_norm/rho_k for the witness u of the step's certificate.
+    """
 
     k: int
     rho_k: float
@@ -175,6 +187,13 @@ class OuterTrace:
 
 @dataclass(frozen=True)
 class PpaResult:
+    """Output of ``ppa_unconstrained``.
+
+    witness = u - (x - center_final)/rho_final lies in dF(x), where u is the
+    certificate's witness; residual_bound = ||u|| + ||x - center_final||/
+    rho_final bounds its norm and is at most epsilon.
+    """
+
     x: Array
     residual_bound: float
     witness: Array
@@ -219,36 +238,6 @@ def shifted_proximal_subproblem(
         nonsmooth=problem.nonsmooth,
         mu=problem.mu + 1.0 / rho,
     )
-
-
-def al_value(conic: ConicProblem, x, lam, rho: float) -> float:
-    """Augmented Lagrangian value f(x) + P(x) + (dist(lam + rho g(x), -K)^2 - ||lam||^2) / (2 rho)."""
-    lam = _require_dual(conic, lam)
-    if not rho > 0:
-        raise ValueError("rho must be positive")
-    x = np.asarray(x, dtype=float)
-    p = conic.base.nonsmooth.value(x)
-    if not p < math.inf:
-        return math.inf
-    shifted = lam + rho * conic.constraint.value(x)
-    d = dist_polar(conic.cone, shifted)
-    return conic.base.smooth.value(x) + p + (d * d - float(lam @ lam)) / (2.0 * rho)
-
-
-def al_smooth_gradient(conic: ConicProblem, x, lam, rho: float) -> Array:
-    """Gradient of the smooth part of the augmented Lagrangian.
-
-    grad f(x) plus the adjoint-Jacobian product with the dual projection of
-    lam + rho g(x); the squared distance to a convex set is continuously
-    differentiable, so no smoothness is lost.
-    """
-    lam = _require_dual(conic, lam)
-    if not rho > 0:
-        raise ValueError("rho must be positive")
-    x = np.asarray(x, dtype=float)
-    shifted = lam + rho * conic.constraint.value(x)
-    multiplier = project_dual(conic.cone, shifted)
-    return conic.base.smooth.gradient(x) + conic.constraint.adjoint_apply(x, multiplier)
 
 
 def build_al_subproblem(
@@ -373,6 +362,17 @@ def _require_dual(conic: ConicProblem, lam) -> Array:
     return lam
 
 
+def _stationarity_bound(certificate: Certificate, center: Array, rho: float) -> float:
+    """||u|| + ||x_tilde - center||/rho, a bound on ||u - (x_tilde - center)/rho||.
+
+    u is the certificate's witness for the subproblem centred at ``center``
+    with weight 1/rho, so u - (x_tilde - center)/rho lies in the
+    subdifferential of the outer objective (of the Lagrangian at the updated
+    multiplier, for prox-AL) at x_tilde.
+    """
+    return certificate.residual + float(np.linalg.norm(certificate.x_tilde - center)) / rho
+
+
 def _check_inner_residual(certificate: Certificate, eta_k: float, k: int) -> None:
     if not certificate.residual <= eta_k:
         raise InvariantViolation(
@@ -391,10 +391,13 @@ def ppa_unconstrained(
 
     Each outer step minimizes f + ||x - x_k||^2/(2 rho_k) + P with the
     certified accelerated solver at target eta_k (step base: the step clamp
-    (1 - 1e-9) rho_k by default, params.inner.gamma0 under warm_start_gamma)
-    and stops once ||x_{k+1} - x_k||/rho_k <= epsilon/2 and
-    eta_k <= epsilon/2, which makes eta_k + ||x_{k+1} - x_k||/rho_k a
-    verified bound on dist(0, dF(x_{k+1})) at most epsilon.
+    (1 - 1e-9) rho_k by default, params.inner.gamma0 under warm_start_gamma).
+    At every certificate it checks, the inner solver also tests the outer
+    bound ||u|| + ||x_tilde - x_k||/rho_k <= epsilon for its witness u; the
+    first certificate that passes ends the solve, and the bound, which
+    bounds ||u - (x_tilde - x_k)/rho_k|| >= dist(0, dF(x_tilde)), is
+    returned as residual_bound.  The paper's test (||x_{k+1} - x_k||/rho_k
+    and eta_k both at most epsilon/2) implies it, since ||u|| <= eta_k.
     """
     params = params.resolved(problem)
     inner = params.inner
@@ -418,11 +421,14 @@ def ppa_unconstrained(
             x,
             counters=counters,
             record_iterates=record_iterates,
+            done=lambda cert: _stationarity_bound(cert, x, rho_k) <= params.epsilon,
         )
         x_new = res.x
         step = float(np.linalg.norm(x_new - x))
-        bound = eta_k + step / rho_k
-        _check_inner_residual(res.certificate, eta_k, k)
+        bound = _stationarity_bound(res.certificate, x, rho_k)
+        stopped = bound <= params.epsilon
+        if not stopped:
+            _check_inner_residual(res.certificate, eta_k, k)
         rows.append(
             OuterTraceRow(
                 k=k,
@@ -445,7 +451,7 @@ def ppa_unconstrained(
         if bound < best_bound:
             best_bound = bound
             best = (x_new, res.certificate, rho_k, x)
-        if step / rho_k <= params.epsilon / 2 and eta_k <= params.epsilon / 2:
+        if stopped:
             witness = res.certificate.witness - (x_new - x) / rho_k
             return PpaResult(
                 x=x_new,
@@ -476,10 +482,17 @@ def prox_al(
     Each outer step solves the proximal AL subproblem with the certified
     accelerated solver (modulus mu_k = mu + 1/rho_k, target eta_k, step base
     the step clamp (1 - 1e-9)/mu_k by default and 1/rho_k under
-    warm_start_gamma), updates the multiplier by projected dual ascent, and
-    stops once both the scaled pair step ||(x, lam) step||/rho_k and eta_k
-    fall to epsilon/2; the returned report then carries stationarity and
-    complementarity residuals at most epsilon.
+    warm_start_gamma) and updates the multiplier by projected dual ascent.
+    At every certificate it checks, the inner solver also tests the outer
+    stopping rule: first ||u|| + ||x_tilde - x_k||/rho_k <= epsilon, which
+    costs no oracle call, and only then, with one counted g(x_tilde) and
+    one counted cone projection, ||lam_new - lam_k||/rho_k <= epsilon for
+    the updated multiplier lam_new.  The first certificate that passes ends
+    the inner solve, and its g(x_tilde) and lam_new are the step's
+    multiplier update.  The solve returns at the first outer step whose
+    KKT report has both residuals at most epsilon.  The paper's test (the
+    scaled pair step ||(x, lam) step||/rho_k and eta_k both at most
+    epsilon/2) implies the stopping rule.
     """
     params = params.resolved(conic)
     inner = params.inner
@@ -509,6 +522,21 @@ def prox_al(
         else:
             gamma0 = step_clamp(mu_k)
         sub = build_al_subproblem(counted, x, lam, rho_k, counters=counters)
+
+        def update(x_at):
+            gval = counted.constraint.value(x_at)
+            counters.cone_proj_evals += 1
+            return gval, multiplier_update(conic.cone, lam, rho_k, gval)
+
+        passed = None  # (certificate, g(x_tilde), lam_new) of the last stationarity pass
+
+        def done(cert):
+            nonlocal passed
+            if not _stationarity_bound(cert, x, rho_k) <= params.epsilon:
+                return False
+            passed = (cert, *update(cert.x_tilde))
+            return float(np.linalg.norm(passed[2] - lam)) / rho_k <= params.epsilon
+
         before = counters.snapshot()
         res = apg_terminating(
             sub,
@@ -516,15 +544,17 @@ def prox_al(
             x,
             counters=counters,
             record_iterates=record_iterates,
+            done=done,
         )
         x_new = res.x
-        gval = counted.constraint.value(x_new)
-        lam_new = multiplier_update(conic.cone, lam, rho_k, gval)
-        counters.cone_proj_evals += 1
+        if passed is not None and passed[0] is res.certificate:  # stopped on the outer test
+            _, gval, lam_new = passed
+        else:
+            _check_inner_residual(res.certificate, eta_k, k)
+            gval, lam_new = update(x_new)
         step = math.sqrt(
             float(np.linalg.norm(x_new - x)) ** 2 + float(np.linalg.norm(lam_new - lam)) ** 2
         )
-        _check_inner_residual(res.certificate, eta_k, k)
         report = kkt_report(conic, x_new, lam_new, res.certificate, rho_k, x, lam, gval)
         rows.append(
             OuterTraceRow(
@@ -551,7 +581,7 @@ def prox_al(
         if worst < best_res:
             best_res = worst
             best = report
-        if step / rho_k <= params.epsilon / 2 and eta_k <= params.epsilon / 2:
+        if worst <= params.epsilon:
             return ProxAlResult(x=x_new, lam=lam_new, report=report, trace=trace)
         x, lam = x_new, lam_new
     raise SolveTimeout(

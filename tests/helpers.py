@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 
-from proxcert import trial_step
+from proxcert import ConicProblem, dist_polar, project_dual, trial_step
+from proxcert.outer import _require_dual
 from proxcert.problems import ConstrainedSpec, QuarticSpec
 
 
@@ -128,3 +129,36 @@ def accounting_violations(trace, start_grad=0, start_prox=0):
             violations.append((row.t, grad_delta, prox_delta, row.n_t))
         prev_grad, prev_prox = row.grad_evals, row.prox_evals
     return violations
+
+
+def al_value(conic: ConicProblem, x, lam, rho: float) -> float:
+    """Augmented Lagrangian value f(x) + P(x) + (dist(lam + rho g(x), -K)^2 - ||lam||^2) / (2 rho).
+
+    The reference that build_al_subproblem's value is tested against.
+    """
+    lam = _require_dual(conic, lam)
+    if not rho > 0:
+        raise ValueError("rho must be positive")
+    x = np.asarray(x, dtype=float)
+    p = conic.base.nonsmooth.value(x)
+    if not p < math.inf:
+        return math.inf
+    shifted = lam + rho * conic.constraint.value(x)
+    d = dist_polar(conic.cone, shifted)
+    return conic.base.smooth.value(x) + p + (d * d - float(lam @ lam)) / (2.0 * rho)
+
+
+def al_smooth_gradient(conic: ConicProblem, x, lam, rho: float):
+    """Gradient of the smooth part of the augmented Lagrangian.
+
+    grad f(x) plus the adjoint-Jacobian product with the dual projection of
+    lam + rho g(x); the squared distance to a convex set is continuously
+    differentiable, so no smoothness is lost.
+    """
+    lam = _require_dual(conic, lam)
+    if not rho > 0:
+        raise ValueError("rho must be positive")
+    x = np.asarray(x, dtype=float)
+    shifted = lam + rho * conic.constraint.value(x)
+    multiplier = project_dual(conic.cone, shifted)
+    return conic.base.smooth.gradient(x) + conic.constraint.adjoint_apply(x, multiplier)

@@ -1,0 +1,213 @@
+"""The outer loops stop at the first inner certificate that proves epsilon.
+
+At every certificate an inner solve checks, ``apg_terminating`` also asks
+the outer loop's stopping test (its ``done`` argument).  For the
+proximal-point loop the test is ||u|| + ||x_tilde - x_k||/rho_k <= eps; for
+prox-AL the same bound and then ||lam_new - lam_k||/rho_k <= eps for the
+multiplier updated at x_tilde.  These tests recompute the returned
+certificates from the raw oracles, check that no earlier checked
+certificate already passed the test, and that every raw call of g is
+booked.
+"""
+
+import numpy as np
+import pytest
+
+from proxcert import (
+    ApgParams,
+    BoxTerm,
+    CallableConstraint,
+    ConicProblem,
+    L1Term,
+    NonnegativeTerm,
+    OuterParams,
+    ZeroTerm,
+    apg_terminating,
+    build_al_subproblem,
+    kkt_report,
+    ppa_unconstrained,
+    project_dual,
+    prox_al,
+    residual_certificate,
+    shifted_proximal_subproblem,
+)
+from proxcert.problems import QuarticSpec, gen_constrained, gen_quartic, ineq_quadratic_1d
+
+from helpers import criterion6_specs
+
+RULES = {"grow": ApgParams(), "warm": ApgParams(warm_start_gamma=True)}
+AL_EPS = 1e-4
+PPA_EPS = 1e-7
+
+
+def _checked_certificates(rows):
+    """(outer row, certificate) for every certificate the inner solves checked."""
+    return [
+        (row, inner.certificate)
+        for row in rows
+        for inner in row.inner_trace.rows
+        if inner.certificate is not None
+    ]
+
+
+def _assert_reverifies(sub, cert):
+    again = residual_certificate(sub, cert.x_pre, cert.x_tilde, cert.gamma_tilde)
+    assert np.array_equal(again.witness, cert.witness)
+    assert again.residual == cert.residual
+    x_tilde = sub.nonsmooth.prox(
+        cert.gamma_tilde, cert.x_pre - cert.gamma_tilde * sub.smooth.gradient(cert.x_pre)
+    )
+    assert np.array_equal(x_tilde, cert.x_tilde)
+
+
+def _bound(cert, center, rho):
+    return cert.residual + float(np.linalg.norm(cert.x_tilde - center)) / rho
+
+
+# --- apg_terminating(done=...) ------------------------------------------------
+
+
+def _quartic():
+    return gen_quartic(QuarticSpec(n=6, k_terms=4, seed=1, mu_add=0.3))
+
+
+def test_done_stops_at_the_first_check_where_it_holds():
+    problem, params = _quartic(), ApgParams(epsilon=1e-12, M=3)
+    full = apg_terminating(problem, params, np.zeros(6))
+    seen = []
+
+    def done(cert):
+        seen.append(cert)
+        return len(seen) == 3
+
+    res = apg_terminating(problem, params, np.zeros(6), done=done)
+    assert len(seen) == 3 and res.certificate is seen[-1]
+    assert len(res.trace.rows) == 3 * params.M
+    # called exactly at the checks, never between them
+    assert [row.certificate for row in res.trace.rows if row.certificate is not None] == seen
+    # the run is a prefix of the run without done
+    for row, ref in zip(res.trace.rows, full.trace.rows):
+        assert (row.gamma_t, row.F, row.grad_evals, row.prox_evals, row.cert_residual) == (
+            ref.gamma_t, ref.F, ref.grad_evals, ref.prox_evals, ref.cert_residual
+        )
+
+
+def test_done_is_not_asked_once_the_residual_meets_epsilon():
+    def done(cert):
+        raise AssertionError("done called at a certificate that already met epsilon")
+
+    res = apg_terminating(_quartic(), ApgParams(epsilon=1e3, M=3), np.zeros(6), done=done)
+    assert len(res.trace.rows) == 3
+
+
+def test_done_false_leaves_the_solve_unchanged():
+    problem, params = _quartic(), ApgParams(epsilon=1e-8, M=3)
+    full = apg_terminating(problem, params, np.zeros(6))
+    res = apg_terminating(problem, params, np.zeros(6), done=lambda cert: False)
+    assert np.array_equal(res.x, full.x)
+    assert res.trace.counters == full.trace.counters
+
+
+# --- ppa_unconstrained ----------------------------------------------------------
+
+PPA_SHAPES = [
+    (3, 1, ZeroTerm(3)),
+    (6, 2, L1Term(6, 0.1)),
+    (9, 3, NonnegativeTerm(9)),
+    (12, 4, BoxTerm(np.full(12, -0.5), np.full(12, 0.5))),
+]
+
+
+@pytest.mark.parametrize("rule", sorted(RULES))
+@pytest.mark.parametrize("n, k, term", PPA_SHAPES, ids=["zero", "l1", "nonneg", "box"])
+def test_ppa_exits_at_the_first_certificate_proving_epsilon(rule, n, k, term):
+    problem = gen_quartic(QuarticSpec(n=n, k_terms=k, seed=40 + n, mu_add=0.0, prox=term))
+    params = OuterParams(epsilon=PPA_EPS, inner=RULES[rule])
+    res = ppa_unconstrained(problem, params, np.zeros(n), record_iterates=True)
+
+    sub = shifted_proximal_subproblem(problem, res.center_final, res.rho_final)
+    cert = res.certificate
+    _assert_reverifies(sub, cert)
+    assert np.array_equal(res.x, cert.x_tilde)
+    s = cert.witness - (res.x - res.center_final) / res.rho_final
+    assert np.array_equal(s, res.witness)
+    assert res.residual_bound == _bound(cert, res.center_final, res.rho_final) <= PPA_EPS
+    assert float(np.linalg.norm(s)) <= res.residual_bound * (1.0 + 1e-15)
+
+    checked = _checked_certificates(res.trace.rows)
+    assert checked[-1][1] is cert
+    for row, earlier in checked[:-1]:
+        assert not _bound(earlier, row.center, row.rho_k) <= PPA_EPS
+    for row in res.trace.rows[:-1]:
+        assert row.certified_inner_residual <= row.eta_k
+        assert row.residual_bound > PPA_EPS
+
+
+# --- prox_al --------------------------------------------------------------------
+
+
+def _counting(conic):
+    """conic with a constraint map that records every raw call of g."""
+    calls = []
+    constraint = conic.constraint
+
+    def value(x):
+        calls.append(1)
+        return constraint.value(x)
+
+    counting = CallableConstraint(constraint.n, constraint.m, value, constraint.adjoint_apply)
+    return ConicProblem(base=conic.base, constraint=counting, cone=conic.cone), calls
+
+
+def _check_prox_al(conic, params, x0, lam0):
+    """Solve with a counting g and check the exit against the raw oracles."""
+    counted, calls = _counting(conic)
+    eps = params.epsilon
+    res = prox_al(counted, params, x0, lam0, record_iterates=True)
+    assert len(calls) == res.trace.counters.g_evals
+
+    last = res.trace.rows[-1]
+    cert = last.certificate
+    sub = build_al_subproblem(conic, last.center, last.lam_prev, last.rho_k)
+    _assert_reverifies(sub, cert)
+    assert np.array_equal(res.x, cert.x_tilde)
+    lam_new = project_dual(conic.cone, last.lam_prev + last.rho_k * conic.constraint.value(res.x))
+    assert np.array_equal(lam_new, res.lam)
+    again = kkt_report(conic, res.x, res.lam, cert, last.rho_k, last.center, last.lam_prev)
+    assert np.array_equal(again.stationarity_witness, res.report.stationarity_witness)
+    assert np.array_equal(again.complementarity_witness, res.report.complementarity_witness)
+    assert again.stationarity_residual <= eps
+    assert again.complementarity_residual <= eps
+
+    checked = _checked_certificates(res.trace.rows)
+    assert checked[-1][1] is cert
+    held_back = 0  # checks whose stationarity bound passed but multiplier step did not
+    for row, earlier in checked[:-1]:
+        if not _bound(earlier, row.center, row.rho_k) <= eps:
+            continue
+        shifted = row.lam_prev + row.rho_k * conic.constraint.value(earlier.x_tilde)
+        moved = float(np.linalg.norm(project_dual(conic.cone, shifted) - row.lam_prev))
+        assert not moved / row.rho_k <= eps
+        held_back += 1
+    for row in res.trace.rows[:-1]:
+        assert row.certified_inner_residual <= row.eta_k
+        assert max(row.kkt.stationarity_residual, row.kkt.complementarity_residual) > eps
+    return held_back
+
+
+@pytest.mark.parametrize("rule", sorted(RULES))
+@pytest.mark.parametrize("i", [0, 1, 2, 3])  # mu = 1, 0.5, 0, 1
+def test_prox_al_exits_at_the_first_certificate_proving_epsilon(rule, i):
+    inst = gen_constrained(criterion6_specs()[i])
+    params = OuterParams(epsilon=AL_EPS, inner=RULES[rule])
+    _check_prox_al(inst.conic, params, inst.x_feas, np.zeros(inst.conic.cone.dim))
+
+
+@pytest.mark.parametrize("rule", sorted(RULES))
+def test_prox_al_multiplier_test_keeps_the_inner_solve_running(rule):
+    # Started on the constraint boundary with lam = 0 and tiny inner
+    # targets, the x-part of the test passes long before the multiplier
+    # settles, so the second test must hold the inner solve back.
+    params = OuterParams(epsilon=0.1, eta0=1e-6, inner=RULES[rule])
+    held_back = _check_prox_al(ineq_quadratic_1d(), params, np.ones(1), np.zeros(1))
+    assert held_back > 0

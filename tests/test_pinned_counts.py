@@ -11,6 +11,11 @@ and starts every inner solve at the step clamp.  test_warm_start_counts
 pins the warm_start_gamma path, which reference_solve uses and whose
 inner solves start at 1/rho_k in prox-AL and at gamma0 in the
 proximal-point loop.
+
+Both outer loops stop at the first inner certificate that proves the
+epsilon bound.  That test is implied by the paper's end-of-step test, so
+each run is a prefix of the paper-rule run, ending at or before it.  The
+totals of the paper-rule run are kept beside each pin as an upper bound.
 """
 
 import numpy as np
@@ -25,19 +30,29 @@ COUNTER_KEYS = ("grad_f_evals", "prox_evals", "g_evals", "adjoint_evals", "cone_
 WARM = ApgParams(warm_start_gamma=True)
 
 
-def totals(counters):
-    return tuple(getattr(counters, key) for key in COUNTER_KEYS)
+def check_totals(counters, expected, paper_rule):
+    got = tuple(getattr(counters, key) for key in COUNTER_KEYS)
+    assert got == expected
+    assert all(a <= b for a, b in zip(got, paper_rule))
+
+
+def _nonneg_quartic():
+    return gen_quartic(QuarticSpec(n=8, k_terms=3, seed=5, prox=NonnegativeTerm(8)))
+
+
+# totals of the same solves under the paper's end-of-step test
+PAPER_RULE_TOTALS = {2: (4301, 4105, 8430, 4301, 8430), 19: (669, 642, 1335, 669, 1335)}
 
 
 @pytest.mark.parametrize(
     "i, expected_totals, expected_inner",
     [
         # mu = 0, n = 11, 2 orthant and 1 zero constraint
-        (2, (4301, 4105, 8430, 4301, 8430),
-         [10, 10, 10, 10, 10, 10, 10, 10, 30, 340, 650, 1240]),
+        (2, (2437, 2334, 4795, 2437, 4795),
+         [10, 10, 10, 10, 10, 10, 10, 10, 30, 340, 650, 180]),
         # mu = 1, n = 4, 3 orthant and 5 zero constraints
-        (19, (669, 642, 1335, 669, 1335),
-         [10, 10, 10, 10, 10, 10, 10, 40, 40, 10, 80, 90]),
+        (19, (500, 482, 1004, 500, 1004),
+         [10, 10, 10, 10, 10, 10, 10, 40, 40, 10, 80]),
     ],
 )
 def test_criterion6_instance_counts(i, expected_totals, expected_inner):
@@ -45,16 +60,14 @@ def test_criterion6_instance_counts(i, expected_totals, expected_inner):
     res = prox_al(
         inst.conic, OuterParams(epsilon=1e-4), inst.x_feas, np.zeros(inst.conic.cone.dim)
     )
-    assert totals(res.trace.counters) == expected_totals
+    check_totals(res.trace.counters, expected_totals, PAPER_RULE_TOTALS[i])
     assert [row.inner_iters for row in res.trace.rows] == expected_inner
 
 
 def test_ppa_nonneg_counts():
-    problem = gen_quartic(QuarticSpec(n=8, k_terms=3, seed=5, prox=NonnegativeTerm(8)))
-    res = ppa_unconstrained(problem, OuterParams(epsilon=1e-7), np.zeros(8))
-    assert totals(res.trace.counters) == (327, 308, 0, 0, 0)
-    assert [row.inner_iters for row in res.trace.rows] == [10] * 20
-
+    res = ppa_unconstrained(_nonneg_quartic(), OuterParams(epsilon=1e-7), np.zeros(8))
+    check_totals(res.trace.counters, (234, 220, 0, 0, 0), (327, 308, 0, 0, 0))
+    assert [row.inner_iters for row in res.trace.rows] == [10] * 14
 
 
 def test_warm_start_counts():
@@ -63,13 +76,12 @@ def test_warm_start_counts():
         inst.conic, OuterParams(epsilon=1e-4, inner=WARM), inst.x_feas,
         np.zeros(inst.conic.cone.dim),
     )
-    assert totals(res.trace.counters) == (278, 256, 558, 278, 558)
+    check_totals(res.trace.counters, (241, 222, 485, 241, 485), (278, 256, 558, 278, 558))
     assert [row.inner_iters for row in res.trace.rows] == [
-        10, 10, 10, 10, 20, 10, 10, 30, 20, 30, 30, 30
+        10, 10, 10, 10, 20, 10, 10, 30, 20, 30, 30
     ]
-    problem = gen_quartic(QuarticSpec(n=8, k_terms=3, seed=5, prox=NonnegativeTerm(8)))
-    res = ppa_unconstrained(problem, OuterParams(epsilon=1e-7, inner=WARM), np.zeros(8))
-    assert totals(res.trace.counters) == (2751, 2522, 0, 0, 0)
+    res = ppa_unconstrained(_nonneg_quartic(), OuterParams(epsilon=1e-7, inner=WARM), np.zeros(8))
+    check_totals(res.trace.counters, (1887, 1730, 0, 0, 0), (2751, 2522, 0, 0, 0))
     assert [row.inner_iters for row in res.trace.rows] == [
-        10, 10, 10, 10, 10, 10, 10, 10, 10, 20, 40, 40, 70, 100, 130, 180, 240, 330, 440, 610
+        10, 10, 10, 10, 10, 10, 10, 10, 10, 20, 40, 40, 70, 100, 130, 180, 240, 330, 330
     ]
