@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -568,7 +568,7 @@ def apg_terminating(
     init,
     counters: OracleCounters | None = None,
     record_iterates: bool = True,
-    done=None,
+    done: Callable[[Certificate], bool] | None = None,
 ) -> TerminatingResult:
     """Accelerated solver with a periodically checked residual certificate.
 

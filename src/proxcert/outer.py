@@ -3,14 +3,10 @@ augmented Lagrangian method for conic constraints.
 
 Both drive the certified accelerated solver on a schedule rho_k = rho0 *
 zeta**k of proximal weights and eta_k = eta0 * sigma**k of inner residual
-targets.  Each inner solve ends at its own target eta_k, or earlier at the
-first checked certificate that already proves the outer epsilon bound: the
-inner residual plus the scaled outer step, ||u|| + ||x_tilde - x_k||/rho_k,
-bounds the outer stationarity witness, and prox-AL also needs the scaled
-multiplier step at most epsilon.  That certificate ends the whole solve.
-The paper's test (eta_k and the scaled step both at most epsilon/2) implies
-this one, so every run is a prefix of the paper's: the same iterates, up to
-an exit that comes at or before the paper's.
+targets.  Each loop stops at the first inner certificate that already
+proves the outer epsilon bound.  The paper's end-of-step test implies that
+test, so every run is a prefix of the paper-rule run: the same iterates, up
+to an exit that comes at or before that run's.
 """
 
 from __future__ import annotations
