@@ -43,7 +43,6 @@ from .model import (
     check_gradient,
     composite_value,
     instrument_composite,
-    instrument_conic,
     value_and_gradient,
 )
 from .outer import (
@@ -53,6 +52,7 @@ from .outer import (
     OuterTraceRow,
     PpaResult,
     ProxAlResult,
+    SubproblemOracle,
     build_al_subproblem,
     kkt_report,
     multiplier_update,

@@ -29,6 +29,10 @@ from .proxcone import BoxTerm, L1Term, NonnegativeTerm, SquaredL2Term, ZeroTerm
 
 SOLVERS = ("apg", "apg-cert", "ppa", "prox-al")
 
+# libyaml's loader when PyYAML was built with it: the same documents as the
+# pure-Python SafeLoader, parsed several times faster.
+SPEC_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
 _TOP_KEYS = {"version", "solver", "epsilon", "problem", "params", "init"}
 # The params: keys each solver reads are the fields of its params classes,
 # bar epsilon (a top-level key) and the composed inner params.  The outer
@@ -131,7 +135,11 @@ def _typed(key: str, value, kind=None, where: str = "params"):
 
 def load_run_spec(path: str) -> RunSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+        try:
+            doc = yaml.load(fh, Loader=SPEC_LOADER)
+        except yaml.YAMLError as exc:
+            # one line, like every other spec error
+            raise SpecError(f"spec file is not valid YAML: {' '.join(str(exc).split())}") from None
     if not isinstance(doc, dict):
         raise SpecError("spec file must contain a mapping")
     _check_keys(doc, _TOP_KEYS, "spec")

@@ -1,8 +1,9 @@
 """Problem containers, oracle protocols, and derivative-checking utilities.
 
 Oracles are pure functions of x.  Evaluation counting lives in thin wrappers
-produced by :func:`instrument_composite` / :func:`instrument_conic`, never in
-the oracles themselves, so problems stay immutable and shareable.
+produced by :func:`instrument_composite` (and, for the outer loops'
+subproblems, in ``outer.SubproblemOracle``), never in the oracles themselves,
+so problems stay immutable and shareable.
 """
 
 from __future__ import annotations
@@ -359,37 +360,12 @@ class _CountingProx:
         return self._inner.prox(gamma, z)
 
 
-class _CountingConstraint:
-    def __init__(self, inner: ConstraintMap, counters: OracleCounters):
-        self._inner = inner
-        self._counters = counters
-        self.n = inner.n
-        self.m = inner.m
-
-    def value(self, x: Array) -> Array:
-        self._counters.g_evals += 1
-        return self._inner.value(x)
-
-    def adjoint_apply(self, x: Array, v: Array) -> Array:
-        self._counters.adjoint_evals += 1
-        return self._inner.adjoint_apply(x, v)
-
-
 def instrument_composite(problem: CompositeProblem, counters: OracleCounters) -> CompositeProblem:
     """Wrap a problem so gradient/prox calls bump the given counters."""
     return CompositeProblem(
         smooth=_CountingSmooth(problem.smooth, counters),
         nonsmooth=_CountingProx(problem.nonsmooth, counters),
         mu=problem.mu,
-    )
-
-
-def instrument_conic(conic: ConicProblem, counters: OracleCounters) -> ConicProblem:
-    """Wrap a conic problem so all oracle calls bump the given counters."""
-    return ConicProblem(
-        base=instrument_composite(conic.base, counters),
-        constraint=_CountingConstraint(conic.constraint, counters),
-        cone=conic.cone,
     )
 
 

@@ -20,15 +20,15 @@ import numpy as np
 from .apg import ApgParams, Certificate, apg_terminating, step_clamp
 from .model import (
     Array,
-    CallableSmooth,
     CompositeProblem,
+    ConeSpec,
     ConicProblem,
+    ConstraintMap,
     InvariantViolation,
     OracleCounters,
+    SmoothOracle,
     SolveTimeout,
-    instrument_composite,
-    instrument_conic,
-    value_and_gradient,
+    _CountingProx,
 )
 from .proxcone import normal_cone_gap, project_dual
 
@@ -207,30 +207,106 @@ class ProxAlResult:
     trace: OuterTrace
 
 
+class SubproblemOracle:
+    """Smooth part of one outer step's subproblem, counted as it is evaluated.
+
+    With a constraint map and cone, the proximal augmented Lagrangian term
+    f(x) + (dist(lam + rho g(x), -K)^2 - ||lam||^2 + ||x - center||^2) /
+    (2 rho); without, the proximal-point term f(x) + ||x - center||^2 /
+    (2 rho), which skips the map, the projection and the adjoint.  Each
+    evaluation calls the user's oracles directly and maps and projects once:
+    the value uses dist(., -K) = ||project_dual(.)||, the gradient the
+    projection itself.  It books its own calls on ``counters``: a value one
+    g and one cone projection, a gradient or fused call also one gradient
+    and one adjoint.  The proximal-point term books only its gradients.
+    """
+
+    __slots__ = (
+        "dim", "_smooth", "_fused", "_counters", "_center", "_rho",
+        "_constraint", "_cone", "_lam", "_lam_sq",
+    )
+
+    def __init__(
+        self,
+        smooth: SmoothOracle,
+        center: Array,
+        rho: float,
+        counters: OracleCounters | None = None,
+        constraint: ConstraintMap | None = None,
+        cone: ConeSpec | None = None,
+        lam: Array | None = None,
+    ):
+        self.dim = smooth.dim
+        self._smooth = smooth
+        self._fused = getattr(smooth, "value_and_gradient", None)
+        self._counters = OracleCounters() if counters is None else counters
+        self._center = np.asarray(center, dtype=float)
+        self._rho = rho
+        self._constraint = constraint
+        self._cone = cone
+        if constraint is not None:
+            self._lam = np.asarray(lam, dtype=float).copy()
+            self._lam_sq = float(self._lam @ self._lam)
+
+    def value(self, x: Array) -> float:
+        dx = x - self._center
+        if self._constraint is None:
+            return float(self._smooth.value(x) + float(dx @ dx) / (2.0 * self._rho))
+        f = self._smooth.value(x)
+        counters = self._counters
+        counters.g_evals += 1
+        counters.cone_proj_evals += 1
+        # project_dual is called through this module's name, which tracers rebind
+        proj = project_dual(self._cone, self._lam + self._rho * self._constraint.value(x))
+        d = math.sqrt(float(proj @ proj))
+        return float(f + (d * d - self._lam_sq + float(dx @ dx)) / (2.0 * self._rho))
+
+    def gradient(self, x: Array) -> Array:
+        counters = self._counters
+        counters.grad_f_evals += 1
+        if self._constraint is None:
+            return self._smooth.gradient(x) + (x - self._center) / self._rho
+        g = self._smooth.gradient(x)
+        counters.g_evals += 1
+        counters.adjoint_evals += 1
+        counters.cone_proj_evals += 1
+        proj = project_dual(self._cone, self._lam + self._rho * self._constraint.value(x))
+        return g + self._constraint.adjoint_apply(x, proj) + (x - self._center) / self._rho
+
+    def value_and_gradient(self, x: Array) -> tuple[float, Array]:
+        counters = self._counters
+        counters.grad_f_evals += 1
+        rho = self._rho
+        fused = self._fused
+        if self._constraint is None:
+            f, g = (self._smooth.value(x), self._smooth.gradient(x)) if fused is None else fused(x)
+            dx = x - self._center
+            return float(f + float(dx @ dx) / (2.0 * rho)), g + dx / rho
+        counters.g_evals += 1
+        counters.adjoint_evals += 1
+        counters.cone_proj_evals += 1
+        proj = project_dual(self._cone, self._lam + rho * self._constraint.value(x))
+        f, g = (self._smooth.value(x), self._smooth.gradient(x)) if fused is None else fused(x)
+        d = math.sqrt(float(proj @ proj))
+        dx = x - self._center
+        value = float(f + (d * d - self._lam_sq + float(dx @ dx)) / (2.0 * rho))
+        return value, g + self._constraint.adjoint_apply(x, proj) + dx / rho
+
+
 def shifted_proximal_subproblem(
-    problem: CompositeProblem, center: Array, rho: float
+    problem: CompositeProblem,
+    center: Array,
+    rho: float,
+    counters: OracleCounters | None = None,
 ) -> CompositeProblem:
     """f + ||x - center||^2 / (2 rho) with the same nonsmooth term.
 
-    The quadratic shift raises the convexity modulus to mu + 1/rho.
+    The quadratic shift raises the convexity modulus to mu + 1/rho.  Each
+    gradient of the smooth part books one on ``counters`` (see
+    SubproblemOracle).
     """
-    center = np.asarray(center, dtype=float)
-    smooth = problem.smooth
-
-    def value(x):
-        d = x - center
-        return smooth.value(x) + float(d @ d) / (2.0 * rho)
-
-    def gradient(x):
-        return smooth.gradient(x) + (x - center) / rho
-
-    def fused(x):
-        f, g = value_and_gradient(smooth, x)
-        d = x - center
-        return f + float(d @ d) / (2.0 * rho), g + d / rho
-
     return CompositeProblem(
-        smooth=CallableSmooth(problem.dim, value, gradient, fused),
+        smooth=SubproblemOracle(problem.smooth, center, rho, counters),
         nonsmooth=problem.nonsmooth,
         mu=problem.mu + 1.0 / rho,
     )
@@ -248,45 +324,13 @@ def build_al_subproblem(
     Smooth part: f(x) + (dist(lam + rho g(x), -K)^2 - ||lam||^2 +
     ||x - center||^2) / (2 rho); nonsmooth part: the original P; convexity
     modulus mu + 1/rho.  Each evaluation, fused or not, maps and projects
-    once: the value uses dist(., -K) = ||project_dual(.)|| and the gradient
-    the projection itself.  When ``counters`` is given, each evaluation
-    books one cone projection (g and adjoint calls are booked by the
-    constraint map itself).
+    once, and books its gradient, g, adjoint and cone-projection calls on
+    ``counters`` (see SubproblemOracle).
     """
-    center = np.asarray(center, dtype=float)
-    lam = np.asarray(lam, dtype=float).copy()
-    cone = conic.cone
-    constraint = conic.constraint
-    smooth = conic.base.smooth
-    lam_sq = float(lam @ lam)
-
-    def multiplier(x):
-        shifted = lam + rho * constraint.value(x)
-        if counters is not None:
-            counters.cone_proj_evals += 1
-        return project_dual(cone, shifted)
-
-    def value_at(x, f, proj):
-        d = math.sqrt(float(proj @ proj))
-        dx = x - center
-        return f + (d * d - lam_sq + float(dx @ dx)) / (2.0 * rho)
-
-    def gradient_at(x, g, proj):
-        return g + constraint.adjoint_apply(x, proj) + (x - center) / rho
-
-    def value(x):
-        return value_at(x, smooth.value(x), multiplier(x))
-
-    def gradient(x):
-        return gradient_at(x, smooth.gradient(x), multiplier(x))
-
-    def fused(x):
-        proj = multiplier(x)
-        f, g = value_and_gradient(smooth, x)
-        return value_at(x, f, proj), gradient_at(x, g, proj)
-
     return CompositeProblem(
-        smooth=CallableSmooth(conic.base.dim, value, gradient, fused),
+        smooth=SubproblemOracle(
+            conic.base.smooth, center, rho, counters, conic.constraint, conic.cone, lam
+        ),
         nonsmooth=conic.base.nonsmooth,
         mu=conic.base.mu + 1.0 / rho,
     )
@@ -399,7 +443,8 @@ def ppa_unconstrained(
     inner = params.inner
 
     counters = OracleCounters()
-    base = instrument_composite(problem, counters)
+    # only the prox term is wrapped: the subproblem oracle books its own calls
+    base = replace(problem, nonsmooth=_CountingProx(problem.nonsmooth, counters))
     x = np.asarray(init, dtype=float).copy()
     rows: list[OuterTraceRow] = []
     trace = OuterTrace(rows=rows, counters=counters)
@@ -408,7 +453,7 @@ def ppa_unconstrained(
     for k in range(params.max_outer):
         rho_k = params.rho0 * params.zeta**k
         eta_k = params.eta0 * params.sigma**k
-        sub = shifted_proximal_subproblem(base, x, rho_k)
+        sub = shifted_proximal_subproblem(base, x, rho_k, counters)
         gamma0 = inner.gamma0 if inner.warm_start_gamma else step_clamp(sub.mu)
         before = counters.snapshot()
         res = apg_terminating(
@@ -495,7 +540,10 @@ def prox_al(
     mu = conic.base.mu
 
     counters = OracleCounters()
-    counted = instrument_conic(conic, counters)
+    # only the prox term is wrapped: the subproblem oracle books its own calls
+    counted = replace(
+        conic, base=replace(conic.base, nonsmooth=_CountingProx(conic.base.nonsmooth, counters))
+    )
     x = np.asarray(init_x, dtype=float).copy()
     lam = _require_dual(conic, init_lam).copy()
     rows: list[OuterTraceRow] = []
@@ -520,8 +568,9 @@ def prox_al(
         sub = build_al_subproblem(counted, x, lam, rho_k, counters=counters)
 
         def update(x_at):
-            gval = counted.constraint.value(x_at)
+            counters.g_evals += 1
             counters.cone_proj_evals += 1
+            gval = conic.constraint.value(x_at)
             return gval, multiplier_update(conic.cone, lam, rho_k, gval)
 
         passed = None  # (certificate, g(x_tilde), lam_new) of the last stationarity pass

@@ -6,7 +6,7 @@ import pytest
 import yaml
 
 from proxcert import problems
-from proxcert.cli import main
+from proxcert.cli import SPEC_LOADER, main
 
 from conftest import nan_after
 
@@ -85,6 +85,17 @@ class TestSolve:
         del doc["version"]
         code, _, _ = run_solve(tmp_path, doc)
         assert code == 1
+
+    @pytest.mark.parametrize("text", ["version: 1\nsolver: [apg\n", "problem: {kind: quartic\n",
+                                      "version: 1\n  solver: ppa\n\tepsilon: 1\n"])
+    def test_malformed_yaml_is_one_error_line(self, tmp_path, capsys, text):
+        spec = tmp_path / "bad.yaml"
+        spec.write_text(text, encoding="utf-8")
+        summary = tmp_path / "summary.json"
+        assert main(["solve", "--spec", str(spec), "--summary", str(summary)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: spec file is not valid YAML") and err.count("\n") == 1
+        assert not summary.exists()
 
     def test_named_instance_prox_al(self, tmp_path):
         doc = {
@@ -268,6 +279,35 @@ FEED_BACK = {
 }
 
 
+class TestSpecLoader:
+    SPELLINGS = """\
+version: 1
+solver: prox-al
+epsilon: 1.0e-4
+problem: {kind: constrained, n: 8, k_terms: "4", seed: 12, mu_add: 1, m1: 3, m2: 2}
+params:
+  max_iters: 1e3
+  warm_start_gamma: true
+  rho0: null
+  sigma: .4
+init: [0, -1.5, 2.5e-3, .inf, -.inf]
+"""
+
+    def test_loader_is_libyaml_when_built_with_it(self):
+        expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        assert SPEC_LOADER is expected
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    def test_libyaml_and_python_loaders_agree(self):
+        section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+        texts = [section.split("```yaml\n", 1)[1].split("```", 1)[0], self.SPELLINGS]
+        texts += [yaml.safe_dump(doc) for doc in (QUARTIC_PPA, NAMED_PROX_AL, APG_CERT)]
+        for text in texts:
+            # repr tells apart what == does not, such as 1 and 1.0 at any depth
+            fast = yaml.load(text, Loader=yaml.CSafeLoader)
+            assert repr(fast) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+
+
 class TestParams:
     @pytest.mark.parametrize("doc, block", PINNED_BLOCKS)
     def test_block_keeps_pinned_values(self, tmp_path, doc, block):
@@ -422,6 +462,15 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert rows is None
+
+    def test_malformed_yaml_is_one_error_line(self, tmp_path, capsys):
+        spec = tmp_path / "bad.yaml"
+        spec.write_text("version: 1\nsolver: [apg\n", encoding="utf-8")
+        out = tmp_path / "table.csv"
+        assert main(["sweep", "--spec", str(spec), "--eps", "1e-2,1e-4", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: spec file is not valid YAML") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_scaling_band_strongly_convex(self, tmp_path):
         doc = {
