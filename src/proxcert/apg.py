@@ -206,7 +206,12 @@ class TraceRow(NamedTuple):
 
 @dataclass
 class ApgTrace:
-    """Full record of one accelerated-solver invocation."""
+    """Full record of one accelerated-solver invocation.
+
+    first_step is the step the first iteration tried first: gamma0, or the
+    smaller first step passed to ``apg_terminating``.  The alpha recursion
+    starts from gamma0 and alpha0 either way.
+    """
 
     rows: list[TraceRow]
     counters: OracleCounters
@@ -215,6 +220,7 @@ class ApgTrace:
     gamma0: float
     alpha0: float
     mu: float
+    first_step: float
 
 
 @dataclass(frozen=True)
@@ -338,6 +344,7 @@ def apg_iteration(
     state: ApgState,
     params: ApgParams,
     gamma0: float | None = None,
+    start: float | None = None,
 ) -> tuple[ApgState, StepReport]:
     """One accelerated iteration with backtracking; returns the new state and report.
 
@@ -347,13 +354,16 @@ def apg_iteration(
     Raises NonFiniteOracleOutput at the first trial whose curvature test is
     not finite.  ``gamma0``, when given, must be the step that
     ``params.effective(problem.mu)`` resolves; the solvers pass it once per
-    solve instead of resolving it on every iteration.
+    solve instead of resolving it on every iteration.  ``start``, when
+    given, replaces the rule's start step; the alpha recursion still runs
+    from the state's gamma_prev and alpha_prev.
     """
-    if gamma0 is None:
-        gamma0, _ = params.effective(problem.mu)
-    base = first_trial(state, params, gamma0)
+    if start is None:
+        if gamma0 is None:
+            gamma0, _ = params.effective(problem.mu)
+        start = first_trial(state, params, gamma0)
     for n in range(params.max_backtracks + 1):
-        gamma = base * params.delta**n
+        gamma = start * params.delta**n
         trial = trial_step(
             problem, state.x, state.z, state.alpha_prev, state.gamma_prev, gamma,
             state.rx, state.rz,
@@ -511,8 +521,10 @@ def _make_row(
     )
 
 
-def _prepare(problem, params, init, counters):
+def _prepare(problem, params, init, counters, first_step=None):
     gamma0, alpha0 = params.effective(problem.mu)
+    if first_step is not None and not first_step > 0:
+        raise ValueError(f"first_step must be positive, got {first_step}")
     if counters is None:
         counters = OracleCounters()
         problem = instrument_composite(problem, counters)
@@ -525,6 +537,8 @@ def _prepare(problem, params, init, counters):
         gamma0=gamma0,
         alpha0=alpha0,
         mu=problem.mu,
+        # the initial state has not grown, so its own first trial is gamma0
+        first_step=gamma0 if first_step is None else min(gamma0, first_step),
     )
     return problem, state, trace
 
@@ -561,6 +575,7 @@ def apg_terminating(
     counters: OracleCounters | None = None,
     record_iterates: bool = True,
     done: Callable[[Certificate], bool] | None = None,
+    first_step: float | None = None,
 ) -> TerminatingResult:
     """Accelerated solver with a periodically checked residual certificate.
 
@@ -574,6 +589,11 @@ def apg_terminating(
     only there; the solve also returns at the first one for which it is
     true.  The outer loops pass their own stopping test this way.
 
+    ``first_step``, when given, caps the step the first iteration tries
+    first (recorded as ``trace.first_step``); the alpha recursion still
+    starts from gamma0 and alpha0, and later iterations follow the rule.
+    The outer loops pass the last step the previous subproblem accepted.
+
     Raises SolveTimeout (carrying the best certificate seen) when the
     iteration budget runs out, and propagates line-search failures.
     """
@@ -581,12 +601,14 @@ def apg_terminating(
         raise ValueError("the certified solver requires mu > 0")
     if params.epsilon is None:
         raise ValueError("params.epsilon must be set for the certified solver")
-    problem, state, trace = _prepare(problem, params, init, counters)
+    problem, state, trace = _prepare(problem, params, init, counters, first_step)
     gamma0 = trace.gamma0
     best: Certificate | None = None
     while state.t <= params.max_iters:
         t = state.t
-        new_state, report = apg_iteration(problem, state, params, gamma0)
+        new_state, report = apg_iteration(
+            problem, state, params, gamma0, trace.first_step if t == 1 else None
+        )
         cert = n_tilde = None
         if t % params.M == 0:
             start = gamma0 if params.warm_start_gamma else first_trial(new_state, params, gamma0)

@@ -40,11 +40,14 @@ class OuterParams:
     rho0 defaults per problem when None (see ``resolved``).  ``inner`` holds
     the inner solver's settings; its epsilon must stay unset, since the
     loops set it to eta_k on every step.  The loops also choose the inner
-    step base (the inner gamma0) by the step rule: by default both start
-    every inner solve at the step clamp (1 - 1e-9)/mu_k of its modulus
-    mu_k = mu + 1/rho_k, and let the step grow back to it.  Under
-    inner.warm_start_gamma, whose step never grows, ``prox_al`` uses 1/rho_k
-    and ``ppa_unconstrained`` inner.gamma0.
+    step base (the inner gamma0) by the step rule: by default both use the
+    step clamp (1 - 1e-9)/mu_k of the modulus mu_k = mu + 1/rho_k, and let
+    the step grow back to it.  From outer step 1 on, the first trial of an
+    inner solve is then the last step the previous inner solve accepted,
+    capped at the clamp, while its alpha recursion still starts at the
+    clamp.  Under inner.warm_start_gamma, whose step never grows,
+    ``prox_al`` uses 1/rho_k and ``ppa_unconstrained`` inner.gamma0, and no
+    step is carried.
     """
 
     epsilon: float
@@ -364,18 +367,29 @@ def kkt_report(
     witness, and w = (lam_prev + rho g(x) - lam_new)/rho lies in the normal
     cone of K* at lam_new with ||g(x) - w|| = ||lam_new - lam_prev||/rho
     bounding the complementarity residual.  ``gval`` may pass g(x) when the
-    caller has already evaluated it.
+    caller has already evaluated it; any shape but the cone's is a
+    ValueError, since a shorter g(x) would broadcast through lam + rho g(x)
+    and past every later shape check.  The complementarity defect
+    |<lam_new, w>| is a sum of products, so its rounding error, and its
+    tolerance, scale with ||lam_new|| * ||w||.
     """
     x = np.asarray(x, dtype=float)
     x_prev = np.asarray(x_prev, dtype=float)
     lam_new = np.asarray(lam_new, dtype=float)
     lam_prev = np.asarray(lam_prev, dtype=float)
     s = inner_certificate.witness - (x - x_prev) / rho
-    gval = conic.constraint.value(x) if gval is None else np.asarray(gval, dtype=float)
+    gval = np.asarray(conic.constraint.value(x) if gval is None else gval, dtype=float)
+    if gval.shape != (conic.cone.dim,):
+        raise ValueError(
+            f"constraint map returned shape {gval.shape}, expected ({conic.cone.dim},)"
+        )
     w = (lam_prev + rho * gval - lam_new) / rho
-    defects = normal_cone_gap(conic.cone, lam_new, w)
-    w_norm = float(np.linalg.norm(w))
-    if max(defects) > 1e-9 * (1.0 + w_norm):
+    membership, complementarity = defects = normal_cone_gap(conic.cone, lam_new, w)
+    tolerance = 1e-9 * (1.0 + float(np.linalg.norm(w)))
+    if not (
+        membership <= tolerance
+        and complementarity <= tolerance * (1.0 + float(np.linalg.norm(lam_new)))
+    ):
         raise InvariantViolation(
             f"normal-cone witness defects {defects} exceed tolerance; the "
             "multiplier does not match the certificate's outer step"
@@ -413,6 +427,14 @@ def _stationarity_bound(certificate: Certificate, center: Array, rho: float) -> 
     return certificate.residual + float(np.linalg.norm(certificate.x_tilde - center)) / rho
 
 
+def _carried_step(inner: ApgParams, res) -> float | None:
+    """The first trial of the next inner solve: the last step ``res`` accepted.
+
+    None under warm_start_gamma, whose inner solves start at their base.
+    """
+    return None if inner.warm_start_gamma else res.trace.rows[-1].gamma_t
+
+
 def _check_inner_residual(certificate: Certificate, eta_k: float, k: int) -> None:
     if not certificate.residual <= eta_k:
         raise InvariantViolation(
@@ -431,8 +453,9 @@ def ppa_unconstrained(
 
     Each outer step minimizes f + ||x - x_k||^2/(2 rho_k) + P with the
     certified accelerated solver at target eta_k (step base: the step clamp
-    (1 - 1e-9) rho_k by default, params.inner.gamma0 under warm_start_gamma).
-    At every certificate it checks, the inner solver also tests the outer
+    (1 - 1e-9) rho_k by default, first trying the previous step's last
+    accepted step; params.inner.gamma0 under warm_start_gamma).  At every
+    certificate it checks, the inner solver also tests the outer
     bound ||u|| + ||x_tilde - x_k||/rho_k <= epsilon for its witness u; the
     first certificate that passes ends the solve, and the bound, which
     bounds ||u - (x_tilde - x_k)/rho_k|| >= dist(0, dF(x_tilde)), is
@@ -450,6 +473,7 @@ def ppa_unconstrained(
     trace = OuterTrace(rows=rows, counters=counters)
     best_bound = math.inf
     best = None
+    first_step = None
     for k in range(params.max_outer):
         rho_k = params.rho0 * params.zeta**k
         eta_k = params.eta0 * params.sigma**k
@@ -463,6 +487,7 @@ def ppa_unconstrained(
             counters=counters,
             record_iterates=record_iterates,
             done=lambda cert: _stationarity_bound(cert, x, rho_k) <= params.epsilon,
+            first_step=first_step,
         )
         x_new = res.x
         step = float(np.linalg.norm(x_new - x))
@@ -504,6 +529,7 @@ def ppa_unconstrained(
                 trace=trace,
             )
         x = x_new
+        first_step = _carried_step(inner, res)
     raise SolveTimeout(
         f"outer budget of {params.max_outer} exhausted; best residual bound {best_bound}",
         best=best_bound,
@@ -522,13 +548,14 @@ def prox_al(
 
     Each outer step solves the proximal AL subproblem with the certified
     accelerated solver (modulus mu_k = mu + 1/rho_k, target eta_k, step base
-    the step clamp (1 - 1e-9)/mu_k by default and 1/rho_k under
-    warm_start_gamma) and updates the multiplier by projected dual ascent.
-    At every certificate it checks, the inner solver also tests the outer
-    stopping rule: first ||u|| + ||x_tilde - x_k||/rho_k <= epsilon, which
-    costs no oracle call, and only then, with one counted g(x_tilde) and
-    one counted cone projection, ||lam_new - lam_k||/rho_k <= epsilon for
-    the updated multiplier lam_new.  The first certificate that passes ends
+    the step clamp (1 - 1e-9)/mu_k by default, first trying the previous
+    step's last accepted step, and 1/rho_k under warm_start_gamma) and
+    updates the multiplier by projected dual ascent.  At every certificate
+    it checks, the inner solver also tests the outer stopping rule: first
+    ||u|| + ||x_tilde - x_k||/rho_k <= epsilon, which costs no oracle call,
+    and only then, with one counted g(x_tilde) and one counted cone
+    projection, ||lam_new - lam_k||/rho_k <= epsilon for the updated
+    multiplier lam_new.  The first certificate that passes ends
     the inner solve, and its g(x_tilde) and lam_new are the step's
     multiplier update.  The solve returns at the first outer step whose
     KKT report has both residuals at most epsilon.  The paper's test (the
@@ -550,6 +577,7 @@ def prox_al(
     trace = OuterTrace(rows=rows, counters=counters)
     best = None
     best_res = math.inf
+    first_step = None
     for k in range(params.max_outer):
         rho_k = params.rho0 * params.zeta**k
         eta_k = params.eta0 * params.sigma**k
@@ -590,6 +618,7 @@ def prox_al(
             counters=counters,
             record_iterates=record_iterates,
             done=done,
+            first_step=first_step,
         )
         x_new = res.x
         if passed is not None and passed[0] is res.certificate:  # stopped on the outer test
@@ -629,6 +658,7 @@ def prox_al(
         if worst <= params.epsilon:
             return ProxAlResult(x=x_new, lam=lam_new, report=report, trace=trace)
         x, lam = x_new, lam_new
+        first_step = _carried_step(inner, res)
     raise SolveTimeout(
         f"outer budget of {params.max_outer} exhausted; best KKT residual {best_res}",
         best=best,

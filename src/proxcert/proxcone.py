@@ -215,12 +215,13 @@ def normal_cone_gap(cone: ConeSpec, lam, w) -> tuple[float, float]:
     Returns (membership_defect, complementarity_defect) where the first is
     dist(w, -K) and the second is |<w, lam>|.  Both vanish exactly when w
     lies in the normal cone of K* at lam.  Requires lam in K* to 1e-9 per
-    coordinate.
+    coordinate, relative to 1 + max |lam_i|: projecting a multiplier of size
+    1e7 again moves it by rounding alone.
     """
     lam = _as_vector(lam, cone.dim, "lam")
     w = _as_vector(w, cone.dim, "w")
     drift = np.abs(lam - project_dual(cone, lam))
-    if cone.dim and float(np.max(drift)) > 1e-9:
+    if cone.dim and float(np.max(drift)) > 1e-9 * (1.0 + float(np.max(np.abs(lam)))):
         raise ValueError(
             f"lam is not in the dual cone (max coordinate drift {float(np.max(drift)):.3e})"
         )

@@ -29,16 +29,17 @@ def criterion6_specs() -> list[ConstrainedSpec]:
     return specs
 
 
-def rule_start(rule, gamma0, gamma_prev, may_grow, delta=0.5):
+def rule_start(rule, gamma0, gamma_prev, may_grow, delta=0.5, cap=math.inf):
     """The first trial step of an iteration under a start rule, from its inputs.
 
     rule is "grow" (the default) or "warm" (warm_start_gamma); may_grow says
     whether the previous accepted trial passed its curvature test with margin
-    delta.
+    delta.  cap bounds the start: the first iteration of a solve passes the
+    trace's recorded first_step, which an outer loop may set below gamma0.
     """
     if rule == "grow" and may_grow:
-        return min(gamma_prev / delta, gamma0)
-    return gamma_prev
+        return min(gamma_prev / delta, gamma0, cap)
+    return min(gamma_prev, cap)
 
 
 def accepted_trial(problem, row):
@@ -58,7 +59,8 @@ def trajectory_invariant_violations(problem, trace, delta=0.5, alpha_tol=1e-12, 
     the start rule ``rule`` (see ``rule_start``): gamma_t must equal the
     rule's start step times delta**n_t, and when the step backtracked, the
     next-larger candidate step must be genuinely rejected when re-evaluated.
-    The grow rule's gate is re-evaluated from the previous accepted trial.
+    The grow rule's gate is re-evaluated from the previous accepted trial,
+    and the first iteration starts at the trace's recorded first_step.
     """
     violations = []
     mu = trace.mu
@@ -87,7 +89,8 @@ def trajectory_invariant_violations(problem, trace, delta=0.5, alpha_tol=1e-12, 
             violations.append((row.t, "alpha equation residual"))
         if row.x_before is None:
             continue
-        start = rule_start(rule, trace.gamma0, row.gamma_before, may_grow, delta)
+        cap = trace.first_step if row.t == 1 else math.inf
+        start = rule_start(rule, trace.gamma0, row.gamma_before, may_grow, delta, cap)
         if row.gamma_t != start * delta**row.n_t:
             violations.append((row.t, "start rule"))
         if row.n_t > 0:

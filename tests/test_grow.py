@@ -2,12 +2,16 @@
 
 By default an iteration starts its search at min(gamma_prev/delta, gamma0)
 when the previous accepted trial passed its curvature test with margin
-delta, and at gamma_prev otherwise; the outer loops start their inner
-solves at the step clamp.  These tests check grow path traces from every
-solver against that rule, recomputed here from the raw oracles.
+delta, and at gamma_prev otherwise.  The outer loops give their inner solves
+the step clamp as gamma0; from outer step 1 on, an inner solve's first
+iteration tries the last step the previous inner solve accepted, capped at
+the clamp, while its alpha recursion still starts at the clamp.  These
+tests check grow path traces from every solver against that rule,
+recomputed here from the raw oracles.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from proxcert import (
     prox_al,
     residual_certificate,
     shifted_proximal_subproblem,
+    solve_alpha,
 )
 from proxcert.problems import QuarticSpec, gen_constrained, gen_quartic
 
@@ -52,9 +57,26 @@ def _apg_traces():
     return out
 
 
-def _ppa_traces():
+def _ppa_run(inner=ApgParams()):
     problem = gen_quartic(QuarticSpec(n=8, k_terms=3, seed=5, prox=NonnegativeTerm(8)))
-    res = ppa_unconstrained(problem, OuterParams(epsilon=1e-7), np.zeros(8), record_iterates=True)
+    params = OuterParams(epsilon=1e-7, inner=inner)
+    return problem, ppa_unconstrained(problem, params, np.zeros(8), record_iterates=True)
+
+
+def _prox_al_runs(inner=ApgParams()):
+    """(conic, result) for criterion-6 instances 2 (mu = 0) and 19 (mu = 1)."""
+    out = []
+    for i in (2, 19):
+        conic = gen_constrained(criterion6_specs()[i])
+        out.append((conic.conic, prox_al(
+            conic.conic, OuterParams(epsilon=1e-4, inner=inner), conic.x_feas,
+            np.zeros(conic.conic.cone.dim), record_iterates=True,
+        )))
+    return out
+
+
+def _ppa_traces():
+    problem, res = _ppa_run()
     return [
         (
             shifted_proximal_subproblem(problem, row.center, row.rho_k),
@@ -69,15 +91,10 @@ def _ppa_traces():
 
 def _prox_al_traces():
     out = []
-    for i in (2, 19):  # mu = 0 and mu = 1
-        conic = gen_constrained(criterion6_specs()[i])
-        res = prox_al(
-            conic.conic, OuterParams(epsilon=1e-4), conic.x_feas,
-            np.zeros(conic.conic.cone.dim), record_iterates=True,
-        )
+    for conic, res in _prox_al_runs():
         for row in res.trace.rows:
             out.append((
-                build_al_subproblem(conic.conic, row.center, row.lam_prev, row.rho_k),
+                build_al_subproblem(conic, row.center, row.lam_prev, row.rho_k),
                 row.inner_trace,
                 row.grad_evals - row.inner_grad_evals,
                 row.prox_evals - row.inner_prox_evals,
@@ -97,19 +114,93 @@ def test_invariants_and_accounting_hold(grow_traces):
         assert accounting_violations(trace, start_grad, start_prox) == []
 
 
+def _on_grid(step, base):
+    return step == base * DELTA ** round(math.log2(base / step))
+
+
 def test_steps_lie_on_the_grid_below_the_clamp(grow_traces):
+    # a search starts at the recorded first step and moves by factors of 2
+    # until it grows back to gamma0, after which it lives on gamma0's grid
     for _, trace, _, _, _ in grow_traces:
         clamp = (1.0 - 1e-9) / trace.mu if trace.mu > 0 else math.inf
-        assert trace.gamma0 <= clamp
+        assert trace.first_step <= trace.gamma0 <= clamp
         for row in trace.rows:
-            k = round(math.log2(trace.gamma0 / row.gamma_t))
-            assert k >= 0 and row.gamma_t == trace.gamma0 * DELTA**k
+            assert row.gamma_t <= trace.gamma0
+            assert _on_grid(row.gamma_t, trace.first_step) or _on_grid(row.gamma_t, trace.gamma0)
             assert trace.mu * row.gamma_t < 1.0
 
 
 def test_outer_loops_start_inner_solves_at_the_clamp():
     for problem, trace, _, _, _ in _ppa_traces()[:3] + _prox_al_traces()[:3]:
         assert trace.gamma0 == (1.0 - 1e-9) / problem.mu
+
+
+def _outer_runs(inner=ApgParams()):
+    """Outer results with iterates: the PPA solve and prox-AL instances 2 and 19."""
+    return [_ppa_run(inner)[1]] + [res for _, res in _prox_al_runs(inner)]
+
+
+def test_outer_steps_first_try_the_previous_accepted_step():
+    carried = 0
+    for res in _outer_runs():
+        rows = res.trace.rows
+        assert rows[0].inner_trace.first_step == rows[0].inner_trace.gamma0
+        for prev, row in zip(rows, rows[1:]):
+            trace = row.inner_trace
+            clamp = (1.0 - 1e-9) / trace.mu
+            last = prev.inner_trace.rows[-1].gamma_t
+            assert trace.gamma0 == clamp
+            assert trace.first_step == min(clamp, last)
+            first = trace.rows[0]
+            assert first.gamma_t == trace.first_step * DELTA**first.n_t
+            carried += trace.first_step < trace.gamma0
+    assert carried > 0
+
+
+def test_alpha_recursion_stays_anchored_at_the_clamp():
+    # the carried step moves only the first trial: alpha_1 solves the
+    # recursion from gamma_prev = clamp and alpha_prev = alpha0, which puts
+    # it at its floor sqrt(mu_k * gamma_1)
+    for res in _outer_runs():
+        for row in res.trace.rows:
+            trace = row.inner_trace
+            first = trace.rows[0]
+            assert (first.gamma_before, first.alpha_before) == (trace.gamma0, trace.alpha0)
+            assert first.alpha_t == solve_alpha(trace.gamma0, first.gamma_t, trace.alpha0, trace.mu)
+            assert math.isclose(first.alpha_t, math.sqrt(trace.mu * first.gamma_t), rel_tol=1e-8)
+
+
+def test_warm_path_carries_no_step():
+    for res in _outer_runs(ApgParams(warm_start_gamma=True)):
+        for row in res.trace.rows:
+            assert row.inner_trace.first_step == row.inner_trace.gamma0
+
+
+def test_apg_terminating_starts_at_gamma0_unless_given_a_smaller_first_step():
+    problem = gen_quartic(QuarticSpec(n=6, k_terms=4, seed=1, mu_add=0.3))
+    params = ApgParams(epsilon=1e-8, M=3)
+    plain = apg_terminating(problem, params, np.zeros(6))
+    assert plain.trace.first_step == plain.trace.gamma0
+    above = apg_terminating(problem, params, np.zeros(6), first_step=2.0 * plain.trace.gamma0)
+    assert above.trace.first_step == plain.trace.gamma0
+
+    def scalars(res):
+        return [(r.n_t, r.gamma_t, r.alpha_t, r.F, r.grad_evals) for r in res.trace.rows]
+
+    assert scalars(above) == scalars(plain) and np.array_equal(above.x, plain.x)
+    small = plain.trace.gamma0 / 64.0
+    capped = apg_terminating(problem, params, np.zeros(6), first_step=small)
+    assert capped.trace.first_step == small
+    first = capped.trace.rows[0]
+    assert first.gamma_t == small * DELTA**first.n_t
+    assert (first.gamma_before, first.alpha_before) == (plain.trace.gamma0, plain.trace.alpha0)
+    assert trajectory_invariant_violations(problem, capped.trace) == []
+    # the first_step checked as the start of row 1, not as gamma0
+    moved = replace(capped.trace, first_step=plain.trace.gamma0)
+    assert (1, "start rule") in trajectory_invariant_violations(problem, moved)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="first_step"):
+            apg_terminating(problem, params, np.zeros(6), first_step=bad)
 
 
 def test_step_grows_only_after_a_gated_acceptance(grow_traces):

@@ -290,7 +290,7 @@ class TestProxAl:
         conic = ConicProblem(base=ineq1d.base, constraint=counting, cone=ineq1d.cone)
         res = prox_al(conic, OuterParams(epsilon=1e-4), np.zeros(1), np.zeros(1))
         assert len(res.trace.rows) == 4
-        assert res.trace.counters.g_evals == 136
+        assert res.trace.counters.g_evals == 112
         assert len(raw_calls) == res.trace.counters.g_evals
         last = res.trace.rows[-1]
         again = kkt_report(ineq1d, last.x_new, last.lam_new, last.certificate, last.rho_k,
@@ -348,6 +348,30 @@ class TestKktReport:
         with pytest.raises(AssertionError, match="witness defects"):
             kkt_report(ineq1d, x, np.array([5.0]), cert, 2.0, x, np.array([1.0]))
 
+    def test_large_multipliers_pass_with_a_rounding_level_defect(self):
+        # the scale of an infeasible run's late outer steps: lam_new is the
+        # projected update of lam_prev + rho g, so its defect |<lam_new, w>|
+        # is rounding alone, about 1e-16 of ||lam_new|| * ||w||, yet above a
+        # tolerance of 1e-9 (1 + ||w||) that ignores the multiplier's size
+        conic = mixed_cone_conic()
+        rng = np.random.default_rng(4)
+        rho = 4.2e7
+        lam_prev = project_dual(conic.cone, rng.normal(size=9) * 1.5e6)
+        gval = rng.normal(size=9) * 0.5
+        lam_new = multiplier_update(conic.cone, lam_prev, rho, gval)
+        x = np.zeros(5)
+        cert = Certificate(x_pre=x, x_tilde=x, gamma_tilde=1.0, witness=np.zeros(5), residual=0.0)
+        report = kkt_report(conic, x, lam_new, cert, rho, x, lam_prev, gval)
+        w_norm = float(np.linalg.norm(report.complementarity_witness))
+        defect = report.witness_defects[1]
+        assert np.linalg.norm(lam_new) > 1e7
+        assert 1e-9 * (1.0 + w_norm) < defect <= 1e-15 * np.linalg.norm(lam_new) * w_norm
+
+    def test_short_constraint_output_is_a_value_error(self, ineq1d):
+        x = np.array([0.75])
+        cert = Certificate(x_pre=x, x_tilde=x, gamma_tilde=1.0, witness=np.zeros(1), residual=0.0)
+        with pytest.raises(ValueError, match="constraint map returned shape"):
+            kkt_report(ineq1d, x, np.array([1.0]), cert, 2.0, x, np.array([1.0]), np.zeros(0))
 
     def test_mismatched_multiplier_is_an_invariant_violation(self, ineq1d):
         x = np.array([0.75])
@@ -510,6 +534,19 @@ class TestSubproblemOracle:
         for call in (sub.smooth.value, sub.smooth.gradient, sub.smooth.value_and_gradient):
             with pytest.raises(ValueError):
                 call(x)
+
+    def test_short_constraint_output_fails_prox_al(self):
+        # one row under a two-row cone broadcasts through lam + rho g(x) and
+        # passes the projection's shape check, so the subproblem oracle runs;
+        # kkt_report, which every outer step's g(x_new) passes through,
+        # rejects it
+        base = gen_quartic(QuarticSpec(n=2, k_terms=2, seed=1, mu_add=1.0))
+        short = CallableConstraint(
+            2, 2, lambda x: np.array([x[0] - 1.0]), lambda x, v: np.array([v[0], 0.0])
+        )
+        conic = ConicProblem(base=base, constraint=short, cone=ConeSpec.nonneg(2))
+        with pytest.raises(ValueError, match=r"returned shape \(1,\), expected \(2,\)"):
+            prox_al(conic, OuterParams(epsilon=1e-4), np.zeros(2), np.zeros(2))
 
     @pytest.mark.parametrize("fused", [True, False])
     def test_proximal_point_term_is_the_shifted_formula(self, fused):

@@ -7,7 +7,9 @@ then one of these counts.  A change meant to move them must update them
 and say why.
 
 Most solves run on the default step rule, which lets the step grow back
-and starts every inner solve at the step clamp.  test_warm_start_counts
+and gives every inner solve the step clamp as its gamma0; from outer step 1
+on, an inner solve first tries the last step the previous one accepted,
+while its alpha recursion starts at the clamp.  test_warm_start_counts
 pins the warm_start_gamma path, which reference_solve uses and whose
 inner solves start at 1/rho_k in prox-AL and at gamma0 in the
 proximal-point loop.
@@ -47,12 +49,17 @@ PAPER_RULE_TOTALS = {2: (4301, 4105, 8430, 4301, 8430), 19: (669, 642, 1335, 669
 @pytest.mark.parametrize(
     "i, expected_totals, expected_inner",
     [
-        # mu = 0, n = 11, 2 orthant and 1 zero constraint
-        (2, (2437, 2334, 4795, 2437, 4795),
-         [10, 10, 10, 10, 10, 10, 10, 10, 30, 340, 650, 180]),
+        # mu = 0, n = 11, 2 orthant and 1 zero constraint.  The carried
+        # first step costs this instance gradients (2437 before it): outer
+        # steps 6 and 7 still stop at their first check, but on certificates
+        # nearer their targets (1.3e-3 and 1.5e-3 where the clamp start
+        # gave 6.7e-4), so step 8 starts farther out and takes 170 inner
+        # iterations instead of 30.  It stays under its paper-rule bound.
+        (2, (2565, 2443, 5032, 2565, 5032),
+         [10, 10, 10, 10, 10, 10, 10, 10, 170, 340, 650, 220]),
         # mu = 1, n = 4, 3 orthant and 5 zero constraints
-        (19, (500, 482, 1004, 500, 1004),
-         [10, 10, 10, 10, 10, 10, 10, 40, 40, 10, 80]),
+        (19, (286, 271, 577, 286, 577),
+         [10, 10, 10, 10, 10, 20, 40, 40, 10, 10]),
     ],
 )
 def test_criterion6_instance_counts(i, expected_totals, expected_inner):
@@ -66,7 +73,7 @@ def test_criterion6_instance_counts(i, expected_totals, expected_inner):
 
 def test_ppa_nonneg_counts():
     res = ppa_unconstrained(_nonneg_quartic(), OuterParams(epsilon=1e-7), np.zeros(8))
-    check_totals(res.trace.counters, (234, 220, 0, 0, 0), (327, 308, 0, 0, 0))
+    check_totals(res.trace.counters, (197, 184, 0, 0, 0), (327, 308, 0, 0, 0))
     assert [row.inner_iters for row in res.trace.rows] == [10] * 14
 
 

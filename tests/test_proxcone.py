@@ -252,6 +252,16 @@ class TestNormalConeGap:
         with pytest.raises(ValueError, match="dual cone"):
             normal_cone_gap(ConeSpec.nonneg(1), [-1.0], [0.0])
 
+    def test_large_projected_multiplier_is_in_the_dual_cone(self):
+        # a projected multiplier of norm 1.2e7 moves by a few ulps when
+        # projected again, so the membership check scales with |lam|
+        cone = ConeSpec(((ConeBlock.SOC, 3),))
+        lam = project_dual(cone, np.random.default_rng(9).normal(size=3) * 2e7)
+        assert np.max(np.abs(lam - project_dual(cone, lam))) > 1e-9
+        assert normal_cone_gap(cone, lam, np.zeros(3)) == (0.0, 0.0)
+        with pytest.raises(ValueError, match="dual cone"):
+            normal_cone_gap(cone, lam * np.array([1.0, 1.0, 1.0 + 1e-6]), np.zeros(3))
+
 
 def test_cone_spec_validation():
     with pytest.raises(ValueError, match="size"):
