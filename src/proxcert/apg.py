@@ -3,8 +3,9 @@
 The iteration keeps an extrapolation triple (x, z, derived y) and per step
 backtracks the curvature proxy gamma_t = start * delta**n_t until a local
 quadratic upper bound holds, so only local Lipschitz continuity of the
-gradient is needed.  The start of each search is set by one of two rules
-(see ApgParams).  Termination is certified by an explicit subgradient
+gradient is needed.  The start of each search grows back by 1/delta when
+the curvature measured at the last accepted step admits it (see
+ApgParams).  Termination is certified by an explicit subgradient
 witness whose norm upper-bounds dist(0, dF(x)) and which any independent
 checker can recompute from the stored data.
 """
@@ -34,8 +35,8 @@ from .model import (
 # quadratics at gamma = 1/L) must accept deterministically in binary64.
 # The absolute part scales with the magnitudes entering the value
 # difference; a fixed absolute slack would admit curvature violations of
-# that size on every step, a leak that keeps tiny-step solves (step base
-# 1/rho in the augmented Lagrangian loop) orbiting above their target.
+# that size on every step, a leak that keeps tiny-step solves orbiting
+# above their target.
 _ACCEPT_REL = 1e-12
 _ACCEPT_EPS = 8.0 * np.finfo(float).eps
 
@@ -57,6 +58,16 @@ def accepts_curvature_bound(lhs: float, rhs: float, gamma: float, value_scale: f
     return lhs <= rhs * (1.0 + _ACCEPT_REL) + _ACCEPT_EPS * gamma * value_scale
 
 
+def admits_growth(trial: TrialStep, delta: float) -> bool:
+    """The grow gate: the curvature the accepted ``trial`` measured admits gamma/delta.
+
+    lhs <= delta * rhs must hold with the acceptance test's rounding slack to
+    spare: at F's rounding floor lhs is noise, which a bare margin test
+    passes, letting the step climb far above the local curvature bound.
+    """
+    return trial.lhs + _ACCEPT_EPS * trial.gamma * trial.scale <= delta * trial.rhs
+
+
 @dataclass(frozen=True)
 class ApgParams:
     """Tuning knobs shared by the accelerated solvers.
@@ -66,14 +77,12 @@ class ApgParams:
     backtracking shrink factor; M the certificate cadence; epsilon the target
     residual for the certified solver.
 
-    Each iteration backtracks from a start step chosen by one of two rules.
-    By default the step grows back: the start is min(gamma_prev/delta,
-    gamma0) when the previous accepted trial passed its curvature test with
-    margin delta (lhs <= delta * rhs, so the curvature it measured admits the
-    step gamma_prev/delta), and gamma_prev otherwise; the certificate's
-    backtracked step starts there too.  warm_start_gamma starts every
-    iteration at gamma_prev and never grows, and its certificates start at
-    gamma0.
+    Each iteration backtracks from a start step that grows back: it is
+    min(gamma_prev/delta, gamma0) when the previous accepted trial passed its
+    curvature test with margin delta and rounding slack to spare
+    (``admits_growth``: the curvature it measured admits the step
+    gamma_prev/delta), and gamma_prev otherwise.  The certificate's
+    backtracked step starts there too.
     """
 
     gamma0: float = 1.0
@@ -83,7 +92,6 @@ class ApgParams:
     epsilon: float | None = None
     max_iters: int = 1_000_000
     max_backtracks: int = 100
-    warm_start_gamma: bool = False
 
     def __post_init__(self):
         if not self.gamma0 > 0:
@@ -124,8 +132,8 @@ class ApgState(NamedTuple):
 
     rx and rz are the affine images A x - b and A z - b when the smooth
     oracle offers them (see SmoothOracle), else None.  may_grow records that
-    the last accepted trial passed its curvature test with margin delta,
-    which lets the default rule try gamma_prev/delta next.
+    the last accepted trial passed the grow gate (``admits_growth``), which
+    lets the next iteration try gamma_prev/delta.
     """
 
     t: int
@@ -178,6 +186,7 @@ class TrialStep(NamedTuple):
     f_new: float
     lhs: float
     rhs: float
+    scale: float  # the value_scale of accepts_curvature_bound
     accepted: bool
     rx_new: Array | None = None
     rz_new: Array | None = None
@@ -309,7 +318,9 @@ def trial_step(
     rhs = float(diff @ diff)
     scale = abs(f_new) + abs(f_y) + abs(cross)
     accepted = accepts_curvature_bound(lhs, rhs, gamma, scale)
-    return TrialStep(gamma, alpha, beta, y, z_new, x_new, f_new, lhs, rhs, accepted, rx_new, rz_new)
+    return TrialStep(
+        gamma, alpha, beta, y, z_new, x_new, f_new, lhs, rhs, scale, accepted, rx_new, rz_new
+    )
 
 
 def initial_state(problem: CompositeProblem, params: ApgParams, init) -> ApgState:
@@ -329,13 +340,13 @@ def initial_state(problem: CompositeProblem, params: ApgParams, init) -> ApgStat
     )
 
 
-def first_trial(state: ApgState, params: ApgParams, gamma0: float) -> float:
-    """The step an iteration from ``state`` tries first, by the rule of ``params``.
+def first_trial(state: ApgState, delta: float, gamma0: float) -> float:
+    """The step an iteration from ``state`` tries first.
 
-    gamma0 is the resolved step of ``params.effective``.
+    gamma0 is the resolved step of ``ApgParams.effective``.
     """
-    if state.may_grow and not params.warm_start_gamma:
-        return min(state.gamma_prev / params.delta, gamma0)
+    if state.may_grow:
+        return min(state.gamma_prev / delta, gamma0)
     return state.gamma_prev
 
 
@@ -348,20 +359,20 @@ def apg_iteration(
 ) -> tuple[ApgState, StepReport]:
     """One accelerated iteration with backtracking; returns the new state and report.
 
-    Tries gamma = start * delta**n for n = 0, 1, ... from the rule's start
-    step (``first_trial``) and accepts the first n satisfying the local
+    Tries gamma = start * delta**n for n = 0, 1, ... from the start step
+    (``first_trial``) and accepts the first n satisfying the local
     curvature bound; each trial costs one gradient and one prox evaluation.
     Raises NonFiniteOracleOutput at the first trial whose curvature test is
     not finite.  ``gamma0``, when given, must be the step that
     ``params.effective(problem.mu)`` resolves; the solvers pass it once per
     solve instead of resolving it on every iteration.  ``start``, when
-    given, replaces the rule's start step; the alpha recursion still runs
+    given, replaces that start step; the alpha recursion still runs
     from the state's gamma_prev and alpha_prev.
     """
     if start is None:
         if gamma0 is None:
             gamma0, _ = params.effective(problem.mu)
-        start = first_trial(state, params, gamma0)
+        start = first_trial(state, params.delta, gamma0)
     for n in range(params.max_backtracks + 1):
         gamma = start * params.delta**n
         trial = trial_step(
@@ -378,7 +389,7 @@ def apg_iteration(
                 state.lambda_prod * (1.0 - trial.alpha),
                 trial.rx_new,
                 trial.rz_new,
-                trial.lhs <= params.delta * trial.rhs,  # may_grow
+                admits_growth(trial, params.delta),  # may_grow
             )
             report = StepReport(
                 n, trial.gamma, trial.alpha, trial.beta, trial.y,
@@ -581,17 +592,16 @@ def apg_terminating(
 
     Requires mu > 0 and params.epsilon set.  Every M-th iteration a
     backtracked proximal-gradient step is taken from the current iterate,
-    starting where the next iteration would start (gamma0 under
-    warm_start_gamma), and its witness norm compared against epsilon; the
-    first point certified at or below epsilon is returned together with its
-    certificate and the full trace.  ``done(certificate)``, when given, is
+    starting where the next iteration would start, and its witness norm
+    compared against epsilon; the first point certified at or below epsilon
+    is returned together with its certificate and the full trace.  ``done(certificate)``, when given, is
     called at each checked certificate whose residual exceeds epsilon, and
     only there; the solve also returns at the first one for which it is
     true.  The outer loops pass their own stopping test this way.
 
     ``first_step``, when given, caps the step the first iteration tries
     first (recorded as ``trace.first_step``); the alpha recursion still
-    starts from gamma0 and alpha0, and later iterations follow the rule.
+    starts from gamma0 and alpha0, and later iterations start as usual.
     The outer loops pass the last step the previous subproblem accepted.
 
     Raises SolveTimeout (carrying the best certificate seen) when the
@@ -611,9 +621,9 @@ def apg_terminating(
         )
         cert = n_tilde = None
         if t % params.M == 0:
-            start = gamma0 if params.warm_start_gamma else first_trial(new_state, params, gamma0)
             cert, n_tilde = certified_prox_step(
-                problem, new_state.x, start, params.delta, params.max_backtracks
+                problem, new_state.x, first_trial(new_state, params.delta, gamma0),
+                params.delta, params.max_backtracks,
             )
         # built after the check, so a checked row's counts include its cost
         trace.rows.append(

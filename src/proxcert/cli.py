@@ -36,14 +36,13 @@ SPEC_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 _TOP_KEYS = {"version", "solver", "epsilon", "problem", "params", "init"}
 # The params: keys each solver reads are the fields of its params classes,
 # bar epsilon (a top-level key) and the composed inner params.  The outer
-# loops set the inner gamma0 themselves (see OuterParams), except that ppa
-# reads it under warm_start_gamma: true; see _read_keys.
+# loops set the inner gamma0 themselves (see OuterParams).
 _INNER_KEYS = {f.name for f in dataclasses.fields(ApgParams)} - {"epsilon"}
 _OUTER_KEYS = {f.name for f in dataclasses.fields(OuterParams)} - {"epsilon", "inner"}
 _SOLVER_KEYS = {
     "apg": _INNER_KEYS,
     "apg-cert": _INNER_KEYS,
-    "ppa": _OUTER_KEYS | _INNER_KEYS,
+    "ppa": _OUTER_KEYS | (_INNER_KEYS - {"gamma0"}),
     "prox-al": _OUTER_KEYS | (_INNER_KEYS - {"gamma0"}),
 }
 _KEY_TYPES = typing.get_type_hints(ApgParams) | typing.get_type_hints(OuterParams)
@@ -99,28 +98,19 @@ def _check_keys(mapping: dict, allowed: set, where: str):
         raise SpecError(f"unknown key(s) {unknown} in {where}")
 
 
-def _read_keys(solver: str, warm_start_gamma: bool) -> set:
-    """The params: keys the solver reads; ppa reads gamma0 only under warm_start_gamma."""
-    keys = _SOLVER_KEYS[solver]
-    return keys - {"gamma0"} if solver == "ppa" and not warm_start_gamma else keys
-
-
 def _typed(key: str, value, kind=None, where: str = "params"):
     """A spec value as its field's type; SpecError unless it converts exactly.
 
     ``kind`` defaults to the type of the params: field ``key``.  Numbers may
     be written as strings (PyYAML reads 1e3 as one), int fields take only
-    integral values, and bool fields only YAML booleans.
+    integral values, and a YAML boolean is not a number.
     """
     kind = _KEY_TYPES[key] if kind is None else kind
     if isinstance(kind, types.UnionType):  # optional: null keeps the default
         if value is None:
             return None
         (kind,) = set(typing.get_args(kind)) - {type(None)}
-    if kind is bool:
-        if isinstance(value, bool):
-            return value
-    elif not isinstance(value, bool):
+    if not isinstance(value, bool):
         try:
             number = float(value)
         except (TypeError, ValueError, OverflowError):
@@ -165,11 +155,6 @@ def load_run_spec(path: str) -> RunSpec:
         raise SpecError("params must be a mapping")
     _check_keys(params, _SOLVER_KEYS[solver], f"params of solver {solver}")
     params = {key: _typed(key, value) for key, value in params.items()}
-    warm = params.get("warm_start_gamma", ApgParams.warm_start_gamma)
-    _check_keys(
-        params, _read_keys(solver, warm),
-        f"params of solver {solver} with warm_start_gamma: {str(warm).lower()}",
-    )
     epsilon = doc.get("epsilon")
     if epsilon is not None:
         epsilon = float(epsilon)
@@ -265,7 +250,7 @@ def _params_block(params: ApgParams | OuterParams, solver: str) -> dict:
     values = vars(params)
     if isinstance(params, OuterParams):
         values = vars(params.inner) | values
-    return {key: values[key] for key in _read_keys(solver, values["warm_start_gamma"])}
+    return {key: values[key] for key in _SOLVER_KEYS[solver]}
 
 
 def _default_init(problem, spec: RunSpec):

@@ -39,15 +39,12 @@ class OuterParams:
 
     rho0 defaults per problem when None (see ``resolved``).  ``inner`` holds
     the inner solver's settings; its epsilon must stay unset, since the
-    loops set it to eta_k on every step.  The loops also choose the inner
-    step base (the inner gamma0) by the step rule: by default both use the
-    step clamp (1 - 1e-9)/mu_k of the modulus mu_k = mu + 1/rho_k, and let
-    the step grow back to it.  From outer step 1 on, the first trial of an
-    inner solve is then the last step the previous inner solve accepted,
-    capped at the clamp, while its alpha recursion still starts at the
-    clamp.  Under inner.warm_start_gamma, whose step never grows,
-    ``prox_al`` uses 1/rho_k and ``ppa_unconstrained`` inner.gamma0, and no
-    step is carried.
+    loops set it to eta_k on every step.  The loops also set the inner step
+    base (the inner gamma0, so inner.gamma0 is unread): the step clamp
+    (1 - 1e-9)/mu_k of the modulus mu_k = mu + 1/rho_k, to which the step
+    grows back.  From outer step 1 on, the first trial of an inner solve is
+    the last step the previous inner solve accepted, capped at the clamp,
+    while its alpha recursion still starts at the clamp.
     """
 
     epsilon: float
@@ -77,55 +74,26 @@ class OuterParams:
 
         A ConicProblem is solved by ``prox_al``, a CompositeProblem with
         mu = 0 by ``ppa_unconstrained``.  rho0 defaults to max(10, c + 1),
-        where c = (mu + sqrt(mu^2 + 4))/2 (1 when mu = 0), except that the
-        proximal-point loop under inner.warm_start_gamma, whose step base is
-        gamma0, defaults to max(10, gamma0).  alpha0 must lie in
-        [sqrt(mu_0 * gamma_0), 1] for the modulus mu_0 = mu + 1/rho0 and the
-        first step gamma_0 of the first inner solve.  By default gamma_0 is
-        the step clamp, so mu_0 * gamma_0 = 1 - 1e-9 and alpha0 must be
-        within 5e-10 of 1; rho0 need only be positive and finite.  Under
-        inner.warm_start_gamma gamma_0 is 1/rho0 for prox_al and gamma0 <=
-        rho0 for the proximal-point loop, and rho0 must exceed c; prox_al
-        also needs rho0 far enough above c that the inner step clamp stays
-        off at outer step 0.
+        where c = (mu + sqrt(mu^2 + 4))/2 (1 when mu = 0), and need only be
+        positive and finite.  alpha0 must lie in [sqrt(mu_0 * gamma_0), 1]
+        for the modulus mu_0 = mu + 1/rho0 and the first step gamma_0 of the
+        first inner solve.  gamma_0 is the step clamp, so mu_0 * gamma_0 =
+        1 - 1e-9 and alpha0 must be within 5e-10 of 1.
         """
         conic = isinstance(problem, ConicProblem)
         mu = problem.base.mu if conic else problem.mu
         if not conic and mu != 0:
             raise ValueError("the proximal-point loop requires mu = 0")
-        gamma0, alpha0 = self.inner.gamma0, self.inner.alpha0
         critical = (mu + math.sqrt(mu * mu + 4.0)) / 2.0
-        warm = self.inner.warm_start_gamma
-        floor = gamma0 if warm and not conic else critical + 1.0
-        rho0 = self.rho0 if self.rho0 is not None else max(10.0, floor)
-        if warm:
-            if not rho0 > critical:
-                raise ValueError(
-                    f"rho0 must exceed (mu + sqrt(mu^2 + 4))/2 = {critical}, got {rho0}"
-                )
-            if conic:
-                mu_0 = mu + 1.0 / rho0
-                # the step-clamp guard of outer step 0, in the loop's own arithmetic
-                if not mu_0 / rho0 <= 1.0 - 1e-9:
-                    raise ValueError(
-                        f"rho0 = {rho0} lies within rounding of (mu + sqrt(mu^2 + 4))/2 = "
-                        f"{critical}: the inner step clamp would engage at outer step 0; "
-                        "choose rho0 further above it"
-                    )
-                lower = math.sqrt(mu_0 / rho0)
-            else:
-                if not 0 < gamma0 <= rho0:
-                    raise ValueError("gamma0 must satisfy 0 < gamma0 <= rho0")
-                lower = math.sqrt(gamma0 / rho0)
-        else:
-            if not 0 < rho0 < math.inf:
-                raise ValueError(f"rho0 must be positive and finite, got {rho0}")
-            mu_0 = mu + 1.0 / rho0
-            lower = math.sqrt(mu_0 * step_clamp(mu_0))
-        if not lower <= alpha0 <= 1:
+        rho0 = self.rho0 if self.rho0 is not None else max(10.0, critical + 1.0)
+        if not 0 < rho0 < math.inf:
+            raise ValueError(f"rho0 must be positive and finite, got {rho0}")
+        mu_0 = mu + 1.0 / rho0
+        lower = math.sqrt(mu_0 * step_clamp(mu_0))
+        if not lower <= self.inner.alpha0 <= 1:
             raise ValueError(
-                f"alpha0 must lie in [sqrt(mu_0 * gamma_0), 1] = [{lower}, 1] for the "
-                f"modulus mu_0 and first step gamma_0 of the first inner solve, got {alpha0}"
+                f"alpha0 must lie in [sqrt(mu_0 * gamma_0), 1] = [{lower}, 1] for the modulus "
+                f"mu_0 and first step gamma_0 of the first inner solve, got {self.inner.alpha0}"
             )
         # A copy rather than dataclasses.replace: only rho0 changes and no
         # check of __post_init__ reads it, so none is run again.
@@ -410,8 +378,10 @@ def _require_dual(conic: ConicProblem, lam) -> Array:
     if not np.isfinite(lam).all():
         raise ValueError("lam must be finite")
     if conic.cone.dim:
+        # relative to 1 + max |lam_i|, as in normal_cone_gap: projecting a
+        # multiplier of size 1e7 again moves it by rounding alone
         drift = np.abs(lam - project_dual(conic.cone, lam))
-        if float(np.max(drift)) > 1e-9:
+        if float(np.max(drift)) > 1e-9 * (1.0 + float(np.max(np.abs(lam)))):
             raise ValueError("lam must lie in the dual cone")
     return lam
 
@@ -425,14 +395,6 @@ def _stationarity_bound(certificate: Certificate, center: Array, rho: float) -> 
     multiplier, for prox-AL) at x_tilde.
     """
     return certificate.residual + float(np.linalg.norm(certificate.x_tilde - center)) / rho
-
-
-def _carried_step(inner: ApgParams, res) -> float | None:
-    """The first trial of the next inner solve: the last step ``res`` accepted.
-
-    None under warm_start_gamma, whose inner solves start at their base.
-    """
-    return None if inner.warm_start_gamma else res.trace.rows[-1].gamma_t
 
 
 def _check_inner_residual(certificate: Certificate, eta_k: float, k: int) -> None:
@@ -453,9 +415,8 @@ def ppa_unconstrained(
 
     Each outer step minimizes f + ||x - x_k||^2/(2 rho_k) + P with the
     certified accelerated solver at target eta_k (step base: the step clamp
-    (1 - 1e-9) rho_k by default, first trying the previous step's last
-    accepted step; params.inner.gamma0 under warm_start_gamma).  At every
-    certificate it checks, the inner solver also tests the outer
+    (1 - 1e-9) rho_k, first trying the previous step's last accepted step).
+    At every certificate it checks, the inner solver also tests the outer
     bound ||u|| + ||x_tilde - x_k||/rho_k <= epsilon for its witness u; the
     first certificate that passes ends the solve, and the bound, which
     bounds ||u - (x_tilde - x_k)/rho_k|| >= dist(0, dF(x_tilde)), is
@@ -463,7 +424,6 @@ def ppa_unconstrained(
     and eta_k both at most epsilon/2) implies it, since ||u|| <= eta_k.
     """
     params = params.resolved(problem)
-    inner = params.inner
 
     counters = OracleCounters()
     # only the prox term is wrapped: the subproblem oracle books its own calls
@@ -472,17 +432,15 @@ def ppa_unconstrained(
     rows: list[OuterTraceRow] = []
     trace = OuterTrace(rows=rows, counters=counters)
     best_bound = math.inf
-    best = None
     first_step = None
     for k in range(params.max_outer):
         rho_k = params.rho0 * params.zeta**k
         eta_k = params.eta0 * params.sigma**k
         sub = shifted_proximal_subproblem(base, x, rho_k, counters)
-        gamma0 = inner.gamma0 if inner.warm_start_gamma else step_clamp(sub.mu)
         before = counters.snapshot()
         res = apg_terminating(
             sub,
-            replace(inner, gamma0=gamma0, epsilon=eta_k),
+            replace(params.inner, gamma0=step_clamp(sub.mu), epsilon=eta_k),
             x,
             counters=counters,
             record_iterates=record_iterates,
@@ -514,9 +472,7 @@ def ppa_unconstrained(
                 inner_trace=res.trace if record_iterates else None,
             )
         )
-        if bound < best_bound:
-            best_bound = bound
-            best = (x_new, res.certificate, rho_k, x)
+        best_bound = min(best_bound, bound)
         if stopped:
             witness = res.certificate.witness - (x_new - x) / rho_k
             return PpaResult(
@@ -529,7 +485,7 @@ def ppa_unconstrained(
                 trace=trace,
             )
         x = x_new
-        first_step = _carried_step(inner, res)
+        first_step = res.trace.rows[-1].gamma_t
     raise SolveTimeout(
         f"outer budget of {params.max_outer} exhausted; best residual bound {best_bound}",
         best=best_bound,
@@ -548,14 +504,13 @@ def prox_al(
 
     Each outer step solves the proximal AL subproblem with the certified
     accelerated solver (modulus mu_k = mu + 1/rho_k, target eta_k, step base
-    the step clamp (1 - 1e-9)/mu_k by default, first trying the previous
-    step's last accepted step, and 1/rho_k under warm_start_gamma) and
-    updates the multiplier by projected dual ascent.  At every certificate
-    it checks, the inner solver also tests the outer stopping rule: first
-    ||u|| + ||x_tilde - x_k||/rho_k <= epsilon, which costs no oracle call,
-    and only then, with one counted g(x_tilde) and one counted cone
-    projection, ||lam_new - lam_k||/rho_k <= epsilon for the updated
-    multiplier lam_new.  The first certificate that passes ends
+    the step clamp (1 - 1e-9)/mu_k, first trying the previous step's last
+    accepted step) and updates the multiplier by projected dual ascent.  At
+    every certificate it checks, the inner solver also tests the outer
+    stopping rule: first ||u|| + ||x_tilde - x_k||/rho_k <= epsilon, which
+    costs no oracle call, and only then, with one counted g(x_tilde) and one
+    counted cone projection, ||lam_new - lam_k||/rho_k <= epsilon for the
+    updated multiplier lam_new.  The first certificate that passes ends
     the inner solve, and its g(x_tilde) and lam_new are the step's
     multiplier update.  The solve returns at the first outer step whose
     KKT report has both residuals at most epsilon.  The paper's test (the
@@ -563,8 +518,6 @@ def prox_al(
     epsilon/2) implies the stopping rule.
     """
     params = params.resolved(conic)
-    inner = params.inner
-    mu = conic.base.mu
 
     counters = OracleCounters()
     # only the prox term is wrapped: the subproblem oracle books its own calls
@@ -581,18 +534,6 @@ def prox_al(
     for k in range(params.max_outer):
         rho_k = params.rho0 * params.zeta**k
         eta_k = params.eta0 * params.sigma**k
-        mu_k = mu + 1.0 / rho_k
-        if inner.warm_start_gamma:
-            # step base 1/rho_k keeps mu_k * gamma0 < 1 automatically; the
-            # clamp inside the inner solver must stay inactive.
-            if not mu_k / rho_k <= 1.0 - 1e-9:
-                raise InvariantViolation(
-                    f"mu_k * gamma0 = {mu_k / rho_k} at outer step {k} would engage the "
-                    "inner step clamp; choose rho0 further above (mu + sqrt(mu^2 + 4))/2"
-                )
-            gamma0 = 1.0 / rho_k
-        else:
-            gamma0 = step_clamp(mu_k)
         sub = build_al_subproblem(counted, x, lam, rho_k, counters=counters)
 
         def update(x_at):
@@ -613,7 +554,7 @@ def prox_al(
         before = counters.snapshot()
         res = apg_terminating(
             sub,
-            replace(inner, gamma0=gamma0, epsilon=eta_k),
+            replace(params.inner, gamma0=step_clamp(sub.mu), epsilon=eta_k),
             x,
             counters=counters,
             record_iterates=record_iterates,
@@ -658,7 +599,7 @@ def prox_al(
         if worst <= params.epsilon:
             return ProxAlResult(x=x_new, lam=lam_new, report=report, trace=trace)
         x, lam = x_new, lam_new
-        first_step = _carried_step(inner, res)
+        first_step = res.trace.rows[-1].gamma_t
     raise SolveTimeout(
         f"outer budget of {params.max_outer} exhausted; best KKT residual {best_res}",
         best=best,

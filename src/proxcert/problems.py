@@ -212,16 +212,12 @@ def reference_solve(problem: CompositeProblem, tol: float) -> tuple[Array, float
     proximal-point loop otherwise, with generous budgets; returns the point
     and its certified residual bound (<= tol).  Budget exhaustion raises,
     since that is a failure of the test infrastructure rather than a solver
-    verdict.  The backtracking warm start is used because tolerances near
-    the objective's floating-point granularity destabilize a search that
-    tries steps above the last accepted one, from gamma0 or grown back
-    (steps far above the local curvature bound get accepted once the test
-    quantities fall below value-rounding noise).
+    verdict.
     """
     if tol < 1e-12:
         raise ValueError("tol must be at least 1e-12")
     init = problem.nonsmooth.prox(1.0, np.zeros(problem.dim))
-    inner = ApgParams(M=5, max_iters=2_000_000, warm_start_gamma=True)
+    inner = ApgParams(M=5, max_iters=2_000_000)
     if problem.mu > 0:
         res = apg_terminating(problem, replace(inner, epsilon=tol), init, record_iterates=False)
         return res.x, res.certificate.residual

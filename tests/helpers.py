@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from proxcert import ConicProblem, dist_polar, project_dual, trial_step
+from proxcert.apg import admits_growth
 from proxcert.outer import _require_dual
 from proxcert.problems import ConstrainedSpec, QuarticSpec
 
@@ -29,15 +30,15 @@ def criterion6_specs() -> list[ConstrainedSpec]:
     return specs
 
 
-def rule_start(rule, gamma0, gamma_prev, may_grow, delta=0.5, cap=math.inf):
-    """The first trial step of an iteration under a start rule, from its inputs.
+def rule_start(gamma0, gamma_prev, may_grow, delta=0.5, cap=math.inf):
+    """The first trial step of an iteration, from its inputs.
 
-    rule is "grow" (the default) or "warm" (warm_start_gamma); may_grow says
-    whether the previous accepted trial passed its curvature test with margin
-    delta.  cap bounds the start: the first iteration of a solve passes the
-    trace's recorded first_step, which an outer loop may set below gamma0.
+    may_grow says whether the previous accepted trial passed the grow gate
+    (``admits_growth``).  cap bounds the start: the first iteration of a
+    solve passes the trace's recorded first_step, which an outer loop may
+    set below gamma0.
     """
-    if rule == "grow" and may_grow:
+    if may_grow:
         return min(gamma_prev / delta, gamma0, cap)
     return min(gamma_prev, cap)
 
@@ -49,18 +50,18 @@ def accepted_trial(problem, row):
     )
 
 
-def trajectory_invariant_violations(problem, trace, delta=0.5, alpha_tol=1e-12, rule="grow"):
+def trajectory_invariant_violations(problem, trace, delta=0.5, alpha_tol=1e-12):
     """Scan one accelerated-solver trace for violations of the step-scalar laws.
 
     Checks, for every accepted iteration: the extrapolation weight bounds
     sqrt(mu*gamma_t) <= alpha_t <= 1, beta_t in [0, 1], monotonicity of
     alpha_t^2/gamma_t, and the defining quadratic's residual (relative
     1e-10).  With iterates recorded it also checks the line search against
-    the start rule ``rule`` (see ``rule_start``): gamma_t must equal the
-    rule's start step times delta**n_t, and when the step backtracked, the
-    next-larger candidate step must be genuinely rejected when re-evaluated.
-    The grow rule's gate is re-evaluated from the previous accepted trial,
-    and the first iteration starts at the trace's recorded first_step.
+    the start rule (see ``rule_start``): gamma_t must equal the start step
+    times delta**n_t, and when the step backtracked, the next-larger
+    candidate step must be genuinely rejected when re-evaluated.  The grow
+    gate is re-evaluated from the previous accepted trial, and the first
+    iteration starts at the trace's recorded first_step.
     """
     violations = []
     mu = trace.mu
@@ -90,7 +91,7 @@ def trajectory_invariant_violations(problem, trace, delta=0.5, alpha_tol=1e-12, 
         if row.x_before is None:
             continue
         cap = trace.first_step if row.t == 1 else math.inf
-        start = rule_start(rule, trace.gamma0, row.gamma_before, may_grow, delta, cap)
+        start = rule_start(trace.gamma0, row.gamma_before, may_grow, delta, cap)
         if row.gamma_t != start * delta**row.n_t:
             violations.append((row.t, "start rule"))
         if row.n_t > 0:
@@ -104,8 +105,7 @@ def trajectory_invariant_violations(problem, trace, delta=0.5, alpha_tol=1e-12, 
             )
             if rejected.accepted:
                 violations.append((row.t, "line search minimality"))
-        accepted = accepted_trial(problem, row)
-        may_grow = accepted.lhs <= delta * accepted.rhs
+        may_grow = admits_growth(accepted_trial(problem, row), delta)
     return violations
 
 

@@ -170,20 +170,19 @@ def test_criterion_4_linear_rate_scaling():
     init = np.zeros(50)
     evals = {}
     violations = []
-    for eps in (1e-4, 1e-8):
-        # warm-started backtracking: at 1e-8 a search that restarts from
-        # gamma0 each step is destabilized by value-rounding noise
-        res = apg_terminating(
-            problem, ApgParams(epsilon=eps, warm_start_gamma=True), init,
-            record_iterates=False,
-        )
+    # 1e-10 sits near the objective's rounding floor, where a grow gate
+    # without rounding slack let the step climb back far above the local
+    # curvature bound (2191 gradients where 1e-4 takes 32)
+    for eps in (1e-4, 1e-8, 1e-10):
+        res = apg_terminating(problem, ApgParams(epsilon=eps), init, record_iterates=False)
         if res.certificate.residual > eps:
             violations.append((eps, "not certified"))
         evals[eps] = res.trace.counters.grad_f_evals
-    ratio = evals[1e-8] / evals[1e-4]
-    if not ratio <= 3.0:
-        violations.append(("ratio", ratio))
-    print(f"    grad evals {evals[1e-4]} -> {evals[1e-8]}, ratio {ratio:.2f}")
+    for eps in (1e-8, 1e-10):
+        ratio = evals[eps] / evals[1e-4]
+        if not ratio <= 3.0:
+            violations.append(("ratio", eps, ratio))
+    print(f"    grad evals {evals[1e-4]} -> {evals[1e-8]} -> {evals[1e-10]}")
     report(4, "linear-rate scaling", violations)
 
 

@@ -255,7 +255,7 @@ class TestApgTerminating:
         for seed in range(20):
             n = int(rng.integers(2, 10))
             problem = gen_quartic(QuarticSpec(n=n, k_terms=3, seed=seed, mu_add=1.0))
-            params = ApgParams(epsilon=1e-8, warm_start_gamma=True)
+            params = ApgParams(epsilon=1e-8)
             res = apg_terminating(problem, params, np.zeros(n))
             cert = res.certificate
             assert cert.residual <= 1e-8
@@ -317,13 +317,6 @@ def test_operation_accounting_is_exact():
     res = apg_terminating(problem, ApgParams(epsilon=1e-9, M=4), np.zeros(5))
     assert any(row.certificate is not None for row in res.trace.rows)
     assert accounting_violations(res.trace) == []
-
-
-def test_warm_start_gamma_never_grows(quartic_1d):
-    params = ApgParams(gamma0=1.0, warm_start_gamma=True)
-    trace = apg_run(quartic_1d, params, [2.0], stop=lambda s, r: s.t > 60)
-    gammas = [trace.gamma0] + [row.gamma_t for row in trace.rows]
-    assert all(b <= a for a, b in zip(gammas, gammas[1:]))
 
 
 def test_gamma_clamp_keeps_update_well_defined():

@@ -110,22 +110,6 @@ class TestSolve:
         assert summary["kkt"]["complementarity"] <= 1e-4
         assert summary["outer_iterations"] == len(rows)
 
-    def test_rho0_within_rounding_of_critical_is_validation_error(self, tmp_path, capsys):
-        # 1 + sqrt(2) is the critical rho0 of ineq-1d (mu = 2); this value is
-        # 2.3e-12 above it, where the inner step clamp would engage
-        doc = {
-            "version": 1,
-            "solver": "prox-al",
-            "epsilon": 1e-4,
-            "problem": {"kind": "named", "name": "ineq-1d"},
-            "params": {"rho0": 2.4142135623754, "warm_start_gamma": True},
-        }
-        code, summary, _ = run_solve(tmp_path, doc)
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: rho0") and err.count("\n") == 1
-        assert summary is None
-
     def test_nan_gradient_is_a_solve_failure(self, tmp_path, capsys, monkeypatch):
         nan_problem, calls = nan_after(3, dim=2)
         monkeypatch.setattr(problems, "gen_quartic", lambda spec: nan_problem)
@@ -231,8 +215,8 @@ class TestSolve:
 
 # The params blocks the CLI wrote for these specs when each solver's block
 # was written out by hand; deriving the block from the params dataclasses
-# added keys but must keep every one of these values.  ppa's block holds
-# gamma0 only under warm_start_gamma: true, the one path that reads it.
+# added keys but must keep every one of these values.  ppa's block holds no
+# gamma0, since the loop sets the inner step itself.
 PPA_BLOCK = {
     "rho0": 10.0, "zeta": 2.0, "sigma": 0.4, "eta0": 1.0, "alpha0": 1.0,
     "delta": 0.5, "M": 10, "max_outer": 50, "max_iters": 1000000,
@@ -287,7 +271,6 @@ epsilon: 1.0e-4
 problem: {kind: constrained, n: 8, k_terms: "4", seed: 12, mu_add: 1, m1: 3, m2: 2}
 params:
   max_iters: 1e3
-  warm_start_gamma: true
   rho0: null
   sigma: .4
 init: [0, -1.5, 2.5e-3, .inf, -.inf]
@@ -330,7 +313,9 @@ class TestParams:
     @pytest.mark.parametrize("doc, params", [
         (NAMED_PROX_AL, {"gamma0": 1000}),  # prox-al sets the inner gamma0 itself
         (APG_CERT, {"rho0": 20.0, "zeta": 3.0}),
-        (QUARTIC_PPA, {"gamma0": 2.0}),  # read only under warm_start_gamma
+        (QUARTIC_PPA, {"gamma0": 2.0}),  # so does ppa
+        (QUARTIC_PPA, {"warm_start_gamma": True}),  # a removed key
+        (APG_CERT, {"warm_start_gamma": False}),
     ])
     def test_key_the_solver_does_not_read_rejected(self, tmp_path, capsys, doc, params):
         code, summary, _ = run_solve(tmp_path, dict(doc, params=params))
@@ -343,11 +328,11 @@ class TestParams:
     @pytest.mark.parametrize("params, read", [
         ({"rho0": "1e3"}, {"rho0": 1000.0}),  # PyYAML reads an unquoted 1e3 as this string
         ({"M": 5.0, "max_outer": "60", "zeta": 2}, {"M": 5, "max_outer": 60, "zeta": 2.0}),
-        ({"warm_start_gamma": True}, {"warm_start_gamma": True}),
+        ({"eta0": "1"}, {"eta0": 1.0}),
         ({"rho0": None}, {"rho0": 10.0}),
         ({"M": 2.7}, "M"),
-        ({"warm_start_gamma": "false"}, "warm_start_gamma"),
-        ({"warm_start_gamma": 1}, "warm_start_gamma"),
+        ({"M": True}, "M"),  # a YAML boolean is not a number
+        ({"sigma": False}, "sigma"),
         ({"max_iters": True}, "max_iters"),
         ({"zeta": "two"}, "zeta"),
         ({"sigma": [0.4]}, "sigma"),
@@ -364,12 +349,6 @@ class TestParams:
             assert code == 0
             got = {key: summary["params"][key] for key in read}
             assert repr(sorted(got.items())) == repr(sorted(read.items()))
-
-    def test_ppa_reads_gamma0_under_warm_start(self, tmp_path):
-        warm = dict(QUARTIC_PPA, params={"gamma0": 2.0, "warm_start_gamma": True})
-        code, summary, _ = run_solve(tmp_path, warm)
-        assert code == 0
-        assert (summary["params"]["gamma0"], summary["params"]["warm_start_gamma"]) == (2.0, True)
 
     @pytest.mark.parametrize("problem, key", [
         ({"kind": "quartic", "n": 2.7, "k_terms": 1.9, "seed": 3.5, "mu_add": 1.0}, "n"),
@@ -478,7 +457,6 @@ class TestSweep:
             "solver": "apg-cert",
             "epsilon": 1e-4,
             "problem": {"kind": "quartic", "n": 50, "k_terms": 8, "seed": 11, "mu_add": 1.0},
-            "params": {"warm_start_gamma": True},
         }
         code, rows = self._sweep(tmp_path, doc, "1e-2,1e-4,1e-6,1e-8")
         assert code == 0

@@ -35,7 +35,6 @@ from proxcert.problems import QuarticSpec, gen_constrained, gen_quartic, ineq_qu
 
 from helpers import criterion6_specs
 
-RULES = {"grow": ApgParams(), "warm": ApgParams(warm_start_gamma=True)}
 AL_EPS = 1e-4
 PPA_EPS = 1e-7
 
@@ -118,11 +117,10 @@ PPA_SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("rule", sorted(RULES))
 @pytest.mark.parametrize("n, k, term", PPA_SHAPES, ids=["zero", "l1", "nonneg", "box"])
-def test_ppa_exits_at_the_first_certificate_proving_epsilon(rule, n, k, term):
+def test_ppa_exits_at_the_first_certificate_proving_epsilon(n, k, term):
     problem = gen_quartic(QuarticSpec(n=n, k_terms=k, seed=40 + n, mu_add=0.0, prox=term))
-    params = OuterParams(epsilon=PPA_EPS, inner=RULES[rule])
+    params = OuterParams(epsilon=PPA_EPS)
     res = ppa_unconstrained(problem, params, np.zeros(n), record_iterates=True)
 
     sub = shifted_proximal_subproblem(problem, res.center_final, res.rho_final)
@@ -195,19 +193,17 @@ def _check_prox_al(conic, params, x0, lam0):
     return held_back
 
 
-@pytest.mark.parametrize("rule", sorted(RULES))
 @pytest.mark.parametrize("i", [0, 1, 2, 3])  # mu = 1, 0.5, 0, 1
-def test_prox_al_exits_at_the_first_certificate_proving_epsilon(rule, i):
+def test_prox_al_exits_at_the_first_certificate_proving_epsilon(i):
     inst = gen_constrained(criterion6_specs()[i])
-    params = OuterParams(epsilon=AL_EPS, inner=RULES[rule])
+    params = OuterParams(epsilon=AL_EPS)
     _check_prox_al(inst.conic, params, inst.x_feas, np.zeros(inst.conic.cone.dim))
 
 
-@pytest.mark.parametrize("rule", sorted(RULES))
-def test_prox_al_multiplier_test_keeps_the_inner_solve_running(rule):
+def test_prox_al_multiplier_test_keeps_the_inner_solve_running():
     # Started on the constraint boundary with lam = 0 and tiny inner
     # targets, the x-part of the test passes long before the multiplier
     # settles, so the second test must hold the inner solve back.
-    params = OuterParams(epsilon=0.1, eta0=1e-6, inner=RULES[rule])
+    params = OuterParams(epsilon=0.1, eta0=1e-6)
     held_back = _check_prox_al(ineq_quadratic_1d(), params, np.ones(1), np.zeros(1))
     assert held_back > 0

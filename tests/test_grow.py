@@ -1,13 +1,13 @@
 """The grow rule: a step that grows back once per iteration, gated by the curvature.
 
-By default an iteration starts its search at min(gamma_prev/delta, gamma0)
-when the previous accepted trial passed its curvature test with margin
-delta, and at gamma_prev otherwise.  The outer loops give their inner solves
-the step clamp as gamma0; from outer step 1 on, an inner solve's first
-iteration tries the last step the previous inner solve accepted, capped at
-the clamp, while its alpha recursion still starts at the clamp.  These
-tests check grow path traces from every solver against that rule,
-recomputed here from the raw oracles.
+An iteration starts its search at min(gamma_prev/delta, gamma0) when the
+previous accepted trial passed the grow gate (its curvature test with
+margin delta and rounding slack to spare), and at gamma_prev otherwise.
+The outer loops give their inner solves the step clamp as gamma0; from
+outer step 1 on, an inner solve's first iteration tries the last step the
+previous inner solve accepted, capped at the clamp, while its alpha
+recursion still starts at the clamp.  These tests check traces from every
+solver against that rule, recomputed here from the raw oracles.
 """
 
 import math
@@ -31,6 +31,7 @@ from proxcert import (
     shifted_proximal_subproblem,
     solve_alpha,
 )
+from proxcert.apg import admits_growth
 from proxcert.problems import QuarticSpec, gen_constrained, gen_quartic
 
 from helpers import (
@@ -57,19 +58,19 @@ def _apg_traces():
     return out
 
 
-def _ppa_run(inner=ApgParams()):
+def _ppa_run():
     problem = gen_quartic(QuarticSpec(n=8, k_terms=3, seed=5, prox=NonnegativeTerm(8)))
-    params = OuterParams(epsilon=1e-7, inner=inner)
+    params = OuterParams(epsilon=1e-7)
     return problem, ppa_unconstrained(problem, params, np.zeros(8), record_iterates=True)
 
 
-def _prox_al_runs(inner=ApgParams()):
+def _prox_al_runs():
     """(conic, result) for criterion-6 instances 2 (mu = 0) and 19 (mu = 1)."""
     out = []
     for i in (2, 19):
         conic = gen_constrained(criterion6_specs()[i])
         out.append((conic.conic, prox_al(
-            conic.conic, OuterParams(epsilon=1e-4, inner=inner), conic.x_feas,
+            conic.conic, OuterParams(epsilon=1e-4), conic.x_feas,
             np.zeros(conic.conic.cone.dim), record_iterates=True,
         )))
     return out
@@ -135,9 +136,9 @@ def test_outer_loops_start_inner_solves_at_the_clamp():
         assert trace.gamma0 == (1.0 - 1e-9) / problem.mu
 
 
-def _outer_runs(inner=ApgParams()):
+def _outer_runs():
     """Outer results with iterates: the PPA solve and prox-AL instances 2 and 19."""
-    return [_ppa_run(inner)[1]] + [res for _, res in _prox_al_runs(inner)]
+    return [_ppa_run()[1]] + [res for _, res in _prox_al_runs()]
 
 
 def test_outer_steps_first_try_the_previous_accepted_step():
@@ -168,12 +169,6 @@ def test_alpha_recursion_stays_anchored_at_the_clamp():
             assert (first.gamma_before, first.alpha_before) == (trace.gamma0, trace.alpha0)
             assert first.alpha_t == solve_alpha(trace.gamma0, first.gamma_t, trace.alpha0, trace.mu)
             assert math.isclose(first.alpha_t, math.sqrt(trace.mu * first.gamma_t), rel_tol=1e-8)
-
-
-def test_warm_path_carries_no_step():
-    for res in _outer_runs(ApgParams(warm_start_gamma=True)):
-        for row in res.trace.rows:
-            assert row.inner_trace.first_step == row.inner_trace.gamma0
 
 
 def test_apg_terminating_starts_at_gamma0_unless_given_a_smaller_first_step():
@@ -211,7 +206,7 @@ def test_step_grows_only_after_a_gated_acceptance(grow_traces):
                 continue
             grew += 1
             trial = accepted_trial(problem, prev)
-            assert trial.lhs <= DELTA * trial.rhs, (row.t, trial.lhs, trial.rhs)
+            assert admits_growth(trial, DELTA), (row.t, trial.lhs, trial.rhs, trial.scale)
             assert row.gamma_t == prev.gamma_t / DELTA and row.n_t == 0
     assert grew > 0
 
@@ -224,7 +219,7 @@ def test_certificate_search_starts_at_the_next_start(grow_traces):
                 continue
             checked += 1
             trial = accepted_trial(problem, row)
-            start = rule_start("grow", trace.gamma0, row.gamma_t, trial.lhs <= DELTA * trial.rhs)
+            start = rule_start(trace.gamma0, row.gamma_t, admits_growth(trial, DELTA))
             assert row.certificate.gamma_tilde == start * DELTA**row.cert_backtracks
     assert checked > 0
 
@@ -240,13 +235,3 @@ def test_certificates_reverify_from_raw_oracles(grow_traces):
             cert.gamma_tilde, cert.x_pre - cert.gamma_tilde * problem.smooth.gradient(cert.x_pre)
         )
         assert np.array_equal(x_tilde, cert.x_tilde)
-
-
-def test_the_checker_tells_the_two_rules_apart():
-    problem = gen_quartic(QuarticSpec(n=6, k_terms=4, seed=1, mu_add=0.3))
-    warm = apg_terminating(problem, ApgParams(epsilon=1e-8, warm_start_gamma=True), np.zeros(6))
-    grow = apg_terminating(problem, ApgParams(epsilon=1e-8), np.zeros(6))
-    assert trajectory_invariant_violations(problem, warm.trace, rule="warm") == []
-    # the rules differ on this problem, so each trace fails the other's check
-    assert trajectory_invariant_violations(problem, grow.trace, rule="warm") != []
-    assert trajectory_invariant_violations(problem, warm.trace, rule="grow") != []

@@ -23,7 +23,14 @@ from proxcert import (
     residual_certificate,
     shifted_proximal_subproblem,
 )
-from proxcert.model import AffineConstraint, CallableConstraint, CallableSmooth, CompositeProblem
+from proxcert.model import (
+    AffineConstraint,
+    CallableConstraint,
+    CallableSmooth,
+    CompositeProblem,
+    ConeBlock,
+)
+from proxcert.outer import _require_dual
 from proxcert.problems import (
     QuarticSpec,
     eq_quadratic_2d,
@@ -235,8 +242,6 @@ class TestProxAl:
         # min ||x - (0, 2, 0)||^2 / 2 over the second-order cone: the
         # solution is the cone projection (1, 1, 0) with boundary
         # multiplier (1, -1, 0) and exact complementarity
-        from proxcert.model import AffineConstraint, CallableSmooth, CompositeProblem, ConeBlock
-
         target = np.array([0.0, 2.0, 0.0])
         smooth = CallableSmooth(3, lambda x: 0.5 * float((x - target) @ (x - target)),
                                 lambda x: x - target)
@@ -252,19 +257,8 @@ class TestProxAl:
         assert res.report.complementarity_residual <= 1e-6
 
     def test_rho0_validation(self, ineq1d):
-        # the warm path's step base 1/rho_k needs rho0 above the critical value
-        params = OuterParams(epsilon=1e-4, rho0=1.0, inner=ApgParams(warm_start_gamma=True))
+        params = OuterParams(epsilon=1e-4, rho0=0.0)
         with pytest.raises(ValueError, match="rho0"):
-            prox_al(ineq1d, params, np.zeros(1), np.zeros(1))
-
-    def test_rho0_within_rounding_of_critical_rejected(self, ineq1d):
-        # rho0 exceeds the critical value, but mu_0 / rho_0 rounds to within
-        # 1e-9 of 1, where the inner solver's step clamp would engage
-        critical = (2.0 + np.sqrt(8.0)) / 2.0
-        params = OuterParams(
-            epsilon=1e-4, rho0=critical * (1.0 + 1e-12), inner=ApgParams(warm_start_gamma=True)
-        )
-        with pytest.raises(ValueError, match="step clamp"):
             prox_al(ineq1d, params, np.zeros(1), np.zeros(1))
 
     def test_rejects_non_finite_start(self, ineq1d):
@@ -274,6 +268,24 @@ class TestProxAl:
         for lam in ([np.nan], [np.inf]):
             with pytest.raises(ValueError, match="lam must be finite"):
                 prox_al(ineq1d, params, np.zeros(1), np.array(lam))
+
+    def test_large_projected_multiplier_is_a_valid_start(self):
+        # re-projecting a projected multiplier of norm 1.2e7 moves it by
+        # 3.7e-9, rounding alone, so the dual-cone check scales with |lam|
+        cone = ConeSpec(((ConeBlock.SOC, 3),))
+        conic = ConicProblem(
+            base=CompositeProblem(
+                CallableSmooth(3, lambda x: 0.5 * float(x @ x), lambda x: x.copy()),
+                ZeroTerm(3), mu=1.0,
+            ),
+            constraint=AffineConstraint(-np.eye(3), np.zeros(3)),
+            cone=cone,
+        )
+        lam = project_dual(cone, np.random.default_rng(9).normal(size=3) * 2e7)
+        assert np.max(np.abs(lam - project_dual(cone, lam))) > 1e-9
+        assert np.array_equal(_require_dual(conic, lam), lam)
+        with pytest.raises(ValueError, match="dual cone"):
+            _require_dual(conic, lam * np.array([1.0, 1.0, 1.0 + 1e-6]))
 
     def test_maps_x_new_once_per_outer_step(self, ineq1d):
         # the stopping test maps x_tilde through the counted g, and the
@@ -398,9 +410,7 @@ class TestOuterParams:
         assert params.resolved(quartic_1d).rho0 == 10.0
         assert params.resolved(ineq1d).rho0 == 10.0  # c + 1 = 3.41 for mu = 2
         wide = OuterParams(epsilon=1e-4, inner=ApgParams(gamma0=12.0))
-        assert wide.resolved(quartic_1d).rho0 == 10.0  # gamma0 is unread on the grow path
-        warm = OuterParams(epsilon=1e-4, inner=ApgParams(gamma0=12.0, warm_start_gamma=True))
-        assert warm.resolved(quartic_1d).rho0 == 12.0
+        assert wide.resolved(quartic_1d).rho0 == 10.0  # the inner gamma0 is unread
         steep = ConicProblem(
             base=gen_quartic(QuarticSpec(n=2, k_terms=1, seed=0, mu_add=20.0)),
             constraint=eq_quadratic_2d().constraint,
@@ -411,8 +421,8 @@ class TestOuterParams:
         assert OuterParams(epsilon=1e-4, rho0=30.0).resolved(steep).rho0 == 30.0
 
     def test_grow_path_needs_only_a_positive_finite_rho0(self, ineq1d):
-        # below the critical value (1 + sqrt(2) for mu = 2), which only the
-        # warm path's step base 1/rho_k needs exceeded
+        # below the critical value 1 + sqrt(2) for mu = 2: the inner step
+        # base is the clamp (1 - 1e-9)/mu_k whatever rho_k is
         res = prox_al(ineq1d, OuterParams(epsilon=1e-4, rho0=1.0), np.zeros(1), np.zeros(1))
         assert res.report.stationarity_residual <= 1e-4
         for rho0 in (0.0, -1.0, float("inf"), float("nan")):
@@ -427,9 +437,6 @@ class TestOuterParams:
         assert lower.inner.alpha0 == 1.0
         with pytest.raises(ValueError, match=r"alpha0 must lie in \[sqrt\(mu_0 \* gamma_0\)"):
             OuterParams(epsilon=1e-4, inner=ApgParams(alpha0=0.99999)).resolved(problem)
-        # the same alpha0 passes on the warm path, whose first step is smaller
-        warm = ApgParams(alpha0=0.99999, warm_start_gamma=True)
-        OuterParams(epsilon=1e-4, inner=warm).resolved(problem)
 
     def test_ppa_alpha0_range(self, quartic_1d):
         with pytest.raises(ValueError, match="alpha0"):
@@ -442,8 +449,6 @@ class TestOuterParams:
 
 def mixed_cone_conic():
     """A quartic in 5 variables under 9 affine rows: orthant, zero and SOC blocks."""
-    from proxcert.model import ConeBlock
-
     base = gen_quartic(QuarticSpec(n=5, k_terms=4, seed=12, mu_add=0.5))
     rng = np.random.default_rng(6)
     cone = ConeSpec(((ConeBlock.NONNEG, 3), (ConeBlock.ZERO, 2), (ConeBlock.SOC, 4)))
@@ -629,14 +634,3 @@ class TestInvariantViolation:
         self._overshooting(monkeypatch)
         with pytest.raises(InvariantViolation, match="eta_k"):
             prox_al(ineq1d, OuterParams(epsilon=1e-4), np.zeros(1), np.zeros(1))
-
-    def test_prox_al_step_clamp_guard(self, ineq1d):
-        # The rho0 validation rules the clamp out at outer step 0, and rho_k
-        # only grows while zeta > 1.  A schedule forced to shrink behind the
-        # back of OuterParams' own checks (rho_k = 10, 5, 2.5, 1.25) reaches
-        # the guard at outer step 3, where mu_k / rho_k = 2.24.  The guard
-        # belongs to the warm path, whose step base is 1/rho_k.
-        params = OuterParams(epsilon=1e-4, inner=ApgParams(warm_start_gamma=True))
-        object.__setattr__(params, "zeta", 0.5)
-        with pytest.raises(InvariantViolation, match="outer step 3"):
-            prox_al(ineq1d, params, np.zeros(1), np.zeros(1))

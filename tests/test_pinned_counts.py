@@ -6,13 +6,9 @@ iterate by one rounding moves a line-search decision sooner or later, and
 then one of these counts.  A change meant to move them must update them
 and say why.
 
-Most solves run on the default step rule, which lets the step grow back
-and gives every inner solve the step clamp as its gamma0; from outer step 1
-on, an inner solve first tries the last step the previous one accepted,
-while its alpha recursion starts at the clamp.  test_warm_start_counts
-pins the warm_start_gamma path, which reference_solve uses and whose
-inner solves start at 1/rho_k in prox-AL and at gamma0 in the
-proximal-point loop.
+The step grows back, and every inner solve gets the step clamp as its
+gamma0; from outer step 1 on, an inner solve first tries the last step the
+previous one accepted, while its alpha recursion starts at the clamp.
 
 Both outer loops stop at the first inner certificate that proves the
 epsilon bound.  That test is implied by the paper's end-of-step test, so
@@ -23,13 +19,12 @@ totals of the paper-rule run are kept beside each pin as an upper bound.
 import numpy as np
 import pytest
 
-from proxcert import ApgParams, NonnegativeTerm, OuterParams, ppa_unconstrained, prox_al
+from proxcert import NonnegativeTerm, OuterParams, ppa_unconstrained, prox_al
 from proxcert.problems import QuarticSpec, gen_constrained, gen_quartic
 
 from helpers import criterion6_specs
 
 COUNTER_KEYS = ("grad_f_evals", "prox_evals", "g_evals", "adjoint_evals", "cone_proj_evals")
-WARM = ApgParams(warm_start_gamma=True)
 
 
 def check_totals(counters, expected, paper_rule):
@@ -75,20 +70,3 @@ def test_ppa_nonneg_counts():
     res = ppa_unconstrained(_nonneg_quartic(), OuterParams(epsilon=1e-7), np.zeros(8))
     check_totals(res.trace.counters, (197, 184, 0, 0, 0), (327, 308, 0, 0, 0))
     assert [row.inner_iters for row in res.trace.rows] == [10] * 14
-
-
-def test_warm_start_counts():
-    inst = gen_constrained(criterion6_specs()[19])
-    res = prox_al(
-        inst.conic, OuterParams(epsilon=1e-4, inner=WARM), inst.x_feas,
-        np.zeros(inst.conic.cone.dim),
-    )
-    check_totals(res.trace.counters, (241, 222, 485, 241, 485), (278, 256, 558, 278, 558))
-    assert [row.inner_iters for row in res.trace.rows] == [
-        10, 10, 10, 10, 20, 10, 10, 30, 20, 30, 30
-    ]
-    res = ppa_unconstrained(_nonneg_quartic(), OuterParams(epsilon=1e-7, inner=WARM), np.zeros(8))
-    check_totals(res.trace.counters, (1887, 1730, 0, 0, 0), (2751, 2522, 0, 0, 0))
-    assert [row.inner_iters for row in res.trace.rows] == [
-        10, 10, 10, 10, 10, 10, 10, 10, 10, 20, 40, 40, 70, 100, 130, 180, 240, 330, 330
-    ]
