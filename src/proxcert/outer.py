@@ -1,12 +1,14 @@
 """Outer loops: proximal-point regularization for mu = 0 and the proximal
 augmented Lagrangian method for conic constraints.
 
-Both drive the certified accelerated solver on a schedule rho_k = rho0 *
-zeta**k of proximal weights and eta_k = eta0 * sigma**k of inner residual
-targets.  Each loop stops at the first inner certificate that already
-proves the outer epsilon bound.  The paper's end-of-step test implies that
-test, so every run is a prefix of the paper-rule run: the same iterates, up
-to an exit that comes at or before that run's.
+Both drive the certified accelerated solver with inner residual targets
+eta_k = eta0 * sigma**k and proximal weights rho_k = rho0 * zeta**j, where
+j counts the outer steps so far whose prox-step or complementarity term
+exceeded the inner residual ||u|| (``_grows``); the paper grows rho on every
+step.  So rho_k <= rho0 * zeta**k, and a step that holds rho has
+||x_{k+1} - x_k||/rho_k <= ||u|| <= eta_k.  Each loop stops at the first
+inner certificate that already proves the outer epsilon bound, which the
+paper's end-of-step test implies.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ from .proxcone import normal_cone_gap, project_dual
 class OuterParams:
     """Schedule of the outer loops and the settings of their inner solves.
 
+    eta_k = eta0 * sigma**k at every outer step.  rho starts at rho0 and
+    grows by zeta only after a step whose prox-step term ||x_{k+1} - x_k||/
+    rho_k or complementarity residual exceeds the inner residual ||u||, so
+    rho_k = rho0 * zeta**j for the j grows so far, at most rho0 * zeta**k.
     rho0 defaults per problem when None (see ``resolved``).  ``inner`` holds
     the inner solver's settings; its epsilon must stay unset, since the
     loops set it to eta_k on every step.  The loops also set the inner step
@@ -397,6 +403,18 @@ def _stationarity_bound(certificate: Certificate, center: Array, rho: float) -> 
     return certificate.residual + float(np.linalg.norm(certificate.x_tilde - center)) / rho
 
 
+def _grows(step_norm: float, rho: float, complementarity: float, residual: float) -> bool:
+    """Whether rho grows after an outer step: when a term it controls binds.
+
+    The prox-step term ||x_new - x_k||/rho_k and the complementarity
+    residual (0 for the proximal-point loop) shrink as rho grows; the inner
+    residual ||u|| does not.  rho grows only when the larger of the first
+    two exceeds ||u||, so a held step has ||x_new - x_k||/rho_k <= ||u||.
+    One rule for both loops.
+    """
+    return max(step_norm / rho, complementarity) > residual
+
+
 def _check_inner_residual(certificate: Certificate, eta_k: float, k: int) -> None:
     if not certificate.residual <= eta_k:
         raise InvariantViolation(
@@ -416,6 +434,8 @@ def ppa_unconstrained(
     Each outer step minimizes f + ||x - x_k||^2/(2 rho_k) + P with the
     certified accelerated solver at target eta_k (step base: the step clamp
     (1 - 1e-9) rho_k, first trying the previous step's last accepted step).
+    rho grows by zeta after a step with ||x_{k+1} - x_k||/rho_k > ||u|| and
+    is held otherwise.
     At every certificate it checks, the inner solver also tests the outer
     bound ||u|| + ||x_tilde - x_k||/rho_k <= epsilon for its witness u; the
     first certificate that passes ends the solve, and the bound, which
@@ -433,8 +453,9 @@ def ppa_unconstrained(
     trace = OuterTrace(rows=rows, counters=counters)
     best_bound = math.inf
     first_step = None
+    grows = 0
     for k in range(params.max_outer):
-        rho_k = params.rho0 * params.zeta**k
+        rho_k = params.rho0 * params.zeta**grows
         eta_k = params.eta0 * params.sigma**k
         sub = shifted_proximal_subproblem(base, x, rho_k, counters)
         before = counters.snapshot()
@@ -484,6 +505,7 @@ def ppa_unconstrained(
                 center_final=x,
                 trace=trace,
             )
+        grows += _grows(step, rho_k, 0.0, res.certificate.residual)
         x = x_new
         first_step = res.trace.rows[-1].gamma_t
     raise SolveTimeout(
@@ -505,7 +527,10 @@ def prox_al(
     Each outer step solves the proximal AL subproblem with the certified
     accelerated solver (modulus mu_k = mu + 1/rho_k, target eta_k, step base
     the step clamp (1 - 1e-9)/mu_k, first trying the previous step's last
-    accepted step) and updates the multiplier by projected dual ascent.  At
+    accepted step) and updates the multiplier by projected dual ascent.
+    rho grows by zeta after a step whose ||x_{k+1} - x_k||/rho_k or
+    complementarity residual ||lam_{k+1} - lam_k||/rho_k exceeds the inner
+    residual ||u||, and is held otherwise.  At
     every certificate it checks, the inner solver also tests the outer
     stopping rule: first ||u|| + ||x_tilde - x_k||/rho_k <= epsilon, which
     costs no oracle call, and only then, with one counted g(x_tilde) and one
@@ -531,8 +556,9 @@ def prox_al(
     best = None
     best_res = math.inf
     first_step = None
+    grows = 0
     for k in range(params.max_outer):
-        rho_k = params.rho0 * params.zeta**k
+        rho_k = params.rho0 * params.zeta**grows
         eta_k = params.eta0 * params.sigma**k
         sub = build_al_subproblem(counted, x, lam, rho_k, counters=counters)
 
@@ -567,9 +593,8 @@ def prox_al(
         else:
             _check_inner_residual(res.certificate, eta_k, k)
             gval, lam_new = update(x_new)
-        step = math.sqrt(
-            float(np.linalg.norm(x_new - x)) ** 2 + float(np.linalg.norm(lam_new - lam)) ** 2
-        )
+        x_step = float(np.linalg.norm(x_new - x))
+        step = math.sqrt(x_step**2 + float(np.linalg.norm(lam_new - lam)) ** 2)
         report = kkt_report(conic, x_new, lam_new, res.certificate, rho_k, x, lam, gval)
         rows.append(
             OuterTraceRow(
@@ -598,6 +623,7 @@ def prox_al(
             best = report
         if worst <= params.epsilon:
             return ProxAlResult(x=x_new, lam=lam_new, report=report, trace=trace)
+        grows += _grows(x_step, rho_k, report.complementarity_residual, res.certificate.residual)
         x, lam = x_new, lam_new
         first_step = res.trace.rows[-1].gamma_t
     raise SolveTimeout(

@@ -34,11 +34,12 @@ from proxcert.outer import _require_dual
 from proxcert.problems import (
     QuarticSpec,
     eq_quadratic_2d,
+    gen_constrained,
     gen_quartic,
     ineq_quadratic_1d,
 )
 
-from helpers import al_smooth_gradient, al_value
+from helpers import al_smooth_gradient, al_value, criterion6_specs
 
 
 @pytest.fixture
@@ -134,16 +135,6 @@ class TestPpaUnconstrained:
             assert len(res.trace.rows) == 1
             assert res.trace.rows[0].step_norm == 0.0
             assert res.residual_bound == 0.0
-
-    def test_schedules_are_exact_powers(self, quartic_1d):
-        params = OuterParams(epsilon=1e-5, rho0=10.0, zeta=2.0, sigma=0.4, eta0=1.0)
-        res = ppa_unconstrained(quartic_1d, params, [1.0])
-        for row in res.trace.rows:
-            assert row.rho_k == 10.0 * 2.0**row.k
-            assert row.eta_k == 1.0 * 0.4**row.k
-            # only a last inner solve that stopped on the outer test may end above eta_k
-            stopped = row is res.trace.rows[-1] and row.residual_bound <= params.epsilon
-            assert row.certified_inner_residual <= row.eta_k or stopped
 
     def test_output_bound_assembled_from_last_step(self, quartic_1d):
         res = ppa_unconstrained(quartic_1d, OuterParams(epsilon=1e-5), [1.0])
@@ -454,6 +445,58 @@ def mixed_cone_conic():
     cone = ConeSpec(((ConeBlock.NONNEG, 3), (ConeBlock.ZERO, 2), (ConeBlock.SOC, 4)))
     constraint = AffineConstraint(rng.uniform(-1.0, 1.0, size=(9, 5)), rng.uniform(-1.0, 1.0, 9))
     return ConicProblem(base=base, constraint=constraint, cone=cone)
+
+
+def grow_decisions(rows, params):
+    """Check a trace's schedule row by row; return each step's grow decision.
+
+    eta_k is eta0 * sigma**k and rho_k is rho0 * zeta**j, both bit for bit,
+    where j counts the grows so far.  A step grows rho when its prox-step
+    term ||x_new - center||/rho_k or its complementarity residual exceeds
+    its inner residual, recomputed here from the recorded row.
+    """
+    decisions = []
+    grows = 0
+    for row in rows:
+        assert row.eta_k == params.eta0 * params.sigma**row.k
+        assert row.rho_k == params.rho0 * params.zeta**grows
+        assert row.rho_k <= params.rho0 * params.zeta**row.k
+        prox_step = float(np.linalg.norm(row.x_new - row.center)) / row.rho_k
+        complementarity = 0.0 if row.kkt is None else row.kkt.complementarity_residual
+        decisions.append(max(prox_step, complementarity) > row.certified_inner_residual)
+        grows += decisions[-1]
+    return decisions
+
+
+class TestOuterSchedule:
+    @pytest.mark.parametrize("loop", ["ppa", "prox-al"])
+    def test_schedule_contract(self, loop, quartic_1d):
+        if loop == "ppa":
+            problem, params = quartic_1d, OuterParams(epsilon=1e-5, rho0=10.0)
+            res = ppa_unconstrained(problem, params, [1.0])
+        else:
+            # criterion-6 instance 2 (mu = 0) both holds and grows rho
+            inst = gen_constrained(criterion6_specs()[2])
+            problem, params = inst.conic, OuterParams(epsilon=1e-4)
+            res = prox_al(problem, params, inst.x_feas, np.zeros(problem.cone.dim))
+        decisions = grow_decisions(res.trace.rows, params.resolved(problem))
+        if loop == "prox-al":
+            assert True in decisions[:-1] and False in decisions[:-1]
+        # only the last inner solve, which stopped on the outer test, may end above eta_k
+        for row in res.trace.rows[:-1]:
+            assert row.certified_inner_residual <= row.eta_k
+
+    def test_infeasible_problem_grows_rho_every_step(self):
+        # complementarity binds on every step of an infeasible problem, so
+        # rho must never be held
+        params = OuterParams(epsilon=1e-3, max_outer=8)
+        conic = mixed_cone_conic()
+        with pytest.raises(SolveTimeout) as info:
+            prox_al(conic, params, np.zeros(5), np.zeros(9))
+        rows = info.value.trace.rows
+        assert len(rows) == 8
+        rho0 = params.resolved(conic).rho0
+        assert [row.rho_k for row in rows] == [rho0 * 2.0**k for k in range(8)]
 
 
 class TestFusedSubproblems:

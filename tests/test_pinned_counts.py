@@ -11,9 +11,12 @@ gamma0; from outer step 1 on, an inner solve first tries the last step the
 previous one accepted, while its alpha recursion starts at the clamp.
 
 Both outer loops stop at the first inner certificate that proves the
-epsilon bound.  That test is implied by the paper's end-of-step test, so
-each run is a prefix of the paper-rule run, ending at or before it.  The
-totals of the paper-rule run are kept beside each pin as an upper bound.
+epsilon bound, and grow rho only after a step whose prox-step or
+complementarity term exceeds its inner residual; otherwise they hold it.
+With rho held, a run leaves the paper-rule run (rho_k = rho0 * zeta**k,
+stopped by the paper's end-of-step test) at its first held step, so it is
+no longer a prefix of that run.  The totals of the paper-rule run are kept
+beside each pin as a ceiling that a change of schedule must stay under.
 """
 
 import numpy as np
@@ -37,24 +40,25 @@ def _nonneg_quartic():
     return gen_quartic(QuarticSpec(n=8, k_terms=3, seed=5, prox=NonnegativeTerm(8)))
 
 
-# totals of the same solves under the paper's end-of-step test
+# totals of the same solves under the paper's schedule and end-of-step test
 PAPER_RULE_TOTALS = {2: (4301, 4105, 8430, 4301, 8430), 19: (669, 642, 1335, 669, 1335)}
 
 
 @pytest.mark.parametrize(
     "i, expected_totals, expected_inner",
     [
-        # mu = 0, n = 11, 2 orthant and 1 zero constraint.  The carried
-        # first step costs this instance gradients (2437 before it): outer
-        # steps 6 and 7 still stop at their first check, but on certificates
-        # nearer their targets (1.3e-3 and 1.5e-3 where the clamp start
-        # gave 6.7e-4), so step 8 starts farther out and takes 170 inner
-        # iterations instead of 30.  It stays under its paper-rule bound.
-        (2, (2565, 2443, 5032, 2565, 5032),
-         [10, 10, 10, 10, 10, 10, 10, 10, 170, 340, 650, 220]),
-        # mu = 1, n = 4, 3 orthant and 5 zero constraints
-        (19, (286, 271, 577, 286, 577),
-         [10, 10, 10, 10, 10, 20, 40, 40, 10, 10]),
+        # mu = 0, n = 11, 2 orthant and 1 zero constraint.  ||u|| binds
+        # on most steps, so rho_k is 10 at k = 0-1, 20 at k = 2-10, then 40
+        # and 80; the run with rho grown on every step reached 20480 at its
+        # last step, k = 11.  Was (2565, 2443, 5032, 2565, 5032) with inner
+        # iterations [10] * 8 + [170, 340, 650, 220].
+        (2, (424, 402, 852, 424, 852),
+         [10, 10, 10, 10, 10, 10, 10, 10, 20, 10, 30, 60, 40]),
+        # mu = 1, n = 4, 3 orthant and 5 zero constraints.  rho_k is 40
+        # from k = 2 on.  Was (286, 271, 577, 286, 577) with inner
+        # iterations [10] * 5 + [20, 40, 40, 10, 10], with rho grown on
+        # every step.
+        (19, (187, 177, 386, 187, 386), [10] * 11),
     ],
 )
 def test_criterion6_instance_counts(i, expected_totals, expected_inner):
