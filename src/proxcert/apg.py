@@ -26,7 +26,6 @@ from .model import (
     NonFiniteOracleOutput,
     OracleCounters,
     SolveTimeout,
-    composite_value,
     instrument_composite,
     value_and_gradient,
 )
@@ -419,16 +418,24 @@ def _probe(problem: CompositeProblem, v) -> tuple[Array, Array, float]:
 
 
 def _adaptive_core(problem, v, grad_v, f_v, gamma_start, delta, max_backtracks):
+    """(candidate, gamma, n, image of the candidate or None) of the accepted trial.
+
+    On the image path each candidate is mapped once, by ``image`` itself,
+    and valued from that raw image.
+    """
+    smooth = problem.smooth
+    image = getattr(smooth, "image", None)
     for n in range(max_backtracks + 1):
         gamma = gamma_start * delta**n
         cand = problem.nonsmooth.prox(gamma, v - gamma * grad_v)
         diff = cand - v
-        f_cand = problem.smooth.value(cand)
+        r = None if image is None else image(cand)
+        f_cand = smooth.value(cand) if r is None else smooth.value_at(cand, r)
         cross = float(grad_v @ diff)
         lhs = 2.0 * gamma * (f_cand - f_v - cross)
         rhs = float(diff @ diff)
         if accepts_curvature_bound(lhs, rhs, gamma, abs(f_cand) + abs(f_v) + abs(cross)):
-            return cand, gamma, n
+            return cand, gamma, n, r
         if not (math.isfinite(lhs) and math.isfinite(rhs)):
             raise NonFiniteOracleOutput(
                 f"non-finite curvature test (lhs {lhs}, rhs {rhs}) at proximal-gradient "
@@ -454,7 +461,7 @@ def adaptive_pg(
     n_tilde + 1 prox evaluations.
     """
     v, grad_v, f_v = _probe(problem, v)
-    return _adaptive_core(problem, v, grad_v, f_v, gamma_start, delta, max_backtracks)
+    return _adaptive_core(problem, v, grad_v, f_v, gamma_start, delta, max_backtracks)[:3]
 
 
 def residual_certificate(
@@ -463,19 +470,24 @@ def residual_certificate(
     x_tilde: Array,
     gamma_tilde: float,
     grad_pre: Array | None = None,
+    grad_tilde: Array | None = None,
 ) -> Certificate:
     """Build the subgradient witness for a backtracked proximal-gradient step.
 
     With x_tilde = prox(gamma_tilde, x_pre - gamma_tilde * grad f(x_pre)),
     u = (x_pre - x_tilde)/gamma_tilde + grad f(x_tilde) - grad f(x_pre)
     lies in dF(x_tilde), so ||u|| bounds dist(0, dF(x_tilde)) from above.
-    ``grad_pre`` may pass a cached gradient at x_pre.
+    ``grad_pre`` and ``grad_tilde`` may pass the gradients at x_pre and
+    x_tilde when the caller already holds them; each must be what
+    ``gradient`` returns there.
     """
     x_pre = np.asarray(x_pre, dtype=float)
     x_tilde = np.asarray(x_tilde, dtype=float)
     if grad_pre is None:
         grad_pre = problem.smooth.gradient(x_pre)
-    witness = (x_pre - x_tilde) / gamma_tilde + problem.smooth.gradient(x_tilde) - grad_pre
+    if grad_tilde is None:
+        grad_tilde = problem.smooth.gradient(x_tilde)
+    witness = (x_pre - x_tilde) / gamma_tilde + grad_tilde - grad_pre
     return Certificate(
         x_pre=x_pre,
         x_tilde=x_tilde,
@@ -496,11 +508,14 @@ def certified_prox_step(
 
     Equivalent to ``adaptive_pg`` followed by ``residual_certificate`` but
     sharing the gradient at v, so one check costs exactly two gradient and
-    n_tilde + 1 prox evaluations.
+    n_tilde + 1 prox evaluations.  On the image path the gradient at
+    x_tilde comes from the raw image its trial already mapped, so a check
+    costs 4 + n_tilde products with A instead of 5 + n_tilde.
     """
     v, grad_v, f_v = _probe(problem, v)
-    cand, gamma, n = _adaptive_core(problem, v, grad_v, f_v, gamma_start, delta, max_backtracks)
-    return residual_certificate(problem, v, cand, gamma, grad_pre=grad_v), n
+    cand, gamma, n, r = _adaptive_core(problem, v, grad_v, f_v, gamma_start, delta, max_backtracks)
+    grad_tilde = None if r is None else problem.smooth.value_and_gradient_at(cand, r)[1]
+    return residual_certificate(problem, v, cand, gamma, grad_v, grad_tilde), n
 
 
 def _make_row(
@@ -540,11 +555,15 @@ def _prepare(problem, params, init, counters, first_step=None):
         counters = OracleCounters()
         problem = instrument_composite(problem, counters)
     state = initial_state(problem, params, init)
+    # initial_state checked that x lies in the domain of P; on the image
+    # path f comes from the start point's raw image
+    x, rx = state.x, state.rx
+    f_init = problem.smooth.value(x) if rx is None else problem.smooth.value_at(x, rx)
     trace = ApgTrace(
         rows=[],
         counters=counters,
         x_init=state.x.copy(),
-        F_init=composite_value(problem, state.x),
+        F_init=f_init + problem.nonsmooth.value(x),
         gamma0=gamma0,
         alpha0=alpha0,
         mu=problem.mu,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -157,9 +158,9 @@ def load_run_spec(path: str) -> RunSpec:
     params = {key: _typed(key, value) for key, value in params.items()}
     epsilon = doc.get("epsilon")
     if epsilon is not None:
-        epsilon = float(epsilon)
-        if not epsilon > 0:
-            raise SpecError("epsilon must be positive")
+        epsilon = _typed("epsilon", epsilon, float, "spec")
+        if not 0 < epsilon < math.inf:
+            raise SpecError(f"spec.epsilon must be finite and positive, got {epsilon!r}")
     if solver != "apg" and epsilon is None:
         raise SpecError(f"solver {solver} requires epsilon")
     init = doc.get("init")
@@ -439,6 +440,8 @@ def sweep(spec_path: str, epsilons: list[float], out_path: str) -> int:
     try:
         if len(epsilons) < 2:
             raise SpecError("sweep needs at least two epsilons")
+        if not all(0 < eps < math.inf for eps in epsilons):
+            raise SpecError("sweep epsilons must be finite and positive")
         if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
             raise SpecError("sweep epsilons must be strictly decreasing")
         spec = load_run_spec(spec_path)
@@ -480,7 +483,9 @@ def sweep(spec_path: str, epsilons: list[float], out_path: str) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: main may run many times."""
     parser = argparse.ArgumentParser(prog="proxcert", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -493,8 +498,11 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--spec", required=True)
     p_sweep.add_argument("--eps", required=True, help="comma-separated decreasing targets")
     p_sweep.add_argument("--out", required=True, help="scaling table CSV path")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "solve":
         return run(args.spec, trace_path=args.trace, summary_path=args.summary)
     try:

@@ -74,8 +74,11 @@ class SmoothOracle(Protocol):
     solver then keeps the plain path for the whole solve);
     ``value_at(x, r)`` and ``value_and_gradient_at(x, r)`` return what
     ``value(x)`` and ``value_and_gradient(x)`` would, given r = A x - b.
-    The solver forms images of combinations of points as the same
-    combinations of images, so they agree with ``image`` to rounding.
+    Given r = image(x) they must agree bit for bit: certificate checks
+    value their candidates and take the witness gradient from raw images.
+    Within an iteration the solver forms images of combinations of points
+    as the same combinations of images, which agree with ``image`` to
+    rounding.
     """
 
     dim: int

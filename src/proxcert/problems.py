@@ -29,10 +29,13 @@ from .proxcone import ZeroTerm
 GENERATOR_NAME = "numpy-pcg64"
 
 # Smallest rows.size (k * n) for which QuarticOracle offers affine images.
-# A trial on the image path saves one product with the rows and pays a few
-# extra length-k vector operations and Python calls.  Timing apg_terminating
-# on both paths (one BLAS thread) put the crossover here: 20,000 entries
-# tied, 30,000 gained about 2%, 200,000 about 10% and 1,000,000 about 25%.
+# A trial on the image path saves one product with the rows, and so does a
+# certificate check; each pays a few extra length-k vector operations and
+# Python calls.  Timing apg_terminating on both paths (one BLAS thread,
+# medians of 7 and of 15 alternating runs over two instances) puts the
+# crossover here: 20,000 entries lost 3-6%, 30,000 gained 0.5-4%, 50,000
+# about 7%, 200,000 about 22% and 1,000,000 about 29%.  Forming the powers
+# without libm pow did not move it.
 IMAGE_MIN_ENTRIES = 30_000
 
 
@@ -72,14 +75,17 @@ class QuarticOracle:
         return self.rows.shape[1]
 
     def value(self, x: Array) -> float:
-        return self._value(x, self.rows @ x - self.offsets)
+        r = self.rows @ x - self.offsets
+        return self._value(x, r * r)
 
     def gradient(self, x: Array) -> Array:
-        return self._gradient(x, self.rows @ x - self.offsets)
+        r = self.rows @ x - self.offsets
+        return self._gradient(x, r, r * r)
 
     def value_and_gradient(self, x: Array) -> tuple[float, Array]:
         r = self.rows @ x - self.offsets
-        return self._value(x, r), self._gradient(x, r)
+        r2 = r * r
+        return self._value(x, r2), self._gradient(x, r, r2)
 
     def image(self, x: Array) -> Array | None:
         if self.rows.size < IMAGE_MIN_ENTRIES:
@@ -87,19 +93,24 @@ class QuarticOracle:
         return self.rows @ x - self.offsets
 
     def value_at(self, x: Array, r: Array) -> float:
-        return self._value(x, r)
+        return self._value(x, r * r)
 
     def value_and_gradient_at(self, x: Array, r: Array) -> tuple[float, Array]:
-        return self._value(x, r), self._gradient(x, r)
+        r2 = r * r
+        return self._value(x, r2), self._gradient(x, r, r2)
 
-    def _value(self, x: Array, r: Array) -> float:
-        out = 0.25 * float(self.coeffs @ (r**4))
+    # The powers are products of r2 = r * r.  A float power in numpy calls
+    # libm pow on every element: r**4 on a 500-vector took about 40 us,
+    # against about 1 us per product.  Every entry point forms r2 and the
+    # powers the same way, so all five agree bit for bit.
+    def _value(self, x: Array, r2: Array) -> float:
+        out = 0.25 * float(self.coeffs @ (r2 * r2))
         if self.mu_add:
             out += 0.5 * self.mu_add * float(x @ x)
         return out
 
-    def _gradient(self, x: Array, r: Array) -> Array:
-        grad = self.rows.T @ (self.coeffs * r**3)
+    def _gradient(self, x: Array, r: Array, r2: Array) -> Array:
+        grad = self.rows.T @ (self.coeffs * (r2 * r))
         if self.mu_add:
             grad = grad + self.mu_add * x
         return grad

@@ -97,6 +97,17 @@ class TestSolve:
         assert err.startswith("error: spec file is not valid YAML") and err.count("\n") == 1
         assert not summary.exists()
 
+    @pytest.mark.parametrize("text", ["true", ".inf", "-.inf", ".nan", "0", "-1.0e-4", "[1]", "tiny"])
+    def test_epsilon_must_be_a_finite_positive_number(self, tmp_path, capsys, text):
+        doc = {key: value for key, value in QUARTIC_PPA.items() if key != "epsilon"}
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(f"{yaml.safe_dump(doc)}epsilon: {text}\n", encoding="utf-8")
+        summary = tmp_path / "summary.json"
+        assert main(["solve", "--spec", str(spec), "--summary", str(summary)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: spec.epsilon must be") and err.count("\n") == 1
+        assert not summary.exists()
+
     def test_named_instance_prox_al(self, tmp_path):
         doc = {
             "version": 1,
@@ -418,6 +429,13 @@ class TestSweep:
     def test_non_decreasing_epsilons_rejected(self, tmp_path):
         code, rows = self._sweep(tmp_path, QUARTIC_PPA, "1e-4,1e-2")
         assert code == 1
+
+    @pytest.mark.parametrize("eps", ["inf,1e-4", "1e-2,-1e-4", "nan,1e-4"])
+    def test_epsilons_must_be_finite_and_positive(self, tmp_path, capsys, eps):
+        code, rows = self._sweep(tmp_path, QUARTIC_PPA, eps)
+        assert code == 1
+        assert rows is None
+        assert "finite and positive" in capsys.readouterr().err
 
     def test_failed_run_writes_partial_table(self, tmp_path):
         doc = {

@@ -16,9 +16,12 @@ from proxcert import (
     CallableSmooth,
     CompositeProblem,
     L1Term,
+    OracleCounters,
     apg_run,
     apg_terminating,
+    certified_prox_step,
     initial_state,
+    instrument_composite,
 )
 from proxcert.problems import IMAGE_MIN_ENTRIES, QuarticSpec, gen_quartic
 
@@ -133,8 +136,31 @@ def test_a_trial_maps_one_new_point():
     trials = sum(row.n_t + 1 for row in trace.rows)
     assert trials > len(trace.rows)  # some trials backtracked
     assert tally.calls == Counter(
-        value=1,  # F at the start point
         image=1 + trials,
-        value_at=trials,
+        value_at=1 + trials,  # F at the start point, from its image
         value_and_gradient_at=trials,
     )
+
+
+def test_a_certificate_check_maps_each_candidate_once():
+    # products with A: two in the probe's fused call, one per candidate in
+    # image(), and one (the transpose) in the witness gradient at x_tilde,
+    # taken from the accepted candidate's own raw image
+    base = above_gate()
+    tally = Tally(base.smooth)
+    counters = OracleCounters()
+    problem = instrument_composite(CompositeProblem(tally, base.nonsmooth, mu=base.mu), counters)
+    v = np.full(N, 0.1)
+    cert, n_tilde = certified_prox_step(problem, v, 1.0, 0.5)
+    assert n_tilde > 0  # some candidates backtracked
+    assert tally.calls == Counter(
+        value_and_gradient=1,
+        image=n_tilde + 1,
+        value_at=n_tilde + 1,
+        value_and_gradient_at=1,
+    )
+    assert (counters.grad_f_evals, counters.prox_evals) == (2, n_tilde + 1)
+    direct, n_direct = certified_prox_step(plain(base), v, 1.0, 0.5)
+    assert n_direct == n_tilde
+    assert np.array_equal(cert.x_tilde, direct.x_tilde)
+    assert np.array_equal(cert.witness, direct.witness)

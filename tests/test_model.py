@@ -149,13 +149,21 @@ def test_instrument_composite_counts_only_oracle_calls():
 class TestValueAndGradient:
     @pytest.mark.parametrize("mu_add", [0.0, 0.7])
     def test_quartic_fused_is_bit_identical(self, mu_add):
-        oracle = gen_quartic(QuarticSpec(n=9, k_terms=5, seed=3, mu_add=mu_add)).smooth
+        # value, gradient, the fused call and the two methods taking an
+        # image, below and at the image gate
         rng = np.random.default_rng(1)
-        for _ in range(20):
-            x = rng.uniform(-2.0, 2.0, size=9)
-            f, g = oracle.value_and_gradient(x)
-            assert f == oracle.value(x)
-            assert np.array_equal(g, oracle.gradient(x))
+        for n, k_terms in [(9, 5), (500, IMAGE_MIN_ENTRIES // 500)]:
+            oracle = gen_quartic(QuarticSpec(n=n, k_terms=k_terms, seed=3, mu_add=mu_add)).smooth
+            for _ in range(20):
+                x = rng.uniform(-2.0, 2.0, size=n)
+                r = oracle.rows @ x - oracle.offsets
+                image = oracle.image(x)
+                assert image is None if n == 9 else np.array_equal(image, r)
+                f, g = oracle.value(x), oracle.gradient(x)
+                f_fused, g_fused = oracle.value_and_gradient(x)
+                f_at, g_at = oracle.value_and_gradient_at(x, r)
+                assert f_fused == f and f_at == f and oracle.value_at(x, r) == f
+                assert np.array_equal(g_fused, g) and np.array_equal(g_at, g)
 
     def test_fallback_without_fused_method(self):
         oracle = gen_quartic(QuarticSpec(n=4, k_terms=3, seed=8, mu_add=0.5)).smooth

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,31 @@ class TestGenQuartic:
             y = rng.uniform(-2.0, 2.0, 3)
             lower = f(x) + float(grad(x) @ (y - x)) + 0.5 * mu * float((y - x) @ (y - x))
             assert f(y) >= lower - 1e-9 * (1.0 + abs(f(x)) + abs(f(y)))
+
+    @pytest.mark.parametrize("k", [1, 8, 500])
+    @pytest.mark.parametrize("mu_add", [0.0, 0.3])
+    def test_powers_match_a_pow_reference(self, k, mu_add):
+        # the oracle forms r**4 and r**3 from products of r * r; against libm
+        # pow with exactly summed terms it must agree to a few ulps of the
+        # sum of the term magnitudes, for |r| from 1e-3 up to 1e3
+        eps = np.finfo(float).eps
+        n = 7
+        rng = np.random.default_rng(k)
+        base = gen_quartic(QuarticSpec(n=n, k_terms=k, seed=k)).smooth
+        x = rng.uniform(-2.0, 2.0, n)
+        target = rng.uniform(-1.0, 1.0, k) * 10.0 ** rng.uniform(-3.0, 3.0, k)
+        oracle = quartic_from_arrays(base.coeffs, base.rows, base.rows @ x - target, mu_add).smooth
+        r = oracle.rows @ x - oracle.offsets
+        assert np.abs(r).max() > 100.0 or k < 500
+        quartic = oracle.coeffs * r**4
+        ridge = 0.5 * mu_add * math.fsum(x * x)
+        scale = 0.25 * math.fsum(np.abs(quartic)) + ridge
+        assert abs(oracle.value(x) - (0.25 * math.fsum(quartic) + ridge)) <= 8 * eps * scale
+        cubic = oracle.coeffs * r**3
+        grad = oracle.gradient(x)
+        for i in range(n):
+            terms = np.append(oracle.rows[:, i] * cubic, mu_add * x[i])
+            assert abs(grad[i] - math.fsum(terms)) <= 8 * eps * math.fsum(np.abs(terms))
 
     def test_rejects_bad_spec(self):
         with pytest.raises(ValueError):
