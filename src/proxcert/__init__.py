@@ -58,7 +58,6 @@ from .outer import (
     multiplier_update,
     ppa_unconstrained,
     prox_al,
-    shifted_proximal_subproblem,
 )
 from .proxcone import (
     BoxTerm,

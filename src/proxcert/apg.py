@@ -101,8 +101,8 @@ class ApgParams:
             raise ValueError("delta must lie in (0, 1)")
         if self.M < 1:
             raise ValueError("M must be a positive integer")
-        if self.epsilon is not None and not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if self.epsilon is not None and not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.max_iters < 1 or self.max_backtracks < 1:
             raise ValueError("iteration budgets must be positive")
 
@@ -616,12 +616,12 @@ def apg_terminating(
     is returned together with its certificate and the full trace.  ``done(certificate)``, when given, is
     called at each checked certificate whose residual exceeds epsilon, and
     only there; the solve also returns at the first one for which it is
-    true.  The outer loops pass their own stopping test this way.
+    true.  The outer loop passes its own stopping test this way.
 
     ``first_step``, when given, caps the step the first iteration tries
     first (recorded as ``trace.first_step``); the alpha recursion still
     starts from gamma0 and alpha0, and later iterations start as usual.
-    The outer loops pass the last step the previous subproblem accepted.
+    The outer loop passes the last step the previous subproblem accepted.
 
     Raises SolveTimeout (carrying the best certificate seen) when the
     iteration budget runs out, and propagates line-search failures.

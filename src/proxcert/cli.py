@@ -37,14 +37,15 @@ SPEC_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 _TOP_KEYS = {"version", "solver", "epsilon", "problem", "params", "init"}
 # The params: keys each solver reads are the fields of its params classes,
 # bar epsilon (a top-level key) and the composed inner params.  The outer
-# loops set the inner gamma0 themselves (see OuterParams).
+# loop sets the inner gamma0 itself (see OuterParams).
 _INNER_KEYS = {f.name for f in dataclasses.fields(ApgParams)} - {"epsilon"}
 _OUTER_KEYS = {f.name for f in dataclasses.fields(OuterParams)} - {"epsilon", "inner"}
+_OUTER_SOLVER_KEYS = _OUTER_KEYS | (_INNER_KEYS - {"gamma0"})
 _SOLVER_KEYS = {
     "apg": _INNER_KEYS,
     "apg-cert": _INNER_KEYS,
-    "ppa": _OUTER_KEYS | (_INNER_KEYS - {"gamma0"}),
-    "prox-al": _OUTER_KEYS | (_INNER_KEYS - {"gamma0"}),
+    "ppa": _OUTER_SOLVER_KEYS,
+    "prox-al": _OUTER_SOLVER_KEYS,
 }
 _KEY_TYPES = typing.get_type_hints(ApgParams) | typing.get_type_hints(OuterParams)
 _PROBLEM_TYPES = {
@@ -298,7 +299,8 @@ def execute(spec: RunSpec, epsilon: float | None = None) -> RunOutcome:
 
     params = _solver_params(spec, epsilon)
     if isinstance(params, OuterParams):
-        params = params.resolved(built)
+        conic = built if spec.solver == "prox-al" else ConicProblem.unconstrained(built)
+        params = params.resolved(conic)
     summary["params"] = _params_block(params, spec.solver)
 
     if spec.solver in ("apg", "apg-cert"):
@@ -390,14 +392,10 @@ def write_outer_trace(trace: OuterTrace, path: str):
         writer = csv.writer(fh)
         writer.writerow(OUTER_COLUMNS)
         for row in trace.rows:
-            if row.kkt is not None:
-                stat, comp = row.kkt.stationarity_residual, row.kkt.complementarity_residual
-            else:
-                stat, comp = row.residual_bound, None
             writer.writerow([
                 row.k, _fmt(row.rho_k), _fmt(row.eta_k), row.inner_iters,
                 row.grad_evals, row.prox_evals, _fmt(row.step_norm),
-                _fmt(stat), _fmt(comp),
+                _fmt(row.kkt.stationarity_residual), _fmt(row.kkt.complementarity_residual),
             ])
 
 

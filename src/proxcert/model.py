@@ -1,7 +1,7 @@
 """Problem containers, oracle protocols, and derivative-checking utilities.
 
 Oracles are pure functions of x.  Evaluation counting lives in thin wrappers
-produced by :func:`instrument_composite` (and, for the outer loops'
+produced by :func:`instrument_composite` (and, for the outer loop's
 subproblems, in ``outer.SubproblemOracle``), never in the oracles themselves,
 so problems stay immutable and shareable.
 """
@@ -295,6 +295,11 @@ class ConicProblem:
             raise ValueError(
                 f"cone dim {self.cone.dim} != constraint output dim {self.constraint.m}"
             )
+
+    @classmethod
+    def unconstrained(cls, base: CompositeProblem) -> "ConicProblem":
+        """``base`` under no constraint: an empty affine map into the empty cone."""
+        return cls(base, AffineConstraint(np.zeros((0, base.dim)), np.zeros(0)), ConeSpec(()))
 
 
 @dataclass

@@ -1,14 +1,16 @@
-"""Outer loops: proximal-point regularization for mu = 0 and the proximal
-augmented Lagrangian method for conic constraints.
+"""The outer loop: the proximal augmented Lagrangian method for conic
+constraints, which with an empty cone is the proximal-point method for mu = 0.
 
-Both drive the certified accelerated solver with inner residual targets
+It drives the certified accelerated solver with inner residual targets
 eta_k = eta0 * sigma**k and proximal weights rho_k = rho0 * zeta**j, where
 j counts the outer steps so far whose prox-step or complementarity term
 exceeded the inner residual ||u|| (``_grows``); the paper grows rho on every
 step.  So rho_k <= rho0 * zeta**k, and a step that holds rho has
-||x_{k+1} - x_k||/rho_k <= ||u|| <= eta_k.  Each loop stops at the first
-inner certificate that already proves the outer epsilon bound, which the
-paper's end-of-step test implies.
+||x_{k+1} - x_k||/rho_k <= ||u|| <= eta_k.  The loop stops at the first
+outer step whose KKT residuals are at most the outer epsilon, and an inner
+solve at the first certificate that already proves them, which the paper's
+end-of-step test implies.  ``ppa_unconstrained`` runs it on a mu = 0
+problem under no constraint, the paper's perturbation scheme.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .proxcone import normal_cone_gap, project_dual
 
 @dataclass(frozen=True)
 class OuterParams:
-    """Schedule of the outer loops and the settings of their inner solves.
+    """Schedule of the outer loop and the settings of its inner solves.
 
     eta_k = eta0 * sigma**k at every outer step.  rho starts at rho0 and
     grows by zeta only after a step whose prox-step term ||x_{k+1} - x_k||/
@@ -45,7 +47,7 @@ class OuterParams:
     rho_k = rho0 * zeta**j for the j grows so far, at most rho0 * zeta**k.
     rho0 defaults per problem when None (see ``resolved``).  ``inner`` holds
     the inner solver's settings; its epsilon must stay unset, since the
-    loops set it to eta_k on every step.  The loops also set the inner step
+    loop sets it to eta_k on every step.  The loop also sets the inner step
     base (the inner gamma0, so inner.gamma0 is unread): the step clamp
     (1 - 1e-9)/mu_k of the modulus mu_k = mu + 1/rho_k, to which the step
     grows back.  From outer step 1 on, the first trial of an inner solve is
@@ -62,8 +64,8 @@ class OuterParams:
     inner: ApgParams = ApgParams()
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not self.zeta > 1:
             raise ValueError("zeta must exceed 1")
         if not 0 < self.sigma < 1 / self.zeta:
@@ -73,23 +75,19 @@ class OuterParams:
         if self.max_outer < 1:
             raise ValueError("max_outer must be positive")
         if self.inner.epsilon is not None:
-            raise ValueError("inner.epsilon must be unset: the outer loops set it to eta_k")
+            raise ValueError("inner.epsilon must be unset: the outer loop sets it to eta_k")
 
-    def resolved(self, problem: CompositeProblem | ConicProblem) -> "OuterParams":
-        """These params with rho0 set for ``problem``, checked as its loop needs.
+    def resolved(self, conic: ConicProblem) -> "OuterParams":
+        """These params with rho0 set for ``conic``, checked as ``prox_al`` needs.
 
-        A ConicProblem is solved by ``prox_al``, a CompositeProblem with
-        mu = 0 by ``ppa_unconstrained``.  rho0 defaults to max(10, c + 1),
-        where c = (mu + sqrt(mu^2 + 4))/2 (1 when mu = 0), and need only be
-        positive and finite.  alpha0 must lie in [sqrt(mu_0 * gamma_0), 1]
-        for the modulus mu_0 = mu + 1/rho0 and the first step gamma_0 of the
-        first inner solve.  gamma_0 is the step clamp, so mu_0 * gamma_0 =
-        1 - 1e-9 and alpha0 must be within 5e-10 of 1.
+        rho0 defaults to max(10, c + 1), where c = (mu + sqrt(mu^2 + 4))/2
+        (1 when mu = 0), and need only be positive and finite.  alpha0 must
+        lie in [sqrt(mu_0 * gamma_0), 1] for the modulus mu_0 = mu + 1/rho0
+        and the first step gamma_0 of the first inner solve.  gamma_0 is the
+        step clamp, so mu_0 * gamma_0 = 1 - 1e-9 and alpha0 must be within
+        5e-10 of 1.
         """
-        conic = isinstance(problem, ConicProblem)
-        mu = problem.base.mu if conic else problem.mu
-        if not conic and mu != 0:
-            raise ValueError("the proximal-point loop requires mu = 0")
+        mu = conic.base.mu
         critical = (mu + math.sqrt(mu * mu + 4.0)) / 2.0
         rho0 = self.rho0 if self.rho0 is not None else max(10.0, critical + 1.0)
         if not 0 < rho0 < math.inf:
@@ -126,11 +124,7 @@ class KktReport:
 
 @dataclass(frozen=True)
 class OuterTraceRow:
-    """One outer iteration; grad/prox_evals are cumulative over the solve.
-
-    residual_bound, set by the proximal-point loop only, is ||u|| +
-    step_norm/rho_k for the witness u of the step's certificate.
-    """
+    """One outer iteration; grad/prox_evals are cumulative over the solve."""
 
     k: int
     rho_k: float
@@ -145,10 +139,9 @@ class OuterTraceRow:
     certificate: Certificate
     center: Array
     x_new: Array
-    residual_bound: float | None = None
-    lam_prev: Array | None = None
-    lam_new: Array | None = None
-    kkt: KktReport | None = None
+    lam_prev: Array
+    lam_new: Array
+    kkt: KktReport
     inner_trace: "object | None" = None  # ApgTrace when iterate recording is on
 
 
@@ -163,8 +156,7 @@ class PpaResult:
     """Output of ``ppa_unconstrained``.
 
     witness = u - (x - center_final)/rho_final lies in dF(x), where u is the
-    certificate's witness; residual_bound = ||u|| + ||x - center_final||/
-    rho_final bounds its norm and is at most epsilon.
+    certificate's witness, and residual_bound is its norm, at most epsilon.
     """
 
     x: Array
@@ -270,25 +262,6 @@ class SubproblemOracle:
         return value, g + self._constraint.adjoint_apply(x, proj) + dx / rho
 
 
-def shifted_proximal_subproblem(
-    problem: CompositeProblem,
-    center: Array,
-    rho: float,
-    counters: OracleCounters | None = None,
-) -> CompositeProblem:
-    """f + ||x - center||^2 / (2 rho) with the same nonsmooth term.
-
-    The quadratic shift raises the convexity modulus to mu + 1/rho.  Each
-    gradient of the smooth part books one on ``counters`` (see
-    SubproblemOracle).
-    """
-    return CompositeProblem(
-        smooth=SubproblemOracle(problem.smooth, center, rho, counters),
-        nonsmooth=problem.nonsmooth,
-        mu=problem.mu + 1.0 / rho,
-    )
-
-
 def build_al_subproblem(
     conic: ConicProblem,
     center: Array,
@@ -302,12 +275,13 @@ def build_al_subproblem(
     ||x - center||^2) / (2 rho); nonsmooth part: the original P; convexity
     modulus mu + 1/rho.  Each evaluation, fused or not, maps and projects
     once, and books its gradient, g, adjoint and cone-projection calls on
-    ``counters`` (see SubproblemOracle).
+    ``counters`` (see SubproblemOracle).  Under an empty cone the term is
+    the proximal-point one, f(x) + ||x - center||^2 / (2 rho), which calls
+    no map, projection or adjoint.
     """
+    constrained = (conic.constraint, conic.cone, lam) if conic.cone.dim else ()
     return CompositeProblem(
-        smooth=SubproblemOracle(
-            conic.base.smooth, center, rho, counters, conic.constraint, conic.cone, lam
-        ),
+        smooth=SubproblemOracle(conic.base.smooth, center, rho, counters, *constrained),
         nonsmooth=conic.base.nonsmooth,
         mu=conic.base.mu + 1.0 / rho,
     )
@@ -320,6 +294,11 @@ def multiplier_update(cone, lam, rho: float, gval) -> Array:
     lam = np.asarray(lam, dtype=float)
     gval = np.asarray(gval, dtype=float)
     return project_dual(cone, lam + rho * gval)
+
+
+def _norm(v: Array) -> float:
+    """||v|| for a vector v: what np.linalg.norm computes, without its overhead."""
+    return math.sqrt(v @ v)
 
 
 def kkt_report(
@@ -345,7 +324,9 @@ def kkt_report(
     ValueError, since a shorter g(x) would broadcast through lam + rho g(x)
     and past every later shape check.  The complementarity defect
     |<lam_new, w>| is a sum of products, so its rounding error, and its
-    tolerance, scale with ||lam_new|| * ||w||.
+    tolerance, scale with ||lam_new|| * ||w||.  Under an empty cone w is
+    empty and the complementarity residual and defects are 0, and no cone
+    routine is called.
     """
     x = np.asarray(x, dtype=float)
     x_prev = np.asarray(x_prev, dtype=float)
@@ -357,13 +338,18 @@ def kkt_report(
         raise ValueError(
             f"constraint map returned shape {gval.shape}, expected ({conic.cone.dim},)"
         )
+    if not conic.cone.dim:  # w is empty, and complementarity holds trivially
+        return KktReport(
+            stationarity_witness=s,
+            complementarity_witness=gval,
+            stationarity_residual=_norm(s),
+            complementarity_residual=0.0,
+            witness_defects=(0.0, 0.0),
+        )
     w = (lam_prev + rho * gval - lam_new) / rho
     membership, complementarity = defects = normal_cone_gap(conic.cone, lam_new, w)
-    tolerance = 1e-9 * (1.0 + float(np.linalg.norm(w)))
-    if not (
-        membership <= tolerance
-        and complementarity <= tolerance * (1.0 + float(np.linalg.norm(lam_new)))
-    ):
+    tolerance = 1e-9 * (1.0 + _norm(w))
+    if not (membership <= tolerance and complementarity <= tolerance * (1.0 + _norm(lam_new))):
         raise InvariantViolation(
             f"normal-cone witness defects {defects} exceed tolerance; the "
             "multiplier does not match the certificate's outer step"
@@ -371,8 +357,8 @@ def kkt_report(
     return KktReport(
         stationarity_witness=s,
         complementarity_witness=w,
-        stationarity_residual=float(np.linalg.norm(s)),
-        complementarity_residual=float(np.linalg.norm(lam_new - lam_prev)) / rho,
+        stationarity_residual=_norm(s),
+        complementarity_residual=_norm(lam_new - lam_prev) / rho,
         witness_defects=defects,
     )
 
@@ -400,17 +386,16 @@ def _stationarity_bound(certificate: Certificate, center: Array, rho: float) -> 
     subdifferential of the outer objective (of the Lagrangian at the updated
     multiplier, for prox-AL) at x_tilde.
     """
-    return certificate.residual + float(np.linalg.norm(certificate.x_tilde - center)) / rho
+    return certificate.residual + _norm(certificate.x_tilde - center) / rho
 
 
 def _grows(step_norm: float, rho: float, complementarity: float, residual: float) -> bool:
     """Whether rho grows after an outer step: when a term it controls binds.
 
     The prox-step term ||x_new - x_k||/rho_k and the complementarity
-    residual (0 for the proximal-point loop) shrink as rho grows; the inner
-    residual ||u|| does not.  rho grows only when the larger of the first
-    two exceeds ||u||, so a held step has ||x_new - x_k||/rho_k <= ||u||.
-    One rule for both loops.
+    residual (0 under an empty cone) shrink as rho grows; the inner residual
+    ||u|| does not.  rho grows only when the larger of the first two
+    exceeds ||u||, so a held step has ||x_new - x_k||/rho_k <= ||u||.
     """
     return max(step_norm / rho, complementarity) > residual
 
@@ -421,98 +406,6 @@ def _check_inner_residual(certificate: Certificate, eta_k: float, k: int) -> Non
             f"inner solve at outer step {k} returned residual {certificate.residual} "
             f"above its target eta_k = {eta_k}"
         )
-
-
-def ppa_unconstrained(
-    problem: CompositeProblem,
-    params: OuterParams,
-    init,
-    record_iterates: bool = False,
-) -> PpaResult:
-    """Certified solver for mu = 0 via proximal-point perturbations.
-
-    Each outer step minimizes f + ||x - x_k||^2/(2 rho_k) + P with the
-    certified accelerated solver at target eta_k (step base: the step clamp
-    (1 - 1e-9) rho_k, first trying the previous step's last accepted step).
-    rho grows by zeta after a step with ||x_{k+1} - x_k||/rho_k > ||u|| and
-    is held otherwise.
-    At every certificate it checks, the inner solver also tests the outer
-    bound ||u|| + ||x_tilde - x_k||/rho_k <= epsilon for its witness u; the
-    first certificate that passes ends the solve, and the bound, which
-    bounds ||u - (x_tilde - x_k)/rho_k|| >= dist(0, dF(x_tilde)), is
-    returned as residual_bound.  The paper's test (||x_{k+1} - x_k||/rho_k
-    and eta_k both at most epsilon/2) implies it, since ||u|| <= eta_k.
-    """
-    params = params.resolved(problem)
-
-    counters = OracleCounters()
-    # only the prox term is wrapped: the subproblem oracle books its own calls
-    base = replace(problem, nonsmooth=_CountingProx(problem.nonsmooth, counters))
-    x = np.asarray(init, dtype=float).copy()
-    rows: list[OuterTraceRow] = []
-    trace = OuterTrace(rows=rows, counters=counters)
-    best_bound = math.inf
-    first_step = None
-    grows = 0
-    for k in range(params.max_outer):
-        rho_k = params.rho0 * params.zeta**grows
-        eta_k = params.eta0 * params.sigma**k
-        sub = shifted_proximal_subproblem(base, x, rho_k, counters)
-        before = counters.snapshot()
-        res = apg_terminating(
-            sub,
-            replace(params.inner, gamma0=step_clamp(sub.mu), epsilon=eta_k),
-            x,
-            counters=counters,
-            record_iterates=record_iterates,
-            done=lambda cert: _stationarity_bound(cert, x, rho_k) <= params.epsilon,
-            first_step=first_step,
-        )
-        x_new = res.x
-        step = float(np.linalg.norm(x_new - x))
-        bound = _stationarity_bound(res.certificate, x, rho_k)
-        stopped = bound <= params.epsilon
-        if not stopped:
-            _check_inner_residual(res.certificate, eta_k, k)
-        rows.append(
-            OuterTraceRow(
-                k=k,
-                rho_k=rho_k,
-                eta_k=eta_k,
-                inner_iters=len(res.trace.rows),
-                inner_grad_evals=counters.grad_f_evals - before.grad_f_evals,
-                inner_prox_evals=counters.prox_evals - before.prox_evals,
-                step_norm=step,
-                certified_inner_residual=res.certificate.residual,
-                grad_evals=counters.grad_f_evals,
-                prox_evals=counters.prox_evals,
-                certificate=res.certificate,
-                center=x,
-                x_new=x_new,
-                residual_bound=bound,
-                inner_trace=res.trace if record_iterates else None,
-            )
-        )
-        best_bound = min(best_bound, bound)
-        if stopped:
-            witness = res.certificate.witness - (x_new - x) / rho_k
-            return PpaResult(
-                x=x_new,
-                residual_bound=bound,
-                witness=witness,
-                certificate=res.certificate,
-                rho_final=rho_k,
-                center_final=x,
-                trace=trace,
-            )
-        grows += _grows(step, rho_k, 0.0, res.certificate.residual)
-        x = x_new
-        first_step = res.trace.rows[-1].gamma_t
-    raise SolveTimeout(
-        f"outer budget of {params.max_outer} exhausted; best residual bound {best_bound}",
-        best=best_bound,
-        trace=trace,
-    )
 
 
 def prox_al(
@@ -530,8 +423,8 @@ def prox_al(
     accepted step) and updates the multiplier by projected dual ascent.
     rho grows by zeta after a step whose ||x_{k+1} - x_k||/rho_k or
     complementarity residual ||lam_{k+1} - lam_k||/rho_k exceeds the inner
-    residual ||u||, and is held otherwise.  At
-    every certificate it checks, the inner solver also tests the outer
+    residual ||u||, and is held otherwise.  At every certificate it checks,
+    the inner solver also tests the outer
     stopping rule: first ||u|| + ||x_tilde - x_k||/rho_k <= epsilon, which
     costs no oracle call, and only then, with one counted g(x_tilde) and one
     counted cone projection, ||lam_new - lam_k||/rho_k <= epsilon for the
@@ -540,7 +433,9 @@ def prox_al(
     multiplier update.  The solve returns at the first outer step whose
     KKT report has both residuals at most epsilon.  The paper's test (the
     scaled pair step ||(x, lam) step||/rho_k and eta_k both at most
-    epsilon/2) implies the stopping rule.
+    epsilon/2) implies the stopping rule.  Under an empty cone the
+    subproblem is the proximal-point one, the multiplier update maps and
+    projects nothing, and the complementarity residual is 0.
     """
     params = params.resolved(conic)
 
@@ -563,6 +458,8 @@ def prox_al(
         sub = build_al_subproblem(counted, x, lam, rho_k, counters=counters)
 
         def update(x_at):
+            if not conic.cone.dim:  # g(x_at) and the multiplier are empty
+                return lam, lam
             counters.g_evals += 1
             counters.cone_proj_evals += 1
             gval = conic.constraint.value(x_at)
@@ -575,7 +472,7 @@ def prox_al(
             if not _stationarity_bound(cert, x, rho_k) <= params.epsilon:
                 return False
             passed = (cert, *update(cert.x_tilde))
-            return float(np.linalg.norm(passed[2] - lam)) / rho_k <= params.epsilon
+            return _norm(passed[2] - lam) / rho_k <= params.epsilon
 
         before = counters.snapshot()
         res = apg_terminating(
@@ -593,8 +490,8 @@ def prox_al(
         else:
             _check_inner_residual(res.certificate, eta_k, k)
             gval, lam_new = update(x_new)
-        x_step = float(np.linalg.norm(x_new - x))
-        step = math.sqrt(x_step**2 + float(np.linalg.norm(lam_new - lam)) ** 2)
+        x_step = _norm(x_new - x)
+        step = math.sqrt(x_step**2 + _norm(lam_new - lam) ** 2)
         report = kkt_report(conic, x_new, lam_new, res.certificate, rho_k, x, lam, gval)
         rows.append(
             OuterTraceRow(
@@ -630,4 +527,41 @@ def prox_al(
         f"outer budget of {params.max_outer} exhausted; best KKT residual {best_res}",
         best=best,
         trace=trace,
+    )
+
+
+def ppa_unconstrained(
+    problem: CompositeProblem,
+    params: OuterParams,
+    init,
+    record_iterates: bool = False,
+) -> PpaResult:
+    """Certified solver for mu = 0 via proximal-point perturbations.
+
+    ``prox_al`` on ``problem`` under no constraint: each outer step
+    minimizes f + ||x - x_k||^2/(2 rho_k) + P with the certified accelerated
+    solver at target eta_k, and the solve returns at the first step whose
+    witness s = u - (x_{k+1} - x_k)/rho_k, an element of dF(x_{k+1}), has
+    ||s|| <= epsilon.  An inner solve stops early at the first certificate
+    with ||u|| + ||x_tilde - x_k||/rho_k <= epsilon, which bounds ||s||.  A
+    SolveTimeout carries the least ||s|| seen as its ``best``.
+    """
+    if problem.mu != 0:
+        raise ValueError("the proximal-point solver requires mu = 0")
+    conic = ConicProblem.unconstrained(problem)
+    try:
+        # through the module name, which tracers rebind
+        res = prox_al(conic, params, init, np.zeros(0), record_iterates)
+    except SolveTimeout as exc:
+        exc.best = exc.best.stationarity_residual
+        raise
+    last = res.trace.rows[-1]
+    return PpaResult(
+        x=res.x,
+        residual_bound=res.report.stationarity_residual,
+        witness=res.report.stationarity_witness,
+        certificate=last.certificate,
+        rho_final=last.rho_k,
+        center_final=last.center,
+        trace=res.trace,
     )

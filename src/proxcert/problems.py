@@ -220,8 +220,8 @@ def reference_solve(problem: CompositeProblem, tol: float) -> tuple[Array, float
     """High-accuracy solve used as an oracle by the test suites.
 
     Routes to the certified accelerated solver when mu > 0 and to the
-    proximal-point loop otherwise, with generous budgets; returns the point
-    and its certified residual bound (<= tol).  Budget exhaustion raises,
+    proximal-point solver otherwise, with generous budgets; returns the
+    point and its certified residual bound (<= tol).  Budget exhaustion raises,
     since that is a failure of the test infrastructure rather than a solver
     verdict.
     """

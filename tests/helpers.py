@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from proxcert import ConicProblem, dist_polar, project_dual, trial_step
+from proxcert import ConicProblem, build_al_subproblem, dist_polar, project_dual, trial_step
 from proxcert.apg import admits_growth
 from proxcert.outer import _require_dual
 from proxcert.problems import ConstrainedSpec, QuarticSpec
@@ -28,6 +28,12 @@ def criterion6_specs() -> list[ConstrainedSpec]:
             )
         )
     return specs
+
+
+def ppa_subproblem(problem, center, rho: float, counters=None):
+    """The subproblem of a proximal-point step: prox-AL's under no constraint."""
+    conic = ConicProblem.unconstrained(problem)
+    return build_al_subproblem(conic, center, np.zeros(0), rho, counters=counters)
 
 
 def rule_start(gamma0, gamma_prev, may_grow, delta=0.5, cap=math.inf):

@@ -25,7 +25,6 @@ from proxcert import (
     ppa_unconstrained,
     prox_al,
     residual_certificate,
-    shifted_proximal_subproblem,
 )
 from proxcert.model import composite_value
 from proxcert.problems import (
@@ -39,7 +38,12 @@ from proxcert.problems import (
 )
 from proxcert.proxcone import project_dual, project_polar
 
-from helpers import accounting_violations, criterion6_specs, trajectory_invariant_violations
+from helpers import (
+    accounting_violations,
+    criterion6_specs,
+    ppa_subproblem,
+    trajectory_invariant_violations,
+)
 
 
 def report(number, name, violations):
@@ -91,14 +95,14 @@ def suite1():
             res = ppa_unconstrained(problem, OuterParams(epsilon=eps), init, record_iterates=True)
             traces = []
             for row in res.trace.rows:
-                sub = shifted_proximal_subproblem(problem, row.center, row.rho_k)
+                sub = ppa_subproblem(problem, row.center, row.rho_k)
                 traces.append((
                     sub,
                     row.inner_trace,
                     row.grad_evals - row.inner_grad_evals,
                     row.prox_evals - row.inner_prox_evals,
                 ))
-            sub_final = shifted_proximal_subproblem(problem, res.center_final, res.rho_final)
+            sub_final = ppa_subproblem(problem, res.center_final, res.rho_final)
             records.append(SolveRecord(
                 label=label, mu=mu, epsilon=eps,
                 certificate=res.certificate, residual=res.residual_bound,

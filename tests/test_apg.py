@@ -249,6 +249,8 @@ class TestApgTerminating:
             apg_terminating(quartic_1d, ApgParams(epsilon=1e-6), [1.0])
         with pytest.raises(ValueError, match="epsilon"):
             apg_terminating(quadratic, ApgParams(), [1.0])
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            ApgParams(epsilon=math.inf)
 
     def test_random_quartics_certified_and_recomputable(self):
         rng = np.random.default_rng(88)

@@ -1,10 +1,10 @@
-"""The outer loops stop at the first inner certificate that proves epsilon.
+"""The outer loop stops at the first inner certificate that proves epsilon.
 
 At every certificate an inner solve checks, ``apg_terminating`` also asks
-the outer loop's stopping test (its ``done`` argument).  For the
-proximal-point loop the test is ||u|| + ||x_tilde - x_k||/rho_k <= eps; for
-prox-AL the same bound and then ||lam_new - lam_k||/rho_k <= eps for the
-multiplier updated at x_tilde.  These tests recompute the returned
+the outer loop's stopping test (its ``done`` argument): ||u|| +
+||x_tilde - x_k||/rho_k <= eps, and then ||lam_new - lam_k||/rho_k <= eps
+for the multiplier updated at x_tilde, which an empty cone (the
+proximal-point solver) always passes.  These tests recompute the returned
 certificates from the raw oracles, check that no earlier checked
 certificate already passed the test, and that every raw call of g is
 booked.
@@ -29,11 +29,10 @@ from proxcert import (
     project_dual,
     prox_al,
     residual_certificate,
-    shifted_proximal_subproblem,
 )
 from proxcert.problems import QuarticSpec, gen_constrained, gen_quartic, ineq_quadratic_1d
 
-from helpers import criterion6_specs
+from helpers import criterion6_specs, ppa_subproblem
 
 AL_EPS = 1e-4
 PPA_EPS = 1e-7
@@ -123,14 +122,13 @@ def test_ppa_exits_at_the_first_certificate_proving_epsilon(n, k, term):
     params = OuterParams(epsilon=PPA_EPS)
     res = ppa_unconstrained(problem, params, np.zeros(n), record_iterates=True)
 
-    sub = shifted_proximal_subproblem(problem, res.center_final, res.rho_final)
+    sub = ppa_subproblem(problem, res.center_final, res.rho_final)
     cert = res.certificate
     _assert_reverifies(sub, cert)
     assert np.array_equal(res.x, cert.x_tilde)
     s = cert.witness - (res.x - res.center_final) / res.rho_final
     assert np.array_equal(s, res.witness)
-    assert res.residual_bound == _bound(cert, res.center_final, res.rho_final) <= PPA_EPS
-    assert float(np.linalg.norm(s)) <= res.residual_bound * (1.0 + 1e-15)
+    assert res.residual_bound == float(np.linalg.norm(res.witness)) <= PPA_EPS
 
     checked = _checked_certificates(res.trace.rows)
     assert checked[-1][1] is cert
@@ -138,7 +136,7 @@ def test_ppa_exits_at_the_first_certificate_proving_epsilon(n, k, term):
         assert not _bound(earlier, row.center, row.rho_k) <= PPA_EPS
     for row in res.trace.rows[:-1]:
         assert row.certified_inner_residual <= row.eta_k
-        assert row.residual_bound > PPA_EPS
+        assert row.kkt.stationarity_residual > PPA_EPS
 
 
 # --- prox_al --------------------------------------------------------------------

@@ -3,7 +3,7 @@
 An iteration starts its search at min(gamma_prev/delta, gamma0) when the
 previous accepted trial passed the grow gate (its curvature test with
 margin delta and rounding slack to spare), and at gamma_prev otherwise.
-The outer loops give their inner solves the step clamp as gamma0; from
+The outer loop gives its inner solves the step clamp as gamma0; from
 outer step 1 on, an inner solve's first iteration tries the last step the
 previous inner solve accepted, capped at the clamp, while its alpha
 recursion still starts at the clamp.  These tests check traces from every
@@ -28,7 +28,6 @@ from proxcert import (
     ppa_unconstrained,
     prox_al,
     residual_certificate,
-    shifted_proximal_subproblem,
     solve_alpha,
 )
 from proxcert.apg import admits_growth
@@ -38,6 +37,7 @@ from helpers import (
     accepted_trial,
     accounting_violations,
     criterion6_specs,
+    ppa_subproblem,
     rule_start,
     trajectory_invariant_violations,
 )
@@ -80,7 +80,7 @@ def _ppa_traces():
     problem, res = _ppa_run()
     return [
         (
-            shifted_proximal_subproblem(problem, row.center, row.rho_k),
+            ppa_subproblem(problem, row.center, row.rho_k),
             row.inner_trace,
             row.grad_evals - row.inner_grad_evals,
             row.prox_evals - row.inner_prox_evals,

@@ -21,7 +21,6 @@ from proxcert import (
     project_dual,
     prox_al,
     residual_certificate,
-    shifted_proximal_subproblem,
 )
 from proxcert.model import (
     AffineConstraint,
@@ -39,7 +38,7 @@ from proxcert.problems import (
     ineq_quadratic_1d,
 )
 
-from helpers import al_smooth_gradient, al_value, criterion6_specs
+from helpers import al_smooth_gradient, al_value, criterion6_specs, ppa_subproblem
 
 
 @pytest.fixture
@@ -98,7 +97,7 @@ class TestSubproblems:
 
     def test_shifted_subproblem_identities(self, quartic_1d):
         center, rho = np.array([0.7]), 5.0
-        sub = shifted_proximal_subproblem(quartic_1d, center, rho)
+        sub = ppa_subproblem(quartic_1d, center, rho)
         assert sub.mu == 1.0 / rho
         assert sub.smooth.value(center) == quartic_1d.smooth.value(center)
         x = np.array([1.3])
@@ -139,8 +138,11 @@ class TestPpaUnconstrained:
     def test_output_bound_assembled_from_last_step(self, quartic_1d):
         res = ppa_unconstrained(quartic_1d, OuterParams(epsilon=1e-5), [1.0])
         last = res.trace.rows[-1]
-        assert res.residual_bound == last.certified_inner_residual + last.step_norm / last.rho_k
-        assert res.residual_bound == last.residual_bound
+        s = last.certificate.witness - (last.x_new - last.center) / last.rho_k
+        assert np.array_equal(last.kkt.stationarity_witness, s)
+        assert np.array_equal(res.witness, s)
+        assert res.residual_bound == last.kkt.stationarity_residual == float(np.linalg.norm(s))
+        assert last.kkt.complementarity_residual == 0.0
         assert res.residual_bound <= 1e-5
 
     def test_l1_composite_certificate_recomputation(self):
@@ -148,7 +150,7 @@ class TestPpaUnconstrained:
         res = ppa_unconstrained(problem, OuterParams(epsilon=1e-5), np.zeros(5))
         assert res.residual_bound <= 1e-5
         cert = res.certificate
-        sub = shifted_proximal_subproblem(problem, res.center_final, res.rho_final)
+        sub = ppa_subproblem(problem, res.center_final, res.rho_final)
         again = residual_certificate(sub, cert.x_pre, cert.x_tilde, cert.gamma_tilde)
         assert np.max(np.abs(again.witness - cert.witness)) <= 1e-12
         s = cert.witness - (res.x - res.center_final) / res.rho_final
@@ -199,6 +201,16 @@ class TestProxAl:
         assert res.report.complementarity_residual == 0.0
         # the stationarity witness is a certified subgradient of f + P itself
         assert np.linalg.norm(base.smooth.gradient(res.x)) <= 1e-4 + 1e-12
+        # the proximal-point solver is this solve, bit for bit, and maps,
+        # applies and projects nothing
+        ppa = ppa_unconstrained(base, OuterParams(epsilon=1e-4), np.zeros(3))
+        assert np.array_equal(ppa.x, res.x)
+        assert np.array_equal(ppa.witness, res.report.stationarity_witness)
+        assert ppa.residual_bound == res.report.stationarity_residual
+        assert [row.rho_k for row in ppa.trace.rows] == [row.rho_k for row in res.trace.rows]
+        assert ppa.trace.counters == res.trace.counters
+        counters = ppa.trace.counters
+        assert (counters.g_evals, counters.adjoint_evals, counters.cone_proj_evals) == (0, 0, 0)
 
     def test_multipliers_stay_in_dual_cone(self, ineq1d):
         eps = 1e-4
@@ -389,8 +401,9 @@ class TestOuterParams:
             OuterParams(epsilon=1e-4, zeta=2.0, sigma=0.6)
 
     def test_epsilon_positive(self):
-        with pytest.raises(ValueError, match="epsilon"):
-            OuterParams(epsilon=0.0)
+        for eps in (0.0, np.inf):
+            with pytest.raises(ValueError, match="epsilon"):
+                OuterParams(epsilon=eps)
 
     def test_inner_epsilon_rejected(self):
         with pytest.raises(ValueError, match="inner.epsilon"):
@@ -398,10 +411,11 @@ class TestOuterParams:
 
     def test_resolved_rho0_defaults(self, quartic_1d, ineq1d):
         params = OuterParams(epsilon=1e-4)
-        assert params.resolved(quartic_1d).rho0 == 10.0
+        unconstrained = ConicProblem.unconstrained(quartic_1d)
+        assert params.resolved(unconstrained).rho0 == 10.0
         assert params.resolved(ineq1d).rho0 == 10.0  # c + 1 = 3.41 for mu = 2
         wide = OuterParams(epsilon=1e-4, inner=ApgParams(gamma0=12.0))
-        assert wide.resolved(quartic_1d).rho0 == 10.0  # the inner gamma0 is unread
+        assert wide.resolved(unconstrained).rho0 == 10.0  # the inner gamma0 is unread
         steep = ConicProblem(
             base=gen_quartic(QuarticSpec(n=2, k_terms=1, seed=0, mu_add=20.0)),
             constraint=eq_quadratic_2d().constraint,
@@ -423,7 +437,7 @@ class TestOuterParams:
     @pytest.mark.parametrize("conic", [False, True])
     def test_grow_path_alpha0_checked_against_the_clamp(self, quartic_1d, ineq1d, conic):
         # the first inner step is the clamp, so mu_0 * gamma_0 = 1 - 1e-9
-        problem = ineq1d if conic else quartic_1d
+        problem = ineq1d if conic else ConicProblem.unconstrained(quartic_1d)
         lower = OuterParams(epsilon=1e-4).resolved(problem)  # alpha0 = 1 passes
         assert lower.inner.alpha0 == 1.0
         with pytest.raises(ValueError, match=r"alpha0 must lie in \[sqrt\(mu_0 \* gamma_0\)"):
@@ -462,7 +476,7 @@ def grow_decisions(rows, params):
         assert row.rho_k == params.rho0 * params.zeta**grows
         assert row.rho_k <= params.rho0 * params.zeta**row.k
         prox_step = float(np.linalg.norm(row.x_new - row.center)) / row.rho_k
-        complementarity = 0.0 if row.kkt is None else row.kkt.complementarity_residual
+        complementarity = row.kkt.complementarity_residual
         decisions.append(max(prox_step, complementarity) > row.certified_inner_residual)
         grows += decisions[-1]
     return decisions
@@ -479,6 +493,8 @@ class TestOuterSchedule:
             inst = gen_constrained(criterion6_specs()[2])
             problem, params = inst.conic, OuterParams(epsilon=1e-4)
             res = prox_al(problem, params, inst.x_feas, np.zeros(problem.cone.dim))
+        if loop == "ppa":
+            problem = ConicProblem.unconstrained(problem)
         decisions = grow_decisions(res.trace.rows, params.resolved(problem))
         if loop == "prox-al":
             assert True in decisions[:-1] and False in decisions[:-1]
@@ -521,7 +537,7 @@ class TestFusedSubproblems:
 
     def test_shifted_fused_is_bit_identical(self):
         problem = gen_quartic(QuarticSpec(n=6, k_terms=3, seed=2))
-        sub = shifted_proximal_subproblem(problem, np.linspace(-0.5, 0.5, 6), 7.0)
+        sub = ppa_subproblem(problem, np.linspace(-0.5, 0.5, 6), 7.0)
         x = np.linspace(1.0, -1.0, 6)
         f, g = sub.smooth.value_and_gradient(x)
         assert f == sub.smooth.value(x)
@@ -529,7 +545,7 @@ class TestFusedSubproblems:
 
 
 class TestSubproblemOracle:
-    """The flat oracle of both outer loops' subproblems."""
+    """The flat oracle of the outer loop's subproblems."""
 
     CENTER = np.full(5, 0.1)
     RHO = 3.0
@@ -605,7 +621,7 @@ class TestSubproblemOracle:
             problem = CompositeProblem(smooth, problem.nonsmooth, problem.mu)
         center, rho = np.linspace(-0.5, 0.5, 6), 7.0
         counters = OracleCounters()
-        sub = shifted_proximal_subproblem(problem, center, rho, counters)
+        sub = ppa_subproblem(problem, center, rho, counters)
         assert sub.mu == problem.mu + 1.0 / rho
         rng = np.random.default_rng(5)
         for _ in range(10):

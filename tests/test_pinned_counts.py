@@ -10,9 +10,9 @@ The step grows back, and every inner solve gets the step clamp as its
 gamma0; from outer step 1 on, an inner solve first tries the last step the
 previous one accepted, while its alpha recursion starts at the clamp.
 
-Both outer loops stop at the first inner certificate that proves the
-epsilon bound, and grow rho only after a step whose prox-step or
-complementarity term exceeds its inner residual; otherwise they hold it.
+The outer loop stops at the first inner certificate that proves the
+epsilon bound, and grows rho only after a step whose prox-step or
+complementarity term exceeds its inner residual; otherwise it holds it.
 With rho held, a run leaves the paper-rule run (rho_k = rho0 * zeta**k,
 stopped by the paper's end-of-step test) at its first held step, so it is
 no longer a prefix of that run.  The totals of the paper-rule run are kept
