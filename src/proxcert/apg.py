@@ -223,7 +223,6 @@ class ApgTrace:
 
     rows: list[TraceRow]
     counters: OracleCounters
-    x_init: Array
     F_init: float
     gamma0: float
     alpha0: float
@@ -562,7 +561,6 @@ def _prepare(problem, params, init, counters, first_step=None):
     trace = ApgTrace(
         rows=[],
         counters=counters,
-        x_init=state.x.copy(),
         F_init=f_init + problem.nonsmooth.value(x),
         gamma0=gamma0,
         alpha0=alpha0,

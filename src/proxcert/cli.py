@@ -2,7 +2,7 @@
 
 Spec files are YAML with an explicit ``version: 1`` and fail loudly on
 unknown keys.  Exit codes: 0 certified success, 1 spec/validation error,
-2 timeout or solve failure (partial outputs still written).
+2 timeout (partial outputs still written) or solve failure (no outputs).
 """
 
 from __future__ import annotations
@@ -18,17 +18,17 @@ import time
 import types
 import typing
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Callable
 
 import numpy as np
 import yaml
 
 from . import problems
 from .apg import ApgParams, ApgTrace, apg_run, apg_terminating
-from .model import ConicProblem, LineSearchFailure, SolveTimeout
+from .model import Array, ConicProblem, LineSearchFailure, SolveTimeout
 from .outer import OuterParams, OuterTrace, ppa_unconstrained, prox_al
 from .proxcone import BoxTerm, L1Term, NonnegativeTerm, SquaredL2Term, ZeroTerm
-
-SOLVERS = ("apg", "apg-cert", "ppa", "prox-al")
 
 # libyaml's loader when PyYAML was built with it: the same documents as the
 # pure-Python SafeLoader, parsed several times faster.
@@ -41,26 +41,27 @@ _TOP_KEYS = {"version", "solver", "epsilon", "problem", "params", "init"}
 _INNER_KEYS = {f.name for f in dataclasses.fields(ApgParams)} - {"epsilon"}
 _OUTER_KEYS = {f.name for f in dataclasses.fields(OuterParams)} - {"epsilon", "inner"}
 _OUTER_SOLVER_KEYS = _OUTER_KEYS | (_INNER_KEYS - {"gamma0"})
-_SOLVER_KEYS = {
-    "apg": _INNER_KEYS,
-    "apg-cert": _INNER_KEYS,
-    "ppa": _OUTER_SOLVER_KEYS,
-    "prox-al": _OUTER_SOLVER_KEYS,
-}
 _KEY_TYPES = typing.get_type_hints(ApgParams) | typing.get_type_hints(OuterParams)
-_PROBLEM_TYPES = {
-    "n": int, "k_terms": int, "seed": int, "mu_add": float,
-    "m1": int, "m2": int, "constraint_seed": int,
+# The problem: keys and their types, bar kind and prox, are the fields of the
+# generators' specs; ConstrainedSpec.seed is written constraint_seed.
+_QUARTIC_TYPES = typing.get_type_hints(problems.QuarticSpec)
+_CONSTRAINT_TYPES = typing.get_type_hints(problems.ConstrainedSpec)
+_CONSTRAINT_TYPES["constraint_seed"] = _CONSTRAINT_TYPES.pop("seed")
+del _QUARTIC_TYPES["prox"], _CONSTRAINT_TYPES["base"]
+# Spec values are looked up in tuple(table), as YAML lists are unhashable.
+_PROBLEM_KEYS = {
+    "quartic": {"kind", "prox", *_QUARTIC_TYPES},
+    "constrained": {"kind", "prox", *_QUARTIC_TYPES, *_CONSTRAINT_TYPES},
+    "named": {"kind", "name"},
 }
-_QUARTIC_KEYS = {"kind", "n", "k_terms", "seed", "mu_add", "prox"}
-_CONSTRAINED_KEYS = _QUARTIC_KEYS | {"m1", "m2", "constraint_seed"}
-_NAMED_KEYS = {"kind", "name"}
-_PROX_KEYS = {
-    "zero": {"kind"},
-    "l1": {"kind", "weight"},
-    "box": {"kind", "lower", "upper"},
-    "nonneg": {"kind"},
-    "squared_l2": {"kind", "coef", "center"},
+_NAMED = {"ineq-1d": problems.ineq_quadratic_1d, "eq-qp-2d": problems.eq_quadratic_2d}
+# A prox: block's keys are kind and its term's init fields bar dim, which is n.
+_PROX_TERMS = {
+    "zero": ZeroTerm,
+    "l1": L1Term,
+    "box": BoxTerm,
+    "nonneg": NonnegativeTerm,
+    "squared_l2": SquaredL2Term,
 }
 
 INNER_COLUMNS = (
@@ -71,10 +72,71 @@ OUTER_COLUMNS = (
     "k", "rho_k", "eta_k", "inner_iters", "grad_evals", "prox_evals",
     "step_norm", "stat_res", "comp_res",
 )
+# Each trace type's CSV columns, and the fields of a row they hold.
+_TRACE_CSV = {
+    ApgTrace: (INNER_COLUMNS, attrgetter(*INNER_COLUMNS)),
+    OuterTrace: (OUTER_COLUMNS, attrgetter(
+        *OUTER_COLUMNS[:-2], "kkt.stationarity_residual", "kkt.complementarity_residual",
+    )),
+}
 
 
 class SpecError(ValueError):
     """Invalid run specification."""
+
+
+@dataclass(frozen=True)
+class _Solver:
+    """What ``execute`` needs of one solver.
+
+    ``entry`` names its entry point, looked up in this module at call time,
+    since tracers rebind those names.  ``unpack`` splits the entry point's
+    result into its trace and what it certified, and ``block`` makes the
+    summary fields from the trace length and that value, or on a timeout from
+    the best the solver saw (None if it saw none).  ``budget`` is set for the
+    solver with no termination test: its default max_iters.
+    """
+
+    entry: str
+    params: type
+    unpack: Callable
+    block: Callable
+    conic: bool = False
+    budget: int | None = None
+
+    @property
+    def keys(self) -> set:
+        return _INNER_KEYS if self.params is ApgParams else _OUTER_SOLVER_KEYS
+
+
+def _kkt(report) -> dict | None:
+    if report is None:
+        return None
+    return {
+        "stationarity": report.stationarity_residual,
+        "complementarity": report.complementarity_residual,
+    }
+
+
+_SOLVERS = {
+    "apg": _Solver(
+        "apg_run", ApgParams, lambda trace: (trace, trace.rows[-1].F),
+        lambda n, F: {"iterations": n, "residual_bound": None, "F_final": F}, budget=1000,
+    ),
+    "apg-cert": _Solver(
+        "apg_terminating", ApgParams, attrgetter("trace", "certificate"),
+        lambda n, cert: {"iterations": n, "residual_bound": None if cert is None else cert.residual},
+    ),
+    "ppa": _Solver(
+        "ppa_unconstrained", OuterParams, attrgetter("trace", "residual_bound"),
+        lambda n, bound: {"outer_iterations": n, "residual_bound": bound},
+    ),
+    "prox-al": _Solver(
+        "prox_al", OuterParams, attrgetter("trace", "report"),
+        lambda n, report: {"outer_iterations": n, "kkt": _kkt(report)}, conic=True,
+    ),
+}
+SOLVERS = tuple(_SOLVERS)
 
 
 @dataclass
@@ -125,6 +187,15 @@ def _typed(key: str, value, kind=None, where: str = "params"):
     raise SpecError(f"{where}.{key} must be {kind.__name__}, got {value!r}")
 
 
+def _vector(key: str, value, n: int, where: str) -> Array:
+    """A number, or a list of 1 or n numbers, as a float vector of length n."""
+    items = value if isinstance(value, list) else [value]
+    if len(items) not in (1, n):
+        raise SpecError(f"{where}.{key} must be a number or a list of {n} numbers, got {value!r}")
+    vector = np.array([_typed(key, item, float, where) for item in items])
+    return np.broadcast_to(vector, (n,)).copy()
+
+
 def load_run_spec(path: str) -> RunSpec:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -144,18 +215,13 @@ def load_run_spec(path: str) -> RunSpec:
     if not isinstance(problem, dict):
         raise SpecError("problem must be a mapping")
     kind = problem.get("kind")
-    if kind == "quartic":
-        _check_keys(problem, _QUARTIC_KEYS, "problem")
-    elif kind == "constrained":
-        _check_keys(problem, _CONSTRAINED_KEYS, "problem")
-    elif kind == "named":
-        _check_keys(problem, _NAMED_KEYS, "problem")
-    else:
+    if kind not in tuple(_PROBLEM_KEYS):
         raise SpecError(f"problem.kind must be quartic, constrained, or named, got {kind!r}")
+    _check_keys(problem, _PROBLEM_KEYS[kind], "problem")
     params = doc.get("params") or {}
     if not isinstance(params, dict):
         raise SpecError("params must be a mapping")
-    _check_keys(params, _SOLVER_KEYS[solver], f"params of solver {solver}")
+    _check_keys(params, _SOLVERS[solver].keys, f"params of solver {solver}")
     params = {key: _typed(key, value) for key, value in params.items()}
     epsilon = doc.get("epsilon")
     if epsilon is not None:
@@ -165,8 +231,10 @@ def load_run_spec(path: str) -> RunSpec:
     if solver != "apg" and epsilon is None:
         raise SpecError(f"solver {solver} requires epsilon")
     init = doc.get("init")
-    if init is not None and not isinstance(init, list):
-        raise SpecError("init must be a list of numbers")
+    if init is not None:
+        if not isinstance(init, list):
+            raise SpecError("init must be a list of numbers")
+        init = [_typed("init", value, float, "spec") for value in init]
     return RunSpec(solver=solver, epsilon=epsilon, problem=problem, params=params, init=init)
 
 
@@ -176,21 +244,23 @@ def _build_prox(node, n: int):
     if not isinstance(node, dict) or "kind" not in node:
         raise SpecError("prox must be a mapping with a kind")
     kind = node["kind"]
-    if kind not in _PROX_KEYS:
+    if kind not in tuple(_PROX_TERMS):
         raise SpecError(f"unknown prox kind {kind!r}")
-    _check_keys(node, _PROX_KEYS[kind], "prox")
-    if kind == "zero":
-        return ZeroTerm(n)
-    if kind == "l1":
-        return L1Term(n, float(node["weight"]))
-    if kind == "nonneg":
-        return NonnegativeTerm(n)
-    if kind == "box":
-        lower = np.broadcast_to(np.asarray(node["lower"], dtype=float), (n,)).copy()
-        upper = np.broadcast_to(np.asarray(node["upper"], dtype=float), (n,)).copy()
-        return BoxTerm(lower, upper)
-    center = np.broadcast_to(np.asarray(node["center"], dtype=float), (n,)).copy()
-    return SquaredL2Term(float(node["coef"]), center)
+    term = _PROX_TERMS[kind]
+    hints = typing.get_type_hints(term)
+    fields = {f.name: hints[f.name] for f in dataclasses.fields(term) if f.init}
+    _check_keys(node, {"kind", *fields} - {"dim"}, "prox")
+    args = {}
+    for key, field_type in fields.items():
+        if key == "dim":
+            args[key] = n
+        elif key not in node:
+            raise SpecError(f"prox.{key} must be given for prox kind {kind}")
+        elif field_type is Array:
+            args[key] = _vector(key, node[key], n, "prox")
+        else:
+            args[key] = _typed(key, node[key], field_type, "prox")
+    return term(**args)
 
 
 def build_problem(spec: RunSpec):
@@ -199,31 +269,17 @@ def build_problem(spec: RunSpec):
     kind = node["kind"]
     if kind == "named":
         name = node.get("name")
-        if name == "ineq-1d":
-            return problems.ineq_quadratic_1d(), {"kind": "named", "name": name}
-        if name == "eq-qp-2d":
-            return problems.eq_quadratic_2d(), {"kind": "named", "name": name}
-        raise SpecError(f"unknown named instance {name!r}")
+        if name not in tuple(_NAMED):
+            raise SpecError(f"unknown named instance {name!r}")
+        return _NAMED[name](), {"kind": "named", "name": name}
     sizes = {
-        key: _typed(key, node[key], kind, "problem")
-        for key, kind in _PROBLEM_TYPES.items() if key in node
+        key: _typed(key, node[key], key_type, "problem")
+        for key, key_type in (_QUARTIC_TYPES | _CONSTRAINT_TYPES).items() if key in node
     }
-    n = sizes.get("n", 1)
-    qspec = problems.QuarticSpec(
-        n=n,
-        k_terms=sizes.get("k_terms", 1),
-        seed=sizes.get("seed", 0),
-        mu_add=sizes.get("mu_add", 0.0),
-        prox=_build_prox(node.get("prox"), n),
-    )
-    meta = {
-        "kind": kind,
-        "n": qspec.n,
-        "k_terms": qspec.k_terms,
-        "seed": qspec.seed,
-        "mu_add": qspec.mu_add,
-        "generator": problems.GENERATOR_NAME,
-    }
+    quartic = {"n": 1, "k_terms": 1, "seed": 0} | {k: v for k, v in sizes.items() if k in _QUARTIC_TYPES}
+    qspec = problems.QuarticSpec(**quartic, prox=_build_prox(node.get("prox"), quartic["n"]))
+    meta = {"kind": kind, **{key: getattr(qspec, key) for key in _QUARTIC_TYPES}}
+    meta["generator"] = problems.GENERATOR_NAME
     if kind == "quartic":
         return problems.gen_quartic(qspec), meta
     cspec = problems.ConstrainedSpec(
@@ -236,175 +292,73 @@ def build_problem(spec: RunSpec):
     return problems.gen_constrained(cspec).conic, meta
 
 
-def _solver_params(spec: RunSpec, epsilon) -> ApgParams | OuterParams:
-    """The params object of the spec's solver: dataclass defaults plus its params:."""
+def _solver_params(solver: _Solver, spec: RunSpec, epsilon, built):
+    """The solver's params (dataclass defaults plus the spec's params:) and
+    its summary block.
+
+    The block holds every setting the solver reads, under its params: key,
+    with the value it uses, so it can be fed back.
+    """
     inner = {key: value for key, value in spec.params.items() if key in _INNER_KEYS}
-    if spec.solver == "apg":
-        inner.setdefault("max_iters", 1000)  # no termination test, so a modest budget
-    if spec.solver in ("apg", "apg-cert"):
-        return ApgParams(epsilon=epsilon, **inner)
-    outer = {key: value for key, value in spec.params.items() if key in _OUTER_KEYS}
-    return OuterParams(epsilon=epsilon, inner=ApgParams(**inner), **outer)
-
-
-def _params_block(params: ApgParams | OuterParams, solver: str) -> dict:
-    """Every setting the solver reads, under its params: key, so it can be fed back."""
-    values = vars(params)
-    if isinstance(params, OuterParams):
-        values = vars(params.inner) | values
-    return {key: values[key] for key in _SOLVER_KEYS[solver]}
-
-
-def _default_init(problem, spec: RunSpec):
-    if spec.init is not None:
-        return np.asarray(spec.init, dtype=float)
-    return problem.nonsmooth.prox(1.0, np.zeros(problem.dim))
-
-
-def _counter_totals(counters) -> dict:
-    return {
-        "grad_f_evals": counters.grad_f_evals,
-        "prox_evals": counters.prox_evals,
-        "g_evals": counters.g_evals,
-        "adjoint_evals": counters.adjoint_evals,
-        "cone_proj_evals": counters.cone_proj_evals,
-    }
+    if solver.params is ApgParams:
+        if solver.budget is not None:
+            inner.setdefault("max_iters", solver.budget)
+        params = ApgParams(epsilon=epsilon, **inner)
+        values = vars(params) | dict(zip(("gamma0", "alpha0"), params.effective(built.mu)))
+    else:
+        outer = {key: value for key, value in spec.params.items() if key in _OUTER_KEYS}
+        conic = built if solver.conic else ConicProblem.unconstrained(built)
+        params = OuterParams(epsilon=epsilon, inner=ApgParams(**inner), **outer).resolved(conic)
+        values = vars(params.inner) | vars(params)
+    return params, {key: values[key] for key in solver.keys}
 
 
 @dataclass
 class RunOutcome:
     exit_code: int
     summary: dict
-    inner_trace: ApgTrace | None = None
-    outer_trace: OuterTrace | None = None
+    trace: ApgTrace | OuterTrace
 
 
 def execute(spec: RunSpec, epsilon: float | None = None) -> RunOutcome:
     """Run the configured solver; never raises on timeout (exit code 2 instead)."""
     epsilon = spec.epsilon if epsilon is None else epsilon
+    solver = _SOLVERS[spec.solver]
     built, meta = build_problem(spec)
-    if isinstance(built, ConicProblem) != (spec.solver == "prox-al"):
-        kind = "a constrained" if spec.solver == "prox-al" else "an unconstrained"
+    if isinstance(built, ConicProblem) != solver.conic:
+        kind = "a constrained" if solver.conic else "an unconstrained"
         raise SpecError(f"solver {spec.solver} requires {kind} problem")
     started = time.perf_counter()
-    summary: dict = {"version": 1, "solver": spec.solver, "epsilon": epsilon, "problem": meta}
-
-    def finish(code, termination, extra, inner=None, outer=None, counters=None):
-        summary["termination"] = termination
-        summary.update(extra)
-        if counters is not None:
-            summary["totals"] = _counter_totals(counters)
-        summary["wall_time_s"] = time.perf_counter() - started
-        return RunOutcome(exit_code=code, summary=summary, inner_trace=inner, outer_trace=outer)
-
-    params = _solver_params(spec, epsilon)
-    if isinstance(params, OuterParams):
-        conic = built if spec.solver == "prox-al" else ConicProblem.unconstrained(built)
-        params = params.resolved(conic)
-    summary["params"] = _params_block(params, spec.solver)
-
-    if spec.solver in ("apg", "apg-cert"):
-        summary["params"]["gamma0"], summary["params"]["alpha0"] = params.effective(built.mu)
-        init = _default_init(built, spec)
-        if spec.solver == "apg":
-            trace = apg_run(built, params, init, record_iterates=False)
-            return finish(
-                0, "iteration-budget",
-                {"iterations": len(trace.rows), "residual_bound": None, "F_final": trace.rows[-1].F},
-                inner=trace, counters=trace.counters,
-            )
-        try:
-            res = apg_terminating(built, params, init, record_iterates=False)
-        except SolveTimeout as exc:
-            best = exc.best.residual if exc.best is not None else None
-            return finish(
-                2, "timeout",
-                {"iterations": len(exc.trace.rows), "residual_bound": best},
-                inner=exc.trace, counters=exc.trace.counters,
-            )
-        return finish(
-            0, "certified",
-            {"iterations": len(res.trace.rows), "residual_bound": res.certificate.residual},
-            inner=res.trace, counters=res.trace.counters,
-        )
-
-    if spec.solver == "ppa":
-        init = _default_init(built, spec)
-        try:
-            res = ppa_unconstrained(built, params, init)
-        except SolveTimeout as exc:
-            return finish(
-                2, "timeout",
-                {"outer_iterations": len(exc.trace.rows), "residual_bound": exc.best},
-                outer=exc.trace, counters=exc.trace.counters,
-            )
-        return finish(
-            0, "certified",
-            {"outer_iterations": len(res.trace.rows), "residual_bound": res.residual_bound},
-            outer=res.trace, counters=res.trace.counters,
-        )
-
-    # prox-al
-    init_x = _default_init(built.base, spec)
-    init_lam = np.zeros(built.cone.dim)
+    params, block = _solver_params(solver, spec, epsilon, built)
+    base = built.base if solver.conic else built
+    x0 = base.nonsmooth.prox(1.0, np.zeros(base.dim)) if spec.init is None else np.array(spec.init)
+    init = (x0, np.zeros(built.cone.dim)) if solver.conic else (x0,)
+    code, termination = 0, "certified" if solver.budget is None else "iteration-budget"
     try:
-        res = prox_al(built, params, init_x, init_lam)
+        result = globals()[solver.entry](built, params, *init, record_iterates=False)
+        trace, value = solver.unpack(result)
     except SolveTimeout as exc:
-        best = exc.best
-        kkt = None
-        if best is not None:
-            kkt = {
-                "stationarity": best.stationarity_residual,
-                "complementarity": best.complementarity_residual,
-            }
-        return finish(
-            2, "timeout",
-            {"outer_iterations": len(exc.trace.rows), "kkt": kkt},
-            outer=exc.trace, counters=exc.trace.counters,
-        )
-    return finish(
-        0, "certified",
-        {
-            "outer_iterations": len(res.trace.rows),
-            "kkt": {
-                "stationarity": res.report.stationarity_residual,
-                "complementarity": res.report.complementarity_residual,
-            },
-        },
-        outer=res.trace, counters=res.trace.counters,
-    )
+        code, termination, trace, value = 2, "timeout", exc.trace, exc.best
+    summary = {
+        "version": 1, "solver": spec.solver, "epsilon": epsilon, "problem": meta,
+        "params": block, "termination": termination, **solver.block(len(trace.rows), value),
+        "totals": dataclasses.asdict(trace.counters),
+        "wall_time_s": time.perf_counter() - started,
+    }
+    return RunOutcome(exit_code=code, summary=summary, trace=trace)
 
 
-def write_inner_trace(trace: ApgTrace, path: str):
+def write_trace(trace: ApgTrace | OuterTrace, path: str):
+    columns, cells = _TRACE_CSV[type(trace)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(INNER_COLUMNS)
-        for row in trace.rows:
-            writer.writerow([
-                row.t, row.n_t, _fmt(row.gamma_t), _fmt(row.alpha_t), _fmt(row.beta_t),
-                _fmt(row.F), _fmt(row.lambda_prod), row.grad_evals, row.prox_evals,
-                _fmt(row.cert_residual),
-            ])
-
-
-def write_outer_trace(trace: OuterTrace, path: str):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(OUTER_COLUMNS)
-        for row in trace.rows:
-            writer.writerow([
-                row.k, _fmt(row.rho_k), _fmt(row.eta_k), row.inner_iters,
-                row.grad_evals, row.prox_evals, _fmt(row.step_norm),
-                _fmt(row.kkt.stationarity_residual), _fmt(row.kkt.complementarity_residual),
-            ])
+        writer.writerow(columns)
+        writer.writerows([_fmt(value) for value in cells(row)] for row in trace.rows)
 
 
 def _write_outputs(outcome: RunOutcome, trace_path, summary_path):
     if trace_path:
-        if outcome.inner_trace is not None:
-            write_inner_trace(outcome.inner_trace, trace_path)
-        elif outcome.outer_trace is not None:
-            write_outer_trace(outcome.outer_trace, trace_path)
+        write_trace(outcome.trace, trace_path)
     if summary_path:
         with open(summary_path, "w", encoding="utf-8") as fh:
             json.dump(outcome.summary, fh, indent=2, sort_keys=True)

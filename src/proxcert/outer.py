@@ -436,6 +436,11 @@ def prox_al(
     epsilon/2) implies the stopping rule.  Under an empty cone the
     subproblem is the proximal-point one, the multiplier update maps and
     projects nothing, and the complementarity residual is 0.
+
+    Raises SolveTimeout when the outer budget or an inner solve's iteration
+    budget runs out; its ``best`` is the KKT report whose larger residual is
+    the least so far (None before the first step ends) and its ``trace`` the
+    outer trace.
     """
     params = params.resolved(conic)
 
@@ -475,15 +480,19 @@ def prox_al(
             return _norm(passed[2] - lam) / rho_k <= params.epsilon
 
         before = counters.snapshot()
-        res = apg_terminating(
-            sub,
-            replace(params.inner, gamma0=step_clamp(sub.mu), epsilon=eta_k),
-            x,
-            counters=counters,
-            record_iterates=record_iterates,
-            done=done,
-            first_step=first_step,
-        )
+        try:
+            res = apg_terminating(
+                sub,
+                replace(params.inner, gamma0=step_clamp(sub.mu), epsilon=eta_k),
+                x,
+                counters=counters,
+                record_iterates=record_iterates,
+                done=done,
+                first_step=first_step,
+            )
+        except SolveTimeout as exc:
+            # the outer solve's timeout, carrying its own best and trace
+            raise SolveTimeout(f"inner solve at outer step {k}: {exc}", best=best, trace=trace) from exc
         x_new = res.x
         if passed is not None and passed[0] is res.certificate:  # stopped on the outer test
             _, gval, lam_new = passed
@@ -544,7 +553,8 @@ def ppa_unconstrained(
     witness s = u - (x_{k+1} - x_k)/rho_k, an element of dF(x_{k+1}), has
     ||s|| <= epsilon.  An inner solve stops early at the first certificate
     with ||u|| + ||x_tilde - x_k||/rho_k <= epsilon, which bounds ||s||.  A
-    SolveTimeout carries the least ||s|| seen as its ``best``.
+    SolveTimeout carries the least ||s|| seen as its ``best``, or None if no
+    outer step ended.
     """
     if problem.mu != 0:
         raise ValueError("the proximal-point solver requires mu = 0")
@@ -553,7 +563,7 @@ def ppa_unconstrained(
         # through the module name, which tracers rebind
         res = prox_al(conic, params, init, np.zeros(0), record_iterates)
     except SolveTimeout as exc:
-        exc.best = exc.best.stationarity_residual
+        exc.best = None if exc.best is None else exc.best.stationarity_residual
         raise
     last = res.trace.rows[-1]
     return PpaResult(

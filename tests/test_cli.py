@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from proxcert import problems
+from proxcert import cli, problems
 from proxcert.cli import SPEC_LOADER, main
 
 from conftest import nan_after
@@ -184,17 +184,30 @@ class TestSolve:
         assert rows1 == rows2
 
     def test_timeout_exit_code_and_partial_outputs(self, tmp_path):
-        doc = {
-            "version": 1,
-            "solver": "apg-cert",
-            "epsilon": 1e-14,
-            "problem": {"kind": "quartic", "n": 3, "k_terms": 2, "seed": 5, "mu_add": 1.0},
-            "params": {"max_iters": 5, "M": 2},
-        }
-        code, summary, rows = run_solve(tmp_path, doc)
-        assert code == 2
-        assert summary["termination"] == "timeout"
-        assert len(rows) == 5
+        quartic = {"kind": "quartic", "n": 20, "k_terms": 5, "seed": 3, "mu_add": 0}
+        cases = [  # (spec, trace rows); the last two run out of inner iterations
+            ({
+                "version": 1,
+                "solver": "apg-cert",
+                "epsilon": 1e-14,
+                "problem": {"kind": "quartic", "n": 3, "k_terms": 2, "seed": 5, "mu_add": 1.0},
+                "params": {"max_iters": 5, "M": 2},
+            }, 5),
+            ({
+                "version": 1, "solver": "ppa", "epsilon": 1e-10, "problem": quartic,
+                "params": {"max_iters": 3},
+            }, 0),
+            ({
+                "version": 1, "solver": "prox-al", "epsilon": 1e-10,
+                "problem": dict(quartic, kind="constrained", m1=3, m2=1),
+                "params": {"max_iters": 12},
+            }, 8),
+        ]
+        for doc, steps in cases:
+            code, summary, rows = run_solve(tmp_path, doc)
+            assert code == 2
+            assert summary["termination"] == "timeout"
+            assert len(rows) == steps
 
     def test_plain_apg_runs_its_budget(self, tmp_path):
         doc = {
@@ -272,6 +285,35 @@ FEED_BACK = {
         },
     },
 }
+
+
+ENTRY_POINTS = {
+    "apg": "apg_run",
+    "apg-cert": "apg_terminating",
+    "ppa": "ppa_unconstrained",
+    "prox-al": "prox_al",
+}
+
+
+class TestEntryPoints:
+    @pytest.mark.parametrize("solver", sorted(ENTRY_POINTS))
+    def test_solve_calls_its_entry_point_through_the_module_name(
+        self, tmp_path, monkeypatch, solver
+    ):
+        # tracers time a solve by rebinding these names in the cli module
+        calls = []
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in ENTRY_POINTS.values():
+            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        code, _, _ = run_solve(tmp_path, FEED_BACK[solver])
+        assert code == 0
+        assert calls == [ENTRY_POINTS[solver]]
 
 
 class TestSpecLoader:
@@ -370,6 +412,22 @@ class TestParams:
         ({"kind": "constrained", "n": 2, "k_terms": 1, "m2": None}, "m2"),
         ({"kind": "constrained", "n": 2, "k_terms": 1, "constraint_seed": "7.5"},
          "constraint_seed"),
+        # the prox: block's keys are read the same way, and each is required
+        ({"kind": "quartic", "n": 2, "k_terms": 1, "prox": {"kind": "l1"}}, "prox.weight"),
+        ({"kind": "quartic", "n": 2, "k_terms": 1, "prox": {"kind": "l1", "weight": True}},
+         "prox.weight"),
+        ({"kind": "quartic", "n": 2, "k_terms": 1, "prox": {"kind": "box", "lower": -1}},
+         "prox.upper"),
+        ({"kind": "quartic", "n": 2, "k_terms": 1,
+          "prox": {"kind": "box", "lower": True, "upper": 1}}, "prox.lower"),
+        ({"kind": "quartic", "n": 2, "k_terms": 1,
+          "prox": {"kind": "box", "lower": [-1, False], "upper": 1}}, "prox.lower"),
+        ({"kind": "quartic", "n": 2, "k_terms": 1,
+          "prox": {"kind": "box", "lower": -1, "upper": [1, 2, 3]}}, "prox.upper"),
+        ({"kind": "quartic", "n": 2, "k_terms": 1,
+          "prox": {"kind": "squared_l2", "center": 0}}, "prox.coef"),
+        ({"kind": "quartic", "n": 2, "k_terms": 1,
+          "prox": {"kind": "squared_l2", "coef": 1, "center": None}}, "prox.center"),
     ])
     def test_problem_keys_convert_exactly_or_fail(self, tmp_path, capsys, problem, key):
         solver = "prox-al" if problem["kind"] == "constrained" else "ppa"
@@ -377,7 +435,16 @@ class TestParams:
         code, summary, _ = run_solve(tmp_path, doc)
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: problem.{key} must be") and err.count("\n") == 1
+        where = key if key.startswith("prox.") else f"problem.{key}"
+        assert err.startswith(f"error: {where} must be") and err.count("\n") == 1
+        assert summary is None
+
+    @pytest.mark.parametrize("init", [[True, False], [0.5, "half"], [[0.5], 0.5], [None, 0.5]])
+    def test_init_entries_convert_exactly_or_fail(self, tmp_path, capsys, init):
+        code, summary, _ = run_solve(tmp_path, dict(PPA_BOX, init=init))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: spec.init must be float") and err.count("\n") == 1
         assert summary is None
 
     def test_integral_problem_keys_accepted(self, tmp_path):
@@ -452,6 +519,7 @@ class TestSweep:
     @pytest.mark.parametrize("doc", [
         dict(QUARTIC_PPA, solver="apg-cert"),  # mu = 0
         dict(QUARTIC_PPA, solver="prox-al"),  # no constraints
+        dict(QUARTIC_PPA, problem=dict(QUARTIC_PPA["problem"], prox={"kind": ["l1"]})),
     ])
     def test_spec_rejected_by_solve_is_one_error_line(self, tmp_path, capsys, doc):
         code, rows = self._sweep(tmp_path, doc, "1e-2,1e-4")

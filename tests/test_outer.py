@@ -29,8 +29,9 @@ from proxcert.model import (
     CompositeProblem,
     ConeBlock,
 )
-from proxcert.outer import _require_dual
+from proxcert.outer import OuterTrace, _require_dual
 from proxcert.problems import (
+    ConstrainedSpec,
     QuarticSpec,
     eq_quadratic_2d,
     gen_constrained,
@@ -171,6 +172,15 @@ class TestPpaUnconstrained:
             ppa_unconstrained(quartic_1d, OuterParams(epsilon=1e-9, max_outer=2), [1.0])
         assert info.value.best is not None and info.value.best > 0
         assert len(info.value.trace.rows) == 2
+
+    def test_inner_budget_exhaustion_is_an_outer_timeout(self):
+        # the first inner solve runs out before its first certificate check
+        problem = gen_quartic(QuarticSpec(n=20, k_terms=5, seed=3, mu_add=0.0))
+        params = OuterParams(epsilon=1e-10, inner=ApgParams(max_iters=3))
+        with pytest.raises(SolveTimeout) as info:
+            ppa_unconstrained(problem, params, np.zeros(20))
+        assert isinstance(info.value.trace, OuterTrace) and info.value.trace.rows == []
+        assert info.value.best is None
 
 
 class TestProxAl:
@@ -319,6 +329,18 @@ class TestProxAl:
             prox_al(ineq1d, OuterParams(epsilon=1e-10, max_outer=2), np.zeros(1), np.zeros(1))
         assert info.value.best is not None
         assert info.value.best.stationarity_residual >= 0
+
+    def test_inner_budget_exhaustion_is_an_outer_timeout(self):
+        # the timeout carries the outer trace and the best KKT report so far
+        base = QuarticSpec(n=20, k_terms=5, seed=3, mu_add=0.0)
+        conic = gen_constrained(ConstrainedSpec(base=base, m1=3, m2=1, seed=4)).conic
+        params = OuterParams(epsilon=1e-10, inner=ApgParams(max_iters=12))
+        with pytest.raises(SolveTimeout) as info:
+            prox_al(conic, params, np.zeros(20), np.zeros(4))
+        rows = info.value.trace.rows
+        assert isinstance(info.value.trace, OuterTrace) and len(rows) == 8
+        worst = [max(row.kkt.stationarity_residual, row.kkt.complementarity_residual) for row in rows]
+        assert info.value.best is rows[worst.index(min(worst))].kkt
 
 
 class TestKktReport:
