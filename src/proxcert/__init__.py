@@ -11,10 +11,8 @@ from .apg import (
     ApgState,
     ApgTrace,
     Certificate,
-    StepReport,
     TerminatingResult,
     TraceRow,
-    adaptive_pg,
     apg_iteration,
     apg_run,
     apg_terminating,
@@ -40,8 +38,6 @@ from .model import (
     ProxTerm,
     SmoothOracle,
     SolveTimeout,
-    check_gradient,
-    composite_value,
     instrument_composite,
     value_and_gradient,
 )

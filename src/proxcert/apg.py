@@ -27,6 +27,7 @@ from .model import (
     OracleCounters,
     SolveTimeout,
     instrument_composite,
+    require_count,
     value_and_gradient,
 )
 
@@ -93,18 +94,16 @@ class ApgParams:
     max_backtracks: int = 100
 
     def __post_init__(self):
-        if not self.gamma0 > 0:
-            raise ValueError("gamma0 must be positive")
+        if not 0 < self.gamma0 < math.inf:
+            raise ValueError(f"gamma0 must be positive and finite, got {self.gamma0}")
         if not 0 < self.alpha0 <= 1:
             raise ValueError("alpha0 must lie in (0, 1]")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
-        if self.M < 1:
-            raise ValueError("M must be a positive integer")
+        for name in ("M", "max_iters", "max_backtracks"):
+            require_count(name, getattr(self, name))
         if self.epsilon is not None and not 0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if self.max_iters < 1 or self.max_backtracks < 1:
-            raise ValueError("iteration budgets must be positive")
 
     def effective(self, mu: float) -> tuple[float, float]:
         """Resolve (gamma0, alpha0) for a problem with convexity modulus mu."""
@@ -129,10 +128,10 @@ class ApgParams:
 class ApgState(NamedTuple):
     """Iterate pair (x, z) plus the previous step scalars driving the recursion.
 
-    rx and rz are the affine images A x - b and A z - b when the smooth
-    oracle offers them (see SmoothOracle), else None.  may_grow records that
-    the last accepted trial passed the grow gate (``admits_growth``), which
-    lets the next iteration try gamma_prev/delta.
+    start is the step the next iteration, and a certificate check at this
+    state, tries first (see ApgParams).  rx and rz are the affine images
+    A x - b and A z - b when the smooth oracle offers them (see
+    SmoothOracle), else None.
     """
 
     t: int
@@ -140,21 +139,10 @@ class ApgState(NamedTuple):
     z: Array
     alpha_prev: float
     gamma_prev: float
+    start: float
     lambda_prod: float = 1.0  # running product of (1 - alpha_i), diagnostic
     rx: Array | None = None
     rz: Array | None = None
-    may_grow: bool = False
-
-
-class StepReport(NamedTuple):
-    """Outcome of one accepted iteration."""
-
-    n_t: int
-    gamma_t: float
-    alpha_t: float
-    beta_t: float
-    y: Array
-    F_new: float
 
 
 @dataclass(frozen=True)
@@ -174,7 +162,11 @@ class Certificate:
 
 
 class TrialStep(NamedTuple):
-    """One backtracking trial at a fixed gamma."""
+    """One backtracking trial at a fixed gamma.
+
+    A certificate's proximal-gradient trial from v is the accelerated trial
+    at alpha = 1, beta = 0: y = v and x_new = z_new.
+    """
 
     gamma: float
     alpha: float
@@ -270,6 +262,43 @@ def solve_alpha(gamma_prev: float, gamma_t: float, alpha_prev: float, mu: float)
     return root
 
 
+def _curvature(gamma, y, f_y, grad_y, x_new, f_new):
+    """(lhs, rhs, scale, accepted) of the curvature test of the step y -> x_new.
+
+    Accepted: 2 gamma (f(x_new) - f(y) - <grad f(y), x_new - y>) <= ||x_new - y||^2.
+    """
+    diff = x_new - y
+    cross = float(grad_y @ diff)
+    lhs = 2.0 * gamma * (f_new - f_y - cross)
+    rhs = float(diff @ diff)
+    scale = abs(f_new) + abs(f_y) + abs(cross)
+    return lhs, rhs, scale, accepts_curvature_bound(lhs, rhs, gamma, scale)
+
+
+def _backtrack(evaluate, start, delta, max_backtracks, where):
+    """The first accepted TrialStep ``evaluate(start * delta**n)``, n = 0, 1, ..., and its n.
+
+    ``where`` names the search in its errors: NonFiniteOracleOutput at the
+    first rejected trial whose curvature test is not finite, and
+    LineSearchFailure when all max_backtracks + 1 trials are rejected.
+    """
+    for n in range(max_backtracks + 1):
+        trial = evaluate(start * delta**n)
+        if trial.accepted:
+            return trial, n
+        # only rejected trials are checked: a non-finite test never accepts
+        if not (math.isfinite(trial.lhs) and math.isfinite(trial.rhs)):
+            raise NonFiniteOracleOutput(
+                f"non-finite curvature test (lhs {trial.lhs}, rhs {trial.rhs}) at {where} "
+                f"trial {n}: the smooth term returned a non-finite value or gradient"
+            )
+    raise LineSearchFailure(
+        f"line search failed at {where} trial {max_backtracks}, the last of "
+        f"{max_backtracks + 1}; the smooth term may be non-convex, its gradient "
+        "inconsistent, or the iterates may have escaped to a region of unbounded curvature"
+    )
+
+
 def trial_step(
     problem: CompositeProblem,
     x: Array,
@@ -310,19 +339,22 @@ def trial_step(
         rz_new = smooth.image(z_new)
         rx_new = rx_part + alpha * rz_new
         f_new = smooth.value_at(x_new, rx_new)
-    diff = x_new - y
-    cross = float(grad_y @ diff)
-    lhs = 2.0 * gamma * (f_new - f_y - cross)
-    rhs = float(diff @ diff)
-    scale = abs(f_new) + abs(f_y) + abs(cross)
-    accepted = accepts_curvature_bound(lhs, rhs, gamma, scale)
+    lhs, rhs, scale, accepted = _curvature(gamma, y, f_y, grad_y, x_new, f_new)
     return TrialStep(
         gamma, alpha, beta, y, z_new, x_new, f_new, lhs, rhs, scale, accepted, rx_new, rz_new
     )
 
 
-def initial_state(problem: CompositeProblem, params: ApgParams, init) -> ApgState:
+def initial_state(
+    problem: CompositeProblem, params: ApgParams, init, first_step: float | None = None
+) -> ApgState:
+    """The state x1 = z1 = init, whose alpha recursion starts at gamma0 and alpha0.
+
+    It starts at gamma0, or at min(gamma0, first_step) when first_step is given.
+    """
     gamma0, alpha0 = params.effective(problem.mu)
+    if first_step is not None and not first_step > 0:
+        raise ValueError(f"first_step must be positive, got {first_step}")
     x = np.asarray(init, dtype=float).copy()
     if x.shape != (problem.dim,):
         raise ValueError(f"init has shape {x.shape}, expected ({problem.dim},)")
@@ -333,19 +365,10 @@ def initial_state(problem: CompositeProblem, params: ApgParams, init) -> ApgStat
     image = getattr(problem.smooth, "image", None)
     rx = None if image is None else image(x)
     return ApgState(
-        t=1, x=x, z=x.copy(), alpha_prev=alpha0, gamma_prev=gamma0, lambda_prod=1.0,
+        t=1, x=x, z=x.copy(), alpha_prev=alpha0, gamma_prev=gamma0,
+        start=gamma0 if first_step is None else min(gamma0, first_step), lambda_prod=1.0,
         rx=rx, rz=rx,
     )
-
-
-def first_trial(state: ApgState, delta: float, gamma0: float) -> float:
-    """The step an iteration from ``state`` tries first.
-
-    gamma0 is the resolved step of ``ApgParams.effective``.
-    """
-    if state.may_grow:
-        return min(state.gamma_prev / delta, gamma0)
-    return state.gamma_prev
 
 
 def apg_iteration(
@@ -353,114 +376,45 @@ def apg_iteration(
     state: ApgState,
     params: ApgParams,
     gamma0: float | None = None,
-    start: float | None = None,
-) -> tuple[ApgState, StepReport]:
-    """One accelerated iteration with backtracking; returns the new state and report.
+) -> tuple[ApgState, TrialStep, int]:
+    """One accelerated iteration with backtracking from ``state.start``.
 
-    Tries gamma = start * delta**n for n = 0, 1, ... from the start step
-    (``first_trial``) and accepts the first n satisfying the local
-    curvature bound; each trial costs one gradient and one prox evaluation.
-    Raises NonFiniteOracleOutput at the first trial whose curvature test is
-    not finite.  ``gamma0``, when given, must be the step that
-    ``params.effective(problem.mu)`` resolves; the solvers pass it once per
-    solve instead of resolving it on every iteration.  ``start``, when
-    given, replaces that start step; the alpha recursion still runs
-    from the state's gamma_prev and alpha_prev.
+    Tries gamma = state.start * delta**n for n = 0, 1, ... and accepts the
+    first n satisfying the local curvature bound; each trial costs one
+    gradient and one prox evaluation.  Returns the new state, the accepted
+    trial and its n.  The new state starts at min(gamma/delta, gamma0) when
+    the trial passes the grow gate (``admits_growth``), else at gamma.
+    ``gamma0``, when given, must be the step that ``params.effective(problem.mu)``
+    resolves; the solvers pass it once per solve instead of resolving it
+    on every iteration.
     """
-    if start is None:
-        if gamma0 is None:
-            gamma0, _ = params.effective(problem.mu)
-        start = first_trial(state, params.delta, gamma0)
-    for n in range(params.max_backtracks + 1):
-        gamma = start * params.delta**n
-        trial = trial_step(
+    delta = params.delta
+    trial, n = _backtrack(
+        lambda gamma: trial_step(
             problem, state.x, state.z, state.alpha_prev, state.gamma_prev, gamma,
             state.rx, state.rz,
-        )
-        if trial.accepted:
-            new_state = ApgState(
-                state.t + 1,  # t
-                trial.x_new,
-                trial.z_new,
-                trial.alpha,  # alpha_prev
-                trial.gamma,  # gamma_prev
-                state.lambda_prod * (1.0 - trial.alpha),
-                trial.rx_new,
-                trial.rz_new,
-                admits_growth(trial, params.delta),  # may_grow
-            )
-            report = StepReport(
-                n, trial.gamma, trial.alpha, trial.beta, trial.y,
-                trial.f_new + problem.nonsmooth.value(trial.x_new),  # F_new
-            )
-            return new_state, report
-        # only rejected trials are checked: a non-finite test never accepts
-        if not (math.isfinite(trial.lhs) and math.isfinite(trial.rhs)):
-            raise NonFiniteOracleOutput(
-                f"non-finite curvature test (lhs {trial.lhs}, rhs {trial.rhs}) at "
-                f"iteration {state.t}, backtracking trial {n}: the smooth term returned "
-                "a non-finite value or gradient"
-            )
-    raise LineSearchFailure(
-        f"line search failed after {params.max_backtracks + 1} trials at iteration "
-        f"{state.t}; the smooth term may be non-convex, its gradient inconsistent, "
-        "or the iterates may have escaped to a region of unbounded curvature"
+        ),
+        state.start, delta, params.max_backtracks, f"iteration {state.t}, backtracking",
     )
-
-
-def _probe(problem: CompositeProblem, v) -> tuple[Array, Array, float]:
-    v = np.asarray(v, dtype=float)
-    if not problem.nonsmooth.value(v) < math.inf:
-        raise ValueError("v must lie in the domain of the nonsmooth term")
-    f_v, grad_v = value_and_gradient(problem.smooth, v)
-    return v, grad_v, f_v
-
-
-def _adaptive_core(problem, v, grad_v, f_v, gamma_start, delta, max_backtracks):
-    """(candidate, gamma, n, image of the candidate or None) of the accepted trial.
-
-    On the image path each candidate is mapped once, by ``image`` itself,
-    and valued from that raw image.
-    """
-    smooth = problem.smooth
-    image = getattr(smooth, "image", None)
-    for n in range(max_backtracks + 1):
-        gamma = gamma_start * delta**n
-        cand = problem.nonsmooth.prox(gamma, v - gamma * grad_v)
-        diff = cand - v
-        r = None if image is None else image(cand)
-        f_cand = smooth.value(cand) if r is None else smooth.value_at(cand, r)
-        cross = float(grad_v @ diff)
-        lhs = 2.0 * gamma * (f_cand - f_v - cross)
-        rhs = float(diff @ diff)
-        if accepts_curvature_bound(lhs, rhs, gamma, abs(f_cand) + abs(f_v) + abs(cross)):
-            return cand, gamma, n, r
-        if not (math.isfinite(lhs) and math.isfinite(rhs)):
-            raise NonFiniteOracleOutput(
-                f"non-finite curvature test (lhs {lhs}, rhs {rhs}) at proximal-gradient "
-                f"trial {n}: the smooth term returned a non-finite value or gradient"
-            )
-    raise LineSearchFailure(
-        f"line search failed after {max_backtracks + 1} proximal-gradient trials"
+    gamma = trial.gamma
+    if admits_growth(trial, delta):
+        if gamma0 is None:
+            gamma0, _ = params.effective(problem.mu)
+        start = min(gamma / delta, gamma0)
+    else:
+        start = gamma
+    new_state = ApgState(
+        state.t + 1,  # t
+        trial.x_new,
+        trial.z_new,
+        trial.alpha,  # alpha_prev
+        gamma,  # gamma_prev
+        start,
+        state.lambda_prod * (1.0 - trial.alpha),
+        trial.rx_new,
+        trial.rz_new,
     )
-
-
-def adaptive_pg(
-    problem: CompositeProblem,
-    v: Array,
-    gamma_start: float,
-    delta: float,
-    max_backtracks: int = 100,
-) -> tuple[Array, float, int]:
-    """Single backtracked proximal-gradient step from v.
-
-    Returns (x_tilde, gamma_tilde, n_tilde) where gamma_tilde =
-    gamma_start * delta**n_tilde is the first step size whose candidate
-    satisfies the local curvature bound.  Costs one gradient and
-    n_tilde + 1 prox evaluations.
-    """
-    v, grad_v, f_v = _probe(problem, v)
-    return _adaptive_core(problem, v, grad_v, f_v, gamma_start, delta, max_backtracks)[:3]
+    return new_state, trial, n
 
 
 def residual_certificate(
@@ -503,24 +457,39 @@ def certified_prox_step(
     delta: float,
     max_backtracks: int = 100,
 ) -> tuple[Certificate, int]:
-    """Backtracked proximal-gradient step plus its residual certificate.
+    """Backtracked proximal-gradient step from v plus its residual certificate and n.
 
-    Equivalent to ``adaptive_pg`` followed by ``residual_certificate`` but
-    sharing the gradient at v, so one check costs exactly two gradient and
-    n_tilde + 1 prox evaluations.  On the image path the gradient at
-    x_tilde comes from the raw image its trial already mapped, so a check
-    costs 4 + n_tilde products with A instead of 5 + n_tilde.
+    The line search of ``apg_iteration`` tries gamma = gamma_start * delta**n;
+    one check costs exactly two gradient and n + 1 prox evaluations.  On the
+    image path the gradient at x_tilde comes from the raw image its trial
+    already mapped, so a check costs 4 + n products with A instead of 5 + n.
     """
-    v, grad_v, f_v = _probe(problem, v)
-    cand, gamma, n, r = _adaptive_core(problem, v, grad_v, f_v, gamma_start, delta, max_backtracks)
-    grad_tilde = None if r is None else problem.smooth.value_and_gradient_at(cand, r)[1]
-    return residual_certificate(problem, v, cand, gamma, grad_v, grad_tilde), n
+    v = np.asarray(v, dtype=float)
+    if not problem.nonsmooth.value(v) < math.inf:
+        raise ValueError("v must lie in the domain of the nonsmooth term")
+    smooth = problem.smooth
+    image = getattr(smooth, "image", None)
+    f_v, grad_v = value_and_gradient(smooth, v)
+
+    def pg_trial(gamma):
+        x_new = problem.nonsmooth.prox(gamma, v - gamma * grad_v)
+        r = None if image is None else image(x_new)
+        f_new = smooth.value(x_new) if r is None else smooth.value_at(x_new, r)
+        lhs, rhs, scale, accepted = _curvature(gamma, v, f_v, grad_v, x_new, f_new)
+        return TrialStep(gamma, 1.0, 0.0, v, x_new, x_new, f_new, lhs, rhs, scale, accepted, r, r)
+
+    trial, n = _backtrack(pg_trial, gamma_start, delta, max_backtracks, "proximal-gradient")
+    r = trial.rx_new
+    grad_tilde = None if r is None else smooth.value_and_gradient_at(trial.x_new, r)[1]
+    return residual_certificate(problem, v, trial.x_new, trial.gamma, grad_v, grad_tilde), n
 
 
 def _make_row(
+    problem: CompositeProblem,
     state_before: ApgState,
     state_after: ApgState,
-    report: StepReport,
+    trial: TrialStep,
+    n_t: int,
     counters: OracleCounters,
     record_iterates: bool,
     cert: Certificate | None = None,
@@ -528,11 +497,11 @@ def _make_row(
 ) -> TraceRow:
     return TraceRow(
         state_before.t,
-        report.n_t,
-        report.gamma_t,
-        report.alpha_t,
-        report.beta_t,
-        report.F_new,  # F
+        n_t,
+        trial.gamma,  # gamma_t
+        trial.alpha,  # alpha_t
+        trial.beta,  # beta_t
+        trial.f_new + problem.nonsmooth.value(trial.x_new),  # F
         state_after.lambda_prod,
         counters.grad_f_evals,
         counters.prox_evals,
@@ -547,13 +516,10 @@ def _make_row(
 
 
 def _prepare(problem, params, init, counters, first_step=None):
-    gamma0, alpha0 = params.effective(problem.mu)
-    if first_step is not None and not first_step > 0:
-        raise ValueError(f"first_step must be positive, got {first_step}")
     if counters is None:
         counters = OracleCounters()
         problem = instrument_composite(problem, counters)
-    state = initial_state(problem, params, init)
+    state = initial_state(problem, params, init, first_step)
     # initial_state checked that x lies in the domain of P; on the image
     # path f comes from the start point's raw image
     x, rx = state.x, state.rx
@@ -562,11 +528,10 @@ def _prepare(problem, params, init, counters, first_step=None):
         rows=[],
         counters=counters,
         F_init=f_init + problem.nonsmooth.value(x),
-        gamma0=gamma0,
-        alpha0=alpha0,
+        gamma0=state.gamma_prev,
+        alpha0=state.alpha_prev,
         mu=problem.mu,
-        # the initial state has not grown, so its own first trial is gamma0
-        first_step=gamma0 if first_step is None else min(gamma0, first_step),
+        first_step=state.start,
     )
     return problem, state, trace
 
@@ -575,24 +540,22 @@ def apg_run(
     problem: CompositeProblem,
     params: ApgParams,
     init,
-    stop=None,
     counters: OracleCounters | None = None,
     record_iterates: bool = True,
 ) -> ApgTrace:
     """Run the accelerated iteration without a termination criterion.
 
-    Iterates from x1 = z1 = init until ``stop(state, report)`` returns true
-    or ``params.max_iters`` iterations have been taken; returns the trace.
-    When ``counters`` is supplied the problem is assumed to be already
-    instrumented against it.
+    Iterates from x1 = z1 = init for ``params.max_iters`` iterations and
+    returns the trace.  When ``counters`` is supplied the problem is assumed
+    to be already instrumented against it.
     """
     problem, state, trace = _prepare(problem, params, init, counters)
     while state.t <= params.max_iters:
-        new_state, report = apg_iteration(problem, state, params, trace.gamma0)
-        trace.rows.append(_make_row(state, new_state, report, trace.counters, record_iterates))
+        new_state, trial, n_t = apg_iteration(problem, state, params, trace.gamma0)
+        trace.rows.append(
+            _make_row(problem, state, new_state, trial, n_t, trace.counters, record_iterates)
+        )
         state = new_state
-        if stop is not None and stop(state, report):
-            break
     return trace
 
 
@@ -629,23 +592,18 @@ def apg_terminating(
     if params.epsilon is None:
         raise ValueError("params.epsilon must be set for the certified solver")
     problem, state, trace = _prepare(problem, params, init, counters, first_step)
-    gamma0 = trace.gamma0
     best: Certificate | None = None
     while state.t <= params.max_iters:
-        t = state.t
-        new_state, report = apg_iteration(
-            problem, state, params, gamma0, trace.first_step if t == 1 else None
-        )
+        new_state, trial, n_t = apg_iteration(problem, state, params, trace.gamma0)
         cert = n_tilde = None
-        if t % params.M == 0:
+        if state.t % params.M == 0:
             cert, n_tilde = certified_prox_step(
-                problem, new_state.x, first_trial(new_state, params.delta, gamma0),
-                params.delta, params.max_backtracks,
+                problem, new_state.x, new_state.start, params.delta, params.max_backtracks
             )
         # built after the check, so a checked row's counts include its cost
-        trace.rows.append(
-            _make_row(state, new_state, report, trace.counters, record_iterates, cert, n_tilde)
-        )
+        trace.rows.append(_make_row(
+            problem, state, new_state, trial, n_t, trace.counters, record_iterates, cert, n_tilde
+        ))
         state = new_state
         if cert is None:
             continue

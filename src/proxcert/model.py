@@ -1,4 +1,4 @@
-"""Problem containers, oracle protocols, and derivative-checking utilities.
+"""Problem containers, oracle protocols, and evaluation counting.
 
 Oracles are pure functions of x.  Evaluation counting lives in thin wrappers
 produced by :func:`instrument_composite` (and, for the outer loop's
@@ -8,7 +8,7 @@ so problems stay immutable and shareable.
 
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Protocol, runtime_checkable
@@ -377,36 +377,7 @@ def instrument_composite(problem: CompositeProblem, counters: OracleCounters) ->
     )
 
 
-def composite_value(problem: CompositeProblem, x: Array) -> float:
-    """F(x) = f(x) + P(x); +inf when x is outside the domain of P."""
-    p = problem.nonsmooth.value(x)
-    if not p < math.inf:
-        return math.inf
-    return problem.smooth.value(x) + p
-
-
-def check_gradient(oracle: SmoothOracle, x: Array, h: float) -> float:
-    """Max relative mismatch between the gradient and central differences.
-
-    Returns max_i |cd_i - g_i| / (1 + |g_i|) with cd the central difference
-    of ``oracle.value`` at step h.
-    """
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
-    if not 0 < h <= 1e-2:
-        raise ValueError(f"h must lie in (0, 1e-2], got {h}")
-    grad = np.asarray(oracle.gradient(x), dtype=float)
-    if grad.shape != x.shape:
-        raise ValueError(f"gradient shape {grad.shape} != point shape {x.shape}")
-    worst = 0.0
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        fp = oracle.value(x + step)
-        fm = oracle.value(x - step)
-        if not (np.isfinite(fp) and np.isfinite(fm) and np.isfinite(grad[i])):
-            raise ValueError(f"non-finite oracle output at coordinate {i}")
-        cd = (fp - fm) / (2.0 * h)
-        worst = max(worst, abs(cd - grad[i]) / (1.0 + abs(grad[i])))
-    return worst
+def require_count(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer of at least 1; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")

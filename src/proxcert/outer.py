@@ -33,6 +33,7 @@ from .model import (
     SmoothOracle,
     SolveTimeout,
     _CountingProx,
+    require_count,
 )
 from .proxcone import normal_cone_gap, project_dual
 
@@ -72,8 +73,7 @@ class OuterParams:
             raise ValueError(f"sigma must satisfy 0 < sigma < 1/zeta, got {self.sigma}")
         if not 0 < self.eta0 <= 1:
             raise ValueError("eta0 must lie in (0, 1]")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be positive")
+        require_count("max_outer", self.max_outer)
         if self.inner.epsilon is not None:
             raise ValueError("inner.epsilon must be unset: the outer loop sets it to eta_k")
 

@@ -1,4 +1,4 @@
-"""Reproducible benchmark generators and a high-accuracy reference solver.
+"""Reproducible benchmark generators.
 
 Quartic objectives f(x) = sum_j c_j (<a_j, x> - b_j)^4 / 4 + (mu/2)||x||^2
 are convex with a gradient that is locally but not globally Lipschitz, which
@@ -9,11 +9,10 @@ within this package (generator name recorded as GENERATOR_NAME).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .apg import ApgParams, apg_terminating
 from .model import (
     AffineConstraint,
     Array,
@@ -23,7 +22,6 @@ from .model import (
     ConicProblem,
     ProxTerm,
 )
-from .outer import OuterParams, ppa_unconstrained
 from .proxcone import ZeroTerm
 
 GENERATOR_NAME = "numpy-pcg64"
@@ -214,24 +212,3 @@ def eq_quadratic_2d() -> ConicProblem:
     problem = CompositeProblem(smooth=smooth, nonsmooth=ZeroTerm(2), mu=1.0)
     constraint = AffineConstraint(matrix=np.array([[1.0, 1.0]]), shift=np.array([-1.0]))
     return ConicProblem(base=problem, constraint=constraint, cone=ConeSpec.zeros(1))
-
-
-def reference_solve(problem: CompositeProblem, tol: float) -> tuple[Array, float]:
-    """High-accuracy solve used as an oracle by the test suites.
-
-    Routes to the certified accelerated solver when mu > 0 and to the
-    proximal-point solver otherwise, with generous budgets; returns the
-    point and its certified residual bound (<= tol).  Budget exhaustion raises,
-    since that is a failure of the test infrastructure rather than a solver
-    verdict.
-    """
-    if tol < 1e-12:
-        raise ValueError("tol must be at least 1e-12")
-    init = problem.nonsmooth.prox(1.0, np.zeros(problem.dim))
-    inner = ApgParams(M=5, max_iters=2_000_000)
-    if problem.mu > 0:
-        res = apg_terminating(problem, replace(inner, epsilon=tol), init, record_iterates=False)
-        return res.x, res.certificate.residual
-    params = OuterParams(epsilon=tol, rho0=10.0, sigma=0.25, max_outer=80, inner=inner)
-    res = ppa_unconstrained(problem, params, init, record_iterates=False)
-    return res.x, res.residual_bound

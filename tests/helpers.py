@@ -1,10 +1,21 @@
 """Checks shared between the unit suite and the acceptance suite."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from proxcert import ConicProblem, build_al_subproblem, dist_polar, project_dual, trial_step
+from proxcert import (
+    ApgParams,
+    ConicProblem,
+    OuterParams,
+    apg_terminating,
+    build_al_subproblem,
+    dist_polar,
+    ppa_unconstrained,
+    project_dual,
+    trial_step,
+)
 from proxcert.apg import admits_growth
 from proxcert.outer import _require_dual
 from proxcert.problems import ConstrainedSpec, QuarticSpec
@@ -171,3 +182,58 @@ def al_smooth_gradient(conic: ConicProblem, x, lam, rho: float):
     shifted = lam + rho * conic.constraint.value(x)
     multiplier = project_dual(conic.cone, shifted)
     return conic.base.smooth.gradient(x) + conic.constraint.adjoint_apply(x, multiplier)
+
+
+def composite_value(problem, x) -> float:
+    """F(x) = f(x) + P(x); +inf when x is outside the domain of P."""
+    p = problem.nonsmooth.value(x)
+    if not p < math.inf:
+        return math.inf
+    return problem.smooth.value(x) + p
+
+
+def check_gradient(oracle, x, h: float) -> float:
+    """Max relative mismatch between the gradient and central differences.
+
+    Returns max_i |cd_i - g_i| / (1 + |g_i|) with cd the central difference
+    of ``oracle.value`` at step h.
+    """
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x must be finite")
+    if not 0 < h <= 1e-2:
+        raise ValueError(f"h must lie in (0, 1e-2], got {h}")
+    grad = np.asarray(oracle.gradient(x), dtype=float)
+    if grad.shape != x.shape:
+        raise ValueError(f"gradient shape {grad.shape} != point shape {x.shape}")
+    worst = 0.0
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step[i] = h
+        fp = oracle.value(x + step)
+        fm = oracle.value(x - step)
+        if not (np.isfinite(fp) and np.isfinite(fm) and np.isfinite(grad[i])):
+            raise ValueError(f"non-finite oracle output at coordinate {i}")
+        cd = (fp - fm) / (2.0 * h)
+        worst = max(worst, abs(cd - grad[i]) / (1.0 + abs(grad[i])))
+    return worst
+
+
+def reference_solve(problem, tol: float):
+    """High-accuracy solve: (point, certified residual bound <= tol).
+
+    Routes to the certified accelerated solver when mu > 0 and to the
+    proximal-point solver otherwise, with generous budgets.  Budget
+    exhaustion raises, since that is a failure of the test infrastructure
+    rather than a solver verdict.
+    """
+    if tol < 1e-12:
+        raise ValueError("tol must be at least 1e-12")
+    init = problem.nonsmooth.prox(1.0, np.zeros(problem.dim))
+    inner = ApgParams(M=5, max_iters=2_000_000)
+    if problem.mu > 0:
+        res = apg_terminating(problem, replace(inner, epsilon=tol), init, record_iterates=False)
+        return res.x, res.certificate.residual
+    params = OuterParams(epsilon=tol, rho0=10.0, sigma=0.25, max_outer=80, inner=inner)
+    res = ppa_unconstrained(problem, params, init, record_iterates=False)
+    return res.x, res.residual_bound

@@ -21,12 +21,10 @@ from proxcert import (
     apg_run,
     apg_terminating,
     build_al_subproblem,
-    check_gradient,
     ppa_unconstrained,
     prox_al,
     residual_certificate,
 )
-from proxcert.model import composite_value
 from proxcert.problems import (
     ConstrainedSpec,
     QuarticSpec,
@@ -34,14 +32,16 @@ from proxcert.problems import (
     gen_constrained,
     gen_quartic,
     ineq_quadratic_1d,
-    reference_solve,
 )
 from proxcert.proxcone import project_dual, project_polar
 
 from helpers import (
     accounting_violations,
+    check_gradient,
+    composite_value,
     criterion6_specs,
     ppa_subproblem,
+    reference_solve,
     trajectory_invariant_violations,
 )
 
@@ -157,7 +157,7 @@ def test_criterion_3_descent_envelope():
         x_hat, _ = reference_solve(problem, 1e-10)
         F_hat = composite_value(problem, x_hat)
         init = np.full(n, 0.5)
-        trace = apg_run(problem, ApgParams(), init, stop=lambda s, r: s.t > 200)
+        trace = apg_run(problem, ApgParams(max_iters=200), init)
         anchor = (
             trace.F_init - F_hat
             + trace.alpha0**2 / (2.0 * trace.gamma0) * float((init - x_hat) @ (init - x_hat))

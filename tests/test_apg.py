@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,23 +12,64 @@ from proxcert import (
     L1Term,
     LineSearchFailure,
     NonFiniteOracleOutput,
+    OracleCounters,
+    OuterParams,
     SolveTimeout,
     ZeroTerm,
-    adaptive_pg,
     apg_iteration,
     apg_run,
     apg_terminating,
+    certified_prox_step,
     initial_state,
+    instrument_composite,
     residual_certificate,
     solve_alpha,
     trial_step,
 )
-from proxcert.problems import QuarticSpec, gen_quartic, reference_solve
+from proxcert.problems import QuarticSpec, gen_quartic
 
 from conftest import SeparateOnly, make_quadratic, nan_after
-from helpers import accounting_violations, trajectory_invariant_violations
+from helpers import (
+    accounting_violations,
+    composite_value,
+    reference_solve,
+    trajectory_invariant_violations,
+)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def lying():
+    """||x||^2/2 with a wrong-sign gradient.
+
+    The curvature ratio is bounded away from one for every step size, so no
+    trial of either line search can ever be accepted.
+    """
+    return CompositeProblem(
+        CallableSmooth(1, lambda x: 0.5 * float(x @ x), lambda x: -x), ZeroTerm(1)
+    )
+
+
+@pytest.mark.parametrize("make, name, bad", [
+    (ApgParams, "gamma0", math.inf),
+    (ApgParams, "gamma0", math.nan),
+    (ApgParams, "gamma0", 0.0),
+    (ApgParams, "M", 2.5),
+    (ApgParams, "M", True),  # a bool is not an integer here
+    (ApgParams, "M", 0),
+    (ApgParams, "max_iters", 1e6),
+    (ApgParams, "max_backtracks", np.float64(20.0)),
+    (ApgParams, "max_backtracks", False),
+    (OuterParams, "max_outer", 2.5),
+    (OuterParams, "max_outer", True),
+    (OuterParams, "max_outer", -1),
+])
+def test_params_reject_bad_values_at_construction(make, name, bad):
+    base = {"epsilon": 1e-4} if make is OuterParams else {}
+    with pytest.raises(ValueError, match=name):
+        make(**base, **{name: bad})
+    if name != "gamma0":  # a NumPy integer is an integer
+        assert getattr(make(**base, **{name: np.int64(3)}), name) == 3
 
 
 class TestSolveAlpha:
@@ -75,27 +117,27 @@ class TestIteration:
         problem = make_quadratic(mu=0.0)
         params = ApgParams(gamma0=1.0, delta=0.5)
         state = initial_state(problem, params, [1.0])
-        new_state, report = apg_iteration(problem, state, params)
-        assert report.n_t == 0
-        assert report.gamma_t == 1.0
-        assert report.alpha_t == pytest.approx(GOLDEN, abs=1e-15)
-        assert report.beta_t == 0.0
-        assert report.y[0] == 1.0
+        new_state, trial, n_t = apg_iteration(problem, state, params)
+        assert n_t == 0
+        assert trial.gamma == 1.0
+        assert trial.alpha == pytest.approx(GOLDEN, abs=1e-15)
+        assert trial.beta == 0.0
+        assert trial.y[0] == 1.0
         assert new_state.z[0] == pytest.approx(-GOLDEN, abs=1e-14)
         # the accelerated step lands on the exact minimizer, an equality
         # case of the acceptance inequality
         assert abs(new_state.x[0]) <= 1e-15
-        assert report.F_new <= 1e-30
+        assert trial.f_new <= 1e-30
 
     def test_hand_trace_strongly_convex(self):
         problem = make_quadratic(mu=1.0)
         params = ApgParams(gamma0=0.5, alpha0=math.sqrt(0.5), delta=0.5)
         state = initial_state(problem, params, [1.0])
-        new_state, report = apg_iteration(problem, state, params)
-        assert report.n_t == 0
-        assert report.alpha_t == pytest.approx(math.sqrt(0.5), abs=1e-15)
-        assert report.beta_t == pytest.approx(math.sqrt(0.5), abs=1e-15)
-        assert report.y[0] == pytest.approx(1.0, abs=1e-15)
+        new_state, trial, n_t = apg_iteration(problem, state, params)
+        assert n_t == 0
+        assert trial.alpha == pytest.approx(math.sqrt(0.5), abs=1e-15)
+        assert trial.beta == pytest.approx(math.sqrt(0.5), abs=1e-15)
+        assert trial.y[0] == pytest.approx(1.0, abs=1e-15)
         assert new_state.z[0] == pytest.approx(1.0 - math.sqrt(0.5), abs=1e-15)
         assert new_state.x[0] == pytest.approx(0.5, abs=1e-15)
 
@@ -109,8 +151,8 @@ class TestIteration:
     def test_stationary_point_is_fixed(self, quadratic):
         params = ApgParams(gamma0=0.5, alpha0=math.sqrt(0.5))
         state = initial_state(quadratic, params, [0.0])
-        new_state, report = apg_iteration(quadratic, state, params)
-        assert report.y[0] == 0.0
+        new_state, trial, _ = apg_iteration(quadratic, state, params)
+        assert trial.y[0] == 0.0
         assert new_state.x[0] == 0.0
         assert new_state.z[0] == 0.0
 
@@ -118,22 +160,24 @@ class TestIteration:
         # backtracking halves and growth doubles, so every step stays on the
         # grid gamma0 * delta**k, k >= 0
         params = ApgParams(gamma0=1.0, delta=0.5)
-        trace = apg_run(quartic_1d, params, [1.5], stop=lambda s, r: s.t > 40)
+        trace = apg_run(quartic_1d, replace(params, max_iters=40), [1.5])
         for row in trace.rows:
             k = round(-math.log2(row.gamma_t))
             assert k >= 0 and row.gamma_t == 1.0 * 0.5**k
 
     def test_line_search_failure_on_inconsistent_gradient(self):
-        # a wrong-sign gradient makes the curvature ratio bounded away from
-        # one for every step size, so no trial can ever be accepted
-        lying = CompositeProblem(
-            CallableSmooth(1, lambda x: 0.5 * float(x @ x), lambda x: -x),
-            ZeroTerm(1),
-        )
         params = ApgParams(max_backtracks=20)
-        state = initial_state(lying, params, [1.0])
+        state = initial_state(lying(), params, [1.0])
         with pytest.raises(LineSearchFailure, match="line search failed"):
-            apg_iteration(lying, state, params)
+            apg_iteration(lying(), state, params)
+
+    def test_certificate_search_runs_out(self):
+        counters = OracleCounters()
+        problem = instrument_composite(lying(), counters)
+        with pytest.raises(LineSearchFailure, match="line search failed") as info:
+            certified_prox_step(problem, np.array([1.0]), 1.0, 0.5, max_backtracks=20)
+        assert info.type is LineSearchFailure  # not its NonFiniteOracleOutput subclass
+        assert counters.prox_evals == 21
 
 
 class TestNonFiniteOracleOutput:
@@ -146,23 +190,23 @@ class TestNonFiniteOracleOutput:
     def test_certificate_step_raises_at_first_trial(self):
         problem, made = nan_after(0)
         with pytest.raises(NonFiniteOracleOutput, match="proximal-gradient trial 0"):
-            adaptive_pg(problem, np.array([1.0]), 1.0, 0.5)
+            certified_prox_step(problem, np.array([1.0]), 1.0, 0.5)
         assert len(made) == 1
 
 
 class TestApgRun:
     def test_single_iteration_reaches_minimum(self):
         problem = make_quadratic(mu=0.0)
-        trace = apg_run(problem, ApgParams(gamma0=1.0), [1.0], stop=lambda s, r: True)
+        trace = apg_run(problem, ApgParams(gamma0=1.0, max_iters=1), [1.0])
         assert len(trace.rows) == 1
         assert trace.rows[0].F <= 1e-30
 
     def test_optimal_init_keeps_objective_flat(self, quadratic):
-        trace = apg_run(quadratic, ApgParams(gamma0=0.5), [0.0], stop=lambda s, r: s.t > 25)
+        trace = apg_run(quadratic, ApgParams(gamma0=0.5, max_iters=25), [0.0])
         assert all(row.F == 0.0 for row in trace.rows)
 
     def test_lambda_prod_is_running_product(self, quartic_1d):
-        trace = apg_run(quartic_1d, ApgParams(), [1.0], stop=lambda s, r: s.t > 30)
+        trace = apg_run(quartic_1d, ApgParams(max_iters=30), [1.0])
         prod = 1.0
         for row in trace.rows:
             prod *= 1.0 - row.alpha_t
@@ -171,7 +215,7 @@ class TestApgRun:
     def test_quartic_inverse_square_envelope(self, quartic_1d):
         """Objective gap decays inside the 1/t^2 envelope built from observed steps."""
         params = ApgParams(gamma0=1.0, delta=0.5)
-        trace = apg_run(quartic_1d, params, [1.0], stop=lambda s, r: s.t > 200)
+        trace = apg_run(quartic_1d, replace(params, max_iters=200), [1.0])
         r0_sq = trace.F_init + trace.alpha0**2 / (2.0 * trace.gamma0)  # F* = 0, x* = 0
         gamma_min = min(row.gamma_t for row in trace.rows)
         speed = trace.alpha0 * math.sqrt(min(1.0, params.delta * gamma_min / trace.gamma0))
@@ -193,24 +237,26 @@ class TestApgRun:
             mu=1.0,
         )
         with pytest.raises(ValueError, match="domain"):
-            apg_run(bad, ApgParams(), [1.0], stop=lambda s, r: True)
-        apg_run(problem, ApgParams(), [1.0], stop=lambda s, r: True)  # fine
+            apg_run(bad, ApgParams(max_iters=1), [1.0])
+        apg_run(problem, ApgParams(max_iters=1), [1.0])  # fine
 
 
 class TestAdaptivePg:
+    """The certificate's backtracked proximal-gradient step."""
+
     def test_quadratic_equality_case(self, quadratic):
-        x_tilde, gamma, n = adaptive_pg(quadratic, np.array([1.0]), 1.0, 0.5)
-        assert (x_tilde[0], gamma, n) == (0.0, 1.0, 0)
+        cert, n = certified_prox_step(quadratic, np.array([1.0]), 1.0, 0.5)
+        assert (cert.x_tilde[0], cert.gamma_tilde, n) == (0.0, 1.0, 0)
 
     def test_quartic_backtracks_twice(self, quartic_1d):
-        x_tilde, gamma, n = adaptive_pg(quartic_1d, np.array([1.0]), 1.0, 0.5)
-        assert x_tilde[0] == pytest.approx(0.75, abs=1e-15)
-        assert gamma == 0.25
+        cert, n = certified_prox_step(quartic_1d, np.array([1.0]), 1.0, 0.5)
+        assert cert.x_tilde[0] == pytest.approx(0.75, abs=1e-15)
+        assert cert.gamma_tilde == 0.25
         assert n == 2
 
     def test_stationary_point(self, quartic_1d):
-        x_tilde, gamma, n = adaptive_pg(quartic_1d, np.array([0.0]), 1.0, 0.5)
-        assert (x_tilde[0], gamma, n) == (0.0, 1.0, 0)
+        cert, n = certified_prox_step(quartic_1d, np.array([0.0]), 1.0, 0.5)
+        assert (cert.x_tilde[0], cert.gamma_tilde, n) == (0.0, 1.0, 0)
 
 
 class TestCertificate:
@@ -301,11 +347,9 @@ def test_descent_envelope_against_reference():
     for seed, mu in ((1, 1.0), (3, 0.0)):
         problem = gen_quartic(QuarticSpec(n=4, k_terms=3, seed=seed, mu_add=mu))
         x_hat, _ = reference_solve(problem, 1e-10)
-        from proxcert.model import composite_value
-
         F_hat = composite_value(problem, x_hat)
         init = np.full(4, 0.5)
-        trace = apg_run(problem, ApgParams(), init, stop=lambda s, r: s.t > 150)
+        trace = apg_run(problem, ApgParams(max_iters=150), init)
         anchor = trace.F_init - F_hat + trace.alpha0**2 / (2 * trace.gamma0) * float(
             (init - x_hat) @ (init - x_hat)
         )
@@ -334,10 +378,9 @@ def test_gamma_clamp_keeps_update_well_defined():
 def test_records_are_immutable(quartic_1d):
     params = ApgParams()
     state = initial_state(quartic_1d, params, [1.0])
-    new_state, report = apg_iteration(quartic_1d, state, params)
-    trial = trial_step(quartic_1d, state.x, state.z, state.alpha_prev, state.gamma_prev, 1.0)
-    row = apg_run(quartic_1d, params, [1.0], stop=lambda s, r: True).rows[0]
-    for record, name in ((new_state, "t"), (report, "gamma_t"), (trial, "accepted"), (row, "F")):
+    new_state, trial, _ = apg_iteration(quartic_1d, state, params)
+    row = apg_run(quartic_1d, replace(params, max_iters=1), [1.0]).rows[0]
+    for record, name in ((new_state, "t"), (trial, "accepted"), (row, "F")):
         with pytest.raises(AttributeError):
             setattr(record, name, 0)
 

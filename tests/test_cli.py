@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -520,6 +521,10 @@ class TestSweep:
         dict(QUARTIC_PPA, solver="apg-cert"),  # mu = 0
         dict(QUARTIC_PPA, solver="prox-al"),  # no constraints
         dict(QUARTIC_PPA, problem=dict(QUARTIC_PPA["problem"], prox={"kind": ["l1"]})),
+        {  # a step base that ApgParams rejects
+            "version": 1, "solver": "apg", "params": {"gamma0": math.inf},
+            "problem": {"kind": "quartic", "n": 3, "k_terms": 2, "seed": 1},
+        },
     ])
     def test_spec_rejected_by_solve_is_one_error_line(self, tmp_path, capsys, doc):
         code, rows = self._sweep(tmp_path, doc, "1e-2,1e-4")

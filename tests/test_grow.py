@@ -53,7 +53,7 @@ def _apg_traces():
         res = apg_terminating(problem, ApgParams(epsilon=1e-8, M=3), np.zeros(6))
         out.append((problem, res.trace, 0, 0, res.certificate))
     problem = gen_quartic(QuarticSpec(n=5, k_terms=3, seed=4, prox=NonnegativeTerm(5)))
-    trace = apg_run(problem, ApgParams(), np.zeros(5), stop=lambda s, r: s.t > 80)
+    trace = apg_run(problem, ApgParams(max_iters=80), np.zeros(5))
     out.append((problem, trace, 0, 0, None))
     return out
 

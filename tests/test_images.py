@@ -131,7 +131,7 @@ def test_a_trial_maps_one_new_point():
     tally = Tally(base.smooth)
     trace = apg_run(
         CompositeProblem(tally, base.nonsmooth, mu=base.mu),
-        ApgParams(), np.zeros(N), stop=lambda s, r: s.t > 20,
+        ApgParams(max_iters=20), np.zeros(N),
     )
     trials = sum(row.n_t + 1 for row in trace.rows)
     assert trials > len(trace.rows)  # some trials backtracked

@@ -14,8 +14,6 @@ from proxcert import (
     SquaredL2Term,
     ZeroTerm,
     apg_terminating,
-    check_gradient,
-    composite_value,
     instrument_composite,
     value_and_gradient,
 )
@@ -29,6 +27,7 @@ from proxcert.problems import (
 )
 
 from conftest import SeparateOnly, make_quadratic, make_quartic_1d
+from helpers import check_gradient, composite_value
 
 
 class TestCheckGradient:

@@ -14,7 +14,6 @@ from proxcert import (
     SubproblemOracle,
     ZeroTerm,
     build_al_subproblem,
-    check_gradient,
     kkt_report,
     multiplier_update,
     ppa_unconstrained,
@@ -39,7 +38,13 @@ from proxcert.problems import (
     ineq_quadratic_1d,
 )
 
-from helpers import al_smooth_gradient, al_value, criterion6_specs, ppa_subproblem
+from helpers import (
+    al_smooth_gradient,
+    al_value,
+    check_gradient,
+    criterion6_specs,
+    ppa_subproblem,
+)
 
 
 @pytest.fixture

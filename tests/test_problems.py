@@ -12,10 +12,10 @@ from proxcert.problems import (
     gen_quartic,
     ineq_quadratic_1d,
     quartic_from_arrays,
-    reference_solve,
 )
 
 from conftest import make_quadratic, make_quartic_1d
+from helpers import reference_solve
 
 
 class TestGenQuartic:

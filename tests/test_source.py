@@ -6,15 +6,41 @@ from pathlib import Path
 import proxcert
 
 
+MODULES = sorted(Path(proxcert.__file__).parent.rglob("*.py"))
+
+
+def _nodes(path):
+    return ast.walk(ast.parse(path.read_text(), filename=str(path)))
+
+
+def _calls(paths, name):
+    """The sites, as file:line, of the calls to ``name`` in ``paths``."""
+    return [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in _nodes(path)
+        if isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        )
+    ]
+
+
 def test_library_has_no_assert_statements():
     # python -O strips assert statements, so no guarantee may rest on one;
     # the library raises InvariantViolation or ValueError instead
-    modules = sorted(Path(proxcert.__file__).parent.rglob("*.py"))
-    assert len(modules) >= 7
+    assert len(MODULES) >= 7
     found = [
         f"{path.name}:{node.lineno}"
-        for path in modules
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for path in MODULES
+        for node in _nodes(path)
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_one_line_search():
+    # the accelerated step and the certificate step share one curvature
+    # test and one backtracking loop, so a change to either reaches both
+    assert len(_calls(MODULES, "accepts_curvature_bound")) == 1
+    apg = [path for path in MODULES if path.name == "apg.py"]
+    assert len(_calls(apg, "LineSearchFailure")) == 1
