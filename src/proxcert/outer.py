@@ -6,11 +6,17 @@ eta_k = eta0 * sigma**k and proximal weights rho_k = rho0 * zeta**j, where
 j counts the outer steps so far whose prox-step or complementarity term
 exceeded the inner residual ||u|| (``_grows``); the paper grows rho on every
 step.  So rho_k <= rho0 * zeta**k, and a step that holds rho has
-||x_{k+1} - x_k||/rho_k <= ||u|| <= eta_k.  The loop stops at the first
-outer step whose KKT residuals are at most the outer epsilon, and an inner
-solve at the first certificate that already proves them, which the paper's
-end-of-step test implies.  ``ppa_unconstrained`` runs it on a mu = 0
-problem under no constraint, the paper's perturbation scheme.
+||x_{k+1} - c_k||/rho_k <= ||u|| <= eta_k for its proximal center c_k.
+The center is extrapolated past the last iterate, as in Guler's accelerated
+proximal-point method and Catalyst (Lin, Mairal and Harchaoui):
+c_{k+1} = x_{k+1} + beta_k (x_{k+1} - x_k), where the paper takes
+c_{k+1} = x_{k+1}.  A step's witness u - (x_{k+1} - c_k)/rho_k is an outer
+subgradient for any center, so every certificate keeps its meaning.  The
+loop stops at the first outer step whose KKT residuals are at most the
+outer epsilon, and an inner solve at the first certificate that already
+proves them, which the paper's end-of-step test implies.
+``ppa_unconstrained`` runs it on a mu = 0 problem under no constraint, the
+paper's perturbation scheme.
 """
 
 from __future__ import annotations
@@ -43,9 +49,10 @@ class OuterParams:
     """Schedule of the outer loop and the settings of its inner solves.
 
     eta_k = eta0 * sigma**k at every outer step.  rho starts at rho0 and
-    grows by zeta only after a step whose prox-step term ||x_{k+1} - x_k||/
-    rho_k or complementarity residual exceeds the inner residual ||u||, so
-    rho_k = rho0 * zeta**j for the j grows so far, at most rho0 * zeta**k.
+    grows by zeta only after a step whose prox-step term ||x_{k+1} - c_k||/
+    rho_k (c_k the step's center) or complementarity residual exceeds the
+    inner residual ||u||, so rho_k = rho0 * zeta**j for the j grows so far,
+    at most rho0 * zeta**k.
     rho0 defaults per problem when None (see ``resolved``).  ``inner`` holds
     the inner solver's settings; its epsilon must stay unset, since the
     loop sets it to eta_k on every step.  The loop also sets the inner step
@@ -124,7 +131,11 @@ class KktReport:
 
 @dataclass(frozen=True)
 class OuterTraceRow:
-    """One outer iteration; grad/prox_evals are cumulative over the solve."""
+    """One outer iteration; grad/prox_evals are cumulative over the solve.
+
+    ``center`` is the step's proximal center c_k, and step_norm is
+    ||(x_new - center, lam_new - lam_prev)||.
+    """
 
     k: int
     rho_k: float
@@ -289,8 +300,8 @@ def build_al_subproblem(
 
 def multiplier_update(cone, lam, rho: float, gval) -> Array:
     """Projected dual ascent step: project lam + rho * gval onto K*."""
-    if not rho > 0:
-        raise ValueError("rho must be positive")
+    if not 0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho}")
     lam = np.asarray(lam, dtype=float)
     gval = np.asarray(gval, dtype=float)
     return project_dual(cone, lam + rho * gval)
@@ -307,7 +318,7 @@ def kkt_report(
     lam_new: Array,
     inner_certificate: Certificate,
     rho: float,
-    x_prev: Array,
+    center: Array,
     lam_prev: Array,
     gval: Array | None = None,
 ) -> KktReport:
@@ -316,23 +327,25 @@ def kkt_report(
     Valid only for (x, lam_new) produced by the same outer step: the
     certificate witness u lies in the subdifferential of the proximal AL
     subproblem at x, and lam_new must equal the projected update of lam_prev
-    at x.  Then s = u - (x - x_prev)/rho is an explicit stationarity
-    witness, and w = (lam_prev + rho g(x) - lam_new)/rho lies in the normal
-    cone of K* at lam_new with ||g(x) - w|| = ||lam_new - lam_prev||/rho
-    bounding the complementarity residual.  ``gval`` may pass g(x) when the
-    caller has already evaluated it; any shape but the cone's is a
-    ValueError, since a shorter g(x) would broadcast through lam + rho g(x)
-    and past every later shape check.  The complementarity defect
+    at x.  Then s = u - (x - center)/rho, for the step's proximal center,
+    is an explicit stationarity witness, and w = (lam_prev + rho g(x) -
+    lam_new)/rho lies in the normal cone of K* at lam_new with ||g(x) - w||
+    = ||lam_new - lam_prev||/rho bounding the complementarity residual.
+    ``gval`` may pass g(x) when the caller has already evaluated it; any
+    shape but the cone's is a ValueError, since a shorter g(x) would
+    broadcast through lam + rho g(x) and past every later shape check.  The complementarity defect
     |<lam_new, w>| is a sum of products, so its rounding error, and its
     tolerance, scale with ||lam_new|| * ||w||.  Under an empty cone w is
     empty and the complementarity residual and defects are 0, and no cone
-    routine is called.
+    routine is called.  rho must be positive and finite.
     """
+    if not 0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho}")
     x = np.asarray(x, dtype=float)
-    x_prev = np.asarray(x_prev, dtype=float)
+    center = np.asarray(center, dtype=float)
     lam_new = np.asarray(lam_new, dtype=float)
     lam_prev = np.asarray(lam_prev, dtype=float)
-    s = inner_certificate.witness - (x - x_prev) / rho
+    s = inner_certificate.witness - (x - center) / rho
     gval = np.asarray(conic.constraint.value(x) if gval is None else gval, dtype=float)
     if gval.shape != (conic.cone.dim,):
         raise ValueError(
@@ -392,10 +405,12 @@ def _stationarity_bound(certificate: Certificate, center: Array, rho: float) -> 
 def _grows(step_norm: float, rho: float, complementarity: float, residual: float) -> bool:
     """Whether rho grows after an outer step: when a term it controls binds.
 
-    The prox-step term ||x_new - x_k||/rho_k and the complementarity
-    residual (0 under an empty cone) shrink as rho grows; the inner residual
-    ||u|| does not.  rho grows only when the larger of the first two
-    exceeds ||u||, so a held step has ||x_new - x_k||/rho_k <= ||u||.
+    The prox-step term ||x_new - c_k||/rho_k, for the step's center c_k,
+    and the complementarity residual (0 under an empty cone) shrink as rho
+    grows; the inner residual ||u|| does not.  rho grows only when the
+    larger of the first two exceeds ||u||, so a held step has
+    ||x_new - c_k||/rho_k <= ||u||, and its stationarity bound is at most
+    2 eta_k.
     """
     return max(step_norm / rho, complementarity) > residual
 
@@ -417,15 +432,21 @@ def prox_al(
 ) -> ProxAlResult:
     """First-order proximal augmented Lagrangian method with KKT certification.
 
-    Each outer step solves the proximal AL subproblem with the certified
-    accelerated solver (modulus mu_k = mu + 1/rho_k, target eta_k, step base
-    the step clamp (1 - 1e-9)/mu_k, first trying the previous step's last
-    accepted step) and updates the multiplier by projected dual ascent.
-    rho grows by zeta after a step whose ||x_{k+1} - x_k||/rho_k or
+    Each outer step solves the proximal AL subproblem centred at c_k with
+    the certified accelerated solver (modulus mu_k = mu + 1/rho_k, target
+    eta_k, step base the step clamp (1 - 1e-9)/mu_k, first trying the
+    previous step's last accepted step) and updates the multiplier by
+    projected dual ascent.  c_0 = x_0, and after step k, once rho_{k+1} is
+    fixed, c_{k+1} = x_{k+1} + beta_k (x_{k+1} - x_k) with Catalyst's
+    beta_k = a_k (1 - a_k)/(a_k^2 + a_{k+1}), where a_0 = 1 and
+    a_{k+1}^2 = (1 - a_{k+1}) a_k^2 + q a_{k+1} for q = mu rho_{k+1}/(1 +
+    mu rho_{k+1}); with mu = 0 this is Guler's sequence.  An inner solve
+    starts at c_k where P is finite, and at x_k otherwise.
+    rho grows by zeta after a step whose ||x_{k+1} - c_k||/rho_k or
     complementarity residual ||lam_{k+1} - lam_k||/rho_k exceeds the inner
     residual ||u||, and is held otherwise.  At every certificate it checks,
     the inner solver also tests the outer
-    stopping rule: first ||u|| + ||x_tilde - x_k||/rho_k <= epsilon, which
+    stopping rule: first ||u|| + ||x_tilde - c_k||/rho_k <= epsilon, which
     costs no oracle call, and only then, with one counted g(x_tilde) and one
     counted cone projection, ||lam_new - lam_k||/rho_k <= epsilon for the
     updated multiplier lam_new.  The first certificate that passes ends
@@ -450,6 +471,8 @@ def prox_al(
         conic, base=replace(conic.base, nonsmooth=_CountingProx(conic.base.nonsmooth, counters))
     )
     x = np.asarray(init_x, dtype=float).copy()
+    center, start = x, x
+    a_k = 1.0  # Catalyst's momentum sequence, from a_0 = 1
     lam = _require_dual(conic, init_lam).copy()
     rows: list[OuterTraceRow] = []
     trace = OuterTrace(rows=rows, counters=counters)
@@ -457,10 +480,10 @@ def prox_al(
     best_res = math.inf
     first_step = None
     grows = 0
+    rho_k = params.rho0
     for k in range(params.max_outer):
-        rho_k = params.rho0 * params.zeta**grows
         eta_k = params.eta0 * params.sigma**k
-        sub = build_al_subproblem(counted, x, lam, rho_k, counters=counters)
+        sub = build_al_subproblem(counted, center, lam, rho_k, counters=counters)
 
         def update(x_at):
             if not conic.cone.dim:  # g(x_at) and the multiplier are empty
@@ -474,7 +497,7 @@ def prox_al(
 
         def done(cert):
             nonlocal passed
-            if not _stationarity_bound(cert, x, rho_k) <= params.epsilon:
+            if not _stationarity_bound(cert, center, rho_k) <= params.epsilon:
                 return False
             passed = (cert, *update(cert.x_tilde))
             return _norm(passed[2] - lam) / rho_k <= params.epsilon
@@ -484,7 +507,7 @@ def prox_al(
             res = apg_terminating(
                 sub,
                 replace(params.inner, gamma0=step_clamp(sub.mu), epsilon=eta_k),
-                x,
+                start,
                 counters=counters,
                 record_iterates=record_iterates,
                 done=done,
@@ -499,9 +522,9 @@ def prox_al(
         else:
             _check_inner_residual(res.certificate, eta_k, k)
             gval, lam_new = update(x_new)
-        x_step = _norm(x_new - x)
+        x_step = _norm(x_new - center)
         step = math.sqrt(x_step**2 + _norm(lam_new - lam) ** 2)
-        report = kkt_report(conic, x_new, lam_new, res.certificate, rho_k, x, lam, gval)
+        report = kkt_report(conic, x_new, lam_new, res.certificate, rho_k, center, lam, gval)
         rows.append(
             OuterTraceRow(
                 k=k,
@@ -515,7 +538,7 @@ def prox_al(
                 grad_evals=counters.grad_f_evals,
                 prox_evals=counters.prox_evals,
                 certificate=res.certificate,
-                center=x,
+                center=center,
                 x_new=x_new,
                 lam_prev=lam,
                 lam_new=lam_new,
@@ -530,7 +553,18 @@ def prox_al(
         if worst <= params.epsilon:
             return ProxAlResult(x=x_new, lam=lam_new, report=report, trace=trace)
         grows += _grows(x_step, rho_k, report.complementarity_residual, res.certificate.residual)
-        x, lam = x_new, lam_new
+        rho_k = params.rho0 * params.zeta**grows
+        # Catalyst momentum: a_{k+1}^2 = (1 - a_{k+1}) a_k^2 + q a_{k+1}, with
+        # q = mu/(mu + 1/rho_{k+1}); the center is extrapolated past x_new
+        mu_rho = conic.base.mu * rho_k
+        q = mu_rho / (1.0 + mu_rho)
+        b = a_k * a_k - q
+        a_next = (math.sqrt(b * b + 4.0 * a_k * a_k) - b) / 2.0
+        beta = a_k * (1.0 - a_k) / (a_k * a_k + a_next)
+        center = x_new + beta * (x_new - x)
+        # the inner solve must start in dom P, which the center may leave
+        start = center if conic.base.nonsmooth.value(center) < math.inf else x_new
+        x, lam, a_k = x_new, lam_new, a_next
         first_step = res.trace.rows[-1].gamma_t
     raise SolveTimeout(
         f"outer budget of {params.max_outer} exhausted; best KKT residual {best_res}",
@@ -548,11 +582,12 @@ def ppa_unconstrained(
     """Certified solver for mu = 0 via proximal-point perturbations.
 
     ``prox_al`` on ``problem`` under no constraint: each outer step
-    minimizes f + ||x - x_k||^2/(2 rho_k) + P with the certified accelerated
-    solver at target eta_k, and the solve returns at the first step whose
-    witness s = u - (x_{k+1} - x_k)/rho_k, an element of dF(x_{k+1}), has
-    ||s|| <= epsilon.  An inner solve stops early at the first certificate
-    with ||u|| + ||x_tilde - x_k||/rho_k <= epsilon, which bounds ||s||.  A
+    minimizes f + ||x - c_k||^2/(2 rho_k) + P, for the extrapolated center
+    c_k, with the certified accelerated solver at target eta_k, and the
+    solve returns at the first step whose witness s = u - (x_{k+1} -
+    c_k)/rho_k, an element of dF(x_{k+1}), has ||s|| <= epsilon.  An inner
+    solve stops early at the first certificate with ||u|| + ||x_tilde -
+    c_k||/rho_k <= epsilon, which bounds ||s||.  A
     SolveTimeout carries the least ||s|| seen as its ``best``, or None if no
     outer step ended.
     """

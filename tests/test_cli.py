@@ -202,7 +202,7 @@ class TestSolve:
                 "version": 1, "solver": "prox-al", "epsilon": 1e-10,
                 "problem": dict(quartic, kind="constrained", m1=3, m2=1),
                 "params": {"max_iters": 12},
-            }, 8),
+            }, 10),
         ]
         for doc, steps in cases:
             code, summary, rows = run_solve(tmp_path, doc)

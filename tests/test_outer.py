@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from proxcert import (
     ConeSpec,
     ConicProblem,
     InvariantViolation,
+    KktReport,
     L1Term,
     OracleCounters,
     OuterParams,
@@ -38,6 +41,7 @@ from proxcert.problems import (
     ineq_quadratic_1d,
 )
 
+from heldout_sweep import PARAMS as SWEEP_PARAMS, sweep_spec
 from helpers import (
     al_smooth_gradient,
     al_value,
@@ -121,6 +125,12 @@ class TestMultiplierUpdate:
     def test_zero_cone_is_unprojected(self):
         out = multiplier_update(ConeSpec.zeros(1), [1.0], 2.0, [-0.3])
         assert out[0] == pytest.approx(0.4, abs=1e-15)
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, np.inf, np.nan])
+    def test_rho_must_be_positive_and_finite(self, rho):
+        # rho = inf would turn a zero step into nan
+        with pytest.raises(ValueError, match="rho must be positive and finite"):
+            multiplier_update(ConeSpec.nonneg(1), [0.0], rho, [0.0])
 
 
 class TestPpaUnconstrained:
@@ -343,9 +353,64 @@ class TestProxAl:
         with pytest.raises(SolveTimeout) as info:
             prox_al(conic, params, np.zeros(20), np.zeros(4))
         rows = info.value.trace.rows
-        assert isinstance(info.value.trace, OuterTrace) and len(rows) == 8
+        assert isinstance(info.value.trace, OuterTrace) and len(rows) == 10
         worst = [max(row.kkt.stationarity_residual, row.kkt.complementarity_residual) for row in rows]
         assert info.value.best is rows[worst.index(min(worst))].kkt
+
+
+def same_report(a: KktReport, b: KktReport) -> bool:
+    """Whether two KKT reports agree bit for bit, field by field."""
+    return all(
+        np.array_equal(getattr(a, field.name), getattr(b, field.name)) for field in fields(KktReport)
+    )
+
+
+@pytest.fixture(scope="class")
+def nonneg_seed13():
+    """The held-out sweep's nonneg seed 13 (mu = 0, n = 6) and its prox_al solve.
+
+    With each outer step centred at the last iterate, this solve timed out
+    after 84,867 gradients (5.3 s): an inner solve ran out of its 20,000
+    iterations.  Extrapolated centers certify it in 2,523.
+    """
+    conic = gen_constrained(sweep_spec(13, "nonneg")).conic
+    res = prox_al(conic, SWEEP_PARAMS, np.zeros(6), np.zeros(3))
+    return conic, res
+
+
+class TestExtrapolatedCenters:
+    def test_heldout_nonneg_seed13_certifies(self, nonneg_seed13):
+        conic, res = nonneg_seed13
+        eps = SWEEP_PARAMS.epsilon
+        assert res.report.stationarity_residual <= eps
+        assert res.report.complementarity_residual <= eps
+        assert res.trace.counters.grad_f_evals < 20_000
+        last = res.trace.rows[-1]
+        again = kkt_report(conic, last.x_new, last.lam_new, last.certificate, last.rho_k,
+                           last.center, last.lam_prev)
+        assert same_report(again, res.report)
+
+    def test_centers_follow_the_momentum_and_may_leave_dom_p(self, nonneg_seed13):
+        conic, res = nonneg_seed13
+        rows = res.trace.rows
+        prox = conic.base.nonsmooth
+        assert np.array_equal(rows[0].center, np.zeros(6))
+        # mu = 0, so q = 0: a_{k+1}^2 = (1 - a_{k+1}) a_k^2 from a_0 = 1, and
+        # c_{k+1} = x_{k+1} + beta_k (x_{k+1} - x_k) from x_0 = 0
+        a, x_prev = 1.0, np.zeros(6)
+        for prev, row in zip(rows, rows[1:]):
+            a_next = (np.sqrt(a**4 + 4.0 * a**2) - a**2) / 2.0
+            beta = a * (1.0 - a) / (a**2 + a_next)
+            assert np.allclose(row.center, prev.x_new + beta * (prev.x_new - x_prev),
+                               rtol=1e-12, atol=1e-15)
+            a, x_prev = a_next, prev.x_new
+        assert any(not np.array_equal(row.center, prev.x_new) for prev, row in zip(rows, rows[1:]))
+        assert any(prox.value(row.center) == np.inf for row in rows)
+        assert all(prox.value(row.x_new) == 0.0 for row in rows)
+        for row in rows:
+            again = kkt_report(conic, row.x_new, row.lam_new, row.certificate, row.rho_k,
+                               row.center, row.lam_prev)
+            assert same_report(again, row.kkt)
 
 
 class TestKktReport:
@@ -414,6 +479,17 @@ class TestKktReport:
         cert = Certificate(x_pre=x, x_tilde=x, gamma_tilde=1.0, witness=np.zeros(1), residual=0.0)
         with pytest.raises(ValueError, match="constraint map returned shape"):
             kkt_report(ineq1d, x, np.array([1.0]), cert, 2.0, x, np.array([1.0]), np.zeros(0))
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, np.inf, np.nan])
+    def test_rho_must_be_positive_and_finite(self, ineq1d, rho):
+        # a bad rho would otherwise surface as a multiplier mismatch under a
+        # cone, and as a NaN or infinite residual under an empty cone
+        x = np.array([0.75])
+        cert = Certificate(x_pre=x, x_tilde=x, gamma_tilde=1.0, witness=np.zeros(1), residual=0.0)
+        empty = ConicProblem.unconstrained(ineq1d.base)
+        for conic, lam in ((ineq1d, np.array([1.0])), (empty, np.zeros(0))):
+            with pytest.raises(ValueError, match="rho must be positive and finite"):
+                kkt_report(conic, x, lam, cert, rho, x + 1.0, lam)
 
     def test_mismatched_multiplier_is_an_invariant_violation(self, ineq1d):
         x = np.array([0.75])

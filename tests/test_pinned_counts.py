@@ -13,6 +13,8 @@ previous one accepted, while its alpha recursion starts at the clamp.
 The outer loop stops at the first inner certificate that proves the
 epsilon bound, and grows rho only after a step whose prox-step or
 complementarity term exceeds its inner residual; otherwise it holds it.
+Each step's proximal center, and its inner start where P is finite there,
+is extrapolated past the last iterate by the Catalyst momentum.
 With rho held, a run leaves the paper-rule run (rho_k = rho0 * zeta**k,
 stopped by the paper's end-of-step test) at its first held step, so it is
 no longer a prefix of that run.  The totals of the paper-rule run are kept
@@ -48,17 +50,18 @@ PAPER_RULE_TOTALS = {2: (4301, 4105, 8430, 4301, 8430), 19: (669, 642, 1335, 669
     "i, expected_totals, expected_inner",
     [
         # mu = 0, n = 11, 2 orthant and 1 zero constraint.  ||u|| binds
-        # on most steps, so rho_k is 10 at k = 0-1, 20 at k = 2-10, then 40
-        # and 80; the run with rho grown on every step reached 20480 at its
-        # last step, k = 11.  Was (2565, 2443, 5032, 2565, 5032) with inner
-        # iterations [10] * 8 + [170, 340, 650, 220].
-        (2, (424, 402, 852, 424, 852),
-         [10, 10, 10, 10, 10, 10, 10, 10, 20, 10, 30, 60, 40]),
-        # mu = 1, n = 4, 3 orthant and 5 zero constraints.  rho_k is 40
-        # from k = 2 on.  Was (286, 271, 577, 286, 577) with inner
-        # iterations [10] * 5 + [20, 40, 40, 10, 10], with rho grown on
+        # on most steps, so rho_k is 10 at k = 0-1 and 20 from k = 2 on; the
+        # run with rho grown on every step reached 20480 at its last step,
+        # k = 11.  Was (424, 402, 852, 424, 852) with inner iterations
+        # [10] * 8 + [20, 10, 30, 60, 40] and the center at the last
+        # iterate, and (2565, 2443, 5032, 2565, 5032) with rho grown on
         # every step.
-        (19, (187, 177, 386, 187, 386), [10] * 11),
+        (2, (167, 157, 344, 167, 344), [10] * 10),
+        # mu = 1, n = 4, 3 orthant and 5 zero constraints.  rho_k is 40
+        # from k = 2 on.  Was (187, 177, 386, 187, 386) with inner
+        # iterations [10] * 11 and the center at the last iterate, and
+        # (286, 271, 577, 286, 577) with rho grown on every step.
+        (19, (135, 127, 278, 135, 278), [10] * 8),
     ],
 )
 def test_criterion6_instance_counts(i, expected_totals, expected_inner):
@@ -71,6 +74,8 @@ def test_criterion6_instance_counts(i, expected_totals, expected_inner):
 
 
 def test_ppa_nonneg_counts():
+    # was (197, 184, 0, 0, 0) over 14 outer steps with the center at the
+    # last iterate
     res = ppa_unconstrained(_nonneg_quartic(), OuterParams(epsilon=1e-7), np.zeros(8))
-    check_totals(res.trace.counters, (197, 184, 0, 0, 0), (327, 308, 0, 0, 0))
-    assert [row.inner_iters for row in res.trace.rows] == [10] * 14
+    check_totals(res.trace.counters, (167, 155, 0, 0, 0), (327, 308, 0, 0, 0))
+    assert [row.inner_iters for row in res.trace.rows] == [10] * 12
