@@ -51,7 +51,6 @@ from .outer import (
     SubproblemOracle,
     build_al_subproblem,
     kkt_report,
-    multiplier_update,
     ppa_unconstrained,
     prox_al,
 )

@@ -516,9 +516,8 @@ def _make_row(
 
 
 def _prepare(problem, params, init, counters, first_step=None):
-    if counters is None:
-        counters = OracleCounters()
-        problem = instrument_composite(problem, counters)
+    counters = OracleCounters() if counters is None else counters
+    problem = instrument_composite(problem, counters)
     state = initial_state(problem, params, init, first_step)
     # initial_state checked that x lies in the domain of P; on the image
     # path f comes from the start point's raw image
@@ -546,8 +545,9 @@ def apg_run(
     """Run the accelerated iteration without a termination criterion.
 
     Iterates from x1 = z1 = init for ``params.max_iters`` iterations and
-    returns the trace.  When ``counters`` is supplied the problem is assumed
-    to be already instrumented against it.
+    returns the trace.  Every gradient and prox call of the solve is booked
+    on ``counters``, or on fresh counters when it is None; the trace holds
+    them either way.
     """
     problem, state, trace = _prepare(problem, params, init, counters)
     while state.t <= params.max_iters:
@@ -583,6 +583,8 @@ def apg_terminating(
     first (recorded as ``trace.first_step``); the alpha recursion still
     starts from gamma0 and alpha0, and later iterations start as usual.
     The outer loop passes the last step the previous subproblem accepted.
+    Every gradient and prox call of the solve is booked on ``counters``, or
+    on fresh counters when it is None; the trace holds them either way.
 
     Raises SolveTimeout (carrying the best certificate seen) when the
     iteration budget runs out, and propagates line-search failures.

@@ -385,7 +385,8 @@ def run(spec_path: str, trace_path=None, summary_path=None) -> int:
 def sweep(spec_path: str, epsilons: list[float], out_path: str) -> int:
     """Run one spec at several targets and tabulate evaluation scaling.
 
-    Requires at least two strictly decreasing epsilons; the table lists
+    Requires at least two strictly decreasing epsilons and a solver that
+    stops at epsilon, so not apg, which runs a fixed budget; the table lists
     epsilon, total gradient/prox evaluations, and the log-log slope of the
     gradient count between consecutive targets.
     """
@@ -397,6 +398,10 @@ def sweep(spec_path: str, epsilons: list[float], out_path: str) -> int:
         if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
             raise SpecError("sweep epsilons must be strictly decreasing")
         spec = load_run_spec(spec_path)
+        if _SOLVERS[spec.solver].budget is not None:
+            raise SpecError(
+                f"sweep needs a solver that stops at epsilon; {spec.solver} runs a fixed budget"
+            )
     except (SpecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

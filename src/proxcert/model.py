@@ -1,13 +1,17 @@
 """Problem containers, oracle protocols, and evaluation counting.
 
 Oracles are pure functions of x.  Evaluation counting lives in thin wrappers
-produced by :func:`instrument_composite` (and, for the outer loop's
-subproblems, in ``outer.SubproblemOracle``), never in the oracles themselves,
-so problems stay immutable and shareable.
+produced by :func:`instrument_composite`, never in the oracles themselves,
+so problems stay immutable and shareable.  Every accelerated solve wraps
+the problem it is given, so these wrappers book every gradient and prox
+call of every solver, the outer loop's subproblems included; the
+subproblem oracle (``outer.SubproblemOracle``) books only the constraint
+map, adjoint and cone-projection calls, which the wrappers cannot see.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
@@ -140,7 +144,7 @@ class CallableSmooth:
 
 @dataclass(frozen=True)
 class CompositeProblem:
-    """min f(x) + P(x) with smooth f (convexity modulus mu >= 0) and prox-capable P."""
+    """min f(x) + P(x) with smooth f (finite convexity modulus mu >= 0) and prox-capable P."""
 
     smooth: SmoothOracle
     nonsmooth: ProxTerm
@@ -152,8 +156,8 @@ class CompositeProblem:
                 f"dimension mismatch: smooth dim {self.smooth.dim} != "
                 f"nonsmooth dim {self.nonsmooth.dim}"
             )
-        if self.mu < 0:
-            raise ValueError("mu must be nonnegative")
+        if not 0 <= self.mu < math.inf:
+            raise ValueError(f"mu must be nonnegative and finite, got {self.mu}")
 
     @property
     def dim(self) -> int:

@@ -21,7 +21,6 @@ paper's perturbation scheme.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -38,10 +37,10 @@ from .model import (
     OracleCounters,
     SmoothOracle,
     SolveTimeout,
-    _CountingProx,
     require_count,
+    value_and_gradient,
 )
-from .proxcone import normal_cone_gap, project_dual
+from .proxcone import normal_cone_gap, project_dual, require_in_dual
 
 
 @dataclass(frozen=True)
@@ -106,11 +105,7 @@ class OuterParams:
                 f"alpha0 must lie in [sqrt(mu_0 * gamma_0), 1] = [{lower}, 1] for the modulus "
                 f"mu_0 and first step gamma_0 of the first inner solve, got {self.inner.alpha0}"
             )
-        # A copy rather than dataclasses.replace: only rho0 changes and no
-        # check of __post_init__ reads it, so none is run again.
-        params = copy.copy(self)
-        object.__setattr__(params, "rho0", rho0)
-        return params
+        return replace(self, rho0=rho0)
 
 
 @dataclass(frozen=True)
@@ -188,22 +183,22 @@ class ProxAlResult:
 
 
 class SubproblemOracle:
-    """Smooth part of one outer step's subproblem, counted as it is evaluated.
+    """Smooth part of one outer step's subproblem.
 
     With a constraint map and cone, the proximal augmented Lagrangian term
     f(x) + (dist(lam + rho g(x), -K)^2 - ||lam||^2 + ||x - center||^2) /
     (2 rho); without, the proximal-point term f(x) + ||x - center||^2 /
     (2 rho), which skips the map, the projection and the adjoint.  Each
-    evaluation calls the user's oracles directly and maps and projects once:
-    the value uses dist(., -K) = ||project_dual(.)||, the gradient the
-    projection itself.  It books its own calls on ``counters``: a value one
-    g and one cone projection, a gradient or fused call also one gradient
-    and one adjoint.  The proximal-point term books only its gradients.
+    evaluation calls the user's oracles directly and maps and projects once,
+    in ``multiplier``: the value uses dist(., -K) = ||project_dual(.)||, the
+    gradient the projection itself.  It books on ``counters`` only what the
+    solver's counting wrapper cannot see: one g and one cone projection per
+    ``multiplier`` call, so per value, gradient or fused call, and one
+    adjoint per gradient or fused call.  The solver books the gradients.
     """
 
     __slots__ = (
-        "dim", "_smooth", "_fused", "_counters", "_center", "_rho",
-        "_constraint", "_cone", "_lam", "_lam_sq",
+        "dim", "_smooth", "_counters", "_center", "_rho", "_constraint", "_cone", "_lam", "_lam_sq",
     )
 
     def __init__(
@@ -218,59 +213,50 @@ class SubproblemOracle:
     ):
         self.dim = smooth.dim
         self._smooth = smooth
-        self._fused = getattr(smooth, "value_and_gradient", None)
         self._counters = OracleCounters() if counters is None else counters
         self._center = np.asarray(center, dtype=float)
         self._rho = rho
         self._constraint = constraint
         self._cone = cone
-        if constraint is not None:
-            self._lam = np.asarray(lam, dtype=float).copy()
-            self._lam_sq = float(self._lam @ self._lam)
+        self._lam = np.zeros(0) if constraint is None else np.asarray(lam, dtype=float).copy()
+        self._lam_sq = float(self._lam @ self._lam)
+
+    def multiplier(self, x: Array) -> tuple[Array, Array]:
+        """(g(x), project_dual(lam + rho g(x))): the projected dual ascent step at x.
+
+        Without a constraint map both are empty and nothing is called.
+        """
+        if self._constraint is None:
+            return self._lam, self._lam
+        counters = self._counters
+        counters.g_evals += 1
+        counters.cone_proj_evals += 1
+        gval = self._constraint.value(x)
+        # project_dual is called through this module's name, which tracers rebind
+        return gval, project_dual(self._cone, self._lam + self._rho * gval)
 
     def value(self, x: Array) -> float:
-        dx = x - self._center
-        if self._constraint is None:
-            return float(self._smooth.value(x) + float(dx @ dx) / (2.0 * self._rho))
-        f = self._smooth.value(x)
-        counters = self._counters
-        counters.g_evals += 1
-        counters.cone_proj_evals += 1
-        # project_dual is called through this module's name, which tracers rebind
-        proj = project_dual(self._cone, self._lam + self._rho * self._constraint.value(x))
-        d = math.sqrt(float(proj @ proj))
-        return float(f + (d * d - self._lam_sq + float(dx @ dx)) / (2.0 * self._rho))
+        return self._value(self._smooth.value(x), x - self._center, self.multiplier(x)[1])
 
     def gradient(self, x: Array) -> Array:
-        counters = self._counters
-        counters.grad_f_evals += 1
-        if self._constraint is None:
-            return self._smooth.gradient(x) + (x - self._center) / self._rho
-        g = self._smooth.gradient(x)
-        counters.g_evals += 1
-        counters.adjoint_evals += 1
-        counters.cone_proj_evals += 1
-        proj = project_dual(self._cone, self._lam + self._rho * self._constraint.value(x))
-        return g + self._constraint.adjoint_apply(x, proj) + (x - self._center) / self._rho
+        return self._gradient(x, self._smooth.gradient(x), x - self._center, self.multiplier(x)[1])
 
     def value_and_gradient(self, x: Array) -> tuple[float, Array]:
-        counters = self._counters
-        counters.grad_f_evals += 1
-        rho = self._rho
-        fused = self._fused
-        if self._constraint is None:
-            f, g = (self._smooth.value(x), self._smooth.gradient(x)) if fused is None else fused(x)
-            dx = x - self._center
-            return float(f + float(dx @ dx) / (2.0 * rho)), g + dx / rho
-        counters.g_evals += 1
-        counters.adjoint_evals += 1
-        counters.cone_proj_evals += 1
-        proj = project_dual(self._cone, self._lam + rho * self._constraint.value(x))
-        f, g = (self._smooth.value(x), self._smooth.gradient(x)) if fused is None else fused(x)
-        d = math.sqrt(float(proj @ proj))
+        proj = self.multiplier(x)[1]
+        f, g = value_and_gradient(self._smooth, x)
         dx = x - self._center
-        value = float(f + (d * d - self._lam_sq + float(dx @ dx)) / (2.0 * rho))
-        return value, g + self._constraint.adjoint_apply(x, proj) + dx / rho
+        return self._value(f, dx, proj), self._gradient(x, g, dx, proj)
+
+    def _value(self, f: float, dx: Array, proj: Array) -> float:
+        # an empty product costs more than the rest of a proximal-point value
+        d = math.sqrt(float(proj @ proj)) if proj.size else 0.0
+        return float(f + (d * d - self._lam_sq + float(dx @ dx)) / (2.0 * self._rho))
+
+    def _gradient(self, x: Array, g: Array, dx: Array, proj: Array) -> Array:
+        if self._constraint is not None:
+            self._counters.adjoint_evals += 1
+            g = g + self._constraint.adjoint_apply(x, proj)
+        return g + dx / self._rho
 
 
 def build_al_subproblem(
@@ -285,10 +271,10 @@ def build_al_subproblem(
     Smooth part: f(x) + (dist(lam + rho g(x), -K)^2 - ||lam||^2 +
     ||x - center||^2) / (2 rho); nonsmooth part: the original P; convexity
     modulus mu + 1/rho.  Each evaluation, fused or not, maps and projects
-    once, and books its gradient, g, adjoint and cone-projection calls on
-    ``counters`` (see SubproblemOracle).  Under an empty cone the term is
-    the proximal-point one, f(x) + ||x - center||^2 / (2 rho), which calls
-    no map, projection or adjoint.
+    once, and books its g, adjoint and cone-projection calls on ``counters``
+    (see SubproblemOracle); the solver books its gradients.  Under an empty
+    cone the term is the proximal-point one, f(x) + ||x - center||^2 /
+    (2 rho), which calls no map, projection or adjoint.
     """
     constrained = (conic.constraint, conic.cone, lam) if conic.cone.dim else ()
     return CompositeProblem(
@@ -296,15 +282,6 @@ def build_al_subproblem(
         nonsmooth=conic.base.nonsmooth,
         mu=conic.base.mu + 1.0 / rho,
     )
-
-
-def multiplier_update(cone, lam, rho: float, gval) -> Array:
-    """Projected dual ascent step: project lam + rho * gval onto K*."""
-    if not 0 < rho < math.inf:
-        raise ValueError(f"rho must be positive and finite, got {rho}")
-    lam = np.asarray(lam, dtype=float)
-    gval = np.asarray(gval, dtype=float)
-    return project_dual(cone, lam + rho * gval)
 
 
 def _norm(v: Array) -> float:
@@ -382,12 +359,7 @@ def _require_dual(conic: ConicProblem, lam) -> Array:
         raise ValueError(f"lam has shape {lam.shape}, expected ({conic.cone.dim},)")
     if not np.isfinite(lam).all():
         raise ValueError("lam must be finite")
-    if conic.cone.dim:
-        # relative to 1 + max |lam_i|, as in normal_cone_gap: projecting a
-        # multiplier of size 1e7 again moves it by rounding alone
-        drift = np.abs(lam - project_dual(conic.cone, lam))
-        if float(np.max(drift)) > 1e-9 * (1.0 + float(np.max(np.abs(lam)))):
-            raise ValueError("lam must lie in the dual cone")
+    require_in_dual(conic.cone, lam)
     return lam
 
 
@@ -466,10 +438,6 @@ def prox_al(
     params = params.resolved(conic)
 
     counters = OracleCounters()
-    # only the prox term is wrapped: the subproblem oracle books its own calls
-    counted = replace(
-        conic, base=replace(conic.base, nonsmooth=_CountingProx(conic.base.nonsmooth, counters))
-    )
     x = np.asarray(init_x, dtype=float).copy()
     center, start = x, x
     a_k = 1.0  # Catalyst's momentum sequence, from a_0 = 1
@@ -483,23 +451,15 @@ def prox_al(
     rho_k = params.rho0
     for k in range(params.max_outer):
         eta_k = params.eta0 * params.sigma**k
-        sub = build_al_subproblem(counted, center, lam, rho_k, counters=counters)
-
-        def update(x_at):
-            if not conic.cone.dim:  # g(x_at) and the multiplier are empty
-                return lam, lam
-            counters.g_evals += 1
-            counters.cone_proj_evals += 1
-            gval = conic.constraint.value(x_at)
-            return gval, multiplier_update(conic.cone, lam, rho_k, gval)
-
+        sub = build_al_subproblem(conic, center, lam, rho_k, counters=counters)
+        multiplier = sub.smooth.multiplier
         passed = None  # (certificate, g(x_tilde), lam_new) of the last stationarity pass
 
         def done(cert):
             nonlocal passed
             if not _stationarity_bound(cert, center, rho_k) <= params.epsilon:
                 return False
-            passed = (cert, *update(cert.x_tilde))
+            passed = (cert, *multiplier(cert.x_tilde))
             return _norm(passed[2] - lam) / rho_k <= params.epsilon
 
         before = counters.snapshot()
@@ -521,7 +481,7 @@ def prox_al(
             _, gval, lam_new = passed
         else:
             _check_inner_residual(res.certificate, eta_k, k)
-            gval, lam_new = update(x_new)
+            gval, lam_new = multiplier(x_new)
         x_step = _norm(x_new - center)
         step = math.sqrt(x_step**2 + _norm(lam_new - lam) ** 2)
         report = kkt_report(conic, x_new, lam_new, res.certificate, rho_k, center, lam, gval)

@@ -209,22 +209,30 @@ def dist_polar(cone: ConeSpec, u) -> float:
     return math.sqrt(float(dual @ dual))
 
 
+def require_in_dual(cone: ConeSpec, lam: Array) -> None:
+    """Raise ValueError unless lam, of length cone.dim, lies in K*.
+
+    Membership holds to 1e-9 per coordinate, relative to 1 + max |lam_i|:
+    projecting a multiplier of size 1e7 again moves it by rounding alone.
+    """
+    if not cone.dim:
+        return
+    drift = float(np.max(np.abs(lam - project_dual(cone, lam))))
+    if drift > 1e-9 * (1.0 + float(np.max(np.abs(lam)))):
+        raise ValueError(f"lam must lie in the dual cone (max coordinate drift {drift:.3e})")
+
+
 def normal_cone_gap(cone: ConeSpec, lam, w) -> tuple[float, float]:
     """Defects of w as a normal-cone element at lam in K*.
 
     Returns (membership_defect, complementarity_defect) where the first is
     dist(w, -K) and the second is |<w, lam>|.  Both vanish exactly when w
-    lies in the normal cone of K* at lam.  Requires lam in K* to 1e-9 per
-    coordinate, relative to 1 + max |lam_i|: projecting a multiplier of size
-    1e7 again moves it by rounding alone.
+    lies in the normal cone of K* at lam.  Requires lam in K* as
+    ``require_in_dual`` tests it.
     """
     lam = _as_vector(lam, cone.dim, "lam")
     w = _as_vector(w, cone.dim, "w")
-    drift = np.abs(lam - project_dual(cone, lam))
-    if cone.dim and float(np.max(drift)) > 1e-9 * (1.0 + float(np.max(np.abs(lam)))):
-        raise ValueError(
-            f"lam is not in the dual cone (max coordinate drift {float(np.max(drift)):.3e})"
-        )
+    require_in_dual(cone, lam)
     membership = dist_polar(cone, w)
     complementarity = abs(float(lam @ w))
     return membership, complementarity

@@ -184,6 +184,19 @@ def al_smooth_gradient(conic: ConicProblem, x, lam, rho: float):
     return conic.base.smooth.gradient(x) + conic.constraint.adjoint_apply(x, multiplier)
 
 
+def multiplier_update(cone, lam, rho: float, gval):
+    """Projected dual ascent step: project lam + rho * gval onto K*.
+
+    The reference for the multiplier a prox-AL step takes
+    (``SubproblemOracle.multiplier``) and for the KKT tests' multipliers.
+    """
+    if not 0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho}")
+    lam = np.asarray(lam, dtype=float)
+    gval = np.asarray(gval, dtype=float)
+    return project_dual(cone, lam + rho * gval)
+
+
 def composite_value(problem, x) -> float:
     """F(x) = f(x) + P(x); +inf when x is outside the domain of P."""
     p = problem.nonsmooth.value(x)

@@ -109,6 +109,20 @@ class TestSolve:
         assert err.startswith("error: spec.epsilon must be") and err.count("\n") == 1
         assert not summary.exists()
 
+    @pytest.mark.parametrize("solver", ["apg", "apg-cert", "ppa", "prox-al"])
+    @pytest.mark.parametrize("mu_add", [math.nan, math.inf])
+    def test_non_finite_mu_is_one_error_line(self, tmp_path, capsys, solver, mu_add):
+        kind = "constrained" if solver == "prox-al" else "quartic"
+        doc = {
+            "version": 1, "solver": solver, "epsilon": 1e-4,
+            "problem": {"kind": kind, "n": 3, "k_terms": 2, "seed": 1, "mu_add": mu_add},
+        }
+        code, summary, _ = run_solve(tmp_path, doc)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: mu must be nonnegative and finite") and err.count("\n") == 1
+        assert summary is None
+
     def test_named_instance_prox_al(self, tmp_path):
         doc = {
             "version": 1,
@@ -522,8 +536,12 @@ class TestSweep:
         dict(QUARTIC_PPA, solver="prox-al"),  # no constraints
         dict(QUARTIC_PPA, problem=dict(QUARTIC_PPA["problem"], prox={"kind": ["l1"]})),
         {  # a step base that ApgParams rejects
-            "version": 1, "solver": "apg", "params": {"gamma0": math.inf},
-            "problem": {"kind": "quartic", "n": 3, "k_terms": 2, "seed": 1},
+            "version": 1, "solver": "apg-cert", "epsilon": 1e-4, "params": {"gamma0": math.inf},
+            "problem": {"kind": "quartic", "n": 3, "k_terms": 2, "seed": 1, "mu_add": 1.0},
+        },
+        {  # a fixed budget, which ignores epsilon
+            "version": 1, "solver": "apg",
+            "problem": {"kind": "quartic", "n": 5, "k_terms": 2, "seed": 1, "mu_add": 0.5},
         },
     ])
     def test_spec_rejected_by_solve_is_one_error_line(self, tmp_path, capsys, doc):

@@ -84,6 +84,11 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="mu"):
             CompositeProblem(quadratic.smooth, ZeroTerm(1), mu=-0.1)
 
+    @pytest.mark.parametrize("mu", [np.nan, np.inf])
+    def test_non_finite_mu(self, quadratic, mu):
+        with pytest.raises(ValueError, match="mu must be nonnegative and finite"):
+            CompositeProblem(quadratic.smooth, ZeroTerm(1), mu=mu)
+
     def test_conic_dims(self, quadratic):
         constraint = AffineConstraint(np.ones((2, 1)), np.zeros(2))
         with pytest.raises(ValueError, match="cone dim"):

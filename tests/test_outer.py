@@ -17,8 +17,8 @@ from proxcert import (
     SubproblemOracle,
     ZeroTerm,
     build_al_subproblem,
+    instrument_composite,
     kkt_report,
-    multiplier_update,
     ppa_unconstrained,
     project_dual,
     prox_al,
@@ -47,6 +47,7 @@ from helpers import (
     al_value,
     check_gradient,
     criterion6_specs,
+    multiplier_update,
     ppa_subproblem,
 )
 
@@ -623,13 +624,15 @@ class TestFusedSubproblems:
         conic = mixed_cone_conic()
         counters = OracleCounters()
         lam = project_dual(conic.cone, np.linspace(-1.0, 1.0, 9))
-        # the raw conic: the subproblem oracle books its own calls
+        # the raw conic behind the solver's counting wrapper: the wrapper
+        # books the gradient, the subproblem oracle the map and projection
         sub = build_al_subproblem(conic, np.full(5, 0.1), lam, 3.0, counters=counters)
+        wrapped = instrument_composite(sub, counters).smooth
         rng = np.random.default_rng(2)
         for _ in range(20):
             x = rng.uniform(-1.5, 1.5, size=5)
             before = counters.snapshot()
-            f, g = sub.smooth.value_and_gradient(x)
+            f, g = wrapped.value_and_gradient(x)
             assert (
                 counters.grad_f_evals - before.grad_f_evals,
                 counters.g_evals - before.g_evals,
@@ -685,10 +688,25 @@ class TestSubproblemOracle:
                 for key in ("grad_f_evals", "g_evals", "adjoint_evals", "cone_proj_evals")
             )
 
-        assert booked(sub.smooth.value_and_gradient) == (1, 1, 1, 1)
-        assert booked(sub.smooth.gradient) == (1, 1, 1, 1)
+        # the oracle books what the solver's counting wrapper cannot see
+        assert booked(sub.smooth.value_and_gradient) == (0, 1, 1, 1)
+        assert booked(sub.smooth.gradient) == (0, 1, 1, 1)
         assert booked(sub.smooth.value) == (0, 1, 0, 1)
+        assert booked(sub.smooth.multiplier) == (0, 1, 0, 1)
+        # and the wrapper books the gradients, once each
+        wrapped = instrument_composite(sub, counters).smooth
+        assert booked(wrapped.value_and_gradient) == (1, 1, 1, 1)
+        assert booked(wrapped.gradient) == (1, 1, 1, 1)
+        assert booked(wrapped.value) == (0, 1, 0, 1)
         assert counters.prox_evals == 0  # the prox term is not the oracle's to count
+
+    def test_multiplier_is_the_projected_dual_step(self):
+        conic = mixed_cone_conic()
+        sub, lam = self._al(conic)
+        x = np.linspace(-1.0, 1.0, 5)
+        gval, lam_new = sub.smooth.multiplier(x)
+        assert np.array_equal(gval, conic.constraint.value(x))
+        assert np.array_equal(lam_new, multiplier_update(conic.cone, lam, self.RHO, gval))
 
     def test_wrong_constraint_length_raises(self):
         conic = mixed_cone_conic()
@@ -726,16 +744,20 @@ class TestSubproblemOracle:
         counters = OracleCounters()
         sub = ppa_subproblem(problem, center, rho, counters)
         assert sub.mu == problem.mu + 1.0 / rho
+        # behind the solver's counting wrapper, which books the gradients
+        wrapped = instrument_composite(sub, counters).smooth
         rng = np.random.default_rng(5)
         for _ in range(10):
             x = rng.uniform(-1.0, 1.0, size=6)
             d = x - center
             value = smooth.value(x) + float(d @ d) / (2.0 * rho)
             grad = smooth.gradient(x) + (x - center) / rho
-            assert sub.smooth.value(x) == value
-            assert np.array_equal(sub.smooth.gradient(x), grad)
-            f, g = sub.smooth.value_and_gradient(x)
+            assert wrapped.value(x) == value
+            assert np.array_equal(wrapped.gradient(x), grad)
+            f, g = wrapped.value_and_gradient(x)
             assert f == value and np.array_equal(g, grad)
+        g_x, lam_new = sub.smooth.multiplier(x)
+        assert g_x.shape == lam_new.shape == (0,)
         # values book nothing; no map, adjoint or projection is called
         assert (counters.grad_f_evals, counters.g_evals, counters.adjoint_evals,
                 counters.cone_proj_evals) == (20, 0, 0, 0)
@@ -765,8 +787,8 @@ class TestSubproblemOracle:
         res = prox_al(conic, OuterParams(epsilon=1e-4), np.zeros(5), np.zeros(9))
         counters = res.trace.counters
         assert calls["trial"] > 0 and calls["cert"] > 0
-        # one projection per booked one, plus the start multiplier's check
-        assert calls["project"] == counters.cone_proj_evals + 1
+        # one projection per booked one
+        assert calls["project"] == counters.cone_proj_evals
         # a trial takes one gradient, a certificate check two
         assert calls["trial"] + 2 * calls["cert"] == counters.grad_f_evals
 

@@ -44,3 +44,35 @@ def test_one_line_search():
     assert len(_calls(MODULES, "accepts_curvature_bound")) == 1
     apg = [path for path in MODULES if path.name == "apg.py"]
     assert len(_calls(apg, "LineSearchFailure")) == 1
+
+
+def _increments(paths, counters):
+    """(file, enclosing class or None, field) of each ``+=`` on a field in ``counters``."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {
+            node: cls.name
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in ast.walk(cls)
+        }
+        found += [
+            (path.name, owner.get(node), node.target.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.AugAssign) and getattr(node.target, "attr", None) in counters
+        ]
+    return found
+
+
+def test_one_counting_layer():
+    # every solve wraps its problem with instrument_composite, whose wrappers
+    # book gradients and prox calls; the subproblem oracle books only the
+    # calls that wrapper cannot see
+    solver = _increments(MODULES, {"grad_f_evals", "prox_evals"})
+    oracle = _increments(MODULES, {"g_evals", "adjoint_evals", "cone_proj_evals"})
+    assert {name for name, _, _ in solver} == {"model.py"}
+    assert {(name, cls) for name, cls, _ in oracle} == {("outer.py", "SubproblemOracle")}
+    assert {field for _, _, field in solver + oracle} == {
+        "grad_f_evals", "prox_evals", "g_evals", "adjoint_evals", "cone_proj_evals"
+    }
+    assert len(solver) + len(oracle) <= 7
