@@ -184,7 +184,12 @@ class TrialStep(NamedTuple):
 
 
 class TraceRow(NamedTuple):
-    """Per-iteration record; vectors are None when iterate recording is off."""
+    """Per-iteration record: the accepted step's scalars and cumulative counts.
+
+    A checked row also holds its certificate.  No row holds an iterate: the
+    scalars an iteration started from are the previous row's alpha_t and
+    gamma_t, or the trace's alpha0 and gamma0 on row 1.
+    """
 
     t: int
     n_t: int
@@ -198,10 +203,6 @@ class TraceRow(NamedTuple):
     cert_residual: float | None = None
     certificate: Certificate | None = None
     cert_backtracks: int | None = None
-    x_before: Array | None = None
-    z_before: Array | None = None
-    alpha_before: float | None = None
-    gamma_before: float | None = None
 
 
 @dataclass
@@ -455,7 +456,7 @@ def certified_prox_step(
     v: Array,
     gamma_start: float,
     delta: float,
-    max_backtracks: int = 100,
+    max_backtracks: int = ApgParams.max_backtracks,
 ) -> tuple[Certificate, int]:
     """Backtracked proximal-gradient step from v plus its residual certificate and n.
 
@@ -486,32 +487,27 @@ def certified_prox_step(
 
 def _make_row(
     problem: CompositeProblem,
-    state_before: ApgState,
-    state_after: ApgState,
+    state: ApgState,
+    new_state: ApgState,
     trial: TrialStep,
     n_t: int,
     counters: OracleCounters,
-    record_iterates: bool,
     cert: Certificate | None = None,
     cert_backtracks: int | None = None,
 ) -> TraceRow:
     return TraceRow(
-        state_before.t,
+        state.t,
         n_t,
         trial.gamma,  # gamma_t
         trial.alpha,  # alpha_t
         trial.beta,  # beta_t
         trial.f_new + problem.nonsmooth.value(trial.x_new),  # F
-        state_after.lambda_prod,
+        new_state.lambda_prod,
         counters.grad_f_evals,
         counters.prox_evals,
         None if cert is None else cert.residual,  # cert_residual
         cert,
         cert_backtracks,
-        state_before.x if record_iterates else None,  # x_before
-        state_before.z if record_iterates else None,  # z_before
-        state_before.alpha_prev,  # alpha_before
-        state_before.gamma_prev,  # gamma_before
     )
 
 
@@ -540,7 +536,6 @@ def apg_run(
     params: ApgParams,
     init,
     counters: OracleCounters | None = None,
-    record_iterates: bool = True,
 ) -> ApgTrace:
     """Run the accelerated iteration without a termination criterion.
 
@@ -552,9 +547,7 @@ def apg_run(
     problem, state, trace = _prepare(problem, params, init, counters)
     while state.t <= params.max_iters:
         new_state, trial, n_t = apg_iteration(problem, state, params, trace.gamma0)
-        trace.rows.append(
-            _make_row(problem, state, new_state, trial, n_t, trace.counters, record_iterates)
-        )
+        trace.rows.append(_make_row(problem, state, new_state, trial, n_t, trace.counters))
         state = new_state
     return trace
 
@@ -564,7 +557,6 @@ def apg_terminating(
     params: ApgParams,
     init,
     counters: OracleCounters | None = None,
-    record_iterates: bool = True,
     done: Callable[[Certificate], bool] | None = None,
     first_step: float | None = None,
 ) -> TerminatingResult:
@@ -603,9 +595,9 @@ def apg_terminating(
                 problem, new_state.x, new_state.start, params.delta, params.max_backtracks
             )
         # built after the check, so a checked row's counts include its cost
-        trace.rows.append(_make_row(
-            problem, state, new_state, trial, n_t, trace.counters, record_iterates, cert, n_tilde
-        ))
+        trace.rows.append(
+            _make_row(problem, state, new_state, trial, n_t, trace.counters, cert, n_tilde)
+        )
         state = new_state
         if cert is None:
             continue

@@ -335,7 +335,7 @@ def execute(spec: RunSpec, epsilon: float | None = None) -> RunOutcome:
     init = (x0, np.zeros(built.cone.dim)) if solver.conic else (x0,)
     code, termination = 0, "certified" if solver.budget is None else "iteration-budget"
     try:
-        result = globals()[solver.entry](built, params, *init, record_iterates=False)
+        result = globals()[solver.entry](built, params, *init)
         trace, value = solver.unpack(result)
     except SolveTimeout as exc:
         code, termination, trace, value = 2, "timeout", exc.trace, exc.best

@@ -196,6 +196,9 @@ class AffineConstraint:
         object.__setattr__(self, "shift", np.asarray(self.shift, dtype=float))
         if self.matrix.ndim != 2 or self.shift.shape != (self.matrix.shape[0],):
             raise ValueError("matrix must be (m, n) with shift of length m")
+        for name in ("matrix", "shift"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
 
     @property
     def n(self) -> int:
@@ -250,11 +253,10 @@ class ConeSpec:
     orthant_mask: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for kind, size in self.blocks:
+            require_count(f"{ConeBlock(kind).value} block size", size)
         blocks = tuple((ConeBlock(kind), int(size)) for kind, size in self.blocks)
         object.__setattr__(self, "blocks", blocks)
-        for kind, size in blocks:
-            if size < 1:
-                raise ValueError(f"{kind.value} block size must be >= 1, got {size}")
         mask = np.repeat(
             np.array([kind is ConeBlock.NONNEG for kind, _ in blocks], dtype=bool),
             [size for _, size in blocks],

@@ -148,7 +148,6 @@ class OuterTraceRow:
     lam_prev: Array
     lam_new: Array
     kkt: KktReport
-    inner_trace: "object | None" = None  # ApgTrace when iterate recording is on
 
 
 @dataclass
@@ -395,13 +394,7 @@ def _check_inner_residual(certificate: Certificate, eta_k: float, k: int) -> Non
         )
 
 
-def prox_al(
-    conic: ConicProblem,
-    params: OuterParams,
-    init_x,
-    init_lam,
-    record_iterates: bool = False,
-) -> ProxAlResult:
+def prox_al(conic: ConicProblem, params: OuterParams, init_x, init_lam) -> ProxAlResult:
     """First-order proximal augmented Lagrangian method with KKT certification.
 
     Each outer step solves the proximal AL subproblem centred at c_k with
@@ -469,7 +462,6 @@ def prox_al(
                 replace(params.inner, gamma0=step_clamp(sub.mu), epsilon=eta_k),
                 start,
                 counters=counters,
-                record_iterates=record_iterates,
                 done=done,
                 first_step=first_step,
             )
@@ -503,7 +495,6 @@ def prox_al(
                 lam_prev=lam,
                 lam_new=lam_new,
                 kkt=report,
-                inner_trace=res.trace if record_iterates else None,
             )
         )
         worst = max(report.stationarity_residual, report.complementarity_residual)
@@ -533,12 +524,7 @@ def prox_al(
     )
 
 
-def ppa_unconstrained(
-    problem: CompositeProblem,
-    params: OuterParams,
-    init,
-    record_iterates: bool = False,
-) -> PpaResult:
+def ppa_unconstrained(problem: CompositeProblem, params: OuterParams, init) -> PpaResult:
     """Certified solver for mu = 0 via proximal-point perturbations.
 
     ``prox_al`` on ``problem`` under no constraint: each outer step
@@ -556,7 +542,7 @@ def ppa_unconstrained(
     conic = ConicProblem.unconstrained(problem)
     try:
         # through the module name, which tracers rebind
-        res = prox_al(conic, params, init, np.zeros(0), record_iterates)
+        res = prox_al(conic, params, init, np.zeros(0))
     except SolveTimeout as exc:
         exc.best = None if exc.best is None else exc.best.stationarity_residual
         raise

@@ -55,8 +55,8 @@ class L1Term:
     weight: float
 
     def __post_init__(self):
-        if not self.weight > 0:
-            raise ValueError("weight must be positive")
+        if not 0 < self.weight < math.inf:
+            raise ValueError(f"weight must be positive and finite, got {self.weight}")
 
     def value(self, x: Array) -> float:
         return self.weight * float(np.sum(np.abs(x)))
@@ -88,6 +88,11 @@ class BoxTerm:
         upper = np.array(self.upper, dtype=float)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("lower/upper must be 1-d arrays of equal length")
+        # an infinite bound is valid on its open side only; NaN fails both tests
+        if not (lower < math.inf).all():
+            raise ValueError(f"lower must be below +inf and not NaN, got {lower}")
+        if not (upper > -math.inf).all():
+            raise ValueError(f"upper must be above -inf and not NaN, got {upper}")
         if np.any(lower > upper):
             raise ValueError("box requires lower <= upper componentwise")
         lower.flags.writeable = False
@@ -140,9 +145,12 @@ class SquaredL2Term:
     center: Array
 
     def __post_init__(self):
-        if not self.coef > 0:
-            raise ValueError("coef must be positive")
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        if not 0 < self.coef < math.inf:
+            raise ValueError(f"coef must be positive and finite, got {self.coef}")
+        center = np.asarray(self.center, dtype=float)
+        if not np.isfinite(center).all():
+            raise ValueError(f"center must be finite, got {center}")
+        object.__setattr__(self, "center", center)
 
     @property
     def dim(self) -> int:

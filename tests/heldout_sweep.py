@@ -19,7 +19,8 @@ tells a line-search collapse from a slow run.
     PYTHONPATH=src python tests/heldout_sweep.py --seeds 13 36 --kinds nonneg box
 
 Tier-1 does not collect this file; ``tests/test_outer.py`` imports its
-instance generator.
+instance generator, and ``tests/test_heldout_sweep.py`` runs one instance
+through ``main`` and one capped solve through ``diagnose``.
 """
 
 from __future__ import annotations

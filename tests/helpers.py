@@ -1,7 +1,9 @@
 """Checks shared between the unit suite and the acceptance suite."""
 
 import math
+from contextlib import contextmanager
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,6 +18,7 @@ from proxcert import (
     project_dual,
     trial_step,
 )
+from proxcert import apg, outer
 from proxcert.apg import admits_growth
 from proxcert.outer import _require_dual
 from proxcert.problems import ConstrainedSpec, QuarticSpec
@@ -60,31 +63,84 @@ def rule_start(gamma0, gamma_prev, may_grow, delta=0.5, cap=math.inf):
     return min(gamma_prev, cap)
 
 
-def accepted_trial(problem, row):
-    """Re-evaluate the accepted trial of a trace row recorded with iterates."""
-    return trial_step(
-        problem, row.x_before, row.z_before, row.alpha_before, row.gamma_before, row.gamma_t
-    )
+class InnerSolve(NamedTuple):
+    """One inner solve of an outer loop: its trace and the state before each row."""
+
+    trace: object
+    states: list
 
 
-def trajectory_invariant_violations(problem, trace, delta=0.5, alpha_tol=1e-12):
+class Recording(NamedTuple):
+    """What ``recorded_iterates`` saw.
+
+    states holds the ApgState every accelerated iteration started from, in
+    call order, so a single solve's states pair with its trace rows; inner
+    holds an InnerSolve for every inner solve an outer loop returned from,
+    in outer-step order.
+    """
+
+    states: list
+    inner: list
+
+
+@contextmanager
+def recorded_iterates():
+    """Record the iterates the solvers' traces do not keep, while the block runs.
+
+    Rebinds the module-level names the solvers call through,
+    ``proxcert.apg.apg_iteration`` and ``proxcert.outer.apg_terminating``,
+    to wrappers that record their inputs and results, and restores them on
+    exit.  Yields the Recording.
+    """
+    recording = Recording([], [])
+    iteration, inner_solve = apg.apg_iteration, outer.apg_terminating
+
+    def recording_iteration(problem, state, *args, **kwargs):
+        recording.states.append(state)
+        return iteration(problem, state, *args, **kwargs)
+
+    def recording_inner_solve(*args, **kwargs):
+        first = len(recording.states)
+        res = inner_solve(*args, **kwargs)
+        recording.inner.append(InnerSolve(res.trace, recording.states[first:]))
+        return res
+
+    apg.apg_iteration, outer.apg_terminating = recording_iteration, recording_inner_solve
+    try:
+        yield recording
+    finally:
+        apg.apg_iteration, outer.apg_terminating = iteration, inner_solve
+
+
+def accepted_trial(problem, row, state):
+    """Re-evaluate the accepted trial of a trace row from the state before it."""
+    return trial_step(problem, state.x, state.z, state.alpha_prev, state.gamma_prev, row.gamma_t)
+
+
+def trajectory_invariant_violations(problem, trace, states, delta=0.5, alpha_tol=1e-12):
     """Scan one accelerated-solver trace for violations of the step-scalar laws.
 
-    Checks, for every accepted iteration: the extrapolation weight bounds
-    sqrt(mu*gamma_t) <= alpha_t <= 1, beta_t in [0, 1], monotonicity of
-    alpha_t^2/gamma_t, and the defining quadratic's residual (relative
-    1e-10).  With iterates recorded it also checks the line search against
-    the start rule (see ``rule_start``): gamma_t must equal the start step
-    times delta**n_t, and when the step backtracked, the next-larger
-    candidate step must be genuinely rejected when re-evaluated.  The grow
-    gate is re-evaluated from the previous accepted trial, and the first
-    iteration starts at the trace's recorded first_step.
+    ``states`` holds the ApgState before each row (see ``recorded_iterates``);
+    a list of another length raises ValueError.  Checks, for every accepted
+    iteration: that its state carries the previous row's alpha_t and gamma_t
+    (the trace's alpha0 and gamma0 on row 1), the extrapolation weight
+    bounds sqrt(mu*gamma_t) <= alpha_t <= 1, beta_t in [0, 1], monotonicity
+    of alpha_t^2/gamma_t, and the defining quadratic's residual (relative
+    1e-10).  It also checks the line search against the start rule (see
+    ``rule_start``): gamma_t must equal the start step times delta**n_t,
+    and when the step backtracked, the next-larger candidate step must be
+    genuinely rejected when re-evaluated.  The grow gate is re-evaluated
+    from the previous accepted trial, and the first iteration starts at the
+    trace's recorded first_step.
     """
     violations = []
     mu = trace.mu
     prev_ratio = trace.alpha0**2 / trace.gamma0
+    alpha_prev, gamma_prev = trace.alpha0, trace.gamma0
     may_grow = False
-    for row in trace.rows:
+    for row, state in zip(trace.rows, states, strict=True):
+        if (state.t, state.alpha_prev, state.gamma_prev) != (row.t, alpha_prev, gamma_prev):
+            violations.append((row.t, "recorded state"))
         if not math.sqrt(mu * row.gamma_t) <= row.alpha_t <= 1.0 + alpha_tol:
             violations.append((row.t, "alpha bounds"))
         if not -alpha_tol <= row.beta_t <= 1.0 + alpha_tol:
@@ -94,35 +150,25 @@ def trajectory_invariant_violations(problem, trace, delta=0.5, alpha_tol=1e-12):
             violations.append((row.t, "ratio monotonicity"))
         prev_ratio = ratio
         residual = (
-            row.gamma_before * row.alpha_t**2
-            - (1 - row.alpha_t) * row.alpha_before**2 * row.gamma_t
-            - mu * row.alpha_t * row.gamma_t * row.gamma_before
+            gamma_prev * row.alpha_t**2
+            - (1 - row.alpha_t) * alpha_prev**2 * row.gamma_t
+            - mu * row.alpha_t * row.gamma_t * gamma_prev
         )
-        scale = max(
-            row.gamma_before,
-            row.alpha_before**2 * row.gamma_t,
-            mu * row.gamma_t * row.gamma_before,
-        )
+        scale = max(gamma_prev, alpha_prev**2 * row.gamma_t, mu * row.gamma_t * gamma_prev)
         if not abs(residual) <= 1e-10 * scale:
             violations.append((row.t, "alpha equation residual"))
-        if row.x_before is None:
-            continue
         cap = trace.first_step if row.t == 1 else math.inf
-        start = rule_start(trace.gamma0, row.gamma_before, may_grow, delta, cap)
+        start = rule_start(trace.gamma0, gamma_prev, may_grow, delta, cap)
         if row.gamma_t != start * delta**row.n_t:
             violations.append((row.t, "start rule"))
         if row.n_t > 0:
             rejected = trial_step(
-                problem,
-                row.x_before,
-                row.z_before,
-                row.alpha_before,
-                row.gamma_before,
-                start * delta ** (row.n_t - 1),
+                problem, state.x, state.z, alpha_prev, gamma_prev, start * delta ** (row.n_t - 1)
             )
             if rejected.accepted:
                 violations.append((row.t, "line search minimality"))
-        may_grow = admits_growth(accepted_trial(problem, row), delta)
+        may_grow = admits_growth(accepted_trial(problem, row, state), delta)
+        alpha_prev, gamma_prev = row.alpha_t, row.gamma_t
     return violations
 
 
@@ -245,8 +291,8 @@ def reference_solve(problem, tol: float):
     init = problem.nonsmooth.prox(1.0, np.zeros(problem.dim))
     inner = ApgParams(M=5, max_iters=2_000_000)
     if problem.mu > 0:
-        res = apg_terminating(problem, replace(inner, epsilon=tol), init, record_iterates=False)
+        res = apg_terminating(problem, replace(inner, epsilon=tol), init)
         return res.x, res.certificate.residual
     params = OuterParams(epsilon=tol, rho0=10.0, sigma=0.25, max_outer=80, inner=inner)
-    res = ppa_unconstrained(problem, params, init, record_iterates=False)
+    res = ppa_unconstrained(problem, params, init)
     return res.x, res.residual_bound

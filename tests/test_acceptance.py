@@ -41,6 +41,7 @@ from helpers import (
     composite_value,
     criterion6_specs,
     ppa_subproblem,
+    recorded_iterates,
     reference_solve,
     trajectory_invariant_violations,
 )
@@ -60,7 +61,7 @@ class SolveRecord:
     certificate: object
     residual: float          # the certified bound compared against epsilon
     certified_problem: object  # composite problem the certificate refers to
-    traces: list             # (problem, ApgTrace, start_grad, start_prox)
+    traces: list             # (problem, ApgTrace, states, start_grad, start_prox)
 
 
 @pytest.fixture(scope="module")
@@ -83,22 +84,25 @@ def suite1():
         label = f"problem {i} (n={n}, k={k}, mu={mu}, prox={type(problem.nonsmooth).__name__})"
         if mu > 0:
             eps = 1e-6
-            res = apg_terminating(problem, ApgParams(epsilon=eps), init)
+            with recorded_iterates() as rec:
+                res = apg_terminating(problem, ApgParams(epsilon=eps), init)
             records.append(SolveRecord(
                 label=label, mu=mu, epsilon=eps,
                 certificate=res.certificate, residual=res.certificate.residual,
                 certified_problem=problem,
-                traces=[(problem, res.trace, 0, 0)],
+                traces=[(problem, res.trace, rec.states, 0, 0)],
             ))
         else:
             eps = 1e-5
-            res = ppa_unconstrained(problem, OuterParams(epsilon=eps), init, record_iterates=True)
+            with recorded_iterates() as rec:
+                res = ppa_unconstrained(problem, OuterParams(epsilon=eps), init)
             traces = []
-            for row in res.trace.rows:
+            for row, inner in zip(res.trace.rows, rec.inner, strict=True):
                 sub = ppa_subproblem(problem, row.center, row.rho_k)
                 traces.append((
                     sub,
-                    row.inner_trace,
+                    inner.trace,
+                    inner.states,
                     row.grad_evals - row.inner_grad_evals,
                     row.prox_evals - row.inner_prox_evals,
                 ))
@@ -141,8 +145,8 @@ def test_criterion_1_certificate_soundness(suite1):
 def test_criterion_2_trajectory_invariants(suite1):
     violations = []
     for rec in suite1:
-        for problem, trace, _, _ in rec.traces:
-            for v in trajectory_invariant_violations(problem, trace, delta=0.5):
+        for problem, trace, states, _, _ in rec.traces:
+            for v in trajectory_invariant_violations(problem, trace, states, delta=0.5):
                 violations.append((rec.label,) + v)
     report(2, "trajectory invariants", violations)
 
@@ -178,7 +182,7 @@ def test_criterion_4_linear_rate_scaling():
     # without rounding slack let the step climb back far above the local
     # curvature bound (2191 gradients where 1e-4 takes 32)
     for eps in (1e-4, 1e-8, 1e-10):
-        res = apg_terminating(problem, ApgParams(epsilon=eps), init, record_iterates=False)
+        res = apg_terminating(problem, ApgParams(epsilon=eps), init)
         if res.certificate.residual > eps:
             violations.append((eps, "not certified"))
         evals[eps] = res.trace.counters.grad_f_evals
@@ -307,7 +311,7 @@ def test_criterion_8_gradient_oracles():
 def test_criterion_9_operation_accounting(suite1):
     violations = []
     for rec in suite1:
-        for _, trace, start_grad, start_prox in rec.traces:
+        for _, trace, _, start_grad, start_prox in rec.traces:
             for v in accounting_violations(trace, start_grad, start_prox):
                 violations.append((rec.label,) + v)
     report(9, "operation accounting", violations)

@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import replace
 
@@ -32,6 +33,7 @@ from conftest import SeparateOnly, make_quadratic, nan_after
 from helpers import (
     accounting_violations,
     composite_value,
+    recorded_iterates,
     reference_solve,
     trajectory_invariant_violations,
 )
@@ -178,6 +180,10 @@ class TestIteration:
             certified_prox_step(problem, np.array([1.0]), 1.0, 0.5, max_backtracks=20)
         assert info.type is LineSearchFailure  # not its NonFiniteOracleOutput subclass
         assert counters.prox_evals == 21
+
+    def test_certificate_search_defaults_to_the_solvers_budget(self):
+        default = inspect.signature(certified_prox_step).parameters["max_backtracks"].default
+        assert default == ApgParams().max_backtracks
 
 
 class TestNonFiniteOracleOutput:
@@ -339,8 +345,20 @@ class TestApgTerminating:
 
 def test_trajectory_invariants_on_quartic():
     problem = gen_quartic(QuarticSpec(n=6, k_terms=4, seed=17, mu_add=1.0))
-    res = apg_terminating(problem, ApgParams(epsilon=1e-6), np.zeros(6))
-    assert trajectory_invariant_violations(problem, res.trace) == []
+    with recorded_iterates() as rec:
+        res = apg_terminating(problem, ApgParams(epsilon=1e-6), np.zeros(6))
+    assert trajectory_invariant_violations(problem, res.trace, rec.states) == []
+
+
+def test_trace_rows_hold_no_iterates():
+    # a trace keeps scalars, counts and the checked certificates only; the
+    # certificates carry every vector a check needs
+    problem = gen_quartic(QuarticSpec(n=6, k_terms=4, seed=17, mu_add=1.0))
+    res = apg_terminating(problem, ApgParams(epsilon=1e-6, M=3), np.zeros(6))
+    assert any(row.certificate is not None for row in res.trace.rows)
+    for row in res.trace.rows:
+        arrays = [name for name, value in row._asdict().items() if isinstance(value, np.ndarray)]
+        assert arrays == [], (row.t, arrays)
 
 
 def test_descent_envelope_against_reference():

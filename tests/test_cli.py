@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,27 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: spec.epsilon must be") and err.count("\n") == 1
         assert not summary.exists()
+
+    @pytest.mark.parametrize("prox, name", [
+        ({"kind": "box", "lower": math.nan, "upper": 1.0}, "lower"),
+        ({"kind": "box", "lower": -1.0, "upper": -math.inf}, "upper"),
+        ({"kind": "squared_l2", "coef": 1.0, "center": math.nan}, "center"),
+        ({"kind": "squared_l2", "coef": math.inf, "center": 0.0}, "coef"),
+        ({"kind": "l1", "weight": math.inf}, "weight"),
+    ], ids=["box-lower-nan", "box-upper-minus-inf", "l2-center-nan", "l2-coef-inf",
+            "l1-weight-inf"])
+    def test_non_finite_prox_parameter_is_one_error_line(self, tmp_path, capsys, prox, name):
+        # each used to fail later, at the start point, without naming the field
+        doc = dict(APG_CERT, problem={
+            "kind": "quartic", "n": 3, "k_terms": 2, "seed": 1, "mu_add": 1.0, "prox": prox,
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, summary, _ = run_solve(tmp_path, doc)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must") and err.count("\n") == 1
+        assert summary is None
 
     @pytest.mark.parametrize("solver", ["apg", "apg-cert", "ppa", "prox-al"])
     @pytest.mark.parametrize("mu_add", [math.nan, math.inf])

@@ -32,19 +32,22 @@ from proxcert import (
 )
 from proxcert.problems import QuarticSpec, gen_constrained, gen_quartic, ineq_quadratic_1d
 
-from helpers import criterion6_specs, ppa_subproblem
+from helpers import criterion6_specs, ppa_subproblem, recorded_iterates
 
 AL_EPS = 1e-4
 PPA_EPS = 1e-7
 
 
-def _checked_certificates(rows):
-    """(outer row, certificate) for every certificate the inner solves checked."""
+def _checked_certificates(rows, inner):
+    """(outer row, certificate) for every certificate the inner solves checked.
+
+    ``inner`` holds the outer steps' inner solves (see ``recorded_iterates``).
+    """
     return [
-        (row, inner.certificate)
-        for row in rows
-        for inner in row.inner_trace.rows
-        if inner.certificate is not None
+        (row, step.certificate)
+        for row, solve in zip(rows, inner, strict=True)
+        for step in solve.trace.rows
+        if step.certificate is not None
     ]
 
 
@@ -120,7 +123,8 @@ PPA_SHAPES = [
 def test_ppa_exits_at_the_first_certificate_proving_epsilon(n, k, term):
     problem = gen_quartic(QuarticSpec(n=n, k_terms=k, seed=40 + n, mu_add=0.0, prox=term))
     params = OuterParams(epsilon=PPA_EPS)
-    res = ppa_unconstrained(problem, params, np.zeros(n), record_iterates=True)
+    with recorded_iterates() as rec:
+        res = ppa_unconstrained(problem, params, np.zeros(n))
 
     sub = ppa_subproblem(problem, res.center_final, res.rho_final)
     cert = res.certificate
@@ -130,7 +134,7 @@ def test_ppa_exits_at_the_first_certificate_proving_epsilon(n, k, term):
     assert np.array_equal(s, res.witness)
     assert res.residual_bound == float(np.linalg.norm(res.witness)) <= PPA_EPS
 
-    checked = _checked_certificates(res.trace.rows)
+    checked = _checked_certificates(res.trace.rows, rec.inner)
     assert checked[-1][1] is cert
     for row, earlier in checked[:-1]:
         assert not _bound(earlier, row.center, row.rho_k) <= PPA_EPS
@@ -159,7 +163,8 @@ def _check_prox_al(conic, params, x0, lam0):
     """Solve with a counting g and check the exit against the raw oracles."""
     counted, calls = _counting(conic)
     eps = params.epsilon
-    res = prox_al(counted, params, x0, lam0, record_iterates=True)
+    with recorded_iterates() as rec:
+        res = prox_al(counted, params, x0, lam0)
     assert len(calls) == res.trace.counters.g_evals
 
     last = res.trace.rows[-1]
@@ -175,7 +180,7 @@ def _check_prox_al(conic, params, x0, lam0):
     assert again.stationarity_residual <= eps
     assert again.complementarity_residual <= eps
 
-    checked = _checked_certificates(res.trace.rows)
+    checked = _checked_certificates(res.trace.rows, rec.inner)
     assert checked[-1][1] is cert
     held_back = 0  # checks whose stationarity bound passed but multiplier step did not
     for row, earlier in checked[:-1]:

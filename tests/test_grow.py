@@ -38,6 +38,7 @@ from helpers import (
     accounting_violations,
     criterion6_specs,
     ppa_subproblem,
+    recorded_iterates,
     rule_start,
     trajectory_invariant_violations,
 )
@@ -46,62 +47,67 @@ DELTA = 0.5
 
 
 def _apg_traces():
-    """(problem, trace, start_grad, start_prox, certificate) from apg_terminating and apg_run."""
+    """(problem, trace, states, start_grad, start_prox, certificate) of apg_terminating, apg_run."""
     out = []
     for seed, prox in ((1, None), (2, L1Term(6, 0.1)), (3, BoxTerm(-np.ones(6), np.ones(6)))):
         problem = gen_quartic(QuarticSpec(n=6, k_terms=4, seed=seed, mu_add=0.3, prox=prox))
-        res = apg_terminating(problem, ApgParams(epsilon=1e-8, M=3), np.zeros(6))
-        out.append((problem, res.trace, 0, 0, res.certificate))
+        with recorded_iterates() as rec:
+            res = apg_terminating(problem, ApgParams(epsilon=1e-8, M=3), np.zeros(6))
+        out.append((problem, res.trace, rec.states, 0, 0, res.certificate))
     problem = gen_quartic(QuarticSpec(n=5, k_terms=3, seed=4, prox=NonnegativeTerm(5)))
-    trace = apg_run(problem, ApgParams(max_iters=80), np.zeros(5))
-    out.append((problem, trace, 0, 0, None))
+    with recorded_iterates() as rec:
+        trace = apg_run(problem, ApgParams(max_iters=80), np.zeros(5))
+    out.append((problem, trace, rec.states, 0, 0, None))
     return out
 
 
 def _ppa_run():
+    """(problem, result, inner solves) of a proximal-point solve."""
     problem = gen_quartic(QuarticSpec(n=8, k_terms=3, seed=5, prox=NonnegativeTerm(8)))
-    params = OuterParams(epsilon=1e-7)
-    return problem, ppa_unconstrained(problem, params, np.zeros(8), record_iterates=True)
+    with recorded_iterates() as rec:
+        res = ppa_unconstrained(problem, OuterParams(epsilon=1e-7), np.zeros(8))
+    return problem, res, rec.inner
 
 
 def _prox_al_runs():
-    """(conic, result) for criterion-6 instances 2 (mu = 0) and 19 (mu = 1)."""
+    """(conic, result, inner solves) for criterion-6 instances 2 (mu = 0) and 19 (mu = 1)."""
     out = []
     for i in (2, 19):
         conic = gen_constrained(criterion6_specs()[i])
-        out.append((conic.conic, prox_al(
-            conic.conic, OuterParams(epsilon=1e-4), conic.x_feas,
-            np.zeros(conic.conic.cone.dim), record_iterates=True,
-        )))
+        with recorded_iterates() as rec:
+            res = prox_al(
+                conic.conic, OuterParams(epsilon=1e-4), conic.x_feas,
+                np.zeros(conic.conic.cone.dim),
+            )
+        out.append((conic.conic, res, rec.inner))
     return out
 
 
+def _inner_traces(row, inner, sub):
+    return (
+        sub,
+        inner.trace,
+        inner.states,
+        row.grad_evals - row.inner_grad_evals,
+        row.prox_evals - row.inner_prox_evals,
+        row.certificate,
+    )
+
+
 def _ppa_traces():
-    problem, res = _ppa_run()
+    problem, res, inner = _ppa_run()
     return [
-        (
-            ppa_subproblem(problem, row.center, row.rho_k),
-            row.inner_trace,
-            row.grad_evals - row.inner_grad_evals,
-            row.prox_evals - row.inner_prox_evals,
-            row.certificate,
-        )
-        for row in res.trace.rows
+        _inner_traces(row, solve, ppa_subproblem(problem, row.center, row.rho_k))
+        for row, solve in zip(res.trace.rows, inner, strict=True)
     ]
 
 
 def _prox_al_traces():
-    out = []
-    for conic, res in _prox_al_runs():
-        for row in res.trace.rows:
-            out.append((
-                build_al_subproblem(conic, row.center, row.lam_prev, row.rho_k),
-                row.inner_trace,
-                row.grad_evals - row.inner_grad_evals,
-                row.prox_evals - row.inner_prox_evals,
-                row.certificate,
-            ))
-    return out
+    return [
+        _inner_traces(row, solve, build_al_subproblem(conic, row.center, row.lam_prev, row.rho_k))
+        for conic, res, inner in _prox_al_runs()
+        for row, solve in zip(res.trace.rows, inner, strict=True)
+    ]
 
 
 @pytest.fixture(scope="module", params=["apg", "ppa", "prox-al"])
@@ -110,8 +116,8 @@ def grow_traces(request):
 
 
 def test_invariants_and_accounting_hold(grow_traces):
-    for problem, trace, start_grad, start_prox, _ in grow_traces:
-        assert trajectory_invariant_violations(problem, trace, delta=DELTA) == []
+    for problem, trace, states, start_grad, start_prox, _ in grow_traces:
+        assert trajectory_invariant_violations(problem, trace, states, delta=DELTA) == []
         assert accounting_violations(trace, start_grad, start_prox) == []
 
 
@@ -122,7 +128,7 @@ def _on_grid(step, base):
 def test_steps_lie_on_the_grid_below_the_clamp(grow_traces):
     # a search starts at the recorded first step and moves by factors of 2
     # until it grows back to gamma0, after which it lives on gamma0's grid
-    for _, trace, _, _, _ in grow_traces:
+    for _, trace, _, _, _, _ in grow_traces:
         clamp = (1.0 - 1e-9) / trace.mu if trace.mu > 0 else math.inf
         assert trace.first_step <= trace.gamma0 <= clamp
         for row in trace.rows:
@@ -132,24 +138,23 @@ def test_steps_lie_on_the_grid_below_the_clamp(grow_traces):
 
 
 def test_outer_loops_start_inner_solves_at_the_clamp():
-    for problem, trace, _, _, _ in _ppa_traces()[:3] + _prox_al_traces()[:3]:
+    for problem, trace, _, _, _, _ in _ppa_traces()[:3] + _prox_al_traces()[:3]:
         assert trace.gamma0 == (1.0 - 1e-9) / problem.mu
 
 
 def _outer_runs():
-    """Outer results with iterates: the PPA solve and prox-AL instances 2 and 19."""
-    return [_ppa_run()[1]] + [res for _, res in _prox_al_runs()]
+    """The inner solves of the PPA solve and of prox-AL instances 2 and 19, one list per run."""
+    return [_ppa_run()[2]] + [inner for _, _, inner in _prox_al_runs()]
 
 
 def test_outer_steps_first_try_the_previous_accepted_step():
     carried = 0
-    for res in _outer_runs():
-        rows = res.trace.rows
-        assert rows[0].inner_trace.first_step == rows[0].inner_trace.gamma0
-        for prev, row in zip(rows, rows[1:]):
-            trace = row.inner_trace
+    for inner in _outer_runs():
+        assert inner[0].trace.first_step == inner[0].trace.gamma0
+        for prev, solve in zip(inner, inner[1:]):
+            trace = solve.trace
             clamp = (1.0 - 1e-9) / trace.mu
-            last = prev.inner_trace.rows[-1].gamma_t
+            last = prev.trace.rows[-1].gamma_t
             assert trace.gamma0 == clamp
             assert trace.first_step == min(clamp, last)
             first = trace.rows[0]
@@ -162,11 +167,10 @@ def test_alpha_recursion_stays_anchored_at_the_clamp():
     # the carried step moves only the first trial: alpha_1 solves the
     # recursion from gamma_prev = clamp and alpha_prev = alpha0, which puts
     # it at its floor sqrt(mu_k * gamma_1)
-    for res in _outer_runs():
-        for row in res.trace.rows:
-            trace = row.inner_trace
+    for inner in _outer_runs():
+        for trace, states in inner:
             first = trace.rows[0]
-            assert (first.gamma_before, first.alpha_before) == (trace.gamma0, trace.alpha0)
+            assert (states[0].gamma_prev, states[0].alpha_prev) == (trace.gamma0, trace.alpha0)
             assert first.alpha_t == solve_alpha(trace.gamma0, first.gamma_t, trace.alpha0, trace.mu)
             assert math.isclose(first.alpha_t, math.sqrt(trace.mu * first.gamma_t), rel_tol=1e-8)
 
@@ -184,15 +188,16 @@ def test_apg_terminating_starts_at_gamma0_unless_given_a_smaller_first_step():
 
     assert scalars(above) == scalars(plain) and np.array_equal(above.x, plain.x)
     small = plain.trace.gamma0 / 64.0
-    capped = apg_terminating(problem, params, np.zeros(6), first_step=small)
+    with recorded_iterates() as rec:
+        capped = apg_terminating(problem, params, np.zeros(6), first_step=small)
     assert capped.trace.first_step == small
-    first = capped.trace.rows[0]
+    first, state = capped.trace.rows[0], rec.states[0]
     assert first.gamma_t == small * DELTA**first.n_t
-    assert (first.gamma_before, first.alpha_before) == (plain.trace.gamma0, plain.trace.alpha0)
-    assert trajectory_invariant_violations(problem, capped.trace) == []
+    assert (state.gamma_prev, state.alpha_prev) == (plain.trace.gamma0, plain.trace.alpha0)
+    assert trajectory_invariant_violations(problem, capped.trace, rec.states) == []
     # the first_step checked as the start of row 1, not as gamma0
     moved = replace(capped.trace, first_step=plain.trace.gamma0)
-    assert (1, "start rule") in trajectory_invariant_violations(problem, moved)
+    assert (1, "start rule") in trajectory_invariant_violations(problem, moved, rec.states)
     for bad in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="first_step"):
             apg_terminating(problem, params, np.zeros(6), first_step=bad)
@@ -200,12 +205,12 @@ def test_apg_terminating_starts_at_gamma0_unless_given_a_smaller_first_step():
 
 def test_step_grows_only_after_a_gated_acceptance(grow_traces):
     grew = 0
-    for problem, trace, _, _, _ in grow_traces:
-        for prev, row in zip(trace.rows, trace.rows[1:]):
+    for problem, trace, states, _, _, _ in grow_traces:
+        for prev, prev_state, row in zip(trace.rows, states, trace.rows[1:]):
             if row.gamma_t <= prev.gamma_t:
                 continue
             grew += 1
-            trial = accepted_trial(problem, prev)
+            trial = accepted_trial(problem, prev, prev_state)
             assert admits_growth(trial, DELTA), (row.t, trial.lhs, trial.rhs, trial.scale)
             assert row.gamma_t == prev.gamma_t / DELTA and row.n_t == 0
     assert grew > 0
@@ -213,19 +218,19 @@ def test_step_grows_only_after_a_gated_acceptance(grow_traces):
 
 def test_certificate_search_starts_at_the_next_start(grow_traces):
     checked = 0
-    for problem, trace, _, _, _ in grow_traces:
-        for row in trace.rows:
+    for problem, trace, states, _, _, _ in grow_traces:
+        for row, state in zip(trace.rows, states, strict=True):
             if row.certificate is None:
                 continue
             checked += 1
-            trial = accepted_trial(problem, row)
+            trial = accepted_trial(problem, row, state)
             start = rule_start(trace.gamma0, row.gamma_t, admits_growth(trial, DELTA))
             assert row.certificate.gamma_tilde == start * DELTA**row.cert_backtracks
     assert checked > 0
 
 
 def test_certificates_reverify_from_raw_oracles(grow_traces):
-    for problem, _, _, _, cert in grow_traces:
+    for problem, _, _, _, _, cert in grow_traces:
         if cert is None:
             continue
         again = residual_certificate(problem, cert.x_pre, cert.x_tilde, cert.gamma_tilde)

@@ -25,7 +25,7 @@ from proxcert import (
 )
 from proxcert.problems import IMAGE_MIN_ENTRIES, QuarticSpec, gen_quartic
 
-from helpers import accounting_violations, trajectory_invariant_violations
+from helpers import accounting_violations, recorded_iterates, trajectory_invariant_violations
 
 K, N = 60, 500  # just above the gate, small enough for a fast suite
 
@@ -47,8 +47,9 @@ def pair():
     problem = above_gate()
     params = ApgParams(epsilon=1e-6, M=5)
     x0 = np.full(N, 0.1)
-    images = apg_terminating(problem, params, x0)
-    return problem, images, apg_terminating(plain(problem), params, x0)
+    with recorded_iterates() as rec:
+        images = apg_terminating(problem, params, x0)
+    return problem, images, rec.states, apg_terminating(plain(problem), params, x0)
 
 
 def test_the_gate_selects_from_the_matrix_size():
@@ -64,7 +65,7 @@ def test_the_gate_selects_from_the_matrix_size():
 
 
 def test_counts_and_iterates_match_the_plain_path(pair):
-    _, images, direct = pair
+    _, images, _, direct = pair
     assert [r.n_t for r in images.trace.rows] == [r.n_t for r in direct.trace.rows]
     assert [r.cert_backtracks for r in images.trace.rows] == [
         r.cert_backtracks for r in direct.trace.rows
@@ -74,14 +75,14 @@ def test_counts_and_iterates_match_the_plain_path(pair):
 
 
 def test_accounting_and_trajectory_invariants_hold(pair):
-    problem, images, _ = pair
+    problem, images, states, _ = pair
     assert any(row.certificate is not None for row in images.trace.rows)
     assert accounting_violations(images.trace) == []
-    assert trajectory_invariant_violations(problem, images.trace) == []
+    assert trajectory_invariant_violations(problem, images.trace, states) == []
 
 
 def test_certificate_recomputes_bit_for_bit_from_the_raw_oracle(pair):
-    problem, images, _ = pair
+    problem, images, _, _ = pair
     cert = images.certificate
     grad = problem.smooth.gradient
     x_tilde = problem.nonsmooth.prox(

@@ -89,6 +89,16 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="mu must be nonnegative and finite"):
             CompositeProblem(quadratic.smooth, ZeroTerm(1), mu=mu)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["matrix", "shift"])
+    def test_affine_constraint_rejects_non_finite_data(self, name, bad):
+        # a NaN entry used to surface only inside prox_al, as a non-finite
+        # smooth term at the first iteration
+        data = {"matrix": np.ones((2, 3)), "shift": np.zeros(2)}
+        data[name][-1] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            AffineConstraint(**data)
+
     def test_conic_dims(self, quadratic):
         constraint = AffineConstraint(np.ones((2, 1)), np.zeros(2))
         with pytest.raises(ValueError, match="cone dim"):

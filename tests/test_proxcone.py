@@ -269,6 +269,13 @@ def test_cone_spec_validation():
     assert MIXED.dim == 8
 
 
+@pytest.mark.parametrize("size", [-1, 2.5, 2.0, True, "2", None])
+def test_cone_block_sizes_must_be_counts(size):
+    # 2.5 was truncated to 2 and True read as 1
+    with pytest.raises(ValueError, match="soc block size must be a positive integer"):
+        ConeSpec((("soc", size),))
+
+
 def test_cone_spec_cached_fields_stay_out_of_repr_and_equality():
     assert repr(ORTHANT2) == "ConeSpec(blocks=((<ConeBlock.NONNEG: 'nonneg'>, 2),))"
     assert [f.name for f in dataclasses.fields(MIXED) if f.repr or f.compare] == ["blocks"]
@@ -311,6 +318,34 @@ def test_box_keeps_its_own_bounds():
     assert box.prox(1.0, np.array([-5.0, 5.0])).tolist() == [-1.0, 2.0]
     with pytest.raises(ValueError):
         box.lower[0] = 0.5
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: BoxTerm([np.nan, 0.0], [1.0, 1.0]), "lower"),
+    (lambda: BoxTerm([0.0, np.inf], [1.0, np.inf]), "lower"),
+    (lambda: BoxTerm([0.0, 0.0], [1.0, np.nan]), "upper"),
+    (lambda: BoxTerm([-np.inf, 0.0], [-np.inf, 1.0]), "upper"),
+    (lambda: L1Term(2, np.inf), "weight"),
+    (lambda: L1Term(2, np.nan), "weight"),
+    (lambda: SquaredL2Term(np.inf, np.zeros(2)), "coef"),
+    (lambda: SquaredL2Term(np.nan, np.zeros(2)), "coef"),
+    (lambda: SquaredL2Term(1.0, [0.0, np.nan]), "center"),
+    (lambda: SquaredL2Term(1.0, [np.inf, 0.0]), "center"),
+], ids=[
+    "box-lower-nan", "box-lower-inf", "box-upper-nan", "box-upper-minus-inf",
+    "l1-weight-inf", "l1-weight-nan", "l2-coef-inf", "l2-coef-nan",
+    "l2-center-nan", "l2-center-inf",
+])
+def test_non_finite_parameters_are_rejected_by_name(make, name):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        make()
+
+
+def test_box_bounds_may_be_infinite_on_their_open_side():
+    box = BoxTerm([-np.inf, 0.0], [1.0, np.inf])
+    assert box.value(np.array([-1e300, 1e300])) == 0.0
+    assert box.value(np.array([2.0, 1.0])) == np.inf
+    assert box.prox(1.0, np.array([-5.0, 5.0])).tolist() == [-5.0, 5.0]
 
 
 def test_nonneg_value_at_slack_edge():
