@@ -564,12 +564,12 @@ def apg_terminating(
 
     Requires mu > 0 and params.epsilon set.  Every M-th iteration a
     backtracked proximal-gradient step is taken from the current iterate,
-    starting where the next iteration would start, and its witness norm
-    compared against epsilon; the first point certified at or below epsilon
-    is returned together with its certificate and the full trace.  ``done(certificate)``, when given, is
-    called at each checked certificate whose residual exceeds epsilon, and
-    only there; the solve also returns at the first one for which it is
-    true.  The outer loop passes its own stopping test this way.
+    starting where the next iteration would start, and its certificate
+    tested; the first certificate that passes is returned together with its
+    point x_tilde and the full trace.  The test is ``done(certificate)``,
+    asked at every checked certificate, when ``done`` is given, and
+    ``residual <= epsilon`` otherwise: a given ``done`` is the whole stop
+    test.  The outer loop passes its own stopping rule this way.
 
     ``first_step``, when given, caps the step the first iteration tries
     first (recorded as ``trace.first_step``); the alpha recursion still
@@ -603,7 +603,7 @@ def apg_terminating(
             continue
         if best is None or cert.residual < best.residual:
             best = cert
-        if cert.residual <= params.epsilon or (done is not None and done(cert)):
+        if cert.residual <= params.epsilon if done is None else done(cert):
             return TerminatingResult(x=cert.x_tilde, certificate=cert, trace=trace)
     raise SolveTimeout(
         f"no point certified at epsilon = {params.epsilon} within "

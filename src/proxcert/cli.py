@@ -37,10 +37,11 @@ SPEC_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 _TOP_KEYS = {"version", "solver", "epsilon", "problem", "params", "init"}
 # The params: keys each solver reads are the fields of its params classes,
 # bar epsilon (a top-level key) and the composed inner params.  The outer
-# loop sets the inner gamma0 itself (see OuterParams).
+# loop sets the inner gamma0 and alpha0 itself (see OuterParams), and apg,
+# which checks no certificate, reads no M.
 _INNER_KEYS = {f.name for f in dataclasses.fields(ApgParams)} - {"epsilon"}
 _OUTER_KEYS = {f.name for f in dataclasses.fields(OuterParams)} - {"epsilon", "inner"}
-_OUTER_SOLVER_KEYS = _OUTER_KEYS | (_INNER_KEYS - {"gamma0"})
+_OUTER_SOLVER_KEYS = _OUTER_KEYS | (_INNER_KEYS - {"gamma0", "alpha0"})
 _KEY_TYPES = typing.get_type_hints(ApgParams) | typing.get_type_hints(OuterParams)
 # The problem: keys and their types, bar kind and prox, are the fields of the
 # generators' specs; ConstrainedSpec.seed is written constraint_seed.
@@ -90,7 +91,8 @@ class _Solver:
     """What ``execute`` needs of one solver.
 
     ``entry`` names its entry point, looked up in this module at call time,
-    since tracers rebind those names.  ``unpack`` splits the entry point's
+    since tracers rebind those names.  ``keys`` are the params: keys it
+    reads, and its summary block's.  ``unpack`` splits the entry point's
     result into its trace and what it certified, and ``block`` makes the
     summary fields from the trace length and that value, or on a timeout from
     the best the solver saw (None if it saw none).  ``budget`` is set for the
@@ -99,14 +101,11 @@ class _Solver:
 
     entry: str
     params: type
+    keys: set
     unpack: Callable
     block: Callable
     conic: bool = False
     budget: int | None = None
-
-    @property
-    def keys(self) -> set:
-        return _INNER_KEYS if self.params is ApgParams else _OUTER_SOLVER_KEYS
 
 
 def _kkt(report) -> dict | None:
@@ -120,19 +119,19 @@ def _kkt(report) -> dict | None:
 
 _SOLVERS = {
     "apg": _Solver(
-        "apg_run", ApgParams, lambda trace: (trace, trace.rows[-1].F),
+        "apg_run", ApgParams, _INNER_KEYS - {"M"}, lambda trace: (trace, trace.rows[-1].F),
         lambda n, F: {"iterations": n, "residual_bound": None, "F_final": F}, budget=1000,
     ),
     "apg-cert": _Solver(
-        "apg_terminating", ApgParams, attrgetter("trace", "certificate"),
+        "apg_terminating", ApgParams, _INNER_KEYS, attrgetter("trace", "certificate"),
         lambda n, cert: {"iterations": n, "residual_bound": None if cert is None else cert.residual},
     ),
     "ppa": _Solver(
-        "ppa_unconstrained", OuterParams, attrgetter("trace", "residual_bound"),
+        "ppa_unconstrained", OuterParams, _OUTER_SOLVER_KEYS, attrgetter("trace", "residual_bound"),
         lambda n, bound: {"outer_iterations": n, "residual_bound": bound},
     ),
     "prox-al": _Solver(
-        "prox_al", OuterParams, attrgetter("trace", "report"),
+        "prox_al", OuterParams, _OUTER_SOLVER_KEYS, attrgetter("trace", "report"),
         lambda n, report: {"outer_iterations": n, "kkt": _kkt(report)}, conic=True,
     ),
 }
@@ -370,13 +369,13 @@ def run(spec_path: str, trace_path=None, summary_path=None) -> int:
     try:
         spec = load_run_spec(spec_path)
         outcome = execute(spec)
+        _write_outputs(outcome, trace_path, summary_path)
     except (SpecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except LineSearchFailure as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         return 2
-    _write_outputs(outcome, trace_path, summary_path)
     if outcome.exit_code != 0:
         print(f"not certified: {outcome.summary.get('termination')}", file=sys.stderr)
     return outcome.exit_code
@@ -390,6 +389,9 @@ def sweep(spec_path: str, epsilons: list[float], out_path: str) -> int:
     epsilon, total gradient/prox evaluations, and the log-log slope of the
     gradient count between consecutive targets.
     """
+    failed = False
+    rows = []
+    prev = None
     try:
         if len(epsilons) < 2:
             raise SpecError("sweep needs at least two epsilons")
@@ -402,38 +404,31 @@ def sweep(spec_path: str, epsilons: list[float], out_path: str) -> int:
             raise SpecError(
                 f"sweep needs a solver that stops at epsilon; {spec.solver} runs a fixed budget"
             )
+        for eps in epsilons:
+            try:
+                outcome = execute(spec, epsilon=eps)
+            except LineSearchFailure as exc:
+                print(f"solve failed: {exc}", file=sys.stderr)
+                outcome = None
+            if outcome is None or outcome.exit_code != 0:
+                failed = True
+                break
+            totals = outcome.summary["totals"]
+            grad, prox = totals["grad_f_evals"], totals["prox_evals"]
+            slope = None
+            if prev is not None:
+                eps_prev, grad_prev = prev
+                slope = math.log(grad / grad_prev) / math.log(eps_prev / eps)
+            rows.append((eps, grad, prox, slope))
+            prev = (eps, grad)
+        with open(out_path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(("epsilon", "grad_evals", "prox_evals", "slope"))
+            for eps, grad, prox, slope in rows:
+                writer.writerow((_fmt(eps), grad, prox, _fmt(slope)))
     except (SpecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    failed = False
-    rows = []
-    prev = None
-    for eps in epsilons:
-        try:
-            outcome = execute(spec, epsilon=eps)
-        except (SpecError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except LineSearchFailure:
-            outcome = None
-        if outcome is None or outcome.exit_code != 0:
-            failed = True
-            break
-        totals = outcome.summary["totals"]
-        grad, prox = totals["grad_f_evals"], totals["prox_evals"]
-        slope = None
-        if prev is not None:
-            eps_prev, grad_prev = prev
-            slope = math.log(grad / grad_prev) / math.log(eps_prev / eps)
-        rows.append((eps, grad, prox, slope))
-        prev = (eps, grad)
-
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("epsilon", "grad_evals", "prox_evals", "slope"))
-        for eps, grad, prox, slope in rows:
-            writer.writerow((_fmt(eps), grad, prox, _fmt(slope)))
     if failed:
         print("sweep aborted: a run did not certify; partial table written", file=sys.stderr)
         return 2
@@ -463,7 +458,7 @@ def main(argv=None) -> int:
     if args.command == "solve":
         return run(args.spec, trace_path=args.trace, summary_path=args.summary)
     try:
-        epsilons = [float(tok) for tok in args.eps.split(",") if tok]
+        epsilons = [float(tok) for tok in args.eps.split(",")]
     except ValueError:
         print("error: --eps must be a comma-separated list of numbers", file=sys.stderr)
         return 1

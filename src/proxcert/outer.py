@@ -13,8 +13,8 @@ c_{k+1} = x_{k+1} + beta_k (x_{k+1} - x_k), where the paper takes
 c_{k+1} = x_{k+1}.  A step's witness u - (x_{k+1} - c_k)/rho_k is an outer
 subgradient for any center, so every certificate keeps its meaning.  The
 loop stops at the first outer step whose KKT residuals are at most the
-outer epsilon, and an inner solve at the first certificate that already
-proves them, which the paper's end-of-step test implies.
+outer epsilon, and an inner solve at the first certificate that meets
+eta_k or already proves them, which the paper's end-of-step test implies.
 ``ppa_unconstrained`` runs it on a mu = 0 problem under no constraint, the
 paper's perturbation scheme.
 """
@@ -53,13 +53,15 @@ class OuterParams:
     inner residual ||u||, so rho_k = rho0 * zeta**j for the j grows so far,
     at most rho0 * zeta**k.
     rho0 defaults per problem when None (see ``resolved``).  ``inner`` holds
-    the inner solver's settings; its epsilon must stay unset, since the
-    loop sets it to eta_k on every step.  The loop also sets the inner step
-    base (the inner gamma0, so inner.gamma0 is unread): the step clamp
-    (1 - 1e-9)/mu_k of the modulus mu_k = mu + 1/rho_k, to which the step
-    grows back.  From outer step 1 on, the first trial of an inner solve is
-    the last step the previous inner solve accepted, capped at the clamp,
-    while its alpha recursion still starts at the clamp.
+    the inner solver's settings, of which the loop reads delta, M,
+    max_iters and max_backtracks.  It sets the other three itself, so they
+    must keep their defaults: epsilon is eta_k on every step, gamma0 the
+    step clamp (1 - 1e-9)/mu_k of the modulus mu_k = mu + 1/rho_k, to which
+    the step grows back, and alpha0 stays 1, in the range [sqrt(mu_k *
+    gamma0), 1] = [sqrt(1 - 1e-9), 1] that the clamp leaves.  From outer
+    step 1 on, the first trial of an inner solve is the last step the
+    previous inner solve accepted, capped at the clamp, while its alpha
+    recursion still starts at the clamp.
     """
 
     epsilon: float
@@ -80,31 +82,28 @@ class OuterParams:
         if not 0 < self.eta0 <= 1:
             raise ValueError("eta0 must lie in (0, 1]")
         require_count("max_outer", self.max_outer)
-        if self.inner.epsilon is not None:
-            raise ValueError("inner.epsilon must be unset: the outer loop sets it to eta_k")
+        changed = [
+            f"inner.{name} = {getattr(self.inner, name)}"
+            for name in ("gamma0", "alpha0", "epsilon")
+            if getattr(self.inner, name) != getattr(ApgParams, name)
+        ]
+        if changed:
+            raise ValueError(
+                "inner.gamma0, inner.alpha0 and inner.epsilon must keep their defaults, "
+                f"since the outer loop sets them; got {', '.join(changed)}"
+            )
 
     def resolved(self, conic: ConicProblem) -> "OuterParams":
-        """These params with rho0 set for ``conic``, checked as ``prox_al`` needs.
+        """These params with rho0 set for ``conic``.
 
         rho0 defaults to max(10, c + 1), where c = (mu + sqrt(mu^2 + 4))/2
-        (1 when mu = 0), and need only be positive and finite.  alpha0 must
-        lie in [sqrt(mu_0 * gamma_0), 1] for the modulus mu_0 = mu + 1/rho0
-        and the first step gamma_0 of the first inner solve.  gamma_0 is the
-        step clamp, so mu_0 * gamma_0 = 1 - 1e-9 and alpha0 must be within
-        5e-10 of 1.
+        (1 when mu = 0), and need only be positive and finite.
         """
         mu = conic.base.mu
         critical = (mu + math.sqrt(mu * mu + 4.0)) / 2.0
         rho0 = self.rho0 if self.rho0 is not None else max(10.0, critical + 1.0)
         if not 0 < rho0 < math.inf:
             raise ValueError(f"rho0 must be positive and finite, got {rho0}")
-        mu_0 = mu + 1.0 / rho0
-        lower = math.sqrt(mu_0 * step_clamp(mu_0))
-        if not lower <= self.inner.alpha0 <= 1:
-            raise ValueError(
-                f"alpha0 must lie in [sqrt(mu_0 * gamma_0), 1] = [{lower}, 1] for the modulus "
-                f"mu_0 and first step gamma_0 of the first inner solve, got {self.inner.alpha0}"
-            )
         return replace(self, rho0=rho0)
 
 
@@ -386,14 +385,6 @@ def _grows(step_norm: float, rho: float, complementarity: float, residual: float
     return max(step_norm / rho, complementarity) > residual
 
 
-def _check_inner_residual(certificate: Certificate, eta_k: float, k: int) -> None:
-    if not certificate.residual <= eta_k:
-        raise InvariantViolation(
-            f"inner solve at outer step {k} returned residual {certificate.residual} "
-            f"above its target eta_k = {eta_k}"
-        )
-
-
 def prox_al(conic: ConicProblem, params: OuterParams, init_x, init_lam) -> ProxAlResult:
     """First-order proximal augmented Lagrangian method with KKT certification.
 
@@ -409,14 +400,15 @@ def prox_al(conic: ConicProblem, params: OuterParams, init_x, init_lam) -> ProxA
     starts at c_k where P is finite, and at x_k otherwise.
     rho grows by zeta after a step whose ||x_{k+1} - c_k||/rho_k or
     complementarity residual ||lam_{k+1} - lam_k||/rho_k exceeds the inner
-    residual ||u||, and is held otherwise.  At every certificate it checks,
-    the inner solver also tests the outer
-    stopping rule: first ||u|| + ||x_tilde - c_k||/rho_k <= epsilon, which
-    costs no oracle call, and only then, with one counted g(x_tilde) and one
-    counted cone projection, ||lam_new - lam_k||/rho_k <= epsilon for the
-    updated multiplier lam_new.  The first certificate that passes ends
-    the inner solve, and its g(x_tilde) and lam_new are the step's
-    multiplier update.  The solve returns at the first outer step whose
+    residual ||u||, and is held otherwise.  An inner solve ends at the first
+    checked certificate that meets its target ||u|| <= eta_k, or that
+    proves the outer stopping rule: ||u|| + ||x_tilde - c_k||/rho_k <=
+    epsilon, which costs no oracle call, and then ||lam_new - lam_k||/rho_k
+    <= epsilon for the updated multiplier lam_new.  lam_new costs one
+    counted g(x_tilde) and one counted cone projection, and is formed once
+    for each certificate that passes either test on ||u||; the accepted
+    certificate's g(x_tilde) and lam_new are the step's multiplier update.
+    The solve returns at the first outer step whose
     KKT report has both residuals at most epsilon.  The paper's test (the
     scaled pair step ||(x, lam) step||/rho_k and eta_k both at most
     epsilon/2) implies the stopping rule.  Under an empty cone the
@@ -445,15 +437,16 @@ def prox_al(conic: ConicProblem, params: OuterParams, init_x, init_lam) -> ProxA
     for k in range(params.max_outer):
         eta_k = params.eta0 * params.sigma**k
         sub = build_al_subproblem(conic, center, lam, rho_k, counters=counters)
-        multiplier = sub.smooth.multiplier
-        passed = None  # (certificate, g(x_tilde), lam_new) of the last stationarity pass
+        accepted = (None, None, None)  # (certificate, g(x_tilde), lam_new)
 
         def done(cert):
-            nonlocal passed
-            if not _stationarity_bound(cert, center, rho_k) <= params.epsilon:
-                return False
-            passed = (cert, *multiplier(cert.x_tilde))
-            return _norm(passed[2] - lam) / rho_k <= params.epsilon
+            nonlocal accepted
+            at_target = cert.residual <= eta_k
+            if at_target or _stationarity_bound(cert, center, rho_k) <= params.epsilon:
+                gval, lam_new = sub.smooth.multiplier(cert.x_tilde)
+                if at_target or _norm(lam_new - lam) / rho_k <= params.epsilon:
+                    accepted = (cert, gval, lam_new)
+            return accepted[0] is cert
 
         before = counters.snapshot()
         try:
@@ -468,12 +461,13 @@ def prox_al(conic: ConicProblem, params: OuterParams, init_x, init_lam) -> ProxA
         except SolveTimeout as exc:
             # the outer solve's timeout, carrying its own best and trace
             raise SolveTimeout(f"inner solve at outer step {k}: {exc}", best=best, trace=trace) from exc
+        cert, gval, lam_new = accepted
+        if res.certificate is not cert:
+            raise InvariantViolation(
+                f"inner solve at outer step {k} returned a certificate (residual "
+                f"{res.certificate.residual}) its stop rule did not accept, at eta_k = {eta_k}"
+            )
         x_new = res.x
-        if passed is not None and passed[0] is res.certificate:  # stopped on the outer test
-            _, gval, lam_new = passed
-        else:
-            _check_inner_residual(res.certificate, eta_k, k)
-            gval, lam_new = multiplier(x_new)
         x_step = _norm(x_new - center)
         step = math.sqrt(x_step**2 + _norm(lam_new - lam) ** 2)
         report = kkt_report(conic, x_new, lam_new, res.certificate, rho_k, center, lam, gval)

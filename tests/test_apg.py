@@ -13,6 +13,7 @@ from proxcert import (
     L1Term,
     LineSearchFailure,
     NonFiniteOracleOutput,
+    NonnegativeTerm,
     OracleCounters,
     OuterParams,
     SolveTimeout,
@@ -65,12 +66,19 @@ def lying():
     (OuterParams, "max_outer", 2.5),
     (OuterParams, "max_outer", True),
     (OuterParams, "max_outer", -1),
+    (ApgParams, "alpha0", 0.0),
+    (ApgParams, "alpha0", 1.5),
+    (ApgParams, "delta", 0.0),
+    (ApgParams, "delta", 1.0),
+    (OuterParams, "zeta", 1.0),
+    (OuterParams, "eta0", 0.0),
+    (OuterParams, "eta0", 1.5),
 ])
 def test_params_reject_bad_values_at_construction(make, name, bad):
     base = {"epsilon": 1e-4} if make is OuterParams else {}
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(ValueError, match=f"^{name} must"):
         make(**base, **{name: bad})
-    if name != "gamma0":  # a NumPy integer is an integer
+    if name in ("M", "max_iters", "max_backtracks", "max_outer"):  # a NumPy integer is an integer
         assert getattr(make(**base, **{name: np.int64(3)}), name) == 3
 
 
@@ -264,6 +272,11 @@ class TestAdaptivePg:
         cert, n = certified_prox_step(quartic_1d, np.array([0.0]), 1.0, 0.5)
         assert (cert.x_tilde[0], cert.gamma_tilde, n) == (0.0, 1.0, 0)
 
+    def test_rejects_a_start_outside_the_domain(self):
+        problem = CompositeProblem(make_quadratic().smooth, NonnegativeTerm(1), mu=1.0)
+        with pytest.raises(ValueError, match="v must lie in the domain"):
+            certified_prox_step(problem, np.array([-1.0]), 1.0, 0.5)
+
 
 class TestCertificate:
     def test_zero_witness_at_solution(self, quadratic):
@@ -341,6 +354,11 @@ class TestApgTerminating:
     def test_rejects_non_finite_init(self, quadratic, bad):
         with pytest.raises(ValueError, match="init must be finite"):
             apg_terminating(quadratic, ApgParams(epsilon=1e-6), [bad])
+
+    @pytest.mark.parametrize("init", [[1.0, 2.0], [[1.0]], 1.0])
+    def test_rejects_init_of_the_wrong_shape(self, quadratic, init):
+        with pytest.raises(ValueError, match=r"init has shape .*, expected \(1,\)"):
+            initial_state(quadratic, ApgParams(), init)
 
 
 def test_trajectory_invariants_on_quartic():

@@ -145,6 +145,41 @@ class TestSolve:
         assert err.startswith("error: mu must be nonnegative and finite") and err.count("\n") == 1
         assert summary is None
 
+    @pytest.mark.parametrize("doc, message", [
+        ([1, 2], "spec file must contain a mapping"),
+        (dict(QUARTIC_PPA, solver="pga"), "solver must be one of"),
+        (dict(QUARTIC_PPA, problem=[1]), "problem must be a mapping"),
+        (dict(QUARTIC_PPA, problem={"kind": "cubic"}), "problem.kind must be quartic"),
+        (dict(QUARTIC_PPA, params=[1]), "params must be a mapping"),
+        *[
+            ({key: value for key, value in dict(QUARTIC_PPA, solver=solver).items()
+              if key != "epsilon"}, f"solver {solver} requires epsilon")
+            for solver in ("apg-cert", "ppa", "prox-al")
+        ],
+        (dict(QUARTIC_PPA, init=1.0), "init must be a list of numbers"),
+        (dict(QUARTIC_PPA, problem=dict(QUARTIC_PPA["problem"], prox={"weight": 1.0})),
+         "prox must be a mapping with a kind"),
+        (dict(NAMED_PROX_AL, problem={"kind": "named", "name": "eq-qp-3d"}),
+         "unknown named instance 'eq-qp-3d'"),
+    ], ids=[
+        "document", "solver", "problem", "problem-kind", "params", "apg-cert-epsilon",
+        "ppa-epsilon", "prox-al-epsilon", "init", "prox-kind", "named-instance",
+    ])
+    def test_malformed_spec_is_one_error_line(self, tmp_path, capsys, doc, message):
+        code, summary, _ = run_solve(tmp_path, doc)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert summary is None
+
+    @pytest.mark.parametrize("flag", ["--trace", "--summary"])
+    def test_unwritable_output_path_is_one_error_line(self, tmp_path, capsys, flag):
+        spec = write_spec(tmp_path / "spec.yaml", QUARTIC_PPA)
+        missing = tmp_path / "missing" / "out"
+        assert main(["solve", "--spec", spec, flag, str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err and err.count("\n") == 1
+
     def test_named_instance_prox_al(self, tmp_path):
         doc = {
             "version": 1,
@@ -239,12 +274,17 @@ class TestSolve:
                 "problem": dict(quartic, kind="constrained", m1=3, m2=1),
                 "params": {"max_iters": 12},
             }, 10),
+            (dict(NAMED_PROX_AL, params={"max_iters": 1}), 0),
         ]
         for doc, steps in cases:
             code, summary, rows = run_solve(tmp_path, doc)
             assert code == 2
             assert summary["termination"] == "timeout"
             assert len(rows) == steps
+            assert summary.get("outer_iterations", summary.get("iterations")) == steps
+            # the best so far: None before the first outer step ends
+            best = summary.get("kkt", summary.get("residual_bound"))
+            assert (best is None) == (steps == 0)
 
     def test_plain_apg_runs_its_budget(self, tmp_path):
         doc = {
@@ -277,12 +317,13 @@ class TestSolve:
 # The params blocks the CLI wrote for these specs when each solver's block
 # was written out by hand; deriving the block from the params dataclasses
 # added keys but must keep every one of these values.  ppa's block holds no
-# gamma0, since the loop sets the inner step itself.
+# gamma0 or alpha0, since the loop sets the inner step and weight itself, and
+# apg's holds no M, since it checks no certificate.
 PPA_BLOCK = {
-    "rho0": 10.0, "zeta": 2.0, "sigma": 0.4, "eta0": 1.0, "alpha0": 1.0,
+    "rho0": 10.0, "zeta": 2.0, "sigma": 0.4, "eta0": 1.0,
     "delta": 0.5, "M": 10, "max_outer": 50, "max_iters": 1000000,
 }
-APG_BLOCK = {"gamma0": 1.0, "alpha0": 1.0, "delta": 0.5, "M": 10, "max_backtracks": 100}
+APG_BLOCK = {"gamma0": 1.0, "alpha0": 1.0, "delta": 0.5, "max_backtracks": 100}
 PPA_BOX = dict(QUARTIC_PPA, init=[0.5, -0.5], problem={
     "kind": "quartic", "n": 2, "k_terms": 2, "seed": 6,
     "prox": {"kind": "box", "lower": -1, "upper": 1},
@@ -296,7 +337,7 @@ PINNED_BLOCKS = [
     (QUARTIC_PPA, PPA_BLOCK),
     (PPA_BOX, PPA_BLOCK),
     (NAMED_PROX_AL, PPA_BLOCK),
-    (APG_CERT, dict(APG_BLOCK, gamma0=0.999999999, max_iters=1000000)),
+    (APG_CERT, dict(APG_BLOCK, gamma0=0.999999999, M=10, max_iters=1000000)),
     (
         dict(APG_CERT, epsilon=1e-14, params={"max_iters": 5, "M": 2}, problem={
             "kind": "quartic", "n": 3, "k_terms": 2, "seed": 5, "mu_add": 1.0,
@@ -406,6 +447,9 @@ class TestParams:
         (QUARTIC_PPA, {"gamma0": 2.0}),  # so does ppa
         (QUARTIC_PPA, {"warm_start_gamma": True}),  # a removed key
         (APG_CERT, {"warm_start_gamma": False}),
+        (NAMED_PROX_AL, {"alpha0": 1.0}),  # prox-al and ppa set the inner alpha0 too
+        (QUARTIC_PPA, {"alpha0": 1.0}),
+        (APG_DEFAULT_BUDGET, {"M": 3}),  # apg checks no certificate
     ])
     def test_key_the_solver_does_not_read_rejected(self, tmp_path, capsys, doc, params):
         code, summary, _ = run_solve(tmp_path, dict(doc, params=params))
@@ -540,6 +584,34 @@ class TestSweep:
         assert code == 1
         assert rows is None
         assert "finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["1e-2,,1e-4", "1e-2,1e-4,", "1e-2,tiny"])
+    def test_eps_must_be_a_list_of_numbers(self, tmp_path, capsys, eps):
+        code, rows = self._sweep(tmp_path, QUARTIC_PPA, eps)
+        assert code == 1
+        assert rows is None
+        assert capsys.readouterr().err == "error: --eps must be a comma-separated list of numbers\n"
+
+    def test_unwritable_table_path_is_one_error_line(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "spec.yaml", QUARTIC_PPA)
+        out = tmp_path / "missing" / "table.csv"
+        assert main(["sweep", "--spec", spec, "--eps", "1e-2,1e-3", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
+
+    def test_line_search_failure_is_reported_before_the_abort(self, tmp_path, capsys):
+        doc = {
+            "version": 1, "solver": "apg-cert", "epsilon": 1e-4,
+            "problem": {"kind": "quartic", "n": 4, "k_terms": 3, "seed": 1, "mu_add": 1.0},
+            "params": {"max_backtracks": 1}, "init": [30, -30, 30, -30],
+        }
+        code, rows = self._sweep(tmp_path, doc, "1e-2,1e-4")
+        assert code == 2
+        assert rows == []  # the header alone
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert err[0].startswith("solve failed: line search failed at iteration 1")
+        assert err[1].startswith("sweep aborted: a run did not certify")
 
     def test_failed_run_writes_partial_table(self, tmp_path):
         doc = {

@@ -1,10 +1,11 @@
 """The outer loop stops at the first inner certificate that proves epsilon.
 
-At every certificate an inner solve checks, ``apg_terminating`` also asks
-the outer loop's stopping test (its ``done`` argument): ||u|| +
-||x_tilde - x_k||/rho_k <= eps, and then ||lam_new - lam_k||/rho_k <= eps
-for the multiplier updated at x_tilde, which an empty cone (the
-proximal-point solver) always passes.  These tests recompute the returned
+At every certificate an inner solve checks, ``apg_terminating`` asks the
+outer loop's stop rule (its ``done`` argument), which is its whole stop
+test: ||u|| <= eta_k, or else ||u|| + ||x_tilde - c_k||/rho_k <= eps and
+then ||lam_new - lam_k||/rho_k <= eps for the multiplier updated at
+x_tilde, which an empty cone (the proximal-point solver) always passes.
+These tests recompute the returned
 certificates from the raw oracles, check that no earlier checked
 certificate already passed the test, and that every raw call of g is
 booked.
@@ -21,6 +22,7 @@ from proxcert import (
     L1Term,
     NonnegativeTerm,
     OuterParams,
+    SolveTimeout,
     ZeroTerm,
     apg_terminating,
     build_al_subproblem,
@@ -93,19 +95,35 @@ def test_done_stops_at_the_first_check_where_it_holds():
         )
 
 
-def test_done_is_not_asked_once_the_residual_meets_epsilon():
+def test_done_is_the_whole_stop_test_past_epsilon():
+    # every checked certificate meets epsilon, and done, asked at each one,
+    # still keeps the solve running until its budget is spent
+    seen = []
+
     def done(cert):
-        raise AssertionError("done called at a certificate that already met epsilon")
+        seen.append(cert)
+        return False
 
-    res = apg_terminating(_quartic(), ApgParams(epsilon=1e3, M=3), np.zeros(6), done=done)
-    assert len(res.trace.rows) == 3
+    params = ApgParams(epsilon=1e3, M=3, max_iters=9)
+    with pytest.raises(SolveTimeout) as info:
+        apg_terminating(_quartic(), params, np.zeros(6), done=done)
+    rows = info.value.trace.rows
+    assert len(rows) == 9
+    assert [row.certificate for row in rows if row.certificate is not None] == seen
+    assert len(seen) == 3 and all(cert.residual <= params.epsilon for cert in seen)
 
 
-def test_done_false_leaves_the_solve_unchanged():
+def test_done_on_the_residual_reproduces_the_default_solve():
     problem, params = _quartic(), ApgParams(epsilon=1e-8, M=3)
     full = apg_terminating(problem, params, np.zeros(6))
-    res = apg_terminating(problem, params, np.zeros(6), done=lambda cert: False)
+    res = apg_terminating(
+        problem, params, np.zeros(6), done=lambda cert: cert.residual <= params.epsilon
+    )
     assert np.array_equal(res.x, full.x)
+    assert np.array_equal(res.certificate.witness, full.certificate.witness)
+    # rows compared without their certificates, whose arrays == cannot compare
+    rows = [row._replace(certificate=None) for row in res.trace.rows]
+    assert rows == [row._replace(certificate=None) for row in full.trace.rows]
     assert res.trace.counters == full.trace.counters
 
 

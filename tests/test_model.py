@@ -99,10 +99,23 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             AffineConstraint(**data)
 
+    @pytest.mark.parametrize("matrix, shift", [
+        (np.ones(3), np.zeros(3)),  # not 2-D
+        (np.ones((1, 2, 3)), np.zeros(1)),
+        (np.ones((2, 3)), np.zeros(3)),  # shift of the wrong length
+        (np.ones((2, 3)), np.zeros((2, 1))),
+    ])
+    def test_affine_constraint_rejects_bad_shapes(self, matrix, shift):
+        with pytest.raises(ValueError, match=r"^matrix must be \(m, n\) with shift of length m"):
+            AffineConstraint(matrix, shift)
+
     def test_conic_dims(self, quadratic):
         constraint = AffineConstraint(np.ones((2, 1)), np.zeros(2))
         with pytest.raises(ValueError, match="cone dim"):
             ConicProblem(quadratic, constraint, ConeSpec.nonneg(1))
+        wide = AffineConstraint(np.ones((2, 3)), np.zeros(2))
+        with pytest.raises(ValueError, match="constraint input dim 3 != problem dim 1"):
+            ConicProblem(quadratic, wide, ConeSpec.nonneg(2))
 
 
 def test_bundled_oracles_pass_gradient_check():

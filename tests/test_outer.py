@@ -24,6 +24,7 @@ from proxcert import (
     prox_al,
     residual_certificate,
 )
+from proxcert.apg import step_clamp
 from proxcert.model import (
     AffineConstraint,
     CallableConstraint,
@@ -298,6 +299,11 @@ class TestProxAl:
             with pytest.raises(ValueError, match="lam must be finite"):
                 prox_al(ineq1d, params, np.zeros(1), np.array(lam))
 
+    @pytest.mark.parametrize("lam", [np.zeros(2), np.zeros((1, 1)), np.zeros(0)])
+    def test_rejects_a_multiplier_of_the_wrong_shape(self, ineq1d, lam):
+        with pytest.raises(ValueError, match=r"lam has shape .*, expected \(1,\)"):
+            prox_al(ineq1d, OuterParams(epsilon=1e-4), np.zeros(1), lam)
+
     def test_large_projected_multiplier_is_a_valid_start(self):
         # re-projecting a projected multiplier of norm 1.2e7 moves it by
         # 3.7e-9, rounding alone, so the dual-cone check scales with |lam|
@@ -518,8 +524,8 @@ class TestOuterParams:
         unconstrained = ConicProblem.unconstrained(quartic_1d)
         assert params.resolved(unconstrained).rho0 == 10.0
         assert params.resolved(ineq1d).rho0 == 10.0  # c + 1 = 3.41 for mu = 2
-        wide = OuterParams(epsilon=1e-4, inner=ApgParams(gamma0=12.0))
-        assert wide.resolved(unconstrained).rho0 == 10.0  # the inner gamma0 is unread
+        with pytest.raises(ValueError, match="inner.gamma0 = 12.0"):  # the loop sets it
+            OuterParams(epsilon=1e-4, inner=ApgParams(gamma0=12.0))
         steep = ConicProblem(
             base=gen_quartic(QuarticSpec(n=2, k_terms=1, seed=0, mu_add=20.0)),
             constraint=eq_quadratic_2d().constraint,
@@ -540,12 +546,14 @@ class TestOuterParams:
 
     @pytest.mark.parametrize("conic", [False, True])
     def test_grow_path_alpha0_checked_against_the_clamp(self, quartic_1d, ineq1d, conic):
-        # the first inner step is the clamp, so mu_0 * gamma_0 = 1 - 1e-9
+        # the first inner step is the clamp, so mu_0 * gamma_0 = 1 - 1e-9 and
+        # alpha0 = 1 lies in [sqrt(mu_0 * gamma_0), 1]; the loop keeps it there
         problem = ineq1d if conic else ConicProblem.unconstrained(quartic_1d)
-        lower = OuterParams(epsilon=1e-4).resolved(problem)  # alpha0 = 1 passes
-        assert lower.inner.alpha0 == 1.0
-        with pytest.raises(ValueError, match=r"alpha0 must lie in \[sqrt\(mu_0 \* gamma_0\)"):
-            OuterParams(epsilon=1e-4, inner=ApgParams(alpha0=0.99999)).resolved(problem)
+        params = OuterParams(epsilon=1e-4).resolved(problem)
+        mu_0 = problem.base.mu + 1.0 / params.rho0
+        assert np.sqrt(mu_0 * step_clamp(mu_0)) <= params.inner.alpha0 == 1.0
+        with pytest.raises(ValueError, match="inner.alpha0 = 0.99999"):
+            OuterParams(epsilon=1e-4, inner=ApgParams(alpha0=0.99999))
 
     def test_ppa_alpha0_range(self, quartic_1d):
         with pytest.raises(ValueError, match="alpha0"):

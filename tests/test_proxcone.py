@@ -341,6 +341,16 @@ def test_non_finite_parameters_are_rejected_by_name(make, name):
         make()
 
 
+@pytest.mark.parametrize("lower, upper, message", [
+    ([0.0, 0.0], [1.0], "lower/upper must be 1-d arrays of equal length"),
+    ([[0.0]], [[1.0]], "lower/upper must be 1-d arrays of equal length"),
+    ([0.0, 2.0], [1.0, 1.0], "box requires lower <= upper componentwise"),
+])
+def test_box_rejects_unequal_shapes_and_crossed_bounds(lower, upper, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BoxTerm(lower, upper)
+
+
 def test_box_bounds_may_be_infinite_on_their_open_side():
     box = BoxTerm([-np.inf, 0.0], [1.0, np.inf])
     assert box.value(np.array([-1e300, 1e300])) == 0.0

@@ -13,15 +13,17 @@ def _nodes(path):
     return ast.walk(ast.parse(path.read_text(), filename=str(path)))
 
 
+def _is_call(node, name):
+    """Whether ``node`` calls ``name``, as a plain name or an attribute."""
+    return isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+    )
+
+
 def _calls(paths, name):
     """The sites, as file:line, of the calls to ``name`` in ``paths``."""
     return [
-        f"{path.name}:{node.lineno}"
-        for path in paths
-        for node in _nodes(path)
-        if isinstance(node, ast.Call) and name in (
-            getattr(node.func, "id", None), getattr(node.func, "attr", None)
-        )
+        f"{path.name}:{node.lineno}" for path in paths for node in _nodes(path) if _is_call(node, name)
     ]
 
 
@@ -44,6 +46,16 @@ def test_one_line_search():
     assert len(_calls(MODULES, "accepts_curvature_bound")) == 1
     apg = [path for path in MODULES if path.name == "apg.py"]
     assert len(_calls(apg, "LineSearchFailure")) == 1
+
+
+def test_one_multiplier_update_in_prox_al():
+    # an outer step's multiplier update is formed where its stop rule accepts
+    # a certificate, so the step and its KKT report use that certificate's
+    outer = Path(proxcert.__file__).parent / "outer.py"
+    (prox_al,) = [
+        node for node in _nodes(outer) if isinstance(node, ast.FunctionDef) and node.name == "prox_al"
+    ]
+    assert len([node for node in ast.walk(prox_al) if _is_call(node, "multiplier")]) == 1
 
 
 def _increments(paths, counters):
