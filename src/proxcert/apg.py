@@ -578,15 +578,15 @@ def apg_terminating(
     Every gradient and prox call of the solve is booked on ``counters``, or
     on fresh counters when it is None; the trace holds them either way.
 
-    Raises SolveTimeout (carrying the best certificate seen) when the
-    iteration budget runs out, and propagates line-search failures.
+    Raises SolveTimeout, carrying the first checked certificate of least
+    residual (None before the first check), when the iteration budget runs
+    out, and propagates line-search failures.
     """
     if not problem.mu > 0:
         raise ValueError("the certified solver requires mu > 0")
     if params.epsilon is None:
         raise ValueError("params.epsilon must be set for the certified solver")
     problem, state, trace = _prepare(problem, params, init, counters, first_step)
-    best: Certificate | None = None
     while state.t <= params.max_iters:
         new_state, trial, n_t = apg_iteration(problem, state, params, trace.gamma0)
         cert = n_tilde = None
@@ -601,10 +601,10 @@ def apg_terminating(
         state = new_state
         if cert is None:
             continue
-        if best is None or cert.residual < best.residual:
-            best = cert
         if cert.residual <= params.epsilon if done is None else done(cert):
             return TerminatingResult(x=cert.x_tilde, certificate=cert, trace=trace)
+    checked = [row.certificate for row in trace.rows if row.certificate is not None]
+    best = min(checked, key=lambda cert: cert.residual, default=None)
     raise SolveTimeout(
         f"no point certified at epsilon = {params.epsilon} within "
         f"{params.max_iters} iterations (best residual "

@@ -1,8 +1,9 @@
 """Command-line harness: run a solver on a spec file, emit traces and a summary.
 
 Spec files are YAML with an explicit ``version: 1`` and fail loudly on
-unknown keys.  Exit codes: 0 certified success, 1 spec/validation error,
-2 timeout (partial outputs still written) or solve failure (no outputs).
+unknown or repeated keys.  Exit codes: 0 certified success, 1 spec/validation
+error or bad output path (found before any solve), 2 timeout (partial outputs
+still written) or solve failure (no outputs).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 import time
 import types
@@ -84,6 +86,19 @@ _TRACE_CSV = {
 
 class SpecError(ValueError):
     """Invalid run specification."""
+
+
+class _SpecLoader(SPEC_LOADER):
+    """SPEC_LOADER, except that a mapping may not repeat a key, at any depth."""
+
+    def construct_mapping(self, node, deep=False):
+        mapping = super().construct_mapping(node, deep=deep)  # rejects unhashable keys
+        if len(mapping) < len(node.value):  # some key repeats: name the first repeat
+            keys = [self.construct_object(key, deep=deep) for key, _ in node.value]
+            i = next(i for i, key in enumerate(keys) if key in keys[:i])
+            line = node.value[i][0].start_mark.line + 1
+            raise SpecError(f"duplicate key {keys[i]!r} at line {line} of the spec file")
+        return mapping
 
 
 @dataclass(frozen=True)
@@ -198,7 +213,7 @@ def _vector(key: str, value, n: int, where: str) -> Array:
 def load_run_spec(path: str) -> RunSpec:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = yaml.load(fh, Loader=SPEC_LOADER)
+            doc = yaml.load(fh, Loader=_SpecLoader)
         except yaml.YAMLError as exc:
             # one line, like every other spec error
             raise SpecError(f"spec file is not valid YAML: {' '.join(str(exc).split())}") from None
@@ -355,6 +370,13 @@ def write_trace(trace: ApgTrace | OuterTrace, path: str):
         writer.writerows([_fmt(value) for value in cells(row)] for row in trace.rows)
 
 
+def _check_output_paths(*paths):
+    """SpecError unless each given path names a non-directory in a directory that exists."""
+    for path in filter(None, paths):
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise SpecError(f"output path {path} is a directory or in a missing one")
+
+
 def _write_outputs(outcome: RunOutcome, trace_path, summary_path):
     if trace_path:
         write_trace(outcome.trace, trace_path)
@@ -367,6 +389,7 @@ def _write_outputs(outcome: RunOutcome, trace_path, summary_path):
 def run(spec_path: str, trace_path=None, summary_path=None) -> int:
     """Solve a spec file; writes trace/summary when paths are given."""
     try:
+        _check_output_paths(trace_path, summary_path)
         spec = load_run_spec(spec_path)
         outcome = execute(spec)
         _write_outputs(outcome, trace_path, summary_path)
@@ -393,6 +416,7 @@ def sweep(spec_path: str, epsilons: list[float], out_path: str) -> int:
     rows = []
     prev = None
     try:
+        _check_output_paths(out_path)
         if len(epsilons) < 2:
             raise SpecError("sweep needs at least two epsilons")
         if not all(0 < eps < math.inf for eps in epsilons):

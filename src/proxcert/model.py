@@ -151,6 +151,8 @@ class CompositeProblem:
     mu: float = 0.0
 
     def __post_init__(self):
+        for part in ("smooth", "nonsmooth"):
+            require_count(f"{part} dim", getattr(self, part).dim)
         if self.smooth.dim != self.nonsmooth.dim:
             raise ValueError(
                 f"dimension mismatch: smooth dim {self.smooth.dim} != "
@@ -317,15 +319,6 @@ class OracleCounters:
     g_evals: int = 0
     adjoint_evals: int = 0
     cone_proj_evals: int = 0
-
-    def snapshot(self) -> "OracleCounters":
-        return OracleCounters(
-            self.grad_f_evals,
-            self.prox_evals,
-            self.g_evals,
-            self.adjoint_evals,
-            self.cone_proj_evals,
-        )
 
 
 class _CountingSmooth:

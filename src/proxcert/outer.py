@@ -125,25 +125,23 @@ class KktReport:
 
 @dataclass(frozen=True)
 class OuterTraceRow:
-    """One outer iteration; grad/prox_evals are cumulative over the solve.
+    """One outer step: its verifiable record and its counts.
 
-    ``center`` is the step's proximal center c_k, and step_norm is
-    ||(x_new - center, lam_new - lam_prev)||.
+    ``kkt_report`` re-derives kkt from certificate, center, rho_k, lam_prev
+    and lam_new.  The step's new point x_new is certificate.x_tilde, center
+    its proximal center c_k, and step_norm ||(x_new - center, lam_new -
+    lam_prev)||.  grad/prox_evals are cumulative over the solve.
     """
 
     k: int
     rho_k: float
     eta_k: float
     inner_iters: int
-    inner_grad_evals: int
-    inner_prox_evals: int
     step_norm: float
-    certified_inner_residual: float
     grad_evals: int
     prox_evals: int
     certificate: Certificate
     center: Array
-    x_new: Array
     lam_prev: Array
     lam_new: Array
     kkt: KktReport
@@ -289,7 +287,6 @@ def _norm(v: Array) -> float:
 
 def kkt_report(
     conic: ConicProblem,
-    x: Array,
     lam_new: Array,
     inner_certificate: Certificate,
     rho: float,
@@ -299,16 +296,16 @@ def kkt_report(
 ) -> KktReport:
     """Assemble optimality witnesses from an inner certificate and multiplier step.
 
-    Valid only for (x, lam_new) produced by the same outer step: the
-    certificate witness u lies in the subdifferential of the proximal AL
-    subproblem at x, and lam_new must equal the projected update of lam_prev
-    at x.  Then s = u - (x - center)/rho, for the step's proximal center,
-    is an explicit stationarity witness, and w = (lam_prev + rho g(x) -
-    lam_new)/rho lies in the normal cone of K* at lam_new with ||g(x) - w||
-    = ||lam_new - lam_prev||/rho bounding the complementarity residual.
-    ``gval`` may pass g(x) when the caller has already evaluated it; any
-    shape but the cone's is a ValueError, since a shorter g(x) would
-    broadcast through lam + rho g(x) and past every later shape check.  The complementarity defect
+    The point x is the certificate's x_tilde, where its witness u lies in
+    the subdifferential of the proximal AL subproblem, and lam_new must be
+    the same outer step's projected update of lam_prev at x.  Then s = u -
+    (x - center)/rho, for the step's proximal center, is an explicit
+    stationarity witness, and w = (lam_prev + rho g(x) - lam_new)/rho lies
+    in the normal cone of K* at lam_new with ||g(x) - w|| = ||lam_new -
+    lam_prev||/rho bounding the complementarity residual.  ``gval`` may pass
+    g(x) when the caller has already evaluated it; any shape but the cone's
+    is a ValueError, since a shorter g(x) would broadcast through lam + rho
+    g(x) and past every later shape check.  The complementarity defect
     |<lam_new, w>| is a sum of products, so its rounding error, and its
     tolerance, scale with ||lam_new|| * ||w||.  Under an empty cone w is
     empty and the complementarity residual and defects are 0, and no cone
@@ -316,7 +313,7 @@ def kkt_report(
     """
     if not 0 < rho < math.inf:
         raise ValueError(f"rho must be positive and finite, got {rho}")
-    x = np.asarray(x, dtype=float)
+    x = inner_certificate.x_tilde
     center = np.asarray(center, dtype=float)
     lam_new = np.asarray(lam_new, dtype=float)
     lam_prev = np.asarray(lam_prev, dtype=float)
@@ -372,6 +369,11 @@ def _stationarity_bound(certificate: Certificate, center: Array, rho: float) -> 
     return certificate.residual + _norm(certificate.x_tilde - center) / rho
 
 
+def _worst(report: KktReport) -> float:
+    """The larger of a KKT report's two residuals."""
+    return max(report.stationarity_residual, report.complementarity_residual)
+
+
 def _grows(step_norm: float, rho: float, complementarity: float, residual: float) -> bool:
     """Whether rho grows after an outer step: when a term it controls binds.
 
@@ -416,9 +418,9 @@ def prox_al(conic: ConicProblem, params: OuterParams, init_x, init_lam) -> ProxA
     projects nothing, and the complementarity residual is 0.
 
     Raises SolveTimeout when the outer budget or an inner solve's iteration
-    budget runs out; its ``best`` is the KKT report whose larger residual is
-    the least so far (None before the first step ends) and its ``trace`` the
-    outer trace.
+    budget runs out; its ``best`` is the KKT report of the first row whose
+    larger residual is least (None before the first step ends) and its
+    ``trace`` the outer trace.
     """
     params = params.resolved(conic)
 
@@ -429,8 +431,6 @@ def prox_al(conic: ConicProblem, params: OuterParams, init_x, init_lam) -> ProxA
     lam = _require_dual(conic, init_lam).copy()
     rows: list[OuterTraceRow] = []
     trace = OuterTrace(rows=rows, counters=counters)
-    best = None
-    best_res = math.inf
     first_step = None
     grows = 0
     rho_k = params.rho0
@@ -448,7 +448,6 @@ def prox_al(conic: ConicProblem, params: OuterParams, init_x, init_lam) -> ProxA
                     accepted = (cert, gval, lam_new)
             return accepted[0] is cert
 
-        before = counters.snapshot()
         try:
             res = apg_terminating(
                 sub,
@@ -460,6 +459,7 @@ def prox_al(conic: ConicProblem, params: OuterParams, init_x, init_lam) -> ProxA
             )
         except SolveTimeout as exc:
             # the outer solve's timeout, carrying its own best and trace
+            best = min((row.kkt for row in rows), key=_worst, default=None)
             raise SolveTimeout(f"inner solve at outer step {k}: {exc}", best=best, trace=trace) from exc
         cert, gval, lam_new = accepted
         if res.certificate is not cert:
@@ -470,32 +470,24 @@ def prox_al(conic: ConicProblem, params: OuterParams, init_x, init_lam) -> ProxA
         x_new = res.x
         x_step = _norm(x_new - center)
         step = math.sqrt(x_step**2 + _norm(lam_new - lam) ** 2)
-        report = kkt_report(conic, x_new, lam_new, res.certificate, rho_k, center, lam, gval)
+        report = kkt_report(conic, lam_new, res.certificate, rho_k, center, lam, gval)
         rows.append(
             OuterTraceRow(
                 k=k,
                 rho_k=rho_k,
                 eta_k=eta_k,
                 inner_iters=len(res.trace.rows),
-                inner_grad_evals=counters.grad_f_evals - before.grad_f_evals,
-                inner_prox_evals=counters.prox_evals - before.prox_evals,
                 step_norm=step,
-                certified_inner_residual=res.certificate.residual,
                 grad_evals=counters.grad_f_evals,
                 prox_evals=counters.prox_evals,
                 certificate=res.certificate,
                 center=center,
-                x_new=x_new,
                 lam_prev=lam,
                 lam_new=lam_new,
                 kkt=report,
             )
         )
-        worst = max(report.stationarity_residual, report.complementarity_residual)
-        if worst < best_res:
-            best_res = worst
-            best = report
-        if worst <= params.epsilon:
+        if _worst(report) <= params.epsilon:
             return ProxAlResult(x=x_new, lam=lam_new, report=report, trace=trace)
         grows += _grows(x_step, rho_k, report.complementarity_residual, res.certificate.residual)
         rho_k = params.rho0 * params.zeta**grows
@@ -511,8 +503,9 @@ def prox_al(conic: ConicProblem, params: OuterParams, init_x, init_lam) -> ProxA
         start = center if conic.base.nonsmooth.value(center) < math.inf else x_new
         x, lam, a_k = x_new, lam_new, a_next
         first_step = res.trace.rows[-1].gamma_t
+    best = min((row.kkt for row in rows), key=_worst)  # the first least
     raise SolveTimeout(
-        f"outer budget of {params.max_outer} exhausted; best KKT residual {best_res}",
+        f"outer budget of {params.max_outer} exhausted; best KKT residual {_worst(best)}",
         best=best,
         trace=trace,
     )

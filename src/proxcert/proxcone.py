@@ -148,8 +148,8 @@ class SquaredL2Term:
         if not 0 < self.coef < math.inf:
             raise ValueError(f"coef must be positive and finite, got {self.coef}")
         center = np.asarray(self.center, dtype=float)
-        if not np.isfinite(center).all():
-            raise ValueError(f"center must be finite, got {center}")
+        if center.ndim != 1 or not np.isfinite(center).all():
+            raise ValueError(f"center must be a finite 1-d array, got {center}")
         object.__setattr__(self, "center", center)
 
     @property

@@ -172,6 +172,15 @@ def trajectory_invariant_violations(problem, trace, states, delta=0.5, alpha_tol
     return violations
 
 
+def counts_before(rows):
+    """The cumulative (grad, prox) counts at the start of each outer row's inner solve.
+
+    They are the previous row's cumulative counts, (0, 0) on row 0: nothing
+    between two inner solves books a gradient or a prox call.
+    """
+    return [(0, 0)] + [(row.grad_evals, row.prox_evals) for row in rows[:-1]]
+
+
 def accounting_violations(trace, start_grad=0, start_prox=0):
     """Exact per-iteration evaluation counts along one trace.
 

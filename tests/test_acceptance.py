@@ -39,6 +39,7 @@ from helpers import (
     accounting_violations,
     check_gradient,
     composite_value,
+    counts_before,
     criterion6_specs,
     ppa_subproblem,
     recorded_iterates,
@@ -97,15 +98,10 @@ def suite1():
             with recorded_iterates() as rec:
                 res = ppa_unconstrained(problem, OuterParams(epsilon=eps), init)
             traces = []
-            for row, inner in zip(res.trace.rows, rec.inner, strict=True):
+            rows = res.trace.rows
+            for row, inner, before in zip(rows, rec.inner, counts_before(rows), strict=True):
                 sub = ppa_subproblem(problem, row.center, row.rho_k)
-                traces.append((
-                    sub,
-                    inner.trace,
-                    inner.states,
-                    row.grad_evals - row.inner_grad_evals,
-                    row.prox_evals - row.inner_prox_evals,
-                ))
+                traces.append((sub, inner.trace, inner.states, *before))
             sub_final = ppa_subproblem(problem, res.center_final, res.rho_final)
             records.append(SolveRecord(
                 label=label, mu=mu, epsilon=eps,

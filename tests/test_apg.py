@@ -343,6 +343,19 @@ class TestApgTerminating:
         assert info.value.best.residual > 0
         assert len(info.value.trace.rows) == 8
 
+    def test_timeout_best_is_the_first_checked_certificate_of_least_residual(self):
+        # at the rounding floor the residuals stall and repeat: the least is
+        # neither the last nor the only one of its value
+        problem = gen_quartic(QuarticSpec(n=3, k_terms=2, seed=5, mu_add=1.0))
+        params = ApgParams(M=1, epsilon=1e-300, max_iters=200)
+        with pytest.raises(SolveTimeout) as info:
+            apg_terminating(problem, params, np.ones(3))
+        checked = [row.certificate for row in info.value.trace.rows if row.certificate is not None]
+        residuals = [cert.residual for cert in checked]
+        first = residuals.index(min(residuals))
+        assert first < len(checked) - 1 and residuals.count(residuals[first]) > 1
+        assert info.value.best is checked[first]
+
     def test_certificate_cadence(self, quadratic):
         params = ApgParams(gamma0=0.5, M=3, epsilon=1e-30, max_iters=9)
         with pytest.raises(SolveTimeout) as info:

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -21,9 +24,23 @@ QUARTIC_PPA = {
 
 
 def write_spec(path, doc):
-    path.write_text(yaml.safe_dump(doc))
+    """Write ``doc``, a mapping to dump or the spec's text, and return its path."""
+    path.write_text(doc if isinstance(doc, str) else yaml.safe_dump(doc))
     return str(path)
 
+
+# QUARTIC_PPA's text at epsilon 1e-6, whose cases below repeat one key each
+QUARTIC_PPA_TEXT = """\
+version: 1
+solver: ppa
+epsilon: 1.0e-6
+problem:
+  kind: quartic
+  n: 1
+  k_terms: 1
+  seed: 3
+  mu_add: 0.0
+"""
 
 NAMED_PROX_AL = {
     "version": 1,
@@ -37,7 +54,15 @@ APG_CERT = {
     "epsilon": 1e-6,
     "problem": {"kind": "quartic", "n": 4, "k_terms": 3, "seed": 5, "mu_add": 1.0},
 }
+TIMEOUT_APG_CERT = {  # runs out of its 5 iterations
+    "version": 1, "solver": "apg-cert", "epsilon": 1e-14,
+    "problem": {"kind": "quartic", "n": 3, "k_terms": 2, "seed": 5, "mu_add": 1.0},
+    "params": {"max_iters": 5, "M": 2},
+}
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 INNER_HEADER = ["t", "n_t", "gamma_t", "alpha_t", "beta_t", "F", "lambda_prod",
@@ -161,9 +186,18 @@ class TestSolve:
          "prox must be a mapping with a kind"),
         (dict(NAMED_PROX_AL, problem={"kind": "named", "name": "eq-qp-3d"}),
          "unknown named instance 'eq-qp-3d'"),
+        # a repeated key, at any depth, once took its last value: the first
+        # of these specs solved at 1e-2
+        (QUARTIC_PPA_TEXT.replace("1.0e-6\n", "1.0e-6\nepsilon: 1.0e-2\n"),
+         "duplicate key 'epsilon' at line 4 of the spec file"),
+        (QUARTIC_PPA_TEXT.replace("seed: 3\n", "seed: 3\n  seed: 4\n"),
+         "duplicate key 'seed' at line 9 of the spec file"),
+        (QUARTIC_PPA_TEXT + "  prox: {kind: l1, weight: 1.0, weight: 2.0}\n",
+         "duplicate key 'weight' at line 10 of the spec file"),
     ], ids=[
         "document", "solver", "problem", "problem-kind", "params", "apg-cert-epsilon",
         "ppa-epsilon", "prox-al-epsilon", "init", "prox-kind", "named-instance",
+        "duplicate-top", "duplicate-problem", "duplicate-prox",
     ])
     def test_malformed_spec_is_one_error_line(self, tmp_path, capsys, doc, message):
         code, summary, _ = run_solve(tmp_path, doc)
@@ -173,12 +207,21 @@ class TestSolve:
         assert summary is None
 
     @pytest.mark.parametrize("flag", ["--trace", "--summary"])
-    def test_unwritable_output_path_is_one_error_line(self, tmp_path, capsys, flag):
+    def test_unwritable_output_path_is_one_error_line(self, tmp_path, capsys, monkeypatch, flag):
+        # checked before the solve: no solve runs and the other output is not
+        # written, where the trace was once written before the summary failed
+        calls = []
+        monkeypatch.setattr(cli, "ppa_unconstrained", lambda *args: calls.append(args))
         spec = write_spec(tmp_path / "spec.yaml", QUARTIC_PPA)
-        missing = tmp_path / "missing" / "out"
-        assert main(["solve", "--spec", spec, flag, str(missing)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(missing) in err and err.count("\n") == 1
+        other_flag = {"--trace": "--summary", "--summary": "--trace"}[flag]
+        other = tmp_path / "other"
+        for bad in (tmp_path / "missing" / "out", tmp_path):  # no such directory; a directory
+            assert main(["solve", "--spec", spec, flag, str(bad), other_flag, str(other)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: output path ") and str(bad) in err
+            assert err.count("\n") == 1
+            assert not other.exists()
+        assert calls == []
 
     def test_named_instance_prox_al(self, tmp_path):
         doc = {
@@ -258,13 +301,7 @@ class TestSolve:
     def test_timeout_exit_code_and_partial_outputs(self, tmp_path):
         quartic = {"kind": "quartic", "n": 20, "k_terms": 5, "seed": 3, "mu_add": 0}
         cases = [  # (spec, trace rows); the last two run out of inner iterations
-            ({
-                "version": 1,
-                "solver": "apg-cert",
-                "epsilon": 1e-14,
-                "problem": {"kind": "quartic", "n": 3, "k_terms": 2, "seed": 5, "mu_add": 1.0},
-                "params": {"max_iters": 5, "M": 2},
-            }, 5),
+            (TIMEOUT_APG_CERT, 5),
             ({
                 "version": 1, "solver": "ppa", "epsilon": 1e-10, "problem": quartic,
                 "params": {"max_iters": 3},
@@ -371,6 +408,36 @@ ENTRY_POINTS = {
     "ppa": "ppa_unconstrained",
     "prox-al": "prox_al",
 }
+
+
+class TestProcess:
+    """``python -m proxcert.cli solve`` run as its own process, as a shell runs it."""
+
+    @pytest.mark.parametrize("doc, code, err", [
+        (QUARTIC_PPA, 0, ""),
+        (dict(QUARTIC_PPA, solver="pga"), 1, "error: solver must be one of"),
+        (TIMEOUT_APG_CERT, 2, "not certified: timeout"),
+    ], ids=["certified", "error", "timeout"])
+    def test_exit_code_and_outputs(self, tmp_path, doc, code, err):
+        spec = write_spec(tmp_path / "spec.yaml", doc)
+        trace, summary = tmp_path / "trace.csv", tmp_path / "summary.json"
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "proxcert.cli", "solve", "--spec", spec,
+             "--trace", str(trace), "--summary", str(summary)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+        )
+        assert done.returncode == code
+        assert done.stdout == ""
+        assert done.stderr.startswith(err) and done.stderr.count("\n") == (code != 0)
+        if code == 1:  # an error writes nothing
+            assert not trace.exists() and not summary.exists()
+            return
+        # a timeout writes its partial outputs: a header, then a row a step
+        doc = json.loads(summary.read_text())
+        assert doc["termination"] == ("timeout" if code == 2 else "certified")
+        steps = doc.get("outer_iterations", doc.get("iterations"))
+        assert steps > 0 and len(trace.read_text().splitlines()) == steps + 1
 
 
 class TestEntryPoints:
@@ -592,12 +659,15 @@ class TestSweep:
         assert rows is None
         assert capsys.readouterr().err == "error: --eps must be a comma-separated list of numbers\n"
 
-    def test_unwritable_table_path_is_one_error_line(self, tmp_path, capsys):
+    def test_unwritable_table_path_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "ppa_unconstrained", lambda *args: calls.append(args))
         spec = write_spec(tmp_path / "spec.yaml", QUARTIC_PPA)
         out = tmp_path / "missing" / "table.csv"
         assert main(["sweep", "--spec", spec, "--eps", "1e-2,1e-3", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
+        assert calls == []  # checked before the first solve
 
     def test_line_search_failure_is_reported_before_the_abort(self, tmp_path, capsys):
         doc = {

@@ -157,7 +157,7 @@ def test_ppa_exits_at_the_first_certificate_proving_epsilon(n, k, term):
     for row, earlier in checked[:-1]:
         assert not _bound(earlier, row.center, row.rho_k) <= PPA_EPS
     for row in res.trace.rows[:-1]:
-        assert row.certified_inner_residual <= row.eta_k
+        assert row.certificate.residual <= row.eta_k
         assert row.kkt.stationarity_residual > PPA_EPS
 
 
@@ -192,7 +192,7 @@ def _check_prox_al(conic, params, x0, lam0):
     assert np.array_equal(res.x, cert.x_tilde)
     lam_new = project_dual(conic.cone, last.lam_prev + last.rho_k * conic.constraint.value(res.x))
     assert np.array_equal(lam_new, res.lam)
-    again = kkt_report(conic, res.x, res.lam, cert, last.rho_k, last.center, last.lam_prev)
+    again = kkt_report(conic, res.lam, cert, last.rho_k, last.center, last.lam_prev)
     assert np.array_equal(again.stationarity_witness, res.report.stationarity_witness)
     assert np.array_equal(again.complementarity_witness, res.report.complementarity_witness)
     assert again.stationarity_residual <= eps
@@ -209,7 +209,7 @@ def _check_prox_al(conic, params, x0, lam0):
         assert not moved / row.rho_k <= eps
         held_back += 1
     for row in res.trace.rows[:-1]:
-        assert row.certified_inner_residual <= row.eta_k
+        assert row.certificate.residual <= row.eta_k
         assert max(row.kkt.stationarity_residual, row.kkt.complementarity_residual) > eps
     return held_back
 

@@ -36,6 +36,7 @@ from proxcert.problems import QuarticSpec, gen_constrained, gen_quartic
 from helpers import (
     accepted_trial,
     accounting_violations,
+    counts_before,
     criterion6_specs,
     ppa_subproblem,
     recorded_iterates,
@@ -83,30 +84,29 @@ def _prox_al_runs():
     return out
 
 
-def _inner_traces(row, inner, sub):
-    return (
-        sub,
-        inner.trace,
-        inner.states,
-        row.grad_evals - row.inner_grad_evals,
-        row.prox_evals - row.inner_prox_evals,
-        row.certificate,
-    )
+def _inner_traces(rows, inner, subproblem):
+    """Each outer step's (subproblem, inner trace, states, counts before, certificate)."""
+    return [
+        (subproblem(row), solve.trace, solve.states, *before, row.certificate)
+        for row, solve, before in zip(rows, inner, counts_before(rows), strict=True)
+    ]
 
 
 def _ppa_traces():
     problem, res, inner = _ppa_run()
-    return [
-        _inner_traces(row, solve, ppa_subproblem(problem, row.center, row.rho_k))
-        for row, solve in zip(res.trace.rows, inner, strict=True)
-    ]
+    return _inner_traces(
+        res.trace.rows, inner, lambda row: ppa_subproblem(problem, row.center, row.rho_k)
+    )
 
 
 def _prox_al_traces():
     return [
-        _inner_traces(row, solve, build_al_subproblem(conic, row.center, row.lam_prev, row.rho_k))
+        trace
         for conic, res, inner in _prox_al_runs()
-        for row, solve in zip(res.trace.rows, inner, strict=True)
+        for trace in _inner_traces(
+            res.trace.rows, inner,
+            lambda row: build_al_subproblem(conic, row.center, row.lam_prev, row.rho_k),
+        )
     ]
 
 

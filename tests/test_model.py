@@ -10,6 +10,7 @@ from proxcert import (
     ConeSpec,
     ConicProblem,
     L1Term,
+    NonnegativeTerm,
     OracleCounters,
     SquaredL2Term,
     ZeroTerm,
@@ -79,6 +80,21 @@ class TestProblemValidation:
     def test_dim_mismatch(self, quadratic):
         with pytest.raises(ValueError, match="dimension mismatch"):
             CompositeProblem(quadratic.smooth, ZeroTerm(2))
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda smooth: CompositeProblem(smooth(-1), ZeroTerm(-1)), "smooth dim .* got -1"),
+        (lambda smooth: CompositeProblem(smooth(0), NonnegativeTerm(0)), "smooth dim .* got 0"),
+        (lambda smooth: CompositeProblem(smooth(2), ZeroTerm(2.5)), "nonsmooth dim .* got 2.5"),
+        (lambda smooth: CompositeProblem(smooth(1), L1Term(True, 1.0)), "nonsmooth dim .* got True"),
+        # a 2-D center would report dim 4 and fail at its first prox
+        (lambda smooth: SquaredL2Term(1.0, np.ones((2, 2))), "center must be a finite 1-d array"),
+    ], ids=["negative", "zero", "fractional", "bool", "l2-center-2d"])
+    def test_dims_must_be_positive_integers(self, make, message):
+        def smooth(dim):
+            return CallableSmooth(dim, lambda x: 0.5 * float(x @ x), lambda x: x.copy())
+
+        with pytest.raises(ValueError, match=f"^{message}"):
+            make(smooth)
 
     def test_negative_mu(self, quadratic):
         with pytest.raises(ValueError, match="mu"):

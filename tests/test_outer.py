@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -156,7 +156,7 @@ class TestPpaUnconstrained:
     def test_output_bound_assembled_from_last_step(self, quartic_1d):
         res = ppa_unconstrained(quartic_1d, OuterParams(epsilon=1e-5), [1.0])
         last = res.trace.rows[-1]
-        s = last.certificate.witness - (last.x_new - last.center) / last.rho_k
+        s = last.certificate.witness - (last.certificate.x_tilde - last.center) / last.rho_k
         assert np.array_equal(last.kkt.stationarity_witness, s)
         assert np.array_equal(res.witness, s)
         assert res.residual_bound == last.kkt.stationarity_residual == float(np.linalg.norm(s))
@@ -246,8 +246,8 @@ class TestProxAl:
             assert row.lam_new[0] >= 0.0
             # only a last inner solve that stopped on the outer test may end
             # above eta_k; its KKT residuals must then meet epsilon instead
-            bound = row.certified_inner_residual + float(
-                np.linalg.norm(row.x_new - row.center)
+            bound = row.certificate.residual + float(
+                np.linalg.norm(row.certificate.x_tilde - row.center)
             ) / row.rho_k
             stopped = (
                 row is res.trace.rows[-1]
@@ -257,14 +257,14 @@ class TestProxAl:
             if stopped:
                 assert row.kkt.stationarity_residual <= eps
             else:
-                assert row.certified_inner_residual <= row.eta_k
+                assert row.certificate.residual <= row.eta_k
 
     def test_kkt_witnesses_recompute_from_trace(self, ineq1d):
         res = prox_al(ineq1d, OuterParams(epsilon=1e-4), np.zeros(1), np.zeros(1))
         for row in res.trace.rows:
-            s = row.certificate.witness - (row.x_new - row.center) / row.rho_k
+            s = row.certificate.witness - (row.certificate.x_tilde - row.center) / row.rho_k
             assert np.max(np.abs(s - row.kkt.stationarity_witness)) <= 1e-12
-            gval = ineq1d.constraint.value(row.x_new)
+            gval = ineq1d.constraint.value(row.certificate.x_tilde)
             w = (row.lam_prev + row.rho_k * gval - row.lam_new) / row.rho_k
             assert np.max(np.abs(w - row.kkt.complementarity_witness)) <= 1e-12
 
@@ -324,8 +324,8 @@ class TestProxAl:
 
     def test_maps_x_new_once_per_outer_step(self, ineq1d):
         # the stopping test maps x_tilde through the counted g, and the
-        # multiplier update and kkt_report reuse that value (or one counted
-        # g(x_new)), so every raw call of g is one that g_evals books
+        # multiplier update and kkt_report reuse that value, so every raw
+        # call of g is one that g_evals books
         raw_calls = []
         matrix, shift = ineq1d.constraint.matrix, ineq1d.constraint.shift
 
@@ -340,8 +340,8 @@ class TestProxAl:
         assert res.trace.counters.g_evals == 112
         assert len(raw_calls) == res.trace.counters.g_evals
         last = res.trace.rows[-1]
-        again = kkt_report(ineq1d, last.x_new, last.lam_new, last.certificate, last.rho_k,
-                           last.center, last.lam_prev)
+        again = kkt_report(ineq1d, last.lam_new, last.certificate, last.rho_k, last.center,
+                           last.lam_prev)
         assert np.array_equal(again.stationarity_witness, res.report.stationarity_witness)
         assert np.array_equal(again.complementarity_witness, res.report.complementarity_witness)
         assert again.witness_defects == res.report.witness_defects
@@ -393,8 +393,8 @@ class TestExtrapolatedCenters:
         assert res.report.complementarity_residual <= eps
         assert res.trace.counters.grad_f_evals < 20_000
         last = res.trace.rows[-1]
-        again = kkt_report(conic, last.x_new, last.lam_new, last.certificate, last.rho_k,
-                           last.center, last.lam_prev)
+        again = kkt_report(conic, last.lam_new, last.certificate, last.rho_k, last.center,
+                           last.lam_prev)
         assert same_report(again, res.report)
 
     def test_centers_follow_the_momentum_and_may_leave_dom_p(self, nonneg_seed13):
@@ -404,19 +404,20 @@ class TestExtrapolatedCenters:
         assert np.array_equal(rows[0].center, np.zeros(6))
         # mu = 0, so q = 0: a_{k+1}^2 = (1 - a_{k+1}) a_k^2 from a_0 = 1, and
         # c_{k+1} = x_{k+1} + beta_k (x_{k+1} - x_k) from x_0 = 0
+        # each step's new point x_{k+1} is its certificate's x_tilde
+        points = [row.certificate.x_tilde for row in rows]
         a, x_prev = 1.0, np.zeros(6)
-        for prev, row in zip(rows, rows[1:]):
+        for x_new, row in zip(points, rows[1:]):
             a_next = (np.sqrt(a**4 + 4.0 * a**2) - a**2) / 2.0
             beta = a * (1.0 - a) / (a**2 + a_next)
-            assert np.allclose(row.center, prev.x_new + beta * (prev.x_new - x_prev),
-                               rtol=1e-12, atol=1e-15)
-            a, x_prev = a_next, prev.x_new
-        assert any(not np.array_equal(row.center, prev.x_new) for prev, row in zip(rows, rows[1:]))
+            assert np.allclose(row.center, x_new + beta * (x_new - x_prev), rtol=1e-12, atol=1e-15)
+            a, x_prev = a_next, x_new
+        assert any(not np.array_equal(row.center, x_new) for x_new, row in zip(points, rows[1:]))
         assert any(prox.value(row.center) == np.inf for row in rows)
-        assert all(prox.value(row.x_new) == 0.0 for row in rows)
+        assert all(prox.value(x_new) == 0.0 for x_new in points)
         for row in rows:
-            again = kkt_report(conic, row.x_new, row.lam_new, row.certificate, row.rho_k,
-                               row.center, row.lam_prev)
+            again = kkt_report(conic, row.lam_new, row.certificate, row.rho_k, row.center,
+                               row.lam_prev)
             assert same_report(again, row.kkt)
 
 
@@ -425,7 +426,7 @@ class TestKktReport:
         x, lam = np.array([1.0]), np.array([2.0])
         cert = Certificate(x_pre=x, x_tilde=x, gamma_tilde=1.0,
                            witness=np.zeros(1), residual=0.0)
-        report = kkt_report(ineq1d, x, lam, cert, 1.0, x, lam)
+        report = kkt_report(ineq1d, lam, cert, 1.0, x, lam)
         assert report.stationarity_residual == 0.0
         assert report.complementarity_residual == 0.0
         assert report.witness_defects == (0.0, 0.0)
@@ -438,7 +439,7 @@ class TestKktReport:
         assert multiplier_update(ineq1d.cone, lam_prev, rho, ineq1d.constraint.value(x))[0] == pytest.approx(2.0)
         u = np.array([2.0 * 1.1 + (-1.0) * 2.0])  # exact stationarity element, x_prev = x
         cert = Certificate(x_pre=x, x_tilde=x, gamma_tilde=1.0, witness=u, residual=abs(u[0]))
-        report = kkt_report(ineq1d, x, lam_new, cert, rho, x, lam_prev)
+        report = kkt_report(ineq1d, lam_new, cert, rho, x, lam_prev)
         assert report.stationarity_residual == pytest.approx(0.2, abs=1e-12)
         assert report.complementarity_residual == pytest.approx(0.1, abs=1e-12)
 
@@ -451,7 +452,7 @@ class TestKktReport:
         lam_new = multiplier_update(ineq1d.cone, lam_prev, rho, gval)
         assert lam_new[0] == pytest.approx(1.5)
         cert = Certificate(x_pre=x, x_tilde=x, gamma_tilde=1.0, witness=np.zeros(1), residual=0.0)
-        report = kkt_report(ineq1d, x, lam_new, cert, rho, x, lam_prev)
+        report = kkt_report(ineq1d, lam_new, cert, rho, x, lam_prev)
         assert np.array_equal(report.complementarity_witness, np.zeros(1))
         assert report.witness_defects == (0.0, 0.0)
         assert report.complementarity_residual == pytest.approx(float(np.abs(gval[0])), abs=1e-15)
@@ -460,7 +461,7 @@ class TestKktReport:
         x = np.array([0.75])
         cert = Certificate(x_pre=x, x_tilde=x, gamma_tilde=1.0, witness=np.zeros(1), residual=0.0)
         with pytest.raises(AssertionError, match="witness defects"):
-            kkt_report(ineq1d, x, np.array([5.0]), cert, 2.0, x, np.array([1.0]))
+            kkt_report(ineq1d, np.array([5.0]), cert, 2.0, x, np.array([1.0]))
 
     def test_large_multipliers_pass_with_a_rounding_level_defect(self):
         # the scale of an infeasible run's late outer steps: lam_new is the
@@ -475,7 +476,7 @@ class TestKktReport:
         lam_new = multiplier_update(conic.cone, lam_prev, rho, gval)
         x = np.zeros(5)
         cert = Certificate(x_pre=x, x_tilde=x, gamma_tilde=1.0, witness=np.zeros(5), residual=0.0)
-        report = kkt_report(conic, x, lam_new, cert, rho, x, lam_prev, gval)
+        report = kkt_report(conic, lam_new, cert, rho, x, lam_prev, gval)
         w_norm = float(np.linalg.norm(report.complementarity_witness))
         defect = report.witness_defects[1]
         assert np.linalg.norm(lam_new) > 1e7
@@ -485,7 +486,7 @@ class TestKktReport:
         x = np.array([0.75])
         cert = Certificate(x_pre=x, x_tilde=x, gamma_tilde=1.0, witness=np.zeros(1), residual=0.0)
         with pytest.raises(ValueError, match="constraint map returned shape"):
-            kkt_report(ineq1d, x, np.array([1.0]), cert, 2.0, x, np.array([1.0]), np.zeros(0))
+            kkt_report(ineq1d, np.array([1.0]), cert, 2.0, x, np.array([1.0]), np.zeros(0))
 
     @pytest.mark.parametrize("rho", [0.0, -1.0, np.inf, np.nan])
     def test_rho_must_be_positive_and_finite(self, ineq1d, rho):
@@ -496,13 +497,13 @@ class TestKktReport:
         empty = ConicProblem.unconstrained(ineq1d.base)
         for conic, lam in ((ineq1d, np.array([1.0])), (empty, np.zeros(0))):
             with pytest.raises(ValueError, match="rho must be positive and finite"):
-                kkt_report(conic, x, lam, cert, rho, x + 1.0, lam)
+                kkt_report(conic, lam, cert, rho, x + 1.0, lam)
 
     def test_mismatched_multiplier_is_an_invariant_violation(self, ineq1d):
         x = np.array([0.75])
         cert = Certificate(x_pre=x, x_tilde=x, gamma_tilde=1.0, witness=np.zeros(1), residual=0.0)
         with pytest.raises(InvariantViolation, match="witness defects"):
-            kkt_report(ineq1d, x, np.array([5.0]), cert, 2.0, x, np.array([1.0]))
+            kkt_report(ineq1d, np.array([5.0]), cert, 2.0, x, np.array([1.0]))
 
 
 class TestOuterParams:
@@ -587,9 +588,9 @@ def grow_decisions(rows, params):
         assert row.eta_k == params.eta0 * params.sigma**row.k
         assert row.rho_k == params.rho0 * params.zeta**grows
         assert row.rho_k <= params.rho0 * params.zeta**row.k
-        prox_step = float(np.linalg.norm(row.x_new - row.center)) / row.rho_k
+        prox_step = float(np.linalg.norm(row.certificate.x_tilde - row.center)) / row.rho_k
         complementarity = row.kkt.complementarity_residual
-        decisions.append(max(prox_step, complementarity) > row.certified_inner_residual)
+        decisions.append(max(prox_step, complementarity) > row.certificate.residual)
         grows += decisions[-1]
     return decisions
 
@@ -612,7 +613,7 @@ class TestOuterSchedule:
             assert True in decisions[:-1] and False in decisions[:-1]
         # only the last inner solve, which stopped on the outer test, may end above eta_k
         for row in res.trace.rows[:-1]:
-            assert row.certified_inner_residual <= row.eta_k
+            assert row.certificate.residual <= row.eta_k
 
     def test_infeasible_problem_grows_rho_every_step(self):
         # complementarity binds on every step of an infeasible problem, so
@@ -639,7 +640,7 @@ class TestFusedSubproblems:
         rng = np.random.default_rng(2)
         for _ in range(20):
             x = rng.uniform(-1.5, 1.5, size=5)
-            before = counters.snapshot()
+            before = replace(counters)
             f, g = wrapped.value_and_gradient(x)
             assert (
                 counters.grad_f_evals - before.grad_f_evals,
@@ -689,7 +690,7 @@ class TestSubproblemOracle:
         x = np.linspace(-1.0, 1.0, 5)
 
         def booked(call):
-            before = counters.snapshot()
+            before = replace(counters)
             call(x)
             return tuple(
                 getattr(counters, key) - getattr(before, key)
