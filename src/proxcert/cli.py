@@ -75,9 +75,17 @@ OUTER_COLUMNS = (
     "k", "rho_k", "eta_k", "inner_iters", "grad_evals", "prox_evals",
     "step_norm", "stat_res", "comp_res",
 )
-# Each trace type's CSV columns, and the fields of a row they hold.
+_INNER_FIELDS = attrgetter(*INNER_COLUMNS[:-1])
+
+
+def _inner_cells(row) -> tuple:
+    """An inner row's CSV cells: its fields, then its certificate's residual (empty if none)."""
+    return (*_INNER_FIELDS(row), None if row.certificate is None else row.certificate.residual)
+
+
+# Each trace type's CSV columns, and the cells of a row under them.
 _TRACE_CSV = {
-    ApgTrace: (INNER_COLUMNS, attrgetter(*INNER_COLUMNS)),
+    ApgTrace: (INNER_COLUMNS, _inner_cells),
     OuterTrace: (OUTER_COLUMNS, attrgetter(
         *OUTER_COLUMNS[:-2], "kkt.stationarity_residual", "kkt.complementarity_residual",
     )),

@@ -116,6 +116,19 @@ def value_and_gradient(oracle: SmoothOracle, x: Array) -> tuple[float, Array]:
     return fused(x)
 
 
+def fused_method(oracle: SmoothOracle) -> Callable[[Array], tuple[float, Array]]:
+    """What :func:`value_and_gradient` calls on ``oracle``, looked up once.
+
+    A wrapper that evaluates one oracle on every trial resolves it at
+    construction instead of on every call.
+    """
+    fused = getattr(oracle, "value_and_gradient", None)
+    if fused is not None:
+        return fused
+    value, gradient = oracle.value, oracle.gradient
+    return lambda x: (value(x), gradient(x))
+
+
 @dataclass(frozen=True)
 class CallableSmooth:
     """Smooth oracle assembled from plain callables.
@@ -329,6 +342,7 @@ class _CountingSmooth:
         self._inner = inner
         self._counters = counters
         self._image = getattr(inner, "image", None)
+        self._fused = fused_method(inner)
         self.dim = inner.dim
 
     def image(self, x: Array) -> Array | None:
@@ -350,7 +364,7 @@ class _CountingSmooth:
 
     def value_and_gradient(self, x: Array) -> tuple[float, Array]:
         self._counters.grad_f_evals += 1
-        return value_and_gradient(self._inner, x)
+        return self._fused(x)
 
 
 class _CountingProx:

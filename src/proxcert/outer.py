@@ -15,6 +15,10 @@ subgradient for any center, so every certificate keeps its meaning.  The
 loop stops at the first outer step whose KKT residuals are at most the
 outer epsilon, and an inner solve at the first certificate that meets
 eta_k or already proves them, which the paper's end-of-step test implies.
+An inner solve checks a certificate after every M-th iteration and as soon
+as its lambda_prod has quartered since its previous check (see
+``apg_terminating``), so within a few iterations while its steps stay near
+the step clamp and its alphas near 1.
 ``ppa_unconstrained`` runs it on a mu = 0 problem under no constraint, the
 paper's perturbation scheme.
 """
@@ -37,8 +41,8 @@ from .model import (
     OracleCounters,
     SmoothOracle,
     SolveTimeout,
+    fused_method,
     require_count,
-    value_and_gradient,
 )
 from .proxcone import normal_cone_gap, project_dual, require_in_dual
 
@@ -53,8 +57,10 @@ class OuterParams:
     inner residual ||u||, so rho_k = rho0 * zeta**j for the j grows so far,
     at most rho0 * zeta**k.
     rho0 defaults per problem when None (see ``resolved``).  ``inner`` holds
-    the inner solver's settings, of which the loop reads delta, M,
-    max_iters and max_backtracks.  It sets the other three itself, so they
+    the inner solver's settings, of which the loop reads delta, M (the most
+    iterations between two certificate checks of an inner solve, which
+    checks sooner once its lambda_prod has quartered), max_iters and
+    max_backtracks.  It sets the other three itself, so they
     must keep their defaults: epsilon is eta_k on every step, gamma0 the
     step clamp (1 - 1e-9)/mu_k of the modulus mu_k = mu + 1/rho_k, to which
     the step grows back, and alpha0 stays 1, in the range [sqrt(mu_k *
@@ -194,7 +200,8 @@ class SubproblemOracle:
     """
 
     __slots__ = (
-        "dim", "_smooth", "_counters", "_center", "_rho", "_constraint", "_cone", "_lam", "_lam_sq",
+        "dim", "_smooth", "_fused", "_counters", "_center", "_rho", "_constraint", "_cone",
+        "_lam", "_lam_sq",
     )
 
     def __init__(
@@ -209,6 +216,7 @@ class SubproblemOracle:
     ):
         self.dim = smooth.dim
         self._smooth = smooth
+        self._fused = fused_method(smooth)
         self._counters = OracleCounters() if counters is None else counters
         self._center = np.asarray(center, dtype=float)
         self._rho = rho
@@ -239,7 +247,7 @@ class SubproblemOracle:
 
     def value_and_gradient(self, x: Array) -> tuple[float, Array]:
         proj = self.multiplier(x)[1]
-        f, g = value_and_gradient(self._smooth, x)
+        f, g = self._fused(x)
         dx = x - self._center
         return self._value(f, dx, proj), self._gradient(x, g, dx, proj)
 
@@ -402,11 +410,13 @@ def prox_al(conic: ConicProblem, params: OuterParams, init_x, init_lam) -> ProxA
     starts at c_k where P is finite, and at x_k otherwise.
     rho grows by zeta after a step whose ||x_{k+1} - c_k||/rho_k or
     complementarity residual ||lam_{k+1} - lam_k||/rho_k exceeds the inner
-    residual ||u||, and is held otherwise.  An inner solve ends at the first
-    checked certificate that meets its target ||u|| <= eta_k, or that
-    proves the outer stopping rule: ||u|| + ||x_tilde - c_k||/rho_k <=
-    epsilon, which costs no oracle call, and then ||lam_new - lam_k||/rho_k
-    <= epsilon for the updated multiplier lam_new.  lam_new costs one
+    residual ||u||, and is held otherwise.  An inner solve checks after
+    every M-th iteration and whenever its lambda_prod has quartered since
+    its previous check, and ends at the first checked certificate that
+    meets its target ||u|| <= eta_k, or that proves the outer stopping
+    rule: ||u|| + ||x_tilde - c_k||/rho_k <= epsilon, which costs no oracle
+    call, and then ||lam_new - lam_k||/rho_k <= epsilon for the updated
+    multiplier lam_new.  lam_new costs one
     counted g(x_tilde) and one counted cone projection, and is formed once
     for each certificate that passes either test on ||u||; the accepted
     certificate's g(x_tilde) and lam_new are the step's multiplier update.
@@ -519,8 +529,8 @@ def ppa_unconstrained(problem: CompositeProblem, params: OuterParams, init) -> P
     c_k, with the certified accelerated solver at target eta_k, and the
     solve returns at the first step whose witness s = u - (x_{k+1} -
     c_k)/rho_k, an element of dF(x_{k+1}), has ||s|| <= epsilon.  An inner
-    solve stops early at the first certificate with ||u|| + ||x_tilde -
-    c_k||/rho_k <= epsilon, which bounds ||s||.  A
+    solve stops early at the first checked certificate with ||u|| +
+    ||x_tilde - c_k||/rho_k <= epsilon, which bounds ||s||.  A
     SolveTimeout carries the least ||s|| seen as its ``best``, or None if no
     outer step ended.
     """

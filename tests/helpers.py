@@ -172,6 +172,24 @@ def trajectory_invariant_violations(problem, trace, states, delta=0.5, alpha_tol
     return violations
 
 
+def check_schedule_violations(trace, M):
+    """The t of every row of a certified solve's trace that breaks the check schedule.
+
+    A row carries a certificate exactly when t % M == 0, or when its
+    lambda_prod is positive and at most a quarter of the previous checked
+    row's (1 before the first check).
+    """
+    violations = []
+    checked_lambda = 1.0
+    for row in trace.rows:
+        due = row.t % M == 0 or 0.0 < row.lambda_prod <= 0.25 * checked_lambda
+        if due != (row.certificate is not None):
+            violations.append(row.t)
+        if due:
+            checked_lambda = row.lambda_prod
+    return violations
+
+
 def counts_before(rows):
     """The cumulative (grad, prox) counts at the start of each outer row's inner solve.
 

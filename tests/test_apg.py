@@ -24,16 +24,20 @@ from proxcert import (
     certified_prox_step,
     initial_state,
     instrument_composite,
+    ppa_unconstrained,
+    prox_al,
     residual_certificate,
     solve_alpha,
     trial_step,
 )
-from proxcert.problems import QuarticSpec, gen_quartic
+from proxcert.problems import QuarticSpec, gen_constrained, gen_quartic
 
 from conftest import SeparateOnly, make_quadratic, nan_after
 from helpers import (
     accounting_violations,
+    check_schedule_violations,
     composite_value,
+    criterion6_specs,
     recorded_iterates,
     reference_solve,
     trajectory_invariant_violations,
@@ -196,8 +200,9 @@ class TestIteration:
 
 class TestNonFiniteOracleOutput:
     def test_first_nan_trial_raises(self):
+        # iteration 1 and the check after it take the first three gradients
         problem, made = nan_after(3)
-        with pytest.raises(NonFiniteOracleOutput, match="iteration 4, backtracking trial 0"):
+        with pytest.raises(NonFiniteOracleOutput, match="iteration 2, backtracking trial 0"):
             apg_terminating(problem, ApgParams(gamma0=0.5, epsilon=1e-8), [1.0])
         assert len(made) == 4  # not the 103 of an exhausted line search
 
@@ -357,11 +362,16 @@ class TestApgTerminating:
         assert info.value.best is checked[first]
 
     def test_certificate_cadence(self, quadratic):
+        # checks are due at t = 3, 6, 9 by M, and at t = 1, 3, 5, 8 because
+        # lambda_prod fell to a quarter of its value at the previous check
         params = ApgParams(gamma0=0.5, M=3, epsilon=1e-30, max_iters=9)
         with pytest.raises(SolveTimeout) as info:
             apg_terminating(quadratic, params, [1.0])
-        checked = [row.t for row in info.value.trace.rows if row.certificate is not None]
-        assert checked == [3, 6, 9]
+        rows = info.value.trace.rows
+        checked = [row.t for row in rows if row.certificate is not None]
+        assert checked == [1, 3, 5, 6, 8, 9]
+        assert rows[5].lambda_prod > rows[4].lambda_prod / 4  # t = 6 is due by M alone
+        assert check_schedule_violations(info.value.trace, params.M) == []
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_init(self, quadratic, bad):
@@ -390,6 +400,51 @@ def test_trace_rows_hold_no_iterates():
     for row in res.trace.rows:
         arrays = [name for name, value in row._asdict().items() if isinstance(value, np.ndarray)]
         assert arrays == [], (row.t, arrays)
+
+
+def test_check_schedule_of_every_certified_solve():
+    # a cold start, and the inner solves of both outer loops, which check
+    # before their M-th iteration when the warm start makes alpha large
+    traces = [apg_terminating(
+        gen_quartic(QuarticSpec(n=6, k_terms=4, seed=17, mu_add=1.0)), ApgParams(epsilon=1e-8),
+        np.zeros(6),
+    ).trace]
+    inst = gen_constrained(criterion6_specs()[19])
+    nonneg = gen_quartic(QuarticSpec(n=8, k_terms=3, seed=5, prox=NonnegativeTerm(8)))
+    with recorded_iterates() as rec:
+        prox_al(inst.conic, OuterParams(epsilon=1e-4), inst.x_feas, np.zeros(inst.conic.cone.dim))
+        ppa_unconstrained(nonneg, OuterParams(epsilon=1e-7), np.zeros(8))
+    traces += [solve.trace for solve in rec.inner]
+    M = ApgParams().M
+    for trace in traces:
+        assert check_schedule_violations(trace, M) == []
+    early = [row.t for trace in traces for row in trace.rows
+             if row.certificate is not None and row.t % M]
+    assert len(early) > len(rec.inner)
+
+
+def test_small_alpha_quartic_checks_every_M_th_iteration():
+    # alpha stays at most 0.1, so lambda_prod never quarters within M = 10
+    # iterations, and the rows are those of a check every M-th iteration only
+    problem = gen_quartic(QuarticSpec(n=6, k_terms=4, seed=17, mu_add=0.01))
+    res = apg_terminating(problem, ApgParams(epsilon=1e-6, alpha0=0.1), np.zeros(6))
+    rows = res.trace.rows
+    assert [row.t for row in rows if row.certificate is not None] == list(range(10, 101, 10))
+    assert (rows[-1].grad_evals, rows[-1].prox_evals) == (122, 112)
+    assert res.certificate.residual == 4.0047124377390165e-07
+
+
+def test_underflowed_lambda_prod_leaves_the_checks_to_M():
+    # alpha near 0.707 drives lambda_prod to 0 at t = 610; a zero product no
+    # longer contracts, so from then on a check comes every M-th iteration only
+    problem = gen_quartic(QuarticSpec(n=3, k_terms=2, seed=5, mu_add=4.0))
+    with pytest.raises(SolveTimeout) as info:
+        apg_terminating(problem, ApgParams(epsilon=1e-300, max_iters=700), np.ones(3))
+    trace = info.value.trace
+    assert next(row.t for row in trace.rows if row.lambda_prod == 0.0) == 610
+    checked = [row.t for row in trace.rows if row.certificate is not None]
+    assert [t for t in checked if t > 600] == [602, 604, 606, 608, 609] + list(range(610, 701, 10))
+    assert check_schedule_violations(trace, 10) == []
 
 
 def test_descent_envelope_against_reference():
@@ -457,7 +512,7 @@ def test_fused_and_separate_oracles_give_identical_traces(separate):
 
     def rows(trace):
         return [(r.t, r.n_t, r.gamma_t, r.alpha_t, r.F, r.grad_evals, r.prox_evals,
-                 r.cert_residual, r.cert_backtracks) for r in trace.rows]
+                 r.certificate and r.certificate.residual, r.cert_backtracks) for r in trace.rows]
 
     assert rows(a.trace) == rows(b.trace)
     for name in ("x_pre", "x_tilde", "witness"):

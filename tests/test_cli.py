@@ -237,7 +237,10 @@ class TestSolve:
         assert summary["outer_iterations"] == len(rows)
 
     def test_nan_gradient_is_a_solve_failure(self, tmp_path, capsys, monkeypatch):
-        nan_problem, calls = nan_after(3, dim=2)
+        # iteration 1 takes one gradient and the check after it two, with
+        # which the solve certifies; with the third a NaN, the check fails
+        # and the first trial of iteration 2 meets the NaN path
+        nan_problem, calls = nan_after(2, dim=2)
         monkeypatch.setattr(problems, "gen_quartic", lambda spec: nan_problem)
         doc = {
             "version": 1,

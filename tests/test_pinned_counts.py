@@ -19,6 +19,9 @@ With rho held, a run leaves the paper-rule run (rho_k = rho0 * zeta**k,
 stopped by the paper's end-of-step test) at its first held step, so it is
 no longer a prefix of that run.  The totals of the paper-rule run are kept
 beside each pin as a ceiling that a change of schedule must stay under.
+
+An inner solve checks a certificate every M-th iteration, and also as soon
+as its lambda_prod has quartered since the previous check.
 """
 
 import numpy as np
@@ -58,10 +61,14 @@ PAPER_RULE_TOTALS = {2: (4301, 4105, 8430, 4301, 8430), 19: (669, 642, 1335, 669
         # every step.
         (2, (167, 157, 344, 167, 344), [10] * 10),
         # mu = 1, n = 4, 3 orthant and 5 zero constraints.  rho_k is 40
-        # from k = 2 on.  Was (187, 177, 386, 187, 386) with inner
-        # iterations [10] * 11 and the center at the last iterate, and
-        # (286, 271, 577, 286, 577) with rho grown on every step.
-        (19, (135, 127, 278, 135, 278), [10] * 8),
+        # from k = 2 and 80 from k = 8 on.  Was (135, 127, 278, 135, 278)
+        # over 8 outer steps of 10 inner iterations with checks every M-th
+        # iteration only: the first two inner solves now stop at iterations
+        # 7 and 9, and the run takes two more steps.  Was (187, 177, 386,
+        # 187, 386) with inner iterations [10] * 11 and the center at the
+        # last iterate, and (286, 271, 577, 286, 577) with rho grown on
+        # every step.
+        (19, (182, 171, 373, 182, 373), [7, 9] + [10] * 7 + [20]),
     ],
 )
 def test_criterion6_instance_counts(i, expected_totals, expected_inner):
@@ -74,8 +81,9 @@ def test_criterion6_instance_counts(i, expected_totals, expected_inner):
 
 
 def test_ppa_nonneg_counts():
-    # was (197, 184, 0, 0, 0) over 14 outer steps with the center at the
-    # last iterate
+    # was (167, 155, 0, 0, 0) over 12 outer steps of 10 inner iterations
+    # with checks every M-th iteration only, and (197, 184, 0, 0, 0) over 14
+    # outer steps with the center at the last iterate
     res = ppa_unconstrained(_nonneg_quartic(), OuterParams(epsilon=1e-7), np.zeros(8))
-    check_totals(res.trace.counters, (167, 155, 0, 0, 0), (327, 308, 0, 0, 0))
-    assert [row.inner_iters for row in res.trace.rows] == [10] * 12
+    check_totals(res.trace.counters, (79, 67, 0, 0, 0), (327, 308, 0, 0, 0))
+    assert [row.inner_iters for row in res.trace.rows] == [8, 6, 4] + [3] * 9
