@@ -37,13 +37,10 @@ from .proxcone import BoxTerm, L1Term, NonnegativeTerm, SquaredL2Term, ZeroTerm
 SPEC_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 _TOP_KEYS = {"version", "solver", "epsilon", "problem", "params", "init"}
-# The params: keys each solver reads are the fields of its params classes,
-# bar epsilon (a top-level key) and the composed inner params.  The outer
-# loop sets the inner gamma0 and alpha0 itself (see OuterParams), and apg,
-# which checks no certificate, reads no M.
-_INNER_KEYS = {f.name for f in dataclasses.fields(ApgParams)} - {"epsilon"}
-_OUTER_KEYS = {f.name for f in dataclasses.fields(OuterParams)} - {"epsilon", "inner"}
-_OUTER_SOLVER_KEYS = _OUTER_KEYS | (_INNER_KEYS - {"gamma0", "alpha0"})
+# The params: keys each solver reads are the fields of its params class bar
+# epsilon, a top-level key; apg, which checks no certificate, reads no M.
+_APG_KEYS = {f.name for f in dataclasses.fields(ApgParams)} - {"epsilon"}
+_OUTER_KEYS = {f.name for f in dataclasses.fields(OuterParams)} - {"epsilon"}
 _KEY_TYPES = typing.get_type_hints(ApgParams) | typing.get_type_hints(OuterParams)
 # The problem: keys and their types, bar kind and prox, are the fields of the
 # generators' specs; ConstrainedSpec.seed is written constraint_seed.
@@ -142,19 +139,19 @@ def _kkt(report) -> dict | None:
 
 _SOLVERS = {
     "apg": _Solver(
-        "apg_run", ApgParams, _INNER_KEYS - {"M"}, lambda trace: (trace, trace.rows[-1].F),
+        "apg_run", ApgParams, _APG_KEYS - {"M"}, lambda trace: (trace, trace.rows[-1].F),
         lambda n, F: {"iterations": n, "residual_bound": None, "F_final": F}, budget=1000,
     ),
     "apg-cert": _Solver(
-        "apg_terminating", ApgParams, _INNER_KEYS, attrgetter("trace", "certificate"),
+        "apg_terminating", ApgParams, _APG_KEYS, attrgetter("trace", "certificate"),
         lambda n, cert: {"iterations": n, "residual_bound": None if cert is None else cert.residual},
     ),
     "ppa": _Solver(
-        "ppa_unconstrained", OuterParams, _OUTER_SOLVER_KEYS, attrgetter("trace", "residual_bound"),
+        "ppa_unconstrained", OuterParams, _OUTER_KEYS, attrgetter("trace", "residual_bound"),
         lambda n, bound: {"outer_iterations": n, "residual_bound": bound},
     ),
     "prox-al": _Solver(
-        "prox_al", OuterParams, _OUTER_SOLVER_KEYS, attrgetter("trace", "report"),
+        "prox_al", OuterParams, _OUTER_KEYS, attrgetter("trace", "report"),
         lambda n, report: {"outer_iterations": n, "kkt": _kkt(report)}, conic=True,
     ),
 }
@@ -321,17 +318,15 @@ def _solver_params(solver: _Solver, spec: RunSpec, epsilon, built):
     The block holds every setting the solver reads, under its params: key,
     with the value it uses, so it can be fed back.
     """
-    inner = {key: value for key, value in spec.params.items() if key in _INNER_KEYS}
+    settings = dict(spec.params)
+    if solver.budget is not None:
+        settings.setdefault("max_iters", solver.budget)
+    params = solver.params(epsilon=epsilon, **settings)
     if solver.params is ApgParams:
-        if solver.budget is not None:
-            inner.setdefault("max_iters", solver.budget)
-        params = ApgParams(epsilon=epsilon, **inner)
         values = vars(params) | dict(zip(("gamma0", "alpha0"), params.effective(built.mu)))
     else:
-        outer = {key: value for key, value in spec.params.items() if key in _OUTER_KEYS}
-        conic = built if solver.conic else ConicProblem.unconstrained(built)
-        params = OuterParams(epsilon=epsilon, inner=ApgParams(**inner), **outer).resolved(conic)
-        values = vars(params.inner) | vars(params)
+        params = params.resolved(built if solver.conic else ConicProblem.unconstrained(built))
+        values = vars(params)
     return params, {key: values[key] for key in solver.keys}
 
 

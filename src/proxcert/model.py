@@ -110,10 +110,7 @@ class ProxTerm(Protocol):
 
 def value_and_gradient(oracle: SmoothOracle, x: Array) -> tuple[float, Array]:
     """(value(x), gradient(x)) in one fused call when the oracle offers one."""
-    fused = getattr(oracle, "value_and_gradient", None)
-    if fused is None:
-        return oracle.value(x), oracle.gradient(x)
-    return fused(x)
+    return fused_method(oracle)(x)
 
 
 def fused_method(oracle: SmoothOracle) -> Callable[[Array], tuple[float, Array]]:

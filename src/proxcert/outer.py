@@ -56,18 +56,16 @@ class OuterParams:
     rho_k (c_k the step's center) or complementarity residual exceeds the
     inner residual ||u||, so rho_k = rho0 * zeta**j for the j grows so far,
     at most rho0 * zeta**k.
-    rho0 defaults per problem when None (see ``resolved``).  ``inner`` holds
-    the inner solver's settings, of which the loop reads delta, M (the most
-    iterations between two certificate checks of an inner solve, which
-    checks sooner once its lambda_prod has quartered), max_iters and
-    max_backtracks.  It sets the other three itself, so they
-    must keep their defaults: epsilon is eta_k on every step, gamma0 the
-    step clamp (1 - 1e-9)/mu_k of the modulus mu_k = mu + 1/rho_k, to which
-    the step grows back, and alpha0 stays 1, in the range [sqrt(mu_k *
-    gamma0), 1] = [sqrt(1 - 1e-9), 1] that the clamp leaves.  From outer
-    step 1 on, the first trial of an inner solve is the last step the
-    previous inner solve accepted, capped at the clamp, while its alpha
-    recursion still starts at the clamp.
+    rho0 defaults per problem when None (see ``resolved``).  delta, M,
+    max_iters and max_backtracks are the inner solves' ``ApgParams`` fields
+    of those names, with their defaults and checks (see ``ApgParams`` for
+    when a solve checks its certificate).  The loop sets the other three itself: epsilon is eta_k
+    on every step, gamma0 the step clamp (1 - 1e-9)/mu_k of the modulus
+    mu_k = mu + 1/rho_k, to which the step grows back, and alpha0 stays 1,
+    in the range [sqrt(mu_k * gamma0), 1] = [sqrt(1 - 1e-9), 1] that the
+    clamp leaves.  From outer step 1 on, the first trial of an inner solve
+    is the last step the previous inner solve accepted, capped at the
+    clamp, while its alpha recursion still starts at the clamp.
     """
 
     epsilon: float
@@ -76,7 +74,10 @@ class OuterParams:
     sigma: float = 0.4
     eta0: float = 1.0
     max_outer: int = 50
-    inner: ApgParams = ApgParams()
+    delta: float = ApgParams.delta
+    M: int = ApgParams.M
+    max_iters: int = ApgParams.max_iters
+    max_backtracks: int = ApgParams.max_backtracks
 
     def __post_init__(self):
         if not 0 < self.epsilon < math.inf:
@@ -88,16 +89,13 @@ class OuterParams:
         if not 0 < self.eta0 <= 1:
             raise ValueError("eta0 must lie in (0, 1]")
         require_count("max_outer", self.max_outer)
-        changed = [
-            f"inner.{name} = {getattr(self.inner, name)}"
-            for name in ("gamma0", "alpha0", "epsilon")
-            if getattr(self.inner, name) != getattr(ApgParams, name)
-        ]
-        if changed:
-            raise ValueError(
-                "inner.gamma0, inner.alpha0 and inner.epsilon must keep their defaults, "
-                f"since the outer loop sets them; got {', '.join(changed)}"
-            )
+        self.inner_params()  # the inner fields' checks are ApgParams's
+
+    def inner_params(self) -> ApgParams:
+        """The inner solves' settings, before the loop sets gamma0 and epsilon."""
+        return ApgParams(
+            delta=self.delta, M=self.M, max_iters=self.max_iters, max_backtracks=self.max_backtracks
+        )
 
     def resolved(self, conic: ConicProblem) -> "OuterParams":
         """These params with rho0 set for ``conic``.
@@ -134,16 +132,15 @@ class OuterTraceRow:
     """One outer step: its verifiable record and its counts.
 
     ``kkt_report`` re-derives kkt from certificate, center, rho_k, lam_prev
-    and lam_new.  The step's new point x_new is certificate.x_tilde, center
-    its proximal center c_k, and step_norm ||(x_new - center, lam_new -
-    lam_prev)||.  grad/prox_evals are cumulative over the solve.
+    and lam_new.  The step's new point x_new is certificate.x_tilde and
+    center its proximal center c_k.  grad/prox_evals are cumulative over
+    the solve.
     """
 
     k: int
     rho_k: float
     eta_k: float
     inner_iters: int
-    step_norm: float
     grad_evals: int
     prox_evals: int
     certificate: Certificate
@@ -151,6 +148,12 @@ class OuterTraceRow:
     lam_prev: Array
     lam_new: Array
     kkt: KktReport
+
+    @property
+    def step_norm(self) -> float:
+        """||(x_new - center, lam_new - lam_prev)||, the step in (x, lam)."""
+        x_step = _norm(self.certificate.x_tilde - self.center)
+        return math.sqrt(x_step**2 + _norm(self.lam_new - self.lam_prev) ** 2)
 
 
 @dataclass
@@ -444,6 +447,7 @@ def prox_al(conic: ConicProblem, params: OuterParams, init_x, init_lam) -> ProxA
     first_step = None
     grows = 0
     rho_k = params.rho0
+    inner = params.inner_params()
     for k in range(params.max_outer):
         eta_k = params.eta0 * params.sigma**k
         sub = build_al_subproblem(conic, center, lam, rho_k, counters=counters)
@@ -461,7 +465,7 @@ def prox_al(conic: ConicProblem, params: OuterParams, init_x, init_lam) -> ProxA
         try:
             res = apg_terminating(
                 sub,
-                replace(params.inner, gamma0=step_clamp(sub.mu), epsilon=eta_k),
+                replace(inner, gamma0=step_clamp(sub.mu), epsilon=eta_k),
                 start,
                 counters=counters,
                 done=done,
@@ -478,8 +482,6 @@ def prox_al(conic: ConicProblem, params: OuterParams, init_x, init_lam) -> ProxA
                 f"{res.certificate.residual}) its stop rule did not accept, at eta_k = {eta_k}"
             )
         x_new = res.x
-        x_step = _norm(x_new - center)
-        step = math.sqrt(x_step**2 + _norm(lam_new - lam) ** 2)
         report = kkt_report(conic, lam_new, res.certificate, rho_k, center, lam, gval)
         rows.append(
             OuterTraceRow(
@@ -487,7 +489,6 @@ def prox_al(conic: ConicProblem, params: OuterParams, init_x, init_lam) -> ProxA
                 rho_k=rho_k,
                 eta_k=eta_k,
                 inner_iters=len(res.trace.rows),
-                step_norm=step,
                 grad_evals=counters.grad_f_evals,
                 prox_evals=counters.prox_evals,
                 certificate=res.certificate,
@@ -499,6 +500,7 @@ def prox_al(conic: ConicProblem, params: OuterParams, init_x, init_lam) -> ProxA
         )
         if _worst(report) <= params.epsilon:
             return ProxAlResult(x=x_new, lam=lam_new, report=report, trace=trace)
+        x_step = _norm(x_new - center)
         grows += _grows(x_step, rho_k, report.complementarity_residual, res.certificate.residual)
         rho_k = params.rho0 * params.zeta**grows
         # Catalyst momentum: a_{k+1}^2 = (1 - a_{k+1}) a_k^2 + q a_{k+1}, with

@@ -30,14 +30,12 @@ import time
 
 import numpy as np
 
-from proxcert import (
-    ApgParams, BoxTerm, NonnegativeTerm, OuterParams, SolveTimeout, ZeroTerm, prox_al,
-)
+from proxcert import BoxTerm, NonnegativeTerm, OuterParams, SolveTimeout, ZeroTerm, prox_al
 from proxcert.problems import ConstrainedSpec, QuarticSpec, gen_constrained
 
 KINDS = ("nonneg", "zero", "box")
 SEEDS = tuple(range(1, 41))
-PARAMS = OuterParams(epsilon=1e-5, inner=ApgParams(max_iters=20_000))
+PARAMS = OuterParams(epsilon=1e-5, max_iters=20_000)
 
 
 def sweep_spec(seed: int, kind: str) -> ConstrainedSpec:

@@ -2,7 +2,6 @@
 
 import math
 from contextlib import contextmanager
-from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -316,10 +315,10 @@ def reference_solve(problem, tol: float):
     if tol < 1e-12:
         raise ValueError("tol must be at least 1e-12")
     init = problem.nonsmooth.prox(1.0, np.zeros(problem.dim))
-    inner = ApgParams(M=5, max_iters=2_000_000)
+    budgets = {"M": 5, "max_iters": 2_000_000}
     if problem.mu > 0:
-        res = apg_terminating(problem, replace(inner, epsilon=tol), init)
+        res = apg_terminating(problem, ApgParams(epsilon=tol, **budgets), init)
         return res.x, res.certificate.residual
-    params = OuterParams(epsilon=tol, rho0=10.0, sigma=0.25, max_outer=80, inner=inner)
+    params = OuterParams(epsilon=tol, rho0=10.0, sigma=0.25, max_outer=80, **budgets)
     res = ppa_unconstrained(problem, params, init)
     return res.x, res.residual_bound

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from proxcert import cli, problems
+from proxcert import OuterParams, cli, problems
 from proxcert.cli import SPEC_LOADER, main
 
 from conftest import nan_after
@@ -359,6 +360,8 @@ class TestSolve:
 # added keys but must keep every one of these values.  ppa's block holds no
 # gamma0 or alpha0, since the loop sets the inner step and weight itself, and
 # apg's holds no M, since it checks no certificate.
+# The ppa and prox-al keys: OuterParams's fields bar epsilon, a top-level key.
+OUTER_KEYS = {f.name for f in dataclasses.fields(OuterParams)} - {"epsilon"}
 PPA_BLOCK = {
     "rho0": 10.0, "zeta": 2.0, "sigma": 0.4, "eta0": 1.0,
     "delta": 0.5, "M": 10, "max_outer": 50, "max_iters": 1000000,
@@ -493,6 +496,12 @@ init: [0, -1.5, 2.5e-3, .inf, -.inf]
 
 
 class TestParams:
+    @pytest.mark.parametrize("doc", [QUARTIC_PPA, PPA_BOX, NAMED_PROX_AL])
+    def test_outer_block_keys_are_the_outer_params_fields(self, tmp_path, doc):
+        _, summary, _ = run_solve(tmp_path, doc)
+        assert set(summary["params"]) == OUTER_KEYS
+        assert len(OUTER_KEYS) == 9 and not {"gamma0", "alpha0", "inner"} & OUTER_KEYS
+
     @pytest.mark.parametrize("doc, block", PINNED_BLOCKS)
     def test_block_keeps_pinned_values(self, tmp_path, doc, block):
         _, summary, _ = run_solve(tmp_path, doc)
@@ -512,12 +521,12 @@ class TestParams:
         assert again["params"] == summary["params"]
 
     @pytest.mark.parametrize("doc, params", [
-        (NAMED_PROX_AL, {"gamma0": 1000}),  # prox-al sets the inner gamma0 itself
+        (NAMED_PROX_AL, {"gamma0": 1000}),  # no OuterParams field: the loop sets it
         (APG_CERT, {"rho0": 20.0, "zeta": 3.0}),
         (QUARTIC_PPA, {"gamma0": 2.0}),  # so does ppa
         (QUARTIC_PPA, {"warm_start_gamma": True}),  # a removed key
         (APG_CERT, {"warm_start_gamma": False}),
-        (NAMED_PROX_AL, {"alpha0": 1.0}),  # prox-al and ppa set the inner alpha0 too
+        (NAMED_PROX_AL, {"alpha0": 1.0}),  # nor is the inner alpha0
         (QUARTIC_PPA, {"alpha0": 1.0}),
         (APG_DEFAULT_BUDGET, {"M": 3}),  # apg checks no certificate
     ])

@@ -4,7 +4,6 @@ import re
 from dataclasses import replace
 
 import heldout_sweep
-from proxcert import ApgParams
 
 
 def test_main_reports_each_instance_and_the_totals(capsys):
@@ -17,7 +16,7 @@ def test_main_reports_each_instance_and_the_totals(capsys):
 
 
 def test_an_inner_timeout_names_the_outer_step_and_the_steps(monkeypatch):
-    capped = replace(heldout_sweep.PARAMS, inner=ApgParams(max_iters=50))
+    capped = replace(heldout_sweep.PARAMS, max_iters=50)
     monkeypatch.setattr(heldout_sweep, "PARAMS", capped)
     status, outer, _, _, note = heldout_sweep.solve(13, "nonneg")
     assert status == "timeout"

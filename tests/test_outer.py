@@ -11,6 +11,7 @@ from proxcert import (
     InvariantViolation,
     KktReport,
     L1Term,
+    NonnegativeTerm,
     OracleCounters,
     OuterParams,
     SolveTimeout,
@@ -50,6 +51,7 @@ from helpers import (
     criterion6_specs,
     multiplier_update,
     ppa_subproblem,
+    recorded_iterates,
 )
 
 
@@ -193,7 +195,7 @@ class TestPpaUnconstrained:
     def test_inner_budget_exhaustion_is_an_outer_timeout(self):
         # the first inner solve runs out before its first certificate check
         problem = gen_quartic(QuarticSpec(n=20, k_terms=5, seed=3, mu_add=0.0))
-        params = OuterParams(epsilon=1e-10, inner=ApgParams(max_iters=3))
+        params = OuterParams(epsilon=1e-10, max_iters=3)
         with pytest.raises(SolveTimeout) as info:
             ppa_unconstrained(problem, params, np.zeros(20))
         assert isinstance(info.value.trace, OuterTrace) and info.value.trace.rows == []
@@ -356,7 +358,7 @@ class TestProxAl:
         # the timeout carries the outer trace and the best KKT report so far
         base = QuarticSpec(n=20, k_terms=5, seed=3, mu_add=0.0)
         conic = gen_constrained(ConstrainedSpec(base=base, m1=3, m2=1, seed=4)).conic
-        params = OuterParams(epsilon=1e-10, inner=ApgParams(max_iters=12))
+        params = OuterParams(epsilon=1e-10, max_iters=12)
         with pytest.raises(SolveTimeout) as info:
             prox_al(conic, params, np.zeros(20), np.zeros(4))
         rows = info.value.trace.rows
@@ -516,17 +518,41 @@ class TestOuterParams:
             with pytest.raises(ValueError, match="epsilon"):
                 OuterParams(epsilon=eps)
 
-    def test_inner_epsilon_rejected(self):
-        with pytest.raises(ValueError, match="inner.epsilon"):
-            OuterParams(epsilon=1e-4, inner=ApgParams(epsilon=1e-6))
+    def test_holds_only_what_a_caller_may_set(self):
+        # the loop sets the inner epsilon, gamma0 and alpha0 itself, so of the
+        # inner settings only the four it reads sit beside the outer schedule,
+        # and ApgParams's own checks reject a bad one at construction
+        assert [f.name for f in fields(OuterParams)] == [
+            "epsilon", "rho0", "zeta", "sigma", "eta0", "max_outer",
+            "delta", "M", "max_iters", "max_backtracks",
+        ]
+        assert OuterParams(epsilon=1e-4).inner_params() == ApgParams()
+        bad = {"delta": (0.0, 1.0), "M": (0, 2.5), "max_iters": (-1, True), "max_backtracks": (0,)}
+        for name, values in bad.items():
+            for value in values:
+                with pytest.raises(ValueError, match=f"^{name} must"):
+                    OuterParams(epsilon=1e-4, **{name: value})
+
+    def test_inner_solves_start_at_the_clamp_with_alpha0_one(self):
+        # what the loop sets itself: every inner solve's alpha recursion starts
+        # at gamma0 = the step clamp of its modulus mu + 1/rho_k and alpha0 = 1
+        inst = gen_constrained(criterion6_specs()[19])
+        nonneg = gen_quartic(QuarticSpec(n=8, k_terms=3, seed=5, prox=NonnegativeTerm(8)))
+        with recorded_iterates() as rec:
+            res = prox_al(inst.conic, OuterParams(epsilon=1e-4), inst.x_feas, np.zeros(8))
+            ppa = ppa_unconstrained(nonneg, OuterParams(epsilon=1e-7), np.zeros(8))
+        steps = [(inst.conic.base.mu, row) for row in res.trace.rows]
+        steps += [(0.0, row) for row in ppa.trace.rows]
+        assert len(steps) > 10
+        for (mu, row), solve in zip(steps, rec.inner, strict=True):
+            assert solve.trace.mu == mu + 1.0 / row.rho_k
+            assert (solve.trace.alpha0, solve.trace.gamma0) == (1.0, step_clamp(solve.trace.mu))
 
     def test_resolved_rho0_defaults(self, quartic_1d, ineq1d):
         params = OuterParams(epsilon=1e-4)
         unconstrained = ConicProblem.unconstrained(quartic_1d)
         assert params.resolved(unconstrained).rho0 == 10.0
         assert params.resolved(ineq1d).rho0 == 10.0  # c + 1 = 3.41 for mu = 2
-        with pytest.raises(ValueError, match="inner.gamma0 = 12.0"):  # the loop sets it
-            OuterParams(epsilon=1e-4, inner=ApgParams(gamma0=12.0))
         steep = ConicProblem(
             base=gen_quartic(QuarticSpec(n=2, k_terms=1, seed=0, mu_add=20.0)),
             constraint=eq_quadratic_2d().constraint,
@@ -552,17 +578,7 @@ class TestOuterParams:
         problem = ineq1d if conic else ConicProblem.unconstrained(quartic_1d)
         params = OuterParams(epsilon=1e-4).resolved(problem)
         mu_0 = problem.base.mu + 1.0 / params.rho0
-        assert np.sqrt(mu_0 * step_clamp(mu_0)) <= params.inner.alpha0 == 1.0
-        with pytest.raises(ValueError, match="inner.alpha0 = 0.99999"):
-            OuterParams(epsilon=1e-4, inner=ApgParams(alpha0=0.99999))
-
-    def test_ppa_alpha0_range(self, quartic_1d):
-        with pytest.raises(ValueError, match="alpha0"):
-            ppa_unconstrained(
-                quartic_1d,
-                OuterParams(epsilon=1e-4, rho0=10.0, inner=ApgParams(gamma0=9.0, alpha0=0.5)),
-                [1.0],
-            )
+        assert np.sqrt(mu_0 * step_clamp(mu_0)) <= params.inner_params().alpha0 == 1.0
 
 
 def mixed_cone_conic():

@@ -1,9 +1,11 @@
 """Guards on the library's source text."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import proxcert
+from proxcert import ApgParams
 
 
 MODULES = sorted(Path(proxcert.__file__).parent.rglob("*.py"))
@@ -56,6 +58,26 @@ def test_one_multiplier_update_in_prox_al():
         node for node in _nodes(outer) if isinstance(node, ast.FunctionDef) and node.name == "prox_al"
     ]
     assert len([node for node in ast.walk(prox_al) if _is_call(node, "multiplier")]) == 1
+
+
+def test_outer_params_take_inner_defaults_from_apg_params():
+    # each default of an inner setting lives in ApgParams alone: an
+    # OuterParams field of the same name is written `name: type =
+    # ApgParams.name`, so a default copied as a literal fails here
+    outer = Path(proxcert.__file__).parent / "outer.py"
+    (cls,) = [
+        node for node in _nodes(outer) if isinstance(node, ast.ClassDef) and node.name == "OuterParams"
+    ]
+    inner = {f.name for f in dataclasses.fields(ApgParams)}
+    shared = {
+        node.target.id: node.value
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and node.target.id in inner and node.value is not None
+    }
+    assert sorted(shared) == ["M", "delta", "max_backtracks", "max_iters"]
+    for name, value in shared.items():
+        assert isinstance(value, ast.Attribute) and value.attr == name, name
+        assert isinstance(value.value, ast.Name) and value.value.id == "ApgParams", name
 
 
 def _increments(paths, counters):
