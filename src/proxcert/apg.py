@@ -464,7 +464,7 @@ def residual_certificate(
         x_tilde=x_tilde,
         gamma_tilde=gamma_tilde,
         witness=witness,
-        residual=float(np.linalg.norm(witness)),
+        residual=math.sqrt(witness @ witness),
     )
 
 

@@ -254,29 +254,30 @@ class ConeSpec:
     """Product cone: ordered blocks of nonnegative-orthant, zero, and second-order cones.
 
     Second-order blocks store the scalar coordinate first: (t, xbar) with
-    ||xbar|| <= t.  ``dim``, ``has_soc`` and the read-only ``orthant_mask``
-    (True on nonnegative-orthant coordinates) are derived from the blocks
-    once, at construction.
+    ||xbar|| <= t.  ``dim``, ``has_soc`` and ``zero_slices`` (the
+    coordinates of each zero block) are derived from the blocks once, at
+    construction.
     """
 
     blocks: tuple[tuple[ConeBlock, int], ...]
     dim: int = field(init=False, repr=False, compare=False)
     has_soc: bool = field(init=False, repr=False, compare=False)
-    orthant_mask: Array = field(init=False, repr=False, compare=False)
+    zero_slices: tuple[slice, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for kind, size in self.blocks:
             require_count(f"{ConeBlock(kind).value} block size", size)
         blocks = tuple((ConeBlock(kind), int(size)) for kind, size in self.blocks)
         object.__setattr__(self, "blocks", blocks)
-        mask = np.repeat(
-            np.array([kind is ConeBlock.NONNEG for kind, _ in blocks], dtype=bool),
-            [size for _, size in blocks],
-        )
-        mask.flags.writeable = False
-        object.__setattr__(self, "dim", mask.size)
+        zero_slices = []
+        start = 0
+        for kind, size in blocks:
+            if kind is ConeBlock.ZERO:
+                zero_slices.append(slice(start, start + size))
+            start += size
+        object.__setattr__(self, "dim", start)
         object.__setattr__(self, "has_soc", any(kind is ConeBlock.SOC for kind, _ in blocks))
-        object.__setattr__(self, "orthant_mask", mask)
+        object.__setattr__(self, "zero_slices", tuple(zero_slices))
 
     @classmethod
     def nonneg(cls, m: int) -> "ConeSpec":

@@ -59,13 +59,14 @@ class L1Term:
             raise ValueError(f"weight must be positive and finite, got {self.weight}")
 
     def value(self, x: Array) -> float:
-        return self.weight * float(np.sum(np.abs(x)))
+        return self.weight * float(np.abs(x).sum())
 
     def prox(self, gamma: float, z: Array) -> Array:
         gamma = _check_gamma(gamma)
         z = _as_vector(z, self.dim, "z")
         t = gamma * self.weight
-        return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+        # z minus its clip to [-t, t]: +0.0 inside, z - t above, z + t below
+        return z - np.minimum(np.maximum(z, -t), t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +115,7 @@ class BoxTerm:
     def prox(self, gamma: float, z: Array) -> Array:
         _check_gamma(gamma)
         z = _as_vector(z, self.dim, "z")
-        return np.clip(z, self.lower, self.upper)
+        return np.minimum(np.maximum(z, self.lower), self.upper)
 
 
 @dataclass(frozen=True)
@@ -193,7 +194,9 @@ def _polar(cone: ConeSpec, u: Array) -> Array:
     """project_polar for a vector already checked against cone.dim."""
     # np.minimum on orthant coordinates, +0.0 on zero-cone coordinates; SOC
     # coordinates are overwritten below.
-    out = np.where(cone.orthant_mask, np.minimum(u, 0.0), 0.0)
+    out = np.minimum(u, 0.0)
+    for zero in cone.zero_slices:
+        out[zero] = 0.0
     if cone.has_soc:
         start = 0
         for kind, size in cone.blocks:

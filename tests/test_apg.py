@@ -49,8 +49,13 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 def lying():
     """||x||^2/2 with a wrong-sign gradient.
 
-    The curvature ratio is bounded away from one for every step size, so no
-    trial of either line search can ever be accepted.
+    No step size passes either line search's curvature test in exact
+    arithmetic, so within 20 backtracks no trial is accepted.  In floating
+    point, though, both line searches from x = 1 accept trial 51, at gamma
+    = 2**-51: the step moves x by rounding alone and the test passes on its
+    rounding slack, so under the default budget of 100 backtracks the
+    inconsistent gradient goes unreported (see
+    ``test_default_budget_reports_the_inconsistent_gradient``).
     """
     return CompositeProblem(
         CallableSmooth(1, lambda x: 0.5 * float(x @ x), lambda x: -x), ZeroTerm(1)
@@ -184,6 +189,21 @@ class TestIteration:
         state = initial_state(lying(), params, [1.0])
         with pytest.raises(LineSearchFailure, match="line search failed"):
             apg_iteration(lying(), state, params)
+
+    # ROADMAP item 1: a curvature test that cannot ratchet into rounding
+    # noise.  Remove the marker when it lands.
+    @pytest.mark.xfail(
+        strict=True, raises=pytest.fail.Exception,  # pytest.raises: DID NOT RAISE
+        reason="both line searches accept trial 51 at gamma = 2**-51 under the default budget",
+    )
+    @pytest.mark.parametrize("search", ["iteration", "certificate"])
+    def test_default_budget_reports_the_inconsistent_gradient(self, search):
+        params = ApgParams()
+        with pytest.raises(LineSearchFailure, match="line search failed"):
+            if search == "iteration":
+                apg_iteration(lying(), initial_state(lying(), params, [1.0]), params)
+            else:
+                certified_prox_step(lying(), np.array([1.0]), params.gamma0, params.delta)
 
     def test_certificate_search_runs_out(self):
         counters = OracleCounters()

@@ -2,10 +2,10 @@
 
 At every certificate an inner solve checks, ``apg_terminating`` asks the
 outer loop's stop rule (its ``done`` argument), which is its whole stop
-test: ||u|| <= eta_k, or else ||u|| + ||x_tilde - c_k||/rho_k <= eps and
-then ||lam_new - lam_k||/rho_k <= eps for the multiplier updated at
-x_tilde, which an empty cone (the proximal-point solver) always passes.
-These tests recompute the returned
+test: ||u|| <= eta_k or rho_k ||u|| <= ||x_tilde - c_k||/2, or else
+||u|| + ||x_tilde - c_k||/rho_k <= eps and then ||lam_new - lam_k||/rho_k
+<= eps for the multiplier updated at x_tilde, which an empty cone (the
+proximal-point solver) always passes.  These tests recompute the returned
 certificates from the raw oracles, check that no earlier checked
 certificate already passed the test, and that every raw call of g is
 booked.
@@ -65,6 +65,13 @@ def _assert_reverifies(sub, cert):
 
 def _bound(cert, center, rho):
     return cert.residual + float(np.linalg.norm(cert.x_tilde - center)) / rho
+
+
+def _at_target(cert, row):
+    """The inner target of ``row``'s step: ||u|| <= eta_k, or the relative test
+    rho_k ||u|| <= ||x_tilde - c_k||/2."""
+    prox_term = float(np.linalg.norm(cert.x_tilde - row.center)) / row.rho_k
+    return cert.residual <= row.eta_k or cert.residual <= 0.5 * prox_term
 
 
 # --- apg_terminating(done=...) ------------------------------------------------
@@ -160,8 +167,9 @@ def test_ppa_exits_at_the_first_certificate_proving_epsilon(n, k, term):
     assert checked[-1][1] is cert
     for row, earlier in checked[:-1]:
         assert not _bound(earlier, row.center, row.rho_k) <= PPA_EPS
+        assert earlier is row.certificate or not _at_target(earlier, row)
     for row in res.trace.rows[:-1]:
-        assert row.certificate.residual <= row.eta_k
+        assert _at_target(row.certificate, row)
         assert row.kkt.stationarity_residual > PPA_EPS
 
 
@@ -206,6 +214,7 @@ def _check_prox_al(conic, params, x0, lam0):
     assert checked[-1][1] is cert
     held_back = 0  # checks whose stationarity bound passed but multiplier step did not
     for row, earlier in checked[:-1]:
+        assert earlier is row.certificate or not _at_target(earlier, row)
         if not _bound(earlier, row.center, row.rho_k) <= eps:
             continue
         shifted = row.lam_prev + row.rho_k * conic.constraint.value(earlier.x_tilde)
@@ -213,7 +222,7 @@ def _check_prox_al(conic, params, x0, lam0):
         assert not moved / row.rho_k <= eps
         held_back += 1
     for row in res.trace.rows[:-1]:
-        assert row.certificate.residual <= row.eta_k
+        assert _at_target(row.certificate, row)
         assert max(row.kkt.stationarity_residual, row.kkt.complementarity_residual) > eps
     return held_back
 
@@ -232,3 +241,33 @@ def test_prox_al_multiplier_test_keeps_the_inner_solve_running():
     params = OuterParams(epsilon=0.1, eta0=1e-6)
     held_back = _check_prox_al(ineq_quadratic_1d(), params, np.ones(1), np.zeros(1))
     assert held_back > 0
+
+
+def test_prox_al_relative_stop_ends_late_inner_solves_early():
+    # criterion-6 instance 14 (mu = 0, n = 9, 9 orthant and 1 zero
+    # constraint): the inner solves of outer steps 10 and 11 end by the
+    # relative test with ||u|| above eta_k.  With eta_k alone the run took
+    # (3744, 3554, 7324, 3744, 7324) with inner iterations
+    # [10] * 7 + [50, 50, 80, 470, 700, 810].
+    inst = gen_constrained(criterion6_specs()[14])
+    conic = inst.conic
+    res = prox_al(conic, OuterParams(epsilon=AL_EPS), inst.x_feas, np.zeros(conic.cone.dim))
+    counters = res.trace.counters
+    assert (counters.grad_f_evals, counters.prox_evals, counters.g_evals,
+            counters.adjoint_evals, counters.cone_proj_evals) == (2847, 2691, 5564, 2847, 5564)
+    rows = res.trace.rows
+    assert [row.inner_iters for row in rows] == [10] * 7 + [50, 50, 80, 380, 580, 480]
+
+    relative = [row.k for row in rows[:-1] if row.certificate.residual > row.eta_k]
+    assert relative == [10, 11]
+    for row, after in zip(rows, rows[1:]):
+        assert _at_target(row.certificate, row)
+        if row.k in relative:  # ||x_tilde - c_k||/rho_k >= 2 ||u|| > ||u||, so rho grows
+            assert after.rho_k == 2.0 * row.rho_k
+    for row in rows:
+        again = kkt_report(conic, row.lam_new, row.certificate, row.rho_k, row.center, row.lam_prev)
+        assert np.array_equal(again.stationarity_witness, row.kkt.stationarity_witness)
+        assert np.array_equal(again.complementarity_witness, row.kkt.complementarity_witness)
+        assert again.stationarity_residual == row.kkt.stationarity_residual
+        assert again.complementarity_residual == row.kkt.complementarity_residual
+    assert max(res.report.stationarity_residual, res.report.complementarity_residual) <= AL_EPS

@@ -282,9 +282,10 @@ def test_cone_spec_cached_fields_stay_out_of_repr_and_equality():
     same = ConeSpec(((ConeBlock.NONNEG, 2),))
     assert same == ORTHANT2 and hash(same) == hash(ORTHANT2)
     assert ORTHANT2 != ZERO2
-    assert MIXED.orthant_mask.tolist() == [True] * 3 + [False] * 5
-    with pytest.raises(ValueError):
-        MIXED.orthant_mask[0] = False
+    assert MIXED.zero_slices == (slice(3, 5),)
+    assert ConeSpec(((ConeBlock.ZERO, 2), (ConeBlock.SOC, 3), (ConeBlock.ZERO, 1))).zero_slices == (
+        slice(0, 2), slice(5, 6)
+    )
 
 
 def reference_box_value(box, x):
