@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -238,6 +239,12 @@ class ApgTrace:
     alpha0: float
     mu: float
     first_step: float
+
+    @property
+    def best(self) -> Certificate | None:
+        """The first checked certificate of least residual; None before the first check."""
+        checked = (row.certificate for row in self.rows if row.certificate is not None)
+        return min(checked, key=attrgetter("residual"), default=None)
 
 
 @dataclass(frozen=True)
@@ -502,32 +509,14 @@ def certified_prox_step(
     return residual_certificate(problem, v, trial.x_new, trial.gamma, grad_v, grad_tilde), n
 
 
-def _make_row(
-    problem: CompositeProblem,
-    state: ApgState,
-    new_state: ApgState,
-    trial: TrialStep,
-    n_t: int,
-    counters: OracleCounters,
-    cert: Certificate | None = None,
-    cert_backtracks: int | None = None,
-) -> TraceRow:
-    return TraceRow(
-        state.t,
-        n_t,
-        trial.gamma,  # gamma_t
-        trial.alpha,  # alpha_t
-        trial.beta,  # beta_t
-        trial.f_new + problem.nonsmooth.value(trial.x_new),  # F
-        new_state.lambda_prod,
-        counters.grad_f_evals,
-        counters.prox_evals,
-        cert,
-        cert_backtracks,
-    )
+def _accelerated(problem, params, init, counters, first_step=None, done=None):
+    """The accelerated iteration from x1 = z1 = init: its trace, and the certificate it stopped at.
 
-
-def _prepare(problem, params, init, counters, first_step=None):
+    Without ``done`` it checks nothing and runs all ``params.max_iters``
+    iterations.  With it, a certificate is checked on the schedule of
+    ``apg_terminating`` and the loop stops at the first one that ``done``
+    accepts; the certificate is None when the budget ran out first.
+    """
     counters = OracleCounters() if counters is None else counters
     problem = instrument_composite(problem, counters)
     state = initial_state(problem, params, init, first_step)
@@ -535,16 +524,41 @@ def _prepare(problem, params, init, counters, first_step=None):
     # path f comes from the start point's raw image
     x, rx = state.x, state.rx
     f_init = problem.smooth.value(x) if rx is None else problem.smooth.value_at(x, rx)
+    nonsmooth = problem.nonsmooth
     trace = ApgTrace(
         rows=[],
         counters=counters,
-        F_init=f_init + problem.nonsmooth.value(x),
+        F_init=f_init + nonsmooth.value(x),
         gamma0=state.gamma_prev,
         alpha0=state.alpha_prev,
         mu=problem.mu,
         first_step=state.start,
     )
-    return problem, state, trace
+    checked_lambda = 1.0  # lambda_prod at the previous check
+    while state.t <= params.max_iters:
+        # apg_iteration and certified_prox_step are called through this
+        # module's names, which tracers rebind
+        new_state, trial, n_t = apg_iteration(problem, state, params, trace.gamma0)
+        cert = n_tilde = None
+        lambda_t = new_state.lambda_prod
+        # a product that has underflowed to 0 no longer contracts: M alone times the checks
+        if done is not None and (
+            state.t % params.M == 0 or 0.0 < lambda_t <= _CHECK_CONTRACTION * checked_lambda
+        ):
+            checked_lambda = lambda_t
+            cert, n_tilde = certified_prox_step(
+                problem, new_state.x, new_state.start, params.delta, params.max_backtracks
+            )
+        # built after the check, so a checked row's counts include its cost
+        trace.rows.append(TraceRow(
+            state.t, n_t, trial.gamma, trial.alpha, trial.beta,  # t, n_t, gamma_t, alpha_t, beta_t
+            trial.f_new + nonsmooth.value(trial.x_new), lambda_t,  # F, lambda_prod
+            counters.grad_f_evals, counters.prox_evals, cert, n_tilde,
+        ))
+        state = new_state
+        if cert is not None and done(cert):
+            return trace, cert
+    return trace, None
 
 
 def apg_run(
@@ -560,12 +574,7 @@ def apg_run(
     on ``counters``, or on fresh counters when it is None; the trace holds
     them either way.
     """
-    problem, state, trace = _prepare(problem, params, init, counters)
-    while state.t <= params.max_iters:
-        new_state, trial, n_t = apg_iteration(problem, state, params, trace.gamma0)
-        trace.rows.append(_make_row(problem, state, new_state, trial, n_t, trace.counters))
-        state = new_state
-    return trace
+    return _accelerated(problem, params, init, counters)[0]
 
 
 def apg_terminating(
@@ -600,41 +609,24 @@ def apg_terminating(
     Every gradient and prox call of the solve is booked on ``counters``, or
     on fresh counters when it is None; the trace holds them either way.
 
-    Raises SolveTimeout, carrying the first checked certificate of least
-    residual (None before the first check), when the iteration budget runs
-    out, and propagates line-search failures.
+    Raises SolveTimeout, carrying the trace, whose ``best`` is the first
+    checked certificate of least residual (None before the first check),
+    when the iteration budget runs out, and propagates line-search failures.
     """
     if not problem.mu > 0:
         raise ValueError("the certified solver requires mu > 0")
     if params.epsilon is None:
         raise ValueError("params.epsilon must be set for the certified solver")
-    problem, state, trace = _prepare(problem, params, init, counters, first_step)
-    checked_lambda = 1.0  # lambda_prod at the previous check
-    while state.t <= params.max_iters:
-        new_state, trial, n_t = apg_iteration(problem, state, params, trace.gamma0)
-        cert = n_tilde = None
-        lambda_t = new_state.lambda_prod
-        # a product that has underflowed to 0 no longer contracts: M alone times the checks
-        if state.t % params.M == 0 or 0.0 < lambda_t <= _CHECK_CONTRACTION * checked_lambda:
-            checked_lambda = lambda_t
-            cert, n_tilde = certified_prox_step(
-                problem, new_state.x, new_state.start, params.delta, params.max_backtracks
-            )
-        # built after the check, so a checked row's counts include its cost
-        trace.rows.append(
-            _make_row(problem, state, new_state, trial, n_t, trace.counters, cert, n_tilde)
-        )
-        state = new_state
-        if cert is None:
-            continue
-        if cert.residual <= params.epsilon if done is None else done(cert):
-            return TerminatingResult(x=cert.x_tilde, certificate=cert, trace=trace)
-    checked = [row.certificate for row in trace.rows if row.certificate is not None]
-    best = min(checked, key=lambda cert: cert.residual, default=None)
+    if done is None:
+        def done(cert):
+            return cert.residual <= params.epsilon
+    trace, cert = _accelerated(problem, params, init, counters, first_step, done)
+    if cert is not None:
+        return TerminatingResult(x=cert.x_tilde, certificate=cert, trace=trace)
+    best = trace.best
     raise SolveTimeout(
         f"no point certified at epsilon = {params.epsilon} within "
         f"{params.max_iters} iterations (best residual "
         f"{best.residual if best else math.inf})",
-        best=best,
         trace=trace,
     )

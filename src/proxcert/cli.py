@@ -112,17 +112,15 @@ class _Solver:
 
     ``entry`` names its entry point, looked up in this module at call time,
     since tracers rebind those names.  ``keys`` are the params: keys it
-    reads, and its summary block's.  ``unpack`` splits the entry point's
-    result into its trace and what it certified, and ``block`` makes the
-    summary fields from the trace length and that value, or on a timeout from
-    the best the solver saw (None if it saw none).  ``budget`` is set for the
-    solver with no termination test: its default max_iters.
+    reads, and its summary block's.  ``block`` makes the summary fields from
+    the solve's trace: its length and its ``best`` (None if it has none; the
+    last row on a certified return), or apg's last F.  ``budget`` is set for
+    the solver with no termination test: its default max_iters.
     """
 
     entry: str
     params: type
     keys: set
-    unpack: Callable
     block: Callable
     conic: bool = False
     budget: int | None = None
@@ -137,22 +135,27 @@ def _kkt(report) -> dict | None:
     }
 
 
+# getattr(best, name, None) is None when the trace has no best
 _SOLVERS = {
     "apg": _Solver(
-        "apg_run", ApgParams, _APG_KEYS - {"M"}, lambda trace: (trace, trace.rows[-1].F),
-        lambda n, F: {"iterations": n, "residual_bound": None, "F_final": F}, budget=1000,
+        "apg_run", ApgParams, _APG_KEYS - {"M"},
+        lambda t: {"iterations": len(t.rows), "residual_bound": None, "F_final": t.rows[-1].F},
+        budget=1000,
     ),
     "apg-cert": _Solver(
-        "apg_terminating", ApgParams, _APG_KEYS, attrgetter("trace", "certificate"),
-        lambda n, cert: {"iterations": n, "residual_bound": None if cert is None else cert.residual},
+        "apg_terminating", ApgParams, _APG_KEYS,
+        lambda t: {"iterations": len(t.rows), "residual_bound": getattr(t.best, "residual", None)},
     ),
     "ppa": _Solver(
-        "ppa_unconstrained", OuterParams, _OUTER_KEYS, attrgetter("trace", "residual_bound"),
-        lambda n, bound: {"outer_iterations": n, "residual_bound": bound},
+        "ppa_unconstrained", OuterParams, _OUTER_KEYS,
+        lambda t: {
+            "outer_iterations": len(t.rows),
+            "residual_bound": getattr(t.best, "stationarity_residual", None),
+        },
     ),
     "prox-al": _Solver(
-        "prox_al", OuterParams, _OUTER_KEYS, attrgetter("trace", "report"),
-        lambda n, report: {"outer_iterations": n, "kkt": _kkt(report)}, conic=True,
+        "prox_al", OuterParams, _OUTER_KEYS,
+        lambda t: {"outer_iterations": len(t.rows), "kkt": _kkt(t.best)}, conic=True,
     ),
 }
 SOLVERS = tuple(_SOLVERS)
@@ -353,12 +356,12 @@ def execute(spec: RunSpec, epsilon: float | None = None) -> RunOutcome:
     code, termination = 0, "certified" if solver.budget is None else "iteration-budget"
     try:
         result = globals()[solver.entry](built, params, *init)
-        trace, value = solver.unpack(result)
+        trace = result if isinstance(result, ApgTrace) else result.trace
     except SolveTimeout as exc:
-        code, termination, trace, value = 2, "timeout", exc.trace, exc.best
+        code, termination, trace = 2, "timeout", exc.trace
     summary = {
         "version": 1, "solver": spec.solver, "epsilon": epsilon, "problem": meta,
-        "params": block, "termination": termination, **solver.block(len(trace.rows), value),
+        "params": block, "termination": termination, **solver.block(trace),
         "totals": dataclasses.asdict(trace.counters),
         "wall_time_s": time.perf_counter() - started,
     }

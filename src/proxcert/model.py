@@ -51,13 +51,12 @@ class InvariantViolation(AssertionError):
 class SolveTimeout(RuntimeError):
     """Iteration budget exhausted before certification.
 
-    Carries the best certificate / bound / report seen so far in ``best``
-    and the partial trace in ``trace``.
+    Carries the partial trace in ``trace``; its ``best`` is the best
+    certificate (accelerated solver) or KKT report (outer loop) seen so far.
     """
 
-    def __init__(self, message: str, *, best=None, trace=None):
+    def __init__(self, message: str, *, trace):
         super().__init__(message)
-        self.best = best
         self.trace = trace
 
 

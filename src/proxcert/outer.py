@@ -166,8 +166,18 @@ class OuterTraceRow:
 
 @dataclass
 class OuterTrace:
+    """Full record of one outer-loop solve: a row per outer step that ended.
+
+    counters books every oracle call of the solve, its inner solves' included.
+    """
+
     rows: list[OuterTraceRow]
     counters: OracleCounters
+
+    @property
+    def best(self) -> KktReport | None:
+        """The first KKT report whose larger residual is least; None before a step ends."""
+        return min((row.kkt for row in self.rows), key=_worst, default=None)
 
 
 @dataclass(frozen=True)
@@ -442,10 +452,10 @@ def prox_al(conic: ConicProblem, params: OuterParams, init_x, init_lam) -> ProxA
     subproblem is the proximal-point one, the multiplier update maps and
     projects nothing, and the complementarity residual is 0.
 
-    Raises SolveTimeout when the outer budget or an inner solve's iteration
-    budget runs out; its ``best`` is the KKT report of the first row whose
-    larger residual is least (None before the first step ends) and its
-    ``trace`` the outer trace.
+    Raises SolveTimeout, carrying the outer trace, whose ``best`` is the
+    KKT report of the first row whose larger residual is least (None before
+    the first step ends), when the outer budget or an inner solve's
+    iteration budget runs out.
     """
     params = params.resolved(conic)
 
@@ -485,10 +495,8 @@ def prox_al(conic: ConicProblem, params: OuterParams, init_x, init_lam) -> ProxA
                 done=done,
                 first_step=first_step,
             )
-        except SolveTimeout as exc:
-            # the outer solve's timeout, carrying its own best and trace
-            best = min((row.kkt for row in rows), key=_worst, default=None)
-            raise SolveTimeout(f"inner solve at outer step {k}: {exc}", best=best, trace=trace) from exc
+        except SolveTimeout as exc:  # the outer solve's timeout, carrying its own trace
+            raise SolveTimeout(f"inner solve at outer step {k}: {exc}", trace=trace) from exc
         cert, gval, lam_new = accepted
         if res.certificate is not cert:
             raise InvariantViolation(
@@ -529,10 +537,8 @@ def prox_al(conic: ConicProblem, params: OuterParams, init_x, init_lam) -> ProxA
         start = center if conic.base.nonsmooth.value(center) < math.inf else x_new
         x, lam, a_k = x_new, lam_new, a_next
         first_step = res.trace.rows[-1].gamma_t
-    best = min((row.kkt for row in rows), key=_worst)  # the first least
     raise SolveTimeout(
-        f"outer budget of {params.max_outer} exhausted; best KKT residual {_worst(best)}",
-        best=best,
+        f"outer budget of {params.max_outer} exhausted; best KKT residual {_worst(trace.best)}",
         trace=trace,
     )
 
@@ -547,18 +553,14 @@ def ppa_unconstrained(problem: CompositeProblem, params: OuterParams, init) -> P
     c_k)/rho_k, an element of dF(x_{k+1}), has ||s|| <= epsilon.  An inner
     solve stops early at the first checked certificate with ||u|| +
     ||x_tilde - c_k||/rho_k <= epsilon, which bounds ||s||.  A
-    SolveTimeout carries the least ||s|| seen as its ``best``, or None if no
-    outer step ended.
+    SolveTimeout carries the outer trace, whose ``best`` is the first KKT
+    report of least ||s||, as ``prox_al`` gives it, or None if no outer
+    step ended.
     """
     if problem.mu != 0:
         raise ValueError("the proximal-point solver requires mu = 0")
-    conic = ConicProblem.unconstrained(problem)
-    try:
-        # through the module name, which tracers rebind
-        res = prox_al(conic, params, init, np.zeros(0))
-    except SolveTimeout as exc:
-        exc.best = None if exc.best is None else exc.best.stationarity_residual
-        raise
+    # through the module name, which tracers rebind
+    res = prox_al(ConicProblem.unconstrained(problem), params, init, np.zeros(0))
     last = res.trace.rows[-1]
     return PpaResult(
         x=res.x,

@@ -154,9 +154,7 @@ class ConstrainedInstance:
     conic: ConicProblem
     x_feas: Array
     ineq_matrix: Array
-    ineq_rhs: Array
     eq_matrix: Array
-    eq_rhs: Array
 
 
 def gen_constrained(spec: ConstrainedSpec) -> ConstrainedInstance:
@@ -191,9 +189,7 @@ def gen_constrained(spec: ConstrainedSpec) -> ConstrainedInstance:
         raise RuntimeError("generation failed: sampled point is not strictly feasible")
     if spec.m2 and not np.all(np.abs(gval[spec.m1 :]) <= 1e-12):
         raise RuntimeError("generation failed: equality residual exceeds 1e-12")
-    return ConstrainedInstance(
-        conic=conic, x_feas=x_feas, ineq_matrix=B, ineq_rhs=d, eq_matrix=C, eq_rhs=e
-    )
+    return ConstrainedInstance(conic=conic, x_feas=x_feas, ineq_matrix=B, eq_matrix=C)
 
 
 def ineq_quadratic_1d() -> ConicProblem:

@@ -69,12 +69,12 @@ def solve(seed: int, kind: str):
 def diagnose(exc: SolveTimeout) -> str:
     inner = exc.__cause__
     if not isinstance(inner, SolveTimeout):
-        return f"outer budget of {PARAMS.max_outer} steps exhausted; best KKT report {exc.best}"
+        return f"outer budget of {PARAMS.max_outer} steps exhausted; best KKT report {exc.trace.best}"
     k = len(exc.trace.rows)
     eta_k = PARAMS.eta0 * PARAMS.sigma**k
     gammas = [row.gamma_t for row in inner.trace.rows]
     t_mid = min(15_000, len(gammas))
-    best = inner.best.residual if inner.best is not None else float("inf")
+    best = inner.trace.best.residual if inner.trace.best is not None else float("inf")
     return (
         f"inner solve at outer step {k}: best residual {best:.2g} against eta_k {eta_k:.2g}; "
         f"gamma {gammas[0]:.2g} at t = 1, {gammas[t_mid - 1]:.2g} at t = {t_mid}, "

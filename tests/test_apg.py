@@ -30,7 +30,7 @@ from proxcert import (
     solve_alpha,
     trial_step,
 )
-from proxcert.problems import QuarticSpec, gen_constrained, gen_quartic
+from proxcert.problems import IMAGE_MIN_ENTRIES, QuarticSpec, gen_constrained, gen_quartic
 
 from conftest import SeparateOnly, make_quadratic, nan_after
 from helpers import (
@@ -364,8 +364,8 @@ class TestApgTerminating:
         params = ApgParams(gamma0=0.5, M=1, epsilon=1e-30, max_iters=8)
         with pytest.raises(SolveTimeout) as info:
             apg_terminating(quadratic, params, [1.0])
-        assert info.value.best is not None
-        assert info.value.best.residual > 0
+        assert info.value.trace.best is not None
+        assert info.value.trace.best.residual > 0
         assert len(info.value.trace.rows) == 8
 
     def test_timeout_best_is_the_first_checked_certificate_of_least_residual(self):
@@ -379,7 +379,7 @@ class TestApgTerminating:
         residuals = [cert.residual for cert in checked]
         first = residuals.index(min(residuals))
         assert first < len(checked) - 1 and residuals.count(residuals[first]) > 1
-        assert info.value.best is checked[first]
+        assert info.value.trace.best is checked[first]
 
     def test_certificate_cadence(self, quadratic):
         # checks are due at t = 3, 6, 9 by M, and at t = 1, 3, 5, 8 because
@@ -539,3 +539,29 @@ def test_fused_and_separate_oracles_give_identical_traces(separate):
         assert np.array_equal(getattr(a.certificate, name), getattr(b.certificate, name))
     assert (a.certificate.gamma_tilde, a.certificate.residual) == (
         b.certificate.gamma_tilde, b.certificate.residual)
+
+
+@pytest.mark.parametrize("spec", [
+    QuarticSpec(n=8, k_terms=4, seed=7, mu_add=0.1, prox=L1Term(8, 0.1)),  # the plain path
+    QuarticSpec(n=300, k_terms=100, seed=2, mu_add=0.1),  # the image path
+], ids=["plain", "image"])
+def test_certificate_checks_never_move_the_iteration(spec):
+    # apg_terminating's checks read the iterates and write only their own
+    # rows' certificate fields: apg_run, which checks nothing, takes the
+    # same steps for as many iterations
+    problem = gen_quartic(spec)
+    assert (problem.smooth.image(np.zeros(spec.n)) is None) == (
+        spec.n * spec.k_terms < IMAGE_MIN_ENTRIES
+    )
+    params = ApgParams(epsilon=1e-8, M=4)
+    checked = apg_terminating(problem, params, np.ones(spec.n)).trace
+    plain = apg_run(problem, replace(params, max_iters=len(checked.rows)), np.ones(spec.n))
+    assert any(row.certificate is not None for row in checked.rows[:-1])
+
+    def steps(trace):
+        return [
+            (r.t, r.n_t, r.gamma_t, r.alpha_t, r.beta_t, r.F, r.lambda_prod) for r in trace.rows
+        ]
+
+    assert steps(plain) == steps(checked)
+    assert plain.F_init == checked.F_init

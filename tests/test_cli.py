@@ -86,6 +86,29 @@ def run_solve(tmp_path, doc, name="spec.yaml"):
     return code, summary_doc, rows
 
 
+def best_in_csv(solver, rows):
+    """The summary's result fields as a solve's trace CSV gives them.
+
+    residual_bound is the least cert_residual of an inner trace, or the
+    stat_res of an outer trace's best row, its first of least max(stat_res,
+    comp_res), of which kkt holds both; each is None when the CSV has no such
+    row.  F_final, for apg, is the last F.
+    """
+    if solver == "apg":
+        return {"residual_bound": None, "F_final": float(rows[-1]["F"])}
+    if solver == "apg-cert":
+        residuals = [float(row["cert_residual"]) for row in rows if row["cert_residual"]]
+        return {"residual_bound": min(residuals, default=None)}
+    if not rows:
+        return {"residual_bound": None} if solver == "ppa" else {"kkt": None}
+    worst = [max(float(row["stat_res"]), float(row["comp_res"])) for row in rows]
+    best = rows[worst.index(min(worst))]
+    if solver == "ppa":
+        return {"residual_bound": float(best["stat_res"])}
+    stationarity, complementarity = float(best["stat_res"]), float(best["comp_res"])
+    return {"kkt": {"stationarity": stationarity, "complementarity": complementarity}}
+
+
 class TestSolve:
     def test_quartic_ppa_certifies(self, tmp_path):
         code, summary, rows = run_solve(tmp_path, QUARTIC_PPA)
@@ -304,7 +327,7 @@ class TestSolve:
 
     def test_timeout_exit_code_and_partial_outputs(self, tmp_path):
         quartic = {"kind": "quartic", "n": 20, "k_terms": 5, "seed": 3, "mu_add": 0}
-        cases = [  # (spec, trace rows); the last two run out of inner iterations
+        cases = [  # (spec, trace rows); the ppa and last prox-al ones run out of inner iterations
             (TIMEOUT_APG_CERT, 5),
             ({
                 "version": 1, "solver": "ppa", "epsilon": 1e-10, "problem": quartic,
@@ -317,12 +340,23 @@ class TestSolve:
             }, 10),
             (dict(NAMED_PROX_AL, params={"max_iters": 1}), 0),
         ]
-        for doc, steps in cases:
+        certified = [  # apg certifies nothing: it runs its budget
+            {"version": 1, "solver": "apg", "problem": TIMEOUT_APG_CERT["problem"],
+             "params": {"max_iters": 20}},
+            APG_CERT, QUARTIC_PPA, NAMED_PROX_AL,
+        ]
+        for doc, steps in cases + [(doc, None) for doc in certified]:
             code, summary, rows = run_solve(tmp_path, doc)
+            # each summary's result is its own trace CSV's best row
+            keys = {"residual_bound", "kkt", "F_final"} & set(summary)
+            assert {key: summary[key] for key in keys} == best_in_csv(doc["solver"], rows)
+            assert summary.get("outer_iterations", summary.get("iterations")) == len(rows)
+            if steps is None:
+                assert code == 0
+                continue
             assert code == 2
             assert summary["termination"] == "timeout"
             assert len(rows) == steps
-            assert summary.get("outer_iterations", summary.get("iterations")) == steps
             # the best so far: None before the first outer step ends
             best = summary.get("kkt", summary.get("residual_bound"))
             assert (best is None) == (steps == 0)

@@ -189,7 +189,8 @@ class TestPpaUnconstrained:
     def test_timeout_carries_best_bound(self, quartic_1d):
         with pytest.raises(SolveTimeout) as info:
             ppa_unconstrained(quartic_1d, OuterParams(epsilon=1e-9, max_outer=2), [1.0])
-        assert info.value.best is not None and info.value.best > 0
+        best = info.value.trace.best
+        assert best is not None and best.stationarity_residual > 0
         assert len(info.value.trace.rows) == 2
 
     def test_inner_budget_exhaustion_is_an_outer_timeout(self):
@@ -199,7 +200,7 @@ class TestPpaUnconstrained:
         with pytest.raises(SolveTimeout) as info:
             ppa_unconstrained(problem, params, np.zeros(20))
         assert isinstance(info.value.trace, OuterTrace) and info.value.trace.rows == []
-        assert info.value.best is None
+        assert info.value.trace.best is None
 
 
 class TestProxAl:
@@ -351,8 +352,8 @@ class TestProxAl:
     def test_timeout_carries_best_report(self, ineq1d):
         with pytest.raises(SolveTimeout) as info:
             prox_al(ineq1d, OuterParams(epsilon=1e-10, max_outer=2), np.zeros(1), np.zeros(1))
-        assert info.value.best is not None
-        assert info.value.best.stationarity_residual >= 0
+        assert info.value.trace.best is not None
+        assert info.value.trace.best.stationarity_residual >= 0
 
     def test_inner_budget_exhaustion_is_an_outer_timeout(self):
         # the timeout carries the outer trace and the best KKT report so far
@@ -364,7 +365,7 @@ class TestProxAl:
         rows = info.value.trace.rows
         assert isinstance(info.value.trace, OuterTrace) and len(rows) == 10
         worst = [max(row.kkt.stationarity_residual, row.kkt.complementarity_residual) for row in rows]
-        assert info.value.best is rows[worst.index(min(worst))].kkt
+        assert info.value.trace.best is rows[worst.index(min(worst))].kkt
 
 
 def same_report(a: KktReport, b: KktReport) -> bool:

@@ -119,7 +119,7 @@ class TestGenConstrained:
         rng = np.random.default_rng(5)
         for _ in range(50):
             x = rng.uniform(-1.0, 1.0, 5)
-            v = rng.uniform(-1.0, 1.0, 5 if False else full.shape[0])
+            v = rng.uniform(-1.0, 1.0, full.shape[0])
             out = inst.conic.constraint.adjoint_apply(x, v)
             assert np.max(np.abs(out - full.T @ v)) <= 1e-12
 

@@ -50,6 +50,21 @@ def test_one_line_search():
     assert len(_calls(apg, "LineSearchFailure")) == 1
 
 
+def test_one_accelerated_loop():
+    # apg_run and apg_terminating run one loop, which takes every step,
+    # checks every certificate and builds every trace row at one site
+    apg = [path for path in MODULES if path.name == "apg.py"]
+    for name in ("apg_iteration", "certified_prox_step", "TraceRow"):
+        assert len(_calls(apg, name)) == 1, name
+
+
+def test_a_timeout_carries_only_its_trace():
+    # a SolveTimeout's best is its trace's best row, so no raise site passes one
+    raises = [node for path in MODULES for node in _nodes(path) if _is_call(node, "SolveTimeout")]
+    assert len(raises) >= 3
+    assert [kw.arg for node in raises for kw in node.keywords] == ["trace"] * len(raises)
+
+
 def test_one_multiplier_update_in_prox_al():
     # an outer step's multiplier update is formed where its stop rule accepts
     # a certificate, so the step and its KKT report use that certificate's
