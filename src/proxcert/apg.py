@@ -13,7 +13,7 @@ checker can recompute from the stored data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -84,8 +84,8 @@ class ApgParams:
     """Tuning knobs shared by the accelerated solvers.
 
     gamma0 is the first and largest step (clamped to keep mu*gamma0 < 1
-    when mu > 0); alpha0 the initial extrapolation weight; delta the
-    backtracking shrink factor; M the most iterations between two
+    when mu > 0, see ``resolved``); alpha0 the initial extrapolation weight;
+    delta the backtracking shrink factor; M the most iterations between two
     certificate checks; epsilon the target residual for the certified solver.
 
     The certified solver checks a certificate every M-th iteration, and also
@@ -123,17 +123,21 @@ class ApgParams:
         if self.epsilon is not None and not 0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
 
-    def effective(self, mu: float) -> tuple[float, float]:
-        """Resolve (gamma0, alpha0) for a problem with convexity modulus mu."""
-        gamma0 = self.gamma0
-        if mu > 0:
-            gamma0 = min(gamma0, step_clamp(mu))
+    def resolved(self, mu: float) -> ApgParams:
+        """These params at modulus mu: gamma0 clamped to ``step_clamp(mu)`` when mu > 0,
+        alpha0 lifted to sqrt(mu*gamma0) from up to 1e-12 below (further below
+        is a ValueError).  Params that need neither are returned as they are.
+        """
+        gamma0 = min(self.gamma0, step_clamp(mu)) if mu > 0 else self.gamma0
         lower = math.sqrt(mu * gamma0)
         if self.alpha0 < lower - 1e-12:
             raise ValueError(
                 f"alpha0 = {self.alpha0} is below sqrt(mu*gamma0) = {lower}"
             )
-        return gamma0, min(1.0, max(self.alpha0, lower))
+        alpha0 = min(1.0, max(self.alpha0, lower))
+        if gamma0 == self.gamma0 and alpha0 == self.alpha0:
+            return self
+        return replace(self, gamma0=gamma0, alpha0=alpha0)
 
 
 # The per-trial and per-iteration records below are NamedTuples: immutable
@@ -147,7 +151,8 @@ class ApgState(NamedTuple):
     """Iterate pair (x, z) plus the previous step scalars driving the recursion.
 
     start is the step the next iteration, and a certificate check at this
-    state, tries first (see ApgParams).  rx and rz are the affine images
+    state, tries first (see ApgParams), and cap the resolved gamma0, which
+    no start grown back exceeds.  rx and rz are the affine images
     A x - b and A z - b when the smooth oracle offers them (see
     SmoothOracle), else None.
     """
@@ -158,6 +163,7 @@ class ApgState(NamedTuple):
     alpha_prev: float
     gamma_prev: float
     start: float
+    cap: float
     lambda_prod: float = 1.0  # running product of (1 - alpha_i); times the checks
     rx: Array | None = None
     rz: Array | None = None
@@ -375,9 +381,11 @@ def initial_state(
 ) -> ApgState:
     """The state x1 = z1 = init, whose alpha recursion starts at gamma0 and alpha0.
 
+    gamma0, the state's cap, and alpha0 are those of ``params.resolved(problem.mu)``.
     It starts at gamma0, or at min(gamma0, first_step) when first_step is given.
     """
-    gamma0, alpha0 = params.effective(problem.mu)
+    params = params.resolved(problem.mu)
+    gamma0, alpha0 = params.gamma0, params.alpha0
     if first_step is not None and not first_step > 0:
         raise ValueError(f"first_step must be positive, got {first_step}")
     x = np.asarray(init, dtype=float).copy()
@@ -391,27 +399,22 @@ def initial_state(
     rx = None if image is None else image(x)
     return ApgState(
         t=1, x=x, z=x.copy(), alpha_prev=alpha0, gamma_prev=gamma0,
-        start=gamma0 if first_step is None else min(gamma0, first_step), lambda_prod=1.0,
-        rx=rx, rz=rx,
+        start=gamma0 if first_step is None else min(gamma0, first_step), cap=gamma0,
+        lambda_prod=1.0, rx=rx, rz=rx,
     )
 
 
 def apg_iteration(
-    problem: CompositeProblem,
-    state: ApgState,
-    params: ApgParams,
-    gamma0: float | None = None,
+    problem: CompositeProblem, state: ApgState, params: ApgParams
 ) -> tuple[ApgState, TrialStep, int]:
     """One accelerated iteration with backtracking from ``state.start``.
 
     Tries gamma = state.start * delta**n for n = 0, 1, ... and accepts the
     first n satisfying the local curvature bound; each trial costs one
     gradient and one prox evaluation.  Returns the new state, the accepted
-    trial and its n.  The new state starts at min(gamma/delta, gamma0) when
-    the trial passes the grow gate (``admits_growth``), else at gamma.
-    ``gamma0``, when given, must be the step that ``params.effective(problem.mu)``
-    resolves; the solvers pass it once per solve instead of resolving it
-    on every iteration.
+    trial and its n.  The new state starts at min(gamma/delta, state.cap)
+    when the trial passes the grow gate (``admits_growth``), else at gamma.
+    Of ``params`` it reads only delta and max_backtracks.
     """
     delta = params.delta
     trial, n = _backtrack(
@@ -422,12 +425,7 @@ def apg_iteration(
         state.start, delta, params.max_backtracks, f"iteration {state.t}, backtracking",
     )
     gamma = trial.gamma
-    if admits_growth(trial, delta):
-        if gamma0 is None:
-            gamma0, _ = params.effective(problem.mu)
-        start = min(gamma / delta, gamma0)
-    else:
-        start = gamma
+    start = min(gamma / delta, state.cap) if admits_growth(trial, delta) else gamma
     new_state = ApgState(
         state.t + 1,  # t
         trial.x_new,
@@ -435,6 +433,7 @@ def apg_iteration(
         trial.alpha,  # alpha_prev
         gamma,  # gamma_prev
         start,
+        state.cap,
         state.lambda_prod * (1.0 - trial.alpha),
         trial.rx_new,
         trial.rz_new,
@@ -538,7 +537,7 @@ def _accelerated(problem, params, init, counters, first_step=None, done=None):
     while state.t <= params.max_iters:
         # apg_iteration and certified_prox_step are called through this
         # module's names, which tracers rebind
-        new_state, trial, n_t = apg_iteration(problem, state, params, trace.gamma0)
+        new_state, trial, n_t = apg_iteration(problem, state, params)
         cert = n_tilde = None
         lambda_t = new_state.lambda_prod
         # a product that has underflowed to 0 no longer contracts: M alone times the checks

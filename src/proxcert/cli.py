@@ -240,7 +240,7 @@ def load_run_spec(path: str) -> RunSpec:
     if kind not in tuple(_PROBLEM_KEYS):
         raise SpecError(f"problem.kind must be quartic, constrained, or named, got {kind!r}")
     _check_keys(problem, _PROBLEM_KEYS[kind], "problem")
-    params = doc.get("params") or {}
+    params = {} if doc.get("params") is None else doc["params"]  # only missing or null means none
     if not isinstance(params, dict):
         raise SpecError("params must be a mapping")
     _check_keys(params, _SOLVERS[solver].keys, f"params of solver {solver}")
@@ -314,9 +314,9 @@ def build_problem(spec: RunSpec):
     return problems.gen_constrained(cspec).conic, meta
 
 
-def _solver_params(solver: _Solver, spec: RunSpec, epsilon, built):
-    """The solver's params (dataclass defaults plus the spec's params:) and
-    its summary block.
+def _solver_params(solver: _Solver, spec: RunSpec, epsilon, mu: float):
+    """The solver's params (dataclass defaults plus the spec's params:),
+    resolved for modulus mu, and its summary block.
 
     The block holds every setting the solver reads, under its params: key,
     with the value it uses, so it can be fed back.
@@ -324,13 +324,8 @@ def _solver_params(solver: _Solver, spec: RunSpec, epsilon, built):
     settings = dict(spec.params)
     if solver.budget is not None:
         settings.setdefault("max_iters", solver.budget)
-    params = solver.params(epsilon=epsilon, **settings)
-    if solver.params is ApgParams:
-        values = vars(params) | dict(zip(("gamma0", "alpha0"), params.effective(built.mu)))
-    else:
-        params = params.resolved(built if solver.conic else ConicProblem.unconstrained(built))
-        values = vars(params)
-    return params, {key: values[key] for key in solver.keys}
+    params = solver.params(epsilon=epsilon, **settings).resolved(mu)
+    return params, {key: getattr(params, key) for key in solver.keys}
 
 
 @dataclass
@@ -349,8 +344,8 @@ def execute(spec: RunSpec, epsilon: float | None = None) -> RunOutcome:
         kind = "a constrained" if solver.conic else "an unconstrained"
         raise SpecError(f"solver {spec.solver} requires {kind} problem")
     started = time.perf_counter()
-    params, block = _solver_params(solver, spec, epsilon, built)
     base = built.base if solver.conic else built
+    params, block = _solver_params(solver, spec, epsilon, base.mu)
     x0 = base.nonsmooth.prox(1.0, np.zeros(base.dim)) if spec.init is None else np.array(spec.init)
     init = (x0, np.zeros(built.cone.dim)) if solver.conic else (x0,)
     code, termination = 0, "certified" if solver.budget is None else "iteration-budget"

@@ -64,16 +64,17 @@ class OuterParams:
     the relative test rho_k ||u|| <= ||x_{k+1} - c_k||/2, whose factor 1/2
     is fixed (``_RELATIVE_STOP``), not a field; a step that ends by the
     relative test alone grows rho.
-    rho0 defaults per problem when None (see ``resolved``).  delta, M,
-    max_iters and max_backtracks are the inner solves' ``ApgParams`` fields
-    of those names, with their defaults and checks (see ``ApgParams`` for
-    when a solve checks its certificate).  The loop sets the other three itself: epsilon is eta_k
-    on every step, gamma0 the step clamp (1 - 1e-9)/mu_k of the modulus
-    mu_k = mu + 1/rho_k, to which the step grows back, and alpha0 stays 1,
-    in the range [sqrt(mu_k * gamma0), 1] = [sqrt(1 - 1e-9), 1] that the
-    clamp leaves.  From outer step 1 on, the first trial of an inner solve
-    is the last step the previous inner solve accepted, capped at the
-    clamp, while its alpha recursion still starts at the clamp.
+    A set rho0 must be positive and finite; None defaults per problem (see
+    ``resolved``).  delta, M, max_iters and max_backtracks are the inner
+    solves' ``ApgParams`` fields of those names, with their defaults and
+    checks (see ``ApgParams`` for when a solve checks its certificate).  The
+    loop sets the other three itself: epsilon is eta_k on every step, gamma0
+    the step clamp (1 - 1e-9)/mu_k of the modulus mu_k = mu + 1/rho_k, to
+    which the step grows back, and alpha0 stays 1, in the range
+    [sqrt(mu_k * gamma0), 1] = [sqrt(1 - 1e-9), 1] that the clamp leaves.
+    From outer step 1 on, the first trial of an inner solve is the last
+    step the previous inner solve accepted, capped at the clamp, while its
+    alpha recursion still starts at the clamp.
     """
 
     epsilon: float
@@ -90,6 +91,8 @@ class OuterParams:
     def __post_init__(self):
         if not 0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if self.rho0 is not None and not 0 < self.rho0 < math.inf:
+            raise ValueError(f"rho0 must be positive and finite, got {self.rho0}")
         if not self.zeta > 1:
             raise ValueError("zeta must exceed 1")
         if not 0 < self.sigma < 1 / self.zeta:
@@ -105,18 +108,15 @@ class OuterParams:
             delta=self.delta, M=self.M, max_iters=self.max_iters, max_backtracks=self.max_backtracks
         )
 
-    def resolved(self, conic: ConicProblem) -> "OuterParams":
-        """These params with rho0 set for ``conic``.
+    def resolved(self, mu: float) -> OuterParams:
+        """These params with rho0 set for modulus mu; returned as they are if it is set.
 
-        rho0 defaults to max(10, c + 1), where c = (mu + sqrt(mu^2 + 4))/2
-        (1 when mu = 0), and need only be positive and finite.
+        rho0 defaults to max(10, c + 1), where c = (mu + sqrt(mu^2 + 4))/2 (1 when mu = 0).
         """
-        mu = conic.base.mu
+        if self.rho0 is not None:
+            return self
         critical = (mu + math.sqrt(mu * mu + 4.0)) / 2.0
-        rho0 = self.rho0 if self.rho0 is not None else max(10.0, critical + 1.0)
-        if not 0 < rho0 < math.inf:
-            raise ValueError(f"rho0 must be positive and finite, got {rho0}")
-        return replace(self, rho0=rho0)
+        return replace(self, rho0=max(10.0, critical + 1.0))
 
 
 @dataclass(frozen=True)
@@ -457,7 +457,7 @@ def prox_al(conic: ConicProblem, params: OuterParams, init_x, init_lam) -> ProxA
     the first step ends), when the outer budget or an inner solve's
     iteration budget runs out.
     """
-    params = params.resolved(conic)
+    params = params.resolved(conic.base.mu)
 
     counters = OracleCounters()
     x = np.asarray(init_x, dtype=float).copy()

@@ -82,6 +82,9 @@ def lying():
     (OuterParams, "zeta", 1.0),
     (OuterParams, "eta0", 0.0),
     (OuterParams, "eta0", 1.5),
+    (OuterParams, "rho0", 0.0),
+    (OuterParams, "rho0", math.inf),
+    (OuterParams, "rho0", math.nan),
 ])
 def test_params_reject_bad_values_at_construction(make, name, bad):
     base = {"epsilon": 1e-4} if make is OuterParams else {}
@@ -492,9 +495,9 @@ def test_operation_accounting_is_exact():
 def test_gamma_clamp_keeps_update_well_defined():
     problem = make_quadratic(mu=2.0)
     params = ApgParams(gamma0=0.5)  # mu * gamma0 = 1 exactly without the clamp
-    gamma0, alpha0 = params.effective(problem.mu)
-    assert gamma0 < 0.5
-    assert alpha0 == 1.0
+    resolved = params.resolved(problem.mu)
+    assert resolved.gamma0 < 0.5
+    assert resolved.alpha0 == 1.0
     res = apg_terminating(problem, ApgParams(gamma0=0.5, M=1, epsilon=1e-8), [1.0])
     assert res.certificate.residual <= 1e-8
 

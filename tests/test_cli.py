@@ -80,8 +80,9 @@ def run_solve(tmp_path, doc, name="spec.yaml"):
     summary_doc = json.loads(summary.read_text()) if summary.exists() else None
     rows = None
     if trace.exists():
-        reader = csv.DictReader(trace.open())
-        rows = list(reader)
+        with trace.open() as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
         assert reader.fieldnames in (INNER_HEADER, OUTER_HEADER)
     return code, summary_doc, rows
 
@@ -199,7 +200,10 @@ class TestSolve:
         (dict(QUARTIC_PPA, solver="pga"), "solver must be one of"),
         (dict(QUARTIC_PPA, problem=[1]), "problem must be a mapping"),
         (dict(QUARTIC_PPA, problem={"kind": "cubic"}), "problem.kind must be quartic"),
-        (dict(QUARTIC_PPA, params=[1]), "params must be a mapping"),
+        # only a missing or null params: means none; all of these but [1]
+        # once solved with the defaults
+        *[(dict(QUARTIC_PPA, params=bad), "params must be a mapping")
+          for bad in ([1], [], 0, False, "")],
         *[
             ({key: value for key, value in dict(QUARTIC_PPA, solver=solver).items()
               if key != "epsilon"}, f"solver {solver} requires epsilon")
@@ -219,7 +223,8 @@ class TestSolve:
         (QUARTIC_PPA_TEXT + "  prox: {kind: l1, weight: 1.0, weight: 2.0}\n",
          "duplicate key 'weight' at line 10 of the spec file"),
     ], ids=[
-        "document", "solver", "problem", "problem-kind", "params", "apg-cert-epsilon",
+        "document", "solver", "problem", "problem-kind", "params", "params-empty-list",
+        "params-zero", "params-false", "params-empty-string", "apg-cert-epsilon",
         "ppa-epsilon", "prox-al-epsilon", "init", "prox-kind", "named-instance",
         "duplicate-top", "duplicate-problem", "duplicate-prox",
     ])
@@ -229,6 +234,12 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert summary is None
+
+    @pytest.mark.parametrize("params", [{}, None], ids=["empty", "null"])
+    def test_empty_or_null_params_solve_with_the_defaults(self, tmp_path, params):
+        code, summary, _ = run_solve(tmp_path, dict(QUARTIC_PPA, params=params))
+        assert code == 0
+        assert summary["params"] == run_solve(tmp_path, QUARTIC_PPA, "plain.yaml")[1]["params"]
 
     @pytest.mark.parametrize("flag", ["--trace", "--summary"])
     def test_unwritable_output_path_is_one_error_line(self, tmp_path, capsys, monkeypatch, flag):
@@ -664,7 +675,10 @@ class TestSweep:
         spec = write_spec(tmp_path / "spec.yaml", doc)
         out = tmp_path / "table.csv"
         code = main(["sweep", "--spec", spec, "--eps", eps, "--out", str(out)])
-        rows = list(csv.DictReader(out.open())) if out.exists() else None
+        rows = None
+        if out.exists():
+            with out.open() as fh:
+                rows = list(csv.DictReader(fh))
         return code, rows
 
     def test_scaling_table(self, tmp_path):

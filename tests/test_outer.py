@@ -290,9 +290,8 @@ class TestProxAl:
         assert res.report.complementarity_residual <= 1e-6
 
     def test_rho0_validation(self, ineq1d):
-        params = OuterParams(epsilon=1e-4, rho0=0.0)
         with pytest.raises(ValueError, match="rho0"):
-            prox_al(ineq1d, params, np.zeros(1), np.zeros(1))
+            prox_al(ineq1d, OuterParams(epsilon=1e-4, rho0=0.0), np.zeros(1), np.zeros(1))
 
     def test_rejects_non_finite_start(self, ineq1d):
         params = OuterParams(epsilon=1e-4)
@@ -551,17 +550,16 @@ class TestOuterParams:
 
     def test_resolved_rho0_defaults(self, quartic_1d, ineq1d):
         params = OuterParams(epsilon=1e-4)
-        unconstrained = ConicProblem.unconstrained(quartic_1d)
-        assert params.resolved(unconstrained).rho0 == 10.0
-        assert params.resolved(ineq1d).rho0 == 10.0  # c + 1 = 3.41 for mu = 2
+        assert params.resolved(quartic_1d.mu).rho0 == 10.0
+        assert params.resolved(ineq1d.base.mu).rho0 == 10.0  # c + 1 = 3.41 for mu = 2
         steep = ConicProblem(
             base=gen_quartic(QuarticSpec(n=2, k_terms=1, seed=0, mu_add=20.0)),
             constraint=eq_quadratic_2d().constraint,
             cone=ConeSpec.zeros(1),
         )
-        assert params.resolved(steep).rho0 == (20.0 + np.sqrt(404.0)) / 2.0 + 1.0
+        assert params.resolved(steep.base.mu).rho0 == (20.0 + np.sqrt(404.0)) / 2.0 + 1.0
         assert params.rho0 is None
-        assert OuterParams(epsilon=1e-4, rho0=30.0).resolved(steep).rho0 == 30.0
+        assert OuterParams(epsilon=1e-4, rho0=30.0).resolved(steep.base.mu).rho0 == 30.0
 
     def test_grow_path_needs_only_a_positive_finite_rho0(self, ineq1d):
         # below the critical value 1 + sqrt(2) for mu = 2: the inner step
@@ -570,15 +568,15 @@ class TestOuterParams:
         assert res.report.stationarity_residual <= 1e-4
         for rho0 in (0.0, -1.0, float("inf"), float("nan")):
             with pytest.raises(ValueError, match="rho0 must be positive and finite"):
-                OuterParams(epsilon=1e-4, rho0=rho0).resolved(ineq1d)
+                OuterParams(epsilon=1e-4, rho0=rho0).resolved(ineq1d.base.mu)
 
     @pytest.mark.parametrize("conic", [False, True])
     def test_grow_path_alpha0_checked_against_the_clamp(self, quartic_1d, ineq1d, conic):
         # the first inner step is the clamp, so mu_0 * gamma_0 = 1 - 1e-9 and
         # alpha0 = 1 lies in [sqrt(mu_0 * gamma_0), 1]; the loop keeps it there
-        problem = ineq1d if conic else ConicProblem.unconstrained(quartic_1d)
-        params = OuterParams(epsilon=1e-4).resolved(problem)
-        mu_0 = problem.base.mu + 1.0 / params.rho0
+        mu = ineq1d.base.mu if conic else quartic_1d.mu
+        params = OuterParams(epsilon=1e-4).resolved(mu)
+        mu_0 = mu + 1.0 / params.rho0
         assert np.sqrt(mu_0 * step_clamp(mu_0)) <= params.inner_params().alpha0 == 1.0
 
 
@@ -623,9 +621,8 @@ class TestOuterSchedule:
             inst = gen_constrained(criterion6_specs()[2])
             problem, params = inst.conic, OuterParams(epsilon=1e-4)
             res = prox_al(problem, params, inst.x_feas, np.zeros(problem.cone.dim))
-        if loop == "ppa":
-            problem = ConicProblem.unconstrained(problem)
-        decisions = grow_decisions(res.trace.rows, params.resolved(problem))
+        mu = problem.mu if loop == "ppa" else problem.base.mu
+        decisions = grow_decisions(res.trace.rows, params.resolved(mu))
         if loop == "prox-al":
             assert True in decisions[:-1] and False in decisions[:-1]
         # only the last inner solve, which stopped on the outer test, may end above eta_k
@@ -641,7 +638,7 @@ class TestOuterSchedule:
             prox_al(conic, params, np.zeros(5), np.zeros(9))
         rows = info.value.trace.rows
         assert len(rows) == 8
-        rho0 = params.resolved(conic).rho0
+        rho0 = params.resolved(conic.base.mu).rho0
         assert [row.rho_k for row in rows] == [rho0 * 2.0**k for k in range(8)]
 
 

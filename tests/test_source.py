@@ -95,6 +95,29 @@ def test_outer_params_take_inner_defaults_from_apg_params():
         assert isinstance(value.value, ast.Name) and value.value.id == "ApgParams", name
 
 
+def test_one_resolver_per_params_class():
+    # a solve's settings are resolved from its modulus by one method per
+    # params class, resolved(mu); an iteration reads the resolved gamma0
+    # from its state's cap, not from params or a side argument
+    package = Path(proxcert.__file__).parent
+    functions = {
+        node.name: node for node in _nodes(package / "apg.py") if isinstance(node, ast.FunctionDef)
+    }
+    assert "effective" not in functions
+    for path, cls in (("apg.py", "ApgParams"), ("outer.py", "OuterParams")):
+        (node,) = [
+            node for node in _nodes(package / path)
+            if isinstance(node, ast.ClassDef) and node.name == cls
+        ]
+        (method,) = [m for m in node.body if getattr(m, "name", None) == "resolved"]
+        assert [arg.arg for arg in method.args.args] == ["self", "mu"], cls
+    iteration = functions["apg_iteration"].args
+    assert [arg.arg for arg in iteration.args] == ["problem", "state", "params"]
+    assert not (iteration.kwonlyargs or iteration.vararg or iteration.kwarg)
+    cli = [package / "cli.py"]
+    assert _calls(cli, "effective") == _calls(cli, "unconstrained") == []
+
+
 def _increments(paths, counters):
     """(file, enclosing class or None, field) of each ``+=`` on a field in ``counters``."""
     found = []
