@@ -310,19 +310,19 @@ def _backtrack(evaluate, start, delta, max_backtracks, where):
     """The first accepted TrialStep ``evaluate(start * delta**n)``, n = 0, 1, ..., and its n.
 
     ``where`` names the search in its errors: NonFiniteOracleOutput at the
-    first rejected trial whose curvature test is not finite, and
-    LineSearchFailure when all max_backtracks + 1 trials are rejected.
+    first trial whose curvature test is not finite, which no slack may
+    accept, and LineSearchFailure when all max_backtracks + 1 trials are
+    rejected.
     """
     for n in range(max_backtracks + 1):
         trial = evaluate(start * delta**n)
-        if trial.accepted:
-            return trial, n
-        # only rejected trials are checked: a non-finite test never accepts
         if not (math.isfinite(trial.lhs) and math.isfinite(trial.rhs)):
             raise NonFiniteOracleOutput(
                 f"non-finite curvature test (lhs {trial.lhs}, rhs {trial.rhs}) at {where} "
                 f"trial {n}: the smooth term returned a non-finite value or gradient"
             )
+        if trial.accepted:
+            return trial, n
     raise LineSearchFailure(
         f"line search failed at {where} trial {max_backtracks}, the last of "
         f"{max_backtracks + 1}; the smooth term may be non-convex, its gradient "
@@ -376,6 +376,18 @@ def trial_step(
     )
 
 
+def _point(problem: CompositeProblem, value, name: str) -> Array:
+    """``value`` as a float array; ValueError unless it is a finite point of dom P in R^dim."""
+    x = np.asarray(value, dtype=float)
+    if x.shape != (problem.dim,):
+        raise ValueError(f"{name} has shape {x.shape}, expected ({problem.dim},)")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite")
+    if not problem.nonsmooth.value(x) < math.inf:
+        raise ValueError(f"{name} must lie in the domain of the nonsmooth term")
+    return x
+
+
 def initial_state(
     problem: CompositeProblem, params: ApgParams, init, first_step: float | None = None
 ) -> ApgState:
@@ -388,13 +400,7 @@ def initial_state(
     gamma0, alpha0 = params.gamma0, params.alpha0
     if first_step is not None and not first_step > 0:
         raise ValueError(f"first_step must be positive, got {first_step}")
-    x = np.asarray(init, dtype=float).copy()
-    if x.shape != (problem.dim,):
-        raise ValueError(f"init has shape {x.shape}, expected ({problem.dim},)")
-    if not np.isfinite(x).all():
-        raise ValueError("init must be finite")
-    if not problem.nonsmooth.value(x) < math.inf:
-        raise ValueError("init must lie in the domain of the nonsmooth term")
+    x = _point(problem, init, "init").copy()
     image = getattr(problem.smooth, "image", None)
     rx = None if image is None else image(x)
     return ApgState(
@@ -487,10 +493,16 @@ def certified_prox_step(
     one check costs exactly two gradient and n + 1 prox evaluations.  On the
     image path the gradient at x_tilde comes from the raw image its trial
     already mapped, so a check costs 4 + n products with A instead of 5 + n.
+    Before any oracle call it raises ValueError unless v passes the checks
+    ``initial_state`` applies to init, gamma_start is positive and finite,
+    delta lies in (0, 1) and max_backtracks is a positive integer.
     """
-    v = np.asarray(v, dtype=float)
-    if not problem.nonsmooth.value(v) < math.inf:
-        raise ValueError("v must lie in the domain of the nonsmooth term")
+    v = _point(problem, v, "v")
+    if not 0 < gamma_start < math.inf:
+        raise ValueError(f"gamma_start must be positive and finite, got {gamma_start}")
+    if not 0 < delta < 1:
+        raise ValueError("delta must lie in (0, 1)")
+    require_count("max_backtracks", max_backtracks)
     smooth = problem.smooth
     image = getattr(smooth, "image", None)
     f_v, grad_v = value_and_gradient(smooth, v)

@@ -250,7 +250,7 @@ def load_run_spec(path: str) -> RunSpec:
         epsilon = _typed("epsilon", epsilon, float, "spec")
         if not 0 < epsilon < math.inf:
             raise SpecError(f"spec.epsilon must be finite and positive, got {epsilon!r}")
-    if solver != "apg" and epsilon is None:
+    if _SOLVERS[solver].budget is None and epsilon is None:
         raise SpecError(f"solver {solver} requires epsilon")
     init = doc.get("init")
     if init is not None:
@@ -321,10 +321,8 @@ def _solver_params(solver: _Solver, spec: RunSpec, epsilon, mu: float):
     The block holds every setting the solver reads, under its params: key,
     with the value it uses, so it can be fed back.
     """
-    settings = dict(spec.params)
-    if solver.budget is not None:
-        settings.setdefault("max_iters", solver.budget)
-    params = solver.params(epsilon=epsilon, **settings).resolved(mu)
+    budget = {} if solver.budget is None else {"max_iters": solver.budget}
+    params = solver.params(epsilon=epsilon, **(budget | spec.params)).resolved(mu)
     return params, {key: getattr(params, key) for key in solver.keys}
 
 
@@ -363,12 +361,17 @@ def execute(spec: RunSpec, epsilon: float | None = None) -> RunOutcome:
     return RunOutcome(exit_code=code, summary=summary, trace=trace)
 
 
-def write_trace(trace: ApgTrace | OuterTrace, path: str):
-    columns, cells = _TRACE_CSV[type(trace)]
+def _write_csv(path: str, columns, rows):
+    """Write a CSV file: the header ``columns``, then each row's cells through ``_fmt``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        writer.writerows([_fmt(value) for value in cells(row)] for row in trace.rows)
+        writer.writerows([_fmt(value) for value in row] for row in rows)
+
+
+def write_trace(trace: ApgTrace | OuterTrace, path: str):
+    columns, cells = _TRACE_CSV[type(trace)]
+    _write_csv(path, columns, map(cells, trace.rows))
 
 
 def _check_output_paths(*paths):
@@ -378,28 +381,18 @@ def _check_output_paths(*paths):
             raise SpecError(f"output path {path} is a directory or in a missing one")
 
 
-def _write_outputs(outcome: RunOutcome, trace_path, summary_path):
+def run(spec_path: str, trace_path=None, summary_path=None) -> int:
+    """Solve a spec file; writes trace/summary when paths are given.
+
+    Returns 0, or 2 on a timeout; raises its errors and solve failures to ``main``.
+    """
+    _check_output_paths(trace_path, summary_path)
+    outcome = execute(load_run_spec(spec_path))
     if trace_path:
         write_trace(outcome.trace, trace_path)
     if summary_path:
         with open(summary_path, "w", encoding="utf-8") as fh:
-            json.dump(outcome.summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-def run(spec_path: str, trace_path=None, summary_path=None) -> int:
-    """Solve a spec file; writes trace/summary when paths are given."""
-    try:
-        _check_output_paths(trace_path, summary_path)
-        spec = load_run_spec(spec_path)
-        outcome = execute(spec)
-        _write_outputs(outcome, trace_path, summary_path)
-    except (SpecError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except LineSearchFailure as exc:
-        print(f"solve failed: {exc}", file=sys.stderr)
-        return 2
+            fh.write(json.dumps(outcome.summary, indent=2, sort_keys=True) + "\n")
     if outcome.exit_code != 0:
         print(f"not certified: {outcome.summary.get('termination')}", file=sys.stderr)
     return outcome.exit_code
@@ -411,50 +404,39 @@ def sweep(spec_path: str, epsilons: list[float], out_path: str) -> int:
     Requires at least two strictly decreasing epsilons and a solver that
     stops at epsilon, so not apg, which runs a fixed budget; the table lists
     epsilon, total gradient/prox evaluations, and the log-log slope of the
-    gradient count between consecutive targets.
+    gradient count between consecutive targets.  Returns 0, or 2 when a
+    run did not certify, after writing the rows before it; raises as ``run``.
     """
-    failed = False
+    _check_output_paths(out_path)
+    if len(epsilons) < 2:
+        raise SpecError("sweep needs at least two epsilons")
+    if not all(0 < eps < math.inf for eps in epsilons):
+        raise SpecError("sweep epsilons must be finite and positive")
+    if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
+        raise SpecError("sweep epsilons must be strictly decreasing")
+    spec = load_run_spec(spec_path)
+    if _SOLVERS[spec.solver].budget is not None:
+        raise SpecError(
+            f"sweep needs a solver that stops at epsilon; {spec.solver} runs a fixed budget"
+        )
     rows = []
-    prev = None
-    try:
-        _check_output_paths(out_path)
-        if len(epsilons) < 2:
-            raise SpecError("sweep needs at least two epsilons")
-        if not all(0 < eps < math.inf for eps in epsilons):
-            raise SpecError("sweep epsilons must be finite and positive")
-        if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
-            raise SpecError("sweep epsilons must be strictly decreasing")
-        spec = load_run_spec(spec_path)
-        if _SOLVERS[spec.solver].budget is not None:
-            raise SpecError(
-                f"sweep needs a solver that stops at epsilon; {spec.solver} runs a fixed budget"
-            )
-        for eps in epsilons:
-            try:
-                outcome = execute(spec, epsilon=eps)
-            except LineSearchFailure as exc:
-                print(f"solve failed: {exc}", file=sys.stderr)
-                outcome = None
-            if outcome is None or outcome.exit_code != 0:
-                failed = True
-                break
-            totals = outcome.summary["totals"]
-            grad, prox = totals["grad_f_evals"], totals["prox_evals"]
-            slope = None
-            if prev is not None:
-                eps_prev, grad_prev = prev
-                slope = math.log(grad / grad_prev) / math.log(eps_prev / eps)
-            rows.append((eps, grad, prox, slope))
-            prev = (eps, grad)
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("epsilon", "grad_evals", "prox_evals", "slope"))
-            for eps, grad, prox, slope in rows:
-                writer.writerow((_fmt(eps), grad, prox, _fmt(slope)))
-    except (SpecError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if failed:
+    for eps in epsilons:
+        try:
+            outcome = execute(spec, epsilon=eps)
+        except LineSearchFailure as exc:
+            print(f"solve failed: {exc}", file=sys.stderr)
+            break
+        if outcome.exit_code != 0:
+            break
+        totals = outcome.summary["totals"]
+        grad, prox = totals["grad_f_evals"], totals["prox_evals"]
+        slope = None
+        if rows:
+            eps_prev, grad_prev = rows[-1][:2]
+            slope = math.log(grad / grad_prev) / math.log(eps_prev / eps)
+        rows.append((eps, grad, prox, slope))
+    _write_csv(out_path, ("epsilon", "grad_evals", "prox_evals", "slope"), rows)
+    if len(rows) < len(epsilons):
         print("sweep aborted: a run did not certify; partial table written", file=sys.stderr)
         return 2
     return 0
@@ -479,15 +461,23 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and give each failure its line and exit code: an error
+    prints ``error: ...`` and returns 1, a solve failure ``solve failed: ...`` and 2."""
     args = _parser().parse_args(argv)
-    if args.command == "solve":
-        return run(args.spec, trace_path=args.trace, summary_path=args.summary)
     try:
-        epsilons = [float(tok) for tok in args.eps.split(",")]
-    except ValueError:
-        print("error: --eps must be a comma-separated list of numbers", file=sys.stderr)
+        if args.command == "solve":
+            return run(args.spec, trace_path=args.trace, summary_path=args.summary)
+        try:
+            epsilons = [float(tok) for tok in args.eps.split(",")]
+        except ValueError:
+            raise SpecError("--eps must be a comma-separated list of numbers") from None
+        return sweep(args.spec, epsilons, args.out)
+    except (SpecError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    return sweep(args.spec, epsilons, args.out)
+    except LineSearchFailure as exc:
+        print(f"solve failed: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -185,11 +185,11 @@ class PpaResult:
     """Output of ``ppa_unconstrained``.
 
     witness = u - (x - center_final)/rho_final lies in dF(x), where u is the
-    certificate's witness, and residual_bound is its norm, at most epsilon.
+    certificate's witness; its norm, at most epsilon, is the last trace row's
+    kkt.stationarity_residual.
     """
 
     x: Array
-    residual_bound: float
     witness: Array
     certificate: Certificate
     rho_final: float
@@ -564,7 +564,6 @@ def ppa_unconstrained(problem: CompositeProblem, params: OuterParams, init) -> P
     last = res.trace.rows[-1]
     return PpaResult(
         x=res.x,
-        residual_bound=res.report.stationarity_residual,
         witness=res.report.stationarity_witness,
         certificate=last.certificate,
         rho_final=last.rho_k,

@@ -73,17 +73,14 @@ class QuarticOracle:
         return self.rows.shape[1]
 
     def value(self, x: Array) -> float:
-        r = self.rows @ x - self.offsets
-        return self._value(x, r * r)
+        return self.value_at(x, self.rows @ x - self.offsets)
 
     def gradient(self, x: Array) -> Array:
         r = self.rows @ x - self.offsets
         return self._gradient(x, r, r * r)
 
     def value_and_gradient(self, x: Array) -> tuple[float, Array]:
-        r = self.rows @ x - self.offsets
-        r2 = r * r
-        return self._value(x, r2), self._gradient(x, r, r2)
+        return self.value_and_gradient_at(x, self.rows @ x - self.offsets)
 
     def image(self, x: Array) -> Array | None:
         if self.rows.size < IMAGE_MIN_ENTRIES:
@@ -171,23 +168,19 @@ def gen_constrained(spec: ConstrainedSpec) -> ConstrainedInstance:
     rng = np.random.default_rng(spec.seed)
     B = rng.uniform(-1.0, 1.0, size=(spec.m1, n))
     C = rng.uniform(-1.0, 1.0, size=(spec.m2, n))
-    if spec.m1:
-        B /= np.linalg.norm(B, axis=1, keepdims=True)
-    if spec.m2:
-        C /= np.linalg.norm(C, axis=1, keepdims=True)
+    B /= np.linalg.norm(B, axis=1, keepdims=True)
+    C /= np.linalg.norm(C, axis=1, keepdims=True)
     x_feas = rng.uniform(-0.5, 0.5, size=n)
     slack = rng.uniform(0.2, 1.0, size=spec.m1)
     d = B @ x_feas + slack
     e = C @ x_feas
-    matrix = np.vstack([B, C]) if spec.m1 + spec.m2 else np.zeros((0, n))
-    shift = -np.concatenate([d, e])
-    constraint = AffineConstraint(matrix=matrix, shift=shift)
+    constraint = AffineConstraint(matrix=np.vstack([B, C]), shift=-np.concatenate([d, e]))
     cone = ConeSpec.orthant_and_zero(spec.m1, spec.m2)
     conic = ConicProblem(base=base, constraint=constraint, cone=cone)
     gval = constraint.value(x_feas)
-    if spec.m1 and not np.all(gval[: spec.m1] < 0):
+    if not np.all(gval[: spec.m1] < 0):
         raise RuntimeError("generation failed: sampled point is not strictly feasible")
-    if spec.m2 and not np.all(np.abs(gval[spec.m1 :]) <= 1e-12):
+    if not np.all(np.abs(gval[spec.m1 :]) <= 1e-12):
         raise RuntimeError("generation failed: equality residual exceeds 1e-12")
     return ConstrainedInstance(conic=conic, x_feas=x_feas, ineq_matrix=B, eq_matrix=C)
 

@@ -321,4 +321,4 @@ def reference_solve(problem, tol: float):
         return res.x, res.certificate.residual
     params = OuterParams(epsilon=tol, rho0=10.0, sigma=0.25, max_outer=80, **budgets)
     res = ppa_unconstrained(problem, params, init)
-    return res.x, res.residual_bound
+    return res.x, res.trace.rows[-1].kkt.stationarity_residual

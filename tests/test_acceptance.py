@@ -105,7 +105,7 @@ def suite1():
             sub_final = ppa_subproblem(problem, res.center_final, res.rho_final)
             records.append(SolveRecord(
                 label=label, mu=mu, epsilon=eps,
-                certificate=res.certificate, residual=res.residual_bound,
+                certificate=res.certificate, residual=res.trace.rows[-1].kkt.stationarity_residual,
                 certified_problem=sub_final,
                 traces=traces,
             ))
@@ -199,7 +199,7 @@ def test_criterion_5_sublinear_scaling():
     violations = []
     for eps in (1e-2, 1e-4):
         res = ppa_unconstrained(problem, OuterParams(epsilon=eps), init)
-        if res.residual_bound > eps:
+        if res.trace.rows[-1].kkt.stationarity_residual > eps:
             violations.append((eps, "not certified"))
         evals[eps] = res.trace.counters.grad_f_evals
     ratio = evals[1e-4] / evals[1e-2]

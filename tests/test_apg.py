@@ -235,6 +235,18 @@ class TestNonFiniteOracleOutput:
             certified_prox_step(problem, np.array([1.0]), 1.0, 0.5)
         assert len(made) == 1
 
+    @pytest.mark.parametrize("search", ["iteration", "certificate"])
+    def test_an_infinite_trial_is_never_accepted(self, search):
+        # at gamma = 1e100 the trial's f overflows to inf, and so does the
+        # acceptance test's rounding slack, so inf <= inf would accept it
+        problem = gen_quartic(QuarticSpec(n=3, k_terms=2, seed=1))
+        params = ApgParams(gamma0=1e100)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteOracleOutput, match="trial 0"):
+            if search == "iteration":
+                apg_iteration(problem, initial_state(problem, params, np.ones(3)), params)
+            else:
+                certified_prox_step(problem, np.ones(3), params.gamma0, params.delta)
+
 
 class TestApgRun:
     def test_single_iteration_reaches_minimum(self):
@@ -304,6 +316,22 @@ class TestAdaptivePg:
         problem = CompositeProblem(make_quadratic().smooth, NonnegativeTerm(1), mu=1.0)
         with pytest.raises(ValueError, match="v must lie in the domain"):
             certified_prox_step(problem, np.array([-1.0]), 1.0, 0.5)
+
+    @pytest.mark.parametrize("v, gamma_start, delta, max_backtracks, message", [
+        ([math.nan, 0.0, 0.0], 1.0, 0.5, 100, "v must be finite"),
+        ([0.0, 0.0], 1.0, 0.5, 100, r"v has shape \(2,\), expected \(3,\)"),
+        ([1.0, 1.0, 1.0], math.inf, 0.5, 100, "gamma_start must be positive and finite"),
+        ([1.0, 1.0, 1.0], 0.0, 0.5, 100, "gamma_start must be positive and finite"),
+        ([1.0, 1.0, 1.0], 1.0, 1.5, 100, r"delta must lie in \(0, 1\)"),
+        ([1.0, 1.0, 1.0], 1.0, 0.5, 0, "max_backtracks must be a positive integer"),
+    ], ids=["nan-v", "short-v", "inf-gamma", "zero-gamma", "delta-above-1", "no-backtracks"])
+    def test_rejects_bad_arguments(self, v, gamma_start, delta, max_backtracks, message):
+        # the checks initial_state and ApgParams apply, before any oracle call
+        counters = OracleCounters()
+        problem = instrument_composite(gen_quartic(QuarticSpec(n=3, k_terms=2, seed=1)), counters)
+        with pytest.raises(ValueError, match=message):
+            certified_prox_step(problem, np.array(v), gamma_start, delta, max_backtracks)
+        assert counters.grad_f_evals == counters.prox_evals == 0
 
 
 class TestCertificate:

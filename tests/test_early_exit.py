@@ -161,7 +161,8 @@ def test_ppa_exits_at_the_first_certificate_proving_epsilon(n, k, term):
     assert np.array_equal(res.x, cert.x_tilde)
     s = cert.witness - (res.x - res.center_final) / res.rho_final
     assert np.array_equal(s, res.witness)
-    assert res.residual_bound == float(np.linalg.norm(res.witness)) <= PPA_EPS
+    bound = res.trace.rows[-1].kkt.stationarity_residual
+    assert bound == float(np.linalg.norm(res.witness)) <= PPA_EPS
 
     checked = _checked_certificates(res.trace.rows, rec.inner)
     assert checked[-1][1] is cert

@@ -132,6 +132,18 @@ class TestGenConstrained:
         base = gen_quartic(spec.base)
         assert inst.conic.base.smooth.value(x) == base.smooth.value(x)
 
+    @pytest.mark.parametrize("m1, m2", [(0, 2), (3, 0), (0, 0)])
+    def test_an_empty_block_takes_the_general_path(self, m1, m2):
+        # no block is special-cased: the rows are unit length, the matrix
+        # stacks both blocks, and the stored point is feasible
+        inst = gen_constrained(ConstrainedSpec(QuarticSpec(n=4, k_terms=2, seed=8), m1, m2, seed=1))
+        matrix = inst.conic.constraint.matrix
+        assert matrix.shape == (m1 + m2, 4)
+        assert np.array_equal(matrix, np.vstack([inst.ineq_matrix, inst.eq_matrix]))
+        assert np.allclose(np.linalg.norm(matrix, axis=1), 1.0, rtol=0, atol=1e-15)
+        gval = inst.conic.constraint.value(inst.x_feas)
+        assert np.all(gval[:m1] < 0) and np.all(np.abs(gval[m1:]) <= 1e-12)
+
     def test_handcrafted_kkt_algebra(self):
         # stationarity of the 1-D instance at (1, 2): 2x - lam = 0
         ineq = ineq_quadratic_1d()

@@ -108,4 +108,4 @@ def test_ppa_witness_recomputes_from_the_last_row(spec):
     cert = last.certificate
     s = cert.witness - (cert.x_tilde - last.center) / last.rho_k
     assert np.linalg.norm(res.witness - s) <= 1e-2 * epsilon
-    assert res.residual_bound <= epsilon
+    assert last.kkt.stationarity_residual <= epsilon

@@ -148,3 +148,26 @@ def test_one_counting_layer():
         "grad_f_evals", "prox_evals", "g_evals", "adjoint_evals", "cone_proj_evals"
     }
     assert len(solver) + len(oracle) <= 7
+
+
+def test_cli_maps_each_failure_to_its_exit_code_in_main():
+    # one try in main turns a failure into its message and exit code, so a
+    # new subcommand or named error adds no handler of its own; sweep keeps
+    # only its per-target catch, whose line precedes the abort line and
+    # after which the partial table is still written
+    cli = Path(proxcert.__file__).parent / "cli.py"
+    handlers = [
+        (func.name, ast.unparse(node.type), any(isinstance(n, ast.Return) for n in ast.walk(node)))
+        for func in ast.parse(cli.read_text()).body if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func) if isinstance(node, ast.ExceptHandler)
+    ]
+    errors = [h for h in handlers if h[1] == "(SpecError, ValueError, OSError)"]
+    assert errors == [("main", "(SpecError, ValueError, OSError)", True)]
+    failures = [h for h in handlers if h[1] == "LineSearchFailure"]
+    assert failures == [("sweep", "LineSearchFailure", False), ("main", "LineSearchFailure", True)]
+    assert {name for name, _, returns in handlers if returns} == {"main"}
+
+
+def test_cli_writes_every_csv_through_one_writer():
+    cli = Path(proxcert.__file__).parent / "cli.py"
+    assert len(_calls([cli], "writer")) == 1
