@@ -264,15 +264,21 @@ def solve_alpha(gamma_prev: float, gamma_t: float, alpha_prev: float, mu: float)
     """Root in (0, 1] of gamma_prev*a^2 = (1-a)*alpha_prev^2*gamma_t + mu*a*gamma_t*gamma_prev.
 
     Uses the cancellation-safe q-form of the quadratic formula and picks the
-    positive root (unique, and <= 1 whenever mu*gamma_t <= 1).
+    positive root (unique, and <= 1 whenever mu*gamma_t <= 1).  The
+    coefficients are scaled by the power of two that puts gamma_prev in
+    [1/2, 1), so b*b neither overflows nor underflows at any step scale;
+    the scaling is exact, so the root is the unscaled formula's wherever
+    that stays in range.  The residual is checked unscaled.
     """
     if not (gamma_prev > 0 and gamma_t > 0):
         raise ValueError("step sizes must be positive")
     if not 0 < alpha_prev <= 1:
         raise ValueError("alpha_prev must lie in (0, 1]")
-    a = gamma_prev
-    b = alpha_prev * alpha_prev * gamma_t - mu * gamma_t * gamma_prev
-    c = -(alpha_prev * alpha_prev) * gamma_t
+    e = -math.frexp(gamma_prev)[1]
+    a = math.ldexp(gamma_prev, e)
+    g = math.ldexp(gamma_t, e)
+    b = alpha_prev * alpha_prev * g - mu * g * gamma_prev
+    c = -(alpha_prev * alpha_prev) * g
     if b == 0.0:
         root = math.sqrt(-c / a)
     else:
@@ -285,9 +291,9 @@ def solve_alpha(gamma_prev: float, gamma_t: float, alpha_prev: float, mu: float)
             "check mu*gamma <= 1"
         )
     root = min(root, 1.0)
-    residual = a * root * root - (1.0 - root) * alpha_prev * alpha_prev * gamma_t \
+    residual = gamma_prev * root * root - (1.0 - root) * alpha_prev * alpha_prev * gamma_t \
         - mu * root * gamma_t * gamma_prev
-    scale = max(a, alpha_prev * alpha_prev * gamma_t, mu * gamma_t * gamma_prev)
+    scale = max(gamma_prev, alpha_prev * alpha_prev * gamma_t, mu * gamma_t * gamma_prev)
     if abs(residual) > 1e-10 * scale:
         raise InvariantViolation(f"alpha recursion residual {residual} exceeds tolerance")
     return root
@@ -330,27 +336,21 @@ def _backtrack(evaluate, start, delta, max_backtracks, where):
     )
 
 
-def trial_step(
-    problem: CompositeProblem,
-    x: Array,
-    z: Array,
-    alpha_prev: float,
-    gamma_prev: float,
-    gamma: float,
-    rx: Array | None = None,
-    rz: Array | None = None,
-) -> TrialStep:
-    """Evaluate one accelerated step at a fixed gamma and test the curvature bound.
+def trial_step(problem: CompositeProblem, state: ApgState, gamma: float) -> TrialStep:
+    """Evaluate one accelerated step from ``state`` at a fixed gamma and test the curvature bound.
 
-    Costs exactly one gradient and one prox evaluation; f(y) and grad f(y)
-    come from one fused oracle call.  Given the affine images rx, rz of x
-    and z, the images of y and x_new are formed as the same combinations of
-    images (the weights sum to 1, so the offset carries through) and only
-    z_new is mapped anew; the trial then returns rx_new and rz_new.
+    The trial reads the iterate pair, the previous step scalars and, when
+    the smooth oracle offers them, the affine images rx and rz from the
+    state.  Costs exactly one gradient and one prox evaluation; f(y) and
+    grad f(y) come from one fused oracle call.  On the image path the
+    images of y and x_new are formed as the same combinations of images
+    (the weights sum to 1, so the offset carries through) and only z_new is
+    mapped anew; the trial then returns rx_new and rz_new.
     """
     smooth = problem.smooth
     mu = problem.mu
-    alpha = solve_alpha(gamma_prev, gamma, alpha_prev, mu)
+    x, z, rx, rz = state.x, state.z, state.rx, state.rz
+    alpha = solve_alpha(state.gamma_prev, gamma, state.alpha_prev, mu)
     beta = mu * gamma / alpha
     x_part = (1.0 - alpha) * x
     y_den = 1.0 - alpha * beta
@@ -424,10 +424,7 @@ def apg_iteration(
     """
     delta = params.delta
     trial, n = _backtrack(
-        lambda gamma: trial_step(
-            problem, state.x, state.z, state.alpha_prev, state.gamma_prev, gamma,
-            state.rx, state.rz,
-        ),
+        lambda gamma: trial_step(problem, state, gamma),
         state.start, delta, params.max_backtracks, f"iteration {state.t}, backtracking",
     )
     gamma = trial.gamma
@@ -481,28 +478,22 @@ def residual_certificate(
 
 
 def certified_prox_step(
-    problem: CompositeProblem,
-    v: Array,
-    gamma_start: float,
-    delta: float,
-    max_backtracks: int = ApgParams.max_backtracks,
+    problem: CompositeProblem, v: Array, gamma_start: float, params: ApgParams
 ) -> tuple[Certificate, int]:
     """Backtracked proximal-gradient step from v plus its residual certificate and n.
 
-    The line search of ``apg_iteration`` tries gamma = gamma_start * delta**n;
-    one check costs exactly two gradient and n + 1 prox evaluations.  On the
-    image path the gradient at x_tilde comes from the raw image its trial
-    already mapped, so a check costs 4 + n products with A instead of 5 + n.
-    Before any oracle call it raises ValueError unless v passes the checks
-    ``initial_state`` applies to init, gamma_start is positive and finite,
-    delta lies in (0, 1) and max_backtracks is a positive integer.
+    The line search of ``apg_iteration`` tries gamma = gamma_start * delta**n,
+    with the delta and max_backtracks of ``params``, which it reads and
+    ``ApgParams`` checks; one check costs exactly two gradient and n + 1
+    prox evaluations.  On the image path the gradient at x_tilde comes from
+    the raw image its trial already mapped, so a check costs 4 + n products
+    with A instead of 5 + n.  Before any oracle call it raises ValueError
+    unless v passes the checks ``initial_state`` applies to init and
+    gamma_start is positive and finite.
     """
     v = _point(problem, v, "v")
     if not 0 < gamma_start < math.inf:
         raise ValueError(f"gamma_start must be positive and finite, got {gamma_start}")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    require_count("max_backtracks", max_backtracks)
     smooth = problem.smooth
     image = getattr(smooth, "image", None)
     f_v, grad_v = value_and_gradient(smooth, v)
@@ -514,7 +505,9 @@ def certified_prox_step(
         lhs, rhs, scale, accepted = _curvature(gamma, v, f_v, grad_v, x_new, f_new)
         return TrialStep(gamma, 1.0, 0.0, v, x_new, x_new, f_new, lhs, rhs, scale, accepted, r, r)
 
-    trial, n = _backtrack(pg_trial, gamma_start, delta, max_backtracks, "proximal-gradient")
+    trial, n = _backtrack(
+        pg_trial, gamma_start, params.delta, params.max_backtracks, "proximal-gradient"
+    )
     r = trial.rx_new
     grad_tilde = None if r is None else smooth.value_and_gradient_at(trial.x_new, r)[1]
     return residual_certificate(problem, v, trial.x_new, trial.gamma, grad_v, grad_tilde), n
@@ -557,9 +550,7 @@ def _accelerated(problem, params, init, counters, first_step=None, done=None):
             state.t % params.M == 0 or 0.0 < lambda_t <= _CHECK_CONTRACTION * checked_lambda
         ):
             checked_lambda = lambda_t
-            cert, n_tilde = certified_prox_step(
-                problem, new_state.x, new_state.start, params.delta, params.max_backtracks
-            )
+            cert, n_tilde = certified_prox_step(problem, new_state.x, new_state.start, params)
         # built after the check, so a checked row's counts include its cost
         trace.rows.append(TraceRow(
             state.t, n_t, trial.gamma, trial.alpha, trial.beta,  # t, n_t, gamma_t, alpha_t, beta_t

@@ -3,11 +3,9 @@ constraints, which with an empty cone is the proximal-point method for mu = 0.
 
 It drives the certified accelerated solver with inner residual targets
 eta_k = eta0 * sigma**k and proximal weights rho_k = rho0 * zeta**j, where
-j counts the outer steps so far whose prox-step or complementarity term
-exceeded the inner residual ||u|| (``_grows``); the paper grows rho on every
-step.  So rho_k <= rho0 * zeta**k, and a step that holds rho has
-||x_{k+1} - c_k||/rho_k <= ||u|| <= eta_k for its proximal center c_k.
-The center is extrapolated past the last iterate, as in Guler's accelerated
+j counts the outer steps so far after which rho grew (``_grows`` states the
+rule and what it implies); the paper grows rho on every step.  The center
+is extrapolated past the last iterate, as in Guler's accelerated
 proximal-point method and Catalyst (Lin, Mairal and Harchaoui):
 c_{k+1} = x_{k+1} + beta_k (x_{k+1} - x_k), where the paper takes
 c_{k+1} = x_{k+1}.  A step's witness u - (x_{k+1} - c_k)/rho_k is an outer
@@ -17,9 +15,7 @@ outer epsilon, and an inner solve at the first certificate that meets
 eta_k, or the relative test rho_k ||u|| <= ||x_{k+1} - c_k||/2 of the
 hybrid proximal extragradient method (Solodov and Svaiter 1999; Monteiro
 and Svaiter 2013), or already proves them, which the paper's end-of-step
-test implies.  A relative stop with ||u|| > eta_k has ||x_{k+1} - c_k||/
-rho_k >= 2 ||u|| > ||u||, so rho grows after it, and the held-step bound
-above still holds.
+test implies.
 An inner solve checks a certificate after every M-th iteration and as soon
 as its lambda_prod has quartered since its previous check (see
 ``apg_terminating``), so within a few iterations while its steps stay near
@@ -39,12 +35,9 @@ from .apg import ApgParams, Certificate, apg_terminating, step_clamp
 from .model import (
     Array,
     CompositeProblem,
-    ConeSpec,
     ConicProblem,
-    ConstraintMap,
     InvariantViolation,
     OracleCounters,
-    SmoothOracle,
     SolveTimeout,
     fused_method,
     require_count,
@@ -57,13 +50,10 @@ class OuterParams:
     """Schedule of the outer loop and the settings of its inner solves.
 
     eta_k = eta0 * sigma**k at every outer step.  rho starts at rho0 and
-    grows by zeta only after a step whose prox-step term ||x_{k+1} - c_k||/
-    rho_k (c_k the step's center) or complementarity residual exceeds the
-    inner residual ||u||, so rho_k = rho0 * zeta**j for the j grows so far,
-    at most rho0 * zeta**k.  An inner solve ends at ||u|| <= eta_k or at
-    the relative test rho_k ||u|| <= ||x_{k+1} - c_k||/2, whose factor 1/2
-    is fixed (``_RELATIVE_STOP``), not a field; a step that ends by the
-    relative test alone grows rho.
+    grows by zeta after the steps ``_grows`` selects.  An inner solve ends
+    at ||u|| <= eta_k or at the relative test rho_k ||u|| <= ||x_{k+1} -
+    c_k||/2 (c_k the step's center), whose factor 1/2 is fixed
+    (``_RELATIVE_STOP``), not a field.
     A set rho0 must be positive and finite; None defaults per problem (see
     ``resolved``).  delta, M, max_iters and max_backtracks are the inner
     solves' ``ApgParams`` fields of those names, with their defaults and
@@ -206,11 +196,11 @@ class ProxAlResult:
 
 
 class SubproblemOracle:
-    """Smooth part of one outer step's subproblem.
+    """Smooth part of one outer step's subproblem, for ``conic`` at multiplier lam.
 
-    With a constraint map and cone, the proximal augmented Lagrangian term
-    f(x) + (dist(lam + rho g(x), -K)^2 - ||lam||^2 + ||x - center||^2) /
-    (2 rho); without, the proximal-point term f(x) + ||x - center||^2 /
+    The proximal augmented Lagrangian term f(x) + (dist(lam + rho g(x),
+    -K)^2 - ||lam||^2 + ||x - center||^2) / (2 rho); under an empty cone
+    (conic.cone.dim == 0) the proximal-point term f(x) + ||x - center||^2 /
     (2 rho), which skips the map, the projection and the adjoint.  Each
     evaluation calls the user's oracles directly and maps and projects once,
     in ``multiplier``: the value uses dist(., -K) = ||project_dual(.)||, the
@@ -227,29 +217,28 @@ class SubproblemOracle:
 
     def __init__(
         self,
-        smooth: SmoothOracle,
+        conic: ConicProblem,
         center: Array,
+        lam: Array,
         rho: float,
         counters: OracleCounters | None = None,
-        constraint: ConstraintMap | None = None,
-        cone: ConeSpec | None = None,
-        lam: Array | None = None,
     ):
+        smooth = conic.base.smooth
         self.dim = smooth.dim
         self._smooth = smooth
         self._fused = fused_method(smooth)
         self._counters = OracleCounters() if counters is None else counters
         self._center = np.asarray(center, dtype=float)
         self._rho = rho
-        self._constraint = constraint
-        self._cone = cone
-        self._lam = np.zeros(0) if constraint is None else np.asarray(lam, dtype=float).copy()
+        self._constraint = conic.constraint if conic.cone.dim else None
+        self._cone = conic.cone
+        self._lam = np.asarray(lam, dtype=float).copy()
         self._lam_sq = float(self._lam @ self._lam)
 
     def multiplier(self, x: Array) -> tuple[Array, Array]:
         """(g(x), project_dual(lam + rho g(x))): the projected dual ascent step at x.
 
-        Without a constraint map both are empty and nothing is called.
+        Under an empty cone both are empty and nothing is called.
         """
         if self._constraint is None:
             return self._lam, self._lam
@@ -293,17 +282,14 @@ def build_al_subproblem(
 ) -> CompositeProblem:
     """Proximal augmented Lagrangian subproblem as a CompositeProblem.
 
-    Smooth part: f(x) + (dist(lam + rho g(x), -K)^2 - ||lam||^2 +
-    ||x - center||^2) / (2 rho); nonsmooth part: the original P; convexity
-    modulus mu + 1/rho.  Each evaluation, fused or not, maps and projects
-    once, and books its g, adjoint and cone-projection calls on ``counters``
-    (see SubproblemOracle); the solver books its gradients.  Under an empty
-    cone the term is the proximal-point one, f(x) + ||x - center||^2 /
-    (2 rho), which calls no map, projection or adjoint.
+    Smooth part: ``SubproblemOracle(conic, center, lam, rho, counters)``,
+    which is the proximal-point term under an empty cone; nonsmooth part:
+    the original P; convexity modulus mu + 1/rho.  The oracle books its g,
+    adjoint and cone-projection calls on ``counters``; the solver books its
+    gradients.
     """
-    constrained = (conic.constraint, conic.cone, lam) if conic.cone.dim else ()
     return CompositeProblem(
-        smooth=SubproblemOracle(conic.base.smooth, center, rho, counters, *constrained),
+        smooth=SubproblemOracle(conic, center, lam, rho, counters),
         nonsmooth=conic.base.nonsmooth,
         mu=conic.base.mu + 1.0 / rho,
     )
@@ -346,7 +332,7 @@ def kkt_report(
     g(x) and past every later shape check.  The complementarity defect
     |<lam_new, w>| is a sum of products, so its rounding error, and its
     tolerance, scale with ||lam_new|| * ||w||.  Under an empty cone w is
-    empty and the complementarity residual and defects are 0, and no cone
+    empty, the complementarity residual and defects are 0, and no cone
     routine is called.  rho must be positive and finite.
     """
     if not 0 < rho < math.inf:
@@ -361,16 +347,10 @@ def kkt_report(
         raise ValueError(
             f"constraint map returned shape {gval.shape}, expected ({conic.cone.dim},)"
         )
-    if not conic.cone.dim:  # w is empty, and complementarity holds trivially
-        return KktReport(
-            stationarity_witness=s,
-            complementarity_witness=gval,
-            stationarity_residual=_norm(s),
-            complementarity_residual=0.0,
-            witness_defects=(0.0, 0.0),
-        )
     w = (lam_prev + rho * gval - lam_new) / rho
-    membership, complementarity = defects = normal_cone_gap(conic.cone, lam_new, w)
+    # an empty w lies in the normal cone of the empty cone exactly
+    defects = normal_cone_gap(conic.cone, lam_new, w) if conic.cone.dim else (0.0, 0.0)
+    membership, complementarity = defects
     tolerance = 1e-9 * (1.0 + _norm(w))
     if not (membership <= tolerance and complementarity <= tolerance * (1.0 + _norm(lam_new))):
         raise InvariantViolation(
@@ -402,15 +382,17 @@ def _worst(report: KktReport) -> float:
 
 
 def _grows(step_norm: float, rho: float, complementarity: float, residual: float) -> bool:
-    """Whether rho grows after an outer step: when a term it controls binds.
+    """Whether rho grows by zeta after an outer step: when a term it controls binds.
 
     The prox-step term ||x_new - c_k||/rho_k, for the step's center c_k,
-    and the complementarity residual (0 under an empty cone) shrink as rho
-    grows; the inner residual ||u|| does not.  rho grows only when the
-    larger of the first two exceeds ||u||, so a held step has
-    ||x_new - c_k||/rho_k <= ||u||, and its stationarity bound is at most
-    2 eta_k: a step that ends by the relative test with ||u|| > eta_k has
-    ||x_new - c_k||/rho_k >= 2 ||u|| and grows rho.
+    and the complementarity residual ||lam_new - lam_k||/rho_k (0 under an
+    empty cone) shrink as rho grows; the inner residual ||u|| does not.
+    rho grows when the larger of the first two exceeds ||u|| and is held
+    otherwise, so rho_k = rho0 * zeta**j for the j grows so far, at most
+    rho0 * zeta**k, and a held step has ||x_new - c_k||/rho_k <= ||u||.  A
+    step that ends by the relative test with ||u|| > eta_k has ||x_new -
+    c_k||/rho_k >= 2 ||u|| > ||u|| and grows rho, so a held step ended at
+    ||u|| <= eta_k and its stationarity bound is at most 2 eta_k.
     """
     return max(step_norm / rho, complementarity) > residual
 
@@ -427,28 +409,23 @@ def prox_al(conic: ConicProblem, params: OuterParams, init_x, init_lam) -> ProxA
     beta_k = a_k (1 - a_k)/(a_k^2 + a_{k+1}), where a_0 = 1 and
     a_{k+1}^2 = (1 - a_{k+1}) a_k^2 + q a_{k+1} for q = mu rho_{k+1}/(1 +
     mu rho_{k+1}); with mu = 0 this is Guler's sequence.  An inner solve
-    starts at c_k where P is finite, and at x_k otherwise.
-    rho grows by zeta after a step whose ||x_{k+1} - c_k||/rho_k or
-    complementarity residual ||lam_{k+1} - lam_k||/rho_k exceeds the inner
-    residual ||u||, and is held otherwise.  An inner solve checks after
-    every M-th iteration and whenever its lambda_prod has quartered since
-    its previous check, and ends at the first checked certificate that
-    meets its target, ||u|| <= eta_k or the relative test rho_k ||u|| <=
-    ||x_tilde - c_k||/2 (Solodov and Svaiter's hybrid proximal extragradient
-    test, Set-Valued Analysis 1999), or that proves the outer stopping
-    rule: ||u|| + ||x_tilde - c_k||/rho_k <= epsilon, which costs no oracle
-    call, and then ||lam_new - lam_k||/rho_k <= epsilon for the updated
-    multiplier lam_new.  The target tests cost no oracle call either.
+    starts at c_k where P is finite, and at x_k otherwise.  rho grows by
+    zeta after the steps ``_grows`` selects, and is held otherwise.  An
+    inner solve checks after every M-th iteration and whenever its
+    lambda_prod has quartered since its previous check, and ends at the
+    first checked certificate that meets its target, ||u|| <= eta_k or the
+    relative test rho_k ||u|| <= ||x_tilde - c_k||/2 (Solodov and Svaiter's
+    hybrid proximal extragradient test, Set-Valued Analysis 1999), or that
+    proves the outer stopping rule: ||u|| + ||x_tilde - c_k||/rho_k <=
+    epsilon, which costs no oracle call, and then ||lam_new - lam_k||/rho_k
+    <= epsilon for the updated multiplier lam_new.  The target tests cost no oracle call either.
     lam_new costs one counted g(x_tilde) and one counted cone projection,
     and is formed once for each certificate that passes the target or the
     bound on ||u||; the accepted certificate's g(x_tilde) and lam_new are
-    the step's multiplier update.  A step that ends by the relative test
-    with ||u|| > eta_k has ||x_{k+1} - c_k||/rho_k >= 2 ||u|| > ||u||, so
-    rho grows after it.
-    The solve returns at the first outer step whose
-    KKT report has both residuals at most epsilon.  The paper's test (the
-    scaled pair step ||(x, lam) step||/rho_k and eta_k both at most
-    epsilon/2) implies the stopping rule.  Under an empty cone the
+    the step's multiplier update.  The solve returns at the first outer
+    step whose KKT report has both residuals at most epsilon.  The paper's
+    test (the scaled pair step ||(x, lam) step||/rho_k and eta_k both at
+    most epsilon/2) implies the stopping rule.  Under an empty cone the
     subproblem is the proximal-point one, the multiplier update maps and
     projects nothing, and the complementarity residual is 0.
 

@@ -113,7 +113,7 @@ def recorded_iterates():
 
 def accepted_trial(problem, row, state):
     """Re-evaluate the accepted trial of a trace row from the state before it."""
-    return trial_step(problem, state.x, state.z, state.alpha_prev, state.gamma_prev, row.gamma_t)
+    return trial_step(problem, state, row.gamma_t)
 
 
 def trajectory_invariant_violations(problem, trace, states, delta=0.5, alpha_tol=1e-12):
@@ -161,9 +161,7 @@ def trajectory_invariant_violations(problem, trace, states, delta=0.5, alpha_tol
         if row.gamma_t != start * delta**row.n_t:
             violations.append((row.t, "start rule"))
         if row.n_t > 0:
-            rejected = trial_step(
-                problem, state.x, state.z, alpha_prev, gamma_prev, start * delta ** (row.n_t - 1)
-            )
+            rejected = trial_step(problem, state, start * delta ** (row.n_t - 1))
             if rejected.accepted:
                 violations.append((row.t, "line search minimality"))
         may_grow = admits_growth(accepted_trial(problem, row, state), delta)

@@ -1,4 +1,3 @@
-import inspect
 import math
 from dataclasses import replace
 
@@ -72,6 +71,7 @@ def lying():
     (ApgParams, "max_iters", 1e6),
     (ApgParams, "max_backtracks", np.float64(20.0)),
     (ApgParams, "max_backtracks", False),
+    (ApgParams, "max_backtracks", 0),
     (OuterParams, "max_outer", 2.5),
     (OuterParams, "max_outer", True),
     (OuterParams, "max_outer", -1),
@@ -79,6 +79,7 @@ def lying():
     (ApgParams, "alpha0", 1.5),
     (ApgParams, "delta", 0.0),
     (ApgParams, "delta", 1.0),
+    (ApgParams, "delta", 1.5),
     (OuterParams, "zeta", 1.0),
     (OuterParams, "eta0", 0.0),
     (OuterParams, "eta0", 1.5),
@@ -127,6 +128,13 @@ class TestSolveAlpha:
         with pytest.raises(InvariantViolation, match="outside"):
             solve_alpha(1.0, 1.0, 1.0, 3.0)
 
+    @pytest.mark.parametrize("gamma", [1e200, 1e-300], ids=["huge", "tiny"])
+    def test_exact_at_any_step_scale(self, gamma):
+        # the coefficients are scaled by a power of two, so b*b neither
+        # overflows nor underflows and the root is the unit-scale root
+        assert solve_alpha(gamma, gamma, 1.0, 0.0) == solve_alpha(1.0, 1.0, 1.0, 0.0)
+        assert solve_alpha(gamma, gamma, 1.0, 0.0) == 0.6180339887498948
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             solve_alpha(-1.0, 1.0, 1.0, 0.0)
@@ -165,7 +173,8 @@ class TestIteration:
 
     def test_hand_trace_line_search_values(self):
         problem = make_quadratic(mu=1.0)
-        trial = trial_step(problem, np.array([1.0]), np.array([1.0]), math.sqrt(0.5), 0.5, 0.5)
+        state = initial_state(problem, ApgParams(gamma0=0.5, alpha0=math.sqrt(0.5)), [1.0])
+        trial = trial_step(problem, state, 0.5)
         assert trial.lhs == pytest.approx(0.125, abs=1e-15)
         assert trial.rhs == pytest.approx(0.25, abs=1e-15)
         assert trial.accepted
@@ -206,19 +215,15 @@ class TestIteration:
             if search == "iteration":
                 apg_iteration(lying(), initial_state(lying(), params, [1.0]), params)
             else:
-                certified_prox_step(lying(), np.array([1.0]), params.gamma0, params.delta)
+                certified_prox_step(lying(), np.array([1.0]), params.gamma0, params)
 
     def test_certificate_search_runs_out(self):
         counters = OracleCounters()
         problem = instrument_composite(lying(), counters)
         with pytest.raises(LineSearchFailure, match="line search failed") as info:
-            certified_prox_step(problem, np.array([1.0]), 1.0, 0.5, max_backtracks=20)
+            certified_prox_step(problem, np.array([1.0]), 1.0, ApgParams(max_backtracks=20))
         assert info.type is LineSearchFailure  # not its NonFiniteOracleOutput subclass
         assert counters.prox_evals == 21
-
-    def test_certificate_search_defaults_to_the_solvers_budget(self):
-        default = inspect.signature(certified_prox_step).parameters["max_backtracks"].default
-        assert default == ApgParams().max_backtracks
 
 
 class TestNonFiniteOracleOutput:
@@ -232,7 +237,7 @@ class TestNonFiniteOracleOutput:
     def test_certificate_step_raises_at_first_trial(self):
         problem, made = nan_after(0)
         with pytest.raises(NonFiniteOracleOutput, match="proximal-gradient trial 0"):
-            certified_prox_step(problem, np.array([1.0]), 1.0, 0.5)
+            certified_prox_step(problem, np.array([1.0]), 1.0, ApgParams())
         assert len(made) == 1
 
     @pytest.mark.parametrize("search", ["iteration", "certificate"])
@@ -245,7 +250,7 @@ class TestNonFiniteOracleOutput:
             if search == "iteration":
                 apg_iteration(problem, initial_state(problem, params, np.ones(3)), params)
             else:
-                certified_prox_step(problem, np.ones(3), params.gamma0, params.delta)
+                certified_prox_step(problem, np.ones(3), params.gamma0, params)
 
 
 class TestApgRun:
@@ -299,38 +304,37 @@ class TestAdaptivePg:
     """The certificate's backtracked proximal-gradient step."""
 
     def test_quadratic_equality_case(self, quadratic):
-        cert, n = certified_prox_step(quadratic, np.array([1.0]), 1.0, 0.5)
+        cert, n = certified_prox_step(quadratic, np.array([1.0]), 1.0, ApgParams())
         assert (cert.x_tilde[0], cert.gamma_tilde, n) == (0.0, 1.0, 0)
 
     def test_quartic_backtracks_twice(self, quartic_1d):
-        cert, n = certified_prox_step(quartic_1d, np.array([1.0]), 1.0, 0.5)
+        cert, n = certified_prox_step(quartic_1d, np.array([1.0]), 1.0, ApgParams())
         assert cert.x_tilde[0] == pytest.approx(0.75, abs=1e-15)
         assert cert.gamma_tilde == 0.25
         assert n == 2
 
     def test_stationary_point(self, quartic_1d):
-        cert, n = certified_prox_step(quartic_1d, np.array([0.0]), 1.0, 0.5)
+        cert, n = certified_prox_step(quartic_1d, np.array([0.0]), 1.0, ApgParams())
         assert (cert.x_tilde[0], cert.gamma_tilde, n) == (0.0, 1.0, 0)
 
     def test_rejects_a_start_outside_the_domain(self):
         problem = CompositeProblem(make_quadratic().smooth, NonnegativeTerm(1), mu=1.0)
         with pytest.raises(ValueError, match="v must lie in the domain"):
-            certified_prox_step(problem, np.array([-1.0]), 1.0, 0.5)
+            certified_prox_step(problem, np.array([-1.0]), 1.0, ApgParams())
 
-    @pytest.mark.parametrize("v, gamma_start, delta, max_backtracks, message", [
-        ([math.nan, 0.0, 0.0], 1.0, 0.5, 100, "v must be finite"),
-        ([0.0, 0.0], 1.0, 0.5, 100, r"v has shape \(2,\), expected \(3,\)"),
-        ([1.0, 1.0, 1.0], math.inf, 0.5, 100, "gamma_start must be positive and finite"),
-        ([1.0, 1.0, 1.0], 0.0, 0.5, 100, "gamma_start must be positive and finite"),
-        ([1.0, 1.0, 1.0], 1.0, 1.5, 100, r"delta must lie in \(0, 1\)"),
-        ([1.0, 1.0, 1.0], 1.0, 0.5, 0, "max_backtracks must be a positive integer"),
-    ], ids=["nan-v", "short-v", "inf-gamma", "zero-gamma", "delta-above-1", "no-backtracks"])
-    def test_rejects_bad_arguments(self, v, gamma_start, delta, max_backtracks, message):
-        # the checks initial_state and ApgParams apply, before any oracle call
+    @pytest.mark.parametrize("v, gamma_start, message", [
+        ([math.nan, 0.0, 0.0], 1.0, "v must be finite"),
+        ([0.0, 0.0], 1.0, r"v has shape \(2,\), expected \(3,\)"),
+        ([1.0, 1.0, 1.0], math.inf, "gamma_start must be positive and finite"),
+        ([1.0, 1.0, 1.0], 0.0, "gamma_start must be positive and finite"),
+    ], ids=["nan-v", "short-v", "inf-gamma", "zero-gamma"])
+    def test_rejects_bad_arguments(self, v, gamma_start, message):
+        # the checks initial_state applies, before any oracle call; delta
+        # and max_backtracks come from ApgParams, which checked them
         counters = OracleCounters()
         problem = instrument_composite(gen_quartic(QuarticSpec(n=3, k_terms=2, seed=1)), counters)
         with pytest.raises(ValueError, match=message):
-            certified_prox_step(problem, np.array(v), gamma_start, delta, max_backtracks)
+            certified_prox_step(problem, np.array(v), gamma_start, ApgParams())
         assert counters.grad_f_evals == counters.prox_evals == 0
 
 

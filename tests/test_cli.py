@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -289,6 +290,21 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("solve failed: non-finite") and err.count("\n") == 1
         assert len(calls) == 4
+
+    def test_an_overflowing_first_step_is_a_solve_failure(self, tmp_path, capsys):
+        # the alpha recursion is exact at gamma0 = 1e200, and the first
+        # trial's curvature test overflows, which the solve reports
+        doc = {
+            "version": 1,
+            "solver": "apg",
+            "problem": {"kind": "quartic", "n": 3, "k_terms": 2, "seed": 1},
+            "params": {"gamma0": 1.0e200},
+        }
+        with np.errstate(over="ignore"):
+            code, _, _ = run_solve(tmp_path, doc)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("solve failed: non-finite curvature test") and err.count("\n") == 1
 
     def test_solver_problem_compatibility(self, tmp_path):
         doc = {

@@ -25,7 +25,12 @@ from proxcert import (
 )
 from proxcert.problems import IMAGE_MIN_ENTRIES, QuarticSpec, gen_quartic
 
-from helpers import accounting_violations, recorded_iterates, trajectory_invariant_violations
+from helpers import (
+    accepted_trial,
+    accounting_violations,
+    recorded_iterates,
+    trajectory_invariant_violations,
+)
 
 K, N = 60, 500  # just above the gate, small enough for a fast suite
 
@@ -79,6 +84,19 @@ def test_accounting_and_trajectory_invariants_hold(pair):
     assert any(row.certificate is not None for row in images.trace.rows)
     assert accounting_violations(images.trace) == []
     assert trajectory_invariant_violations(problem, images.trace, states) == []
+
+
+def test_a_recorded_state_reproduces_its_accepted_trial(pair):
+    # the re-evaluated trial reads the state's images, as the solver's did,
+    # so it lands on the next state bit for bit
+    problem, images, states, _ = pair
+    assert states[0].rx is not None
+    for row, state, new in zip(images.trace.rows, states, states[1:]):
+        trial = accepted_trial(problem, row, state)
+        for got, want in zip(
+            (trial.x_new, trial.z_new, trial.rx_new, trial.rz_new), (new.x, new.z, new.rx, new.rz)
+        ):
+            assert np.array_equal(got, want), row.t
 
 
 def test_certificate_recomputes_bit_for_bit_from_the_raw_oracle(pair):
@@ -152,7 +170,7 @@ def test_a_certificate_check_maps_each_candidate_once():
     counters = OracleCounters()
     problem = instrument_composite(CompositeProblem(tally, base.nonsmooth, mu=base.mu), counters)
     v = np.full(N, 0.1)
-    cert, n_tilde = certified_prox_step(problem, v, 1.0, 0.5)
+    cert, n_tilde = certified_prox_step(problem, v, 1.0, ApgParams())
     assert n_tilde > 0  # some candidates backtracked
     assert tally.calls == Counter(
         value_and_gradient=1,
@@ -161,7 +179,7 @@ def test_a_certificate_check_maps_each_candidate_once():
         value_and_gradient_at=1,
     )
     assert (counters.grad_f_evals, counters.prox_evals) == (2, n_tilde + 1)
-    direct, n_direct = certified_prox_step(plain(base), v, 1.0, 0.5)
+    direct, n_direct = certified_prox_step(plain(base), v, 1.0, ApgParams())
     assert n_direct == n_tilde
     assert np.array_equal(cert.x_tilde, direct.x_tilde)
     assert np.array_equal(cert.witness, direct.witness)

@@ -2,10 +2,11 @@
 
 import ast
 import dataclasses
+import inspect
 from pathlib import Path
 
 import proxcert
-from proxcert import ApgParams
+from proxcert import ApgParams, SubproblemOracle, certified_prox_step, trial_step
 
 
 MODULES = sorted(Path(proxcert.__file__).parent.rglob("*.py"))
@@ -56,6 +57,28 @@ def test_one_accelerated_loop():
     apg = [path for path in MODULES if path.name == "apg.py"]
     for name in ("apg_iteration", "certified_prox_step", "TraceRow"):
         assert len(_calls(apg, name)) == 1, name
+
+
+def _parameters(function):
+    return list(inspect.signature(function).parameters)
+
+
+def test_a_trial_reads_its_iterates_from_one_state():
+    # x, z, the step scalars and the images all come from one ApgState
+    assert _parameters(trial_step) == ["problem", "state", "gamma"]
+
+
+def test_the_certificate_step_reads_its_search_from_apg_params():
+    # delta and max_backtracks have one default and one check, ApgParams's
+    assert _parameters(certified_prox_step) == ["problem", "v", "gamma_start", "params"]
+
+
+def test_the_subproblem_oracle_takes_its_conic_whole():
+    # constraint, cone and smooth term come from one ConicProblem, whose
+    # cone decides the proximal-point case
+    parameters = _parameters(SubproblemOracle.__init__)
+    assert "conic" in parameters
+    assert not {"constraint", "cone", "smooth"} & set(parameters)
 
 
 def test_a_timeout_carries_only_its_trace():
