@@ -70,7 +70,7 @@ INNER_COLUMNS = (
 )
 OUTER_COLUMNS = (
     "k", "rho_k", "eta_k", "inner_iters", "grad_evals", "prox_evals",
-    "step_norm", "stat_res", "comp_res",
+    "step_norm", "stat_res", "comp_res", "stop",
 )
 _INNER_FIELDS = attrgetter(*INNER_COLUMNS[:-1])
 
@@ -84,7 +84,7 @@ def _inner_cells(row) -> tuple:
 _TRACE_CSV = {
     ApgTrace: (INNER_COLUMNS, _inner_cells),
     OuterTrace: (OUTER_COLUMNS, attrgetter(
-        *OUTER_COLUMNS[:-2], "kkt.stationarity_residual", "kkt.complementarity_residual",
+        *OUTER_COLUMNS[:-3], "kkt.stationarity_residual", "kkt.complementarity_residual", "stop",
     )),
 }
 
@@ -462,22 +462,28 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand and give each failure its line and exit code: an error
-    prints ``error: ...`` and returns 1, a solve failure ``solve failed: ...`` and 2."""
+    prints ``error: ...`` and returns 1, a solve failure ``solve failed: ...`` and 2.
+
+    NumPy's overflow and invalid-value warnings are off while it runs, so that a
+    failure is one line: the solver reports a non-finite trial itself, as
+    ``NonFiniteOracleOutput``.
+    """
     args = _parser().parse_args(argv)
-    try:
-        if args.command == "solve":
-            return run(args.spec, trace_path=args.trace, summary_path=args.summary)
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            epsilons = [float(tok) for tok in args.eps.split(",")]
-        except ValueError:
-            raise SpecError("--eps must be a comma-separated list of numbers") from None
-        return sweep(args.spec, epsilons, args.out)
-    except (SpecError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except LineSearchFailure as exc:
-        print(f"solve failed: {exc}", file=sys.stderr)
-        return 2
+            if args.command == "solve":
+                return run(args.spec, trace_path=args.trace, summary_path=args.summary)
+            try:
+                epsilons = [float(tok) for tok in args.eps.split(",")]
+            except ValueError:
+                raise SpecError("--eps must be a comma-separated list of numbers") from None
+            return sweep(args.spec, epsilons, args.out)
+        except (SpecError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except LineSearchFailure as exc:
+            print(f"solve failed: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

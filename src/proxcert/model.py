@@ -253,15 +253,19 @@ class ConeSpec:
     """Product cone: ordered blocks of nonnegative-orthant, zero, and second-order cones.
 
     Second-order blocks store the scalar coordinate first: (t, xbar) with
-    ||xbar|| <= t.  ``dim``, ``has_soc`` and ``zero_slices`` (the
-    coordinates of each zero block) are derived from the blocks once, at
-    construction.
+    ||xbar|| <= t.  ``dim``, ``has_soc``, ``zero_slices`` (the coordinates
+    of each zero block) and ``dual_floor`` are derived from the blocks once,
+    at construction.  For a cone with no SOC block, ``dual_floor`` is the
+    read-only vector that is 0 on orthant and -inf on zero-block coordinates,
+    so that the projection onto K* is ``np.maximum(u, dual_floor)``; with an
+    SOC block it is None.
     """
 
     blocks: tuple[tuple[ConeBlock, int], ...]
     dim: int = field(init=False, repr=False, compare=False)
     has_soc: bool = field(init=False, repr=False, compare=False)
     zero_slices: tuple[slice, ...] = field(init=False, repr=False, compare=False)
+    dual_floor: Array | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for kind, size in self.blocks:
@@ -274,9 +278,17 @@ class ConeSpec:
             if kind is ConeBlock.ZERO:
                 zero_slices.append(slice(start, start + size))
             start += size
+        has_soc = any(kind is ConeBlock.SOC for kind, _ in blocks)
+        floor = None
+        if not has_soc:
+            floor = np.zeros(start)
+            for zero in zero_slices:
+                floor[zero] = -np.inf
+            floor.flags.writeable = False
         object.__setattr__(self, "dim", start)
-        object.__setattr__(self, "has_soc", any(kind is ConeBlock.SOC for kind, _ in blocks))
+        object.__setattr__(self, "has_soc", has_soc)
         object.__setattr__(self, "zero_slices", tuple(zero_slices))
+        object.__setattr__(self, "dual_floor", floor)
 
     @classmethod
     def nonneg(cls, m: int) -> "ConeSpec":

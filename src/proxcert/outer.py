@@ -4,9 +4,13 @@ constraints, which with an empty cone is the proximal-point method for mu = 0.
 It drives the certified accelerated solver with inner residual targets
 eta_k = eta0 * sigma**k and proximal weights rho_k = rho0 * zeta**j, where
 j counts the outer steps so far after which rho grew (``_grows`` states the
-rule and what it implies); the paper grows rho on every step.  The center
-is extrapolated past the last iterate, as in Guler's accelerated
-proximal-point method and Catalyst (Lin, Mairal and Harchaoui):
+rule and what it implies); the paper grows rho on every step.  Under a
+non-empty cone a step that the relative test below ends above eta_k holds
+rho, as the hybrid proximal extragradient method takes its steps at a
+fixed weight; the proximal-point method grows it there, since degenerate
+mu = 0 problems need the growing weight.  The center is extrapolated past the last iterate, as in
+Guler's accelerated proximal-point method and Catalyst (Lin, Mairal and
+Harchaoui):
 c_{k+1} = x_{k+1} + beta_k (x_{k+1} - x_k), where the paper takes
 c_{k+1} = x_{k+1}.  A step's witness u - (x_{k+1} - c_k)/rho_k is an outer
 subgradient for any center, so every certificate keeps its meaning.  The
@@ -50,10 +54,11 @@ class OuterParams:
     """Schedule of the outer loop and the settings of its inner solves.
 
     eta_k = eta0 * sigma**k at every outer step.  rho starts at rho0 and
-    grows by zeta after the steps ``_grows`` selects.  An inner solve ends
-    at ||u|| <= eta_k or at the relative test rho_k ||u|| <= ||x_{k+1} -
-    c_k||/2 (c_k the step's center), whose factor 1/2 is fixed
-    (``_RELATIVE_STOP``), not a field.
+    grows by zeta after the steps ``_grows`` selects, so rho_k <= rho0 *
+    zeta**k.  An inner solve ends at ||u|| <= eta_k or at the relative test
+    rho_k ||u|| <= ||x_{k+1} - c_k||/2 (c_k the step's center), whose factor
+    1/2 is fixed (``_RELATIVE_STOP``), not a field; under a non-empty cone a
+    step that the relative test ends above eta_k holds rho.
     A set rho0 must be positive and finite; None defaults per problem (see
     ``resolved``).  delta, M, max_iters and max_backtracks are the inner
     solves' ``ApgParams`` fields of those names, with their defaults and
@@ -152,6 +157,14 @@ class OuterTraceRow:
         """||(x_new - center, lam_new - lam_prev)||, the step in (x, lam)."""
         x_step = _norm(self.certificate.x_tilde - self.center)
         return math.sqrt(x_step**2 + _norm(self.lam_new - self.lam_prev) ** 2)
+
+    @property
+    def stop(self) -> str:
+        """Why the step's inner solve ended: "eta_k" (||u|| <= eta_k), "relative"
+        (rho_k ||u|| <= ||x_new - c_k||/2 with ||u|| above eta_k) or "outer"
+        (neither, but it proved the outer test, whose step then ends the solve)."""
+        prox_term = _norm(self.certificate.x_tilde - self.center) / self.rho_k
+        return _inner_target(self.certificate.residual, self.eta_k, prox_term) or "outer"
 
 
 @dataclass
@@ -298,10 +311,23 @@ def build_al_subproblem(
 # theta of the relative inner stop rho_k ||u|| <= theta ||x_tilde - c_k||, the
 # hybrid proximal extragradient test (Solodov and Svaiter, Set-Valued Analysis
 # 1999; accelerated in Monteiro and Svaiter, SIAM J. Optim. 2013).  At 0.5 the
-# criterion-6 prox-AL suite at eps 1e-4 takes 5,695 gradients where eta_k alone
-# takes 6,592, and tests/heldout_sweep.py certifies the same 115 instances; at
-# 0.9 the suite takes 4,551, but the sweep's box instance 20 times out.
+# criterion-6 prox-AL suite at eps 1e-4 takes 4,848 gradients where eta_k alone
+# takes 6,592, and tests/heldout_sweep.py certifies 118 of 120 instances (the
+# other two are infeasible); at 0.9 the suite takes 4,108, but the sweep
+# certifies 115: nonneg 7 and 14 and box 9 run out of their 50 outer steps.
 _RELATIVE_STOP = 0.5
+
+
+def _inner_target(residual: float, eta_k: float, prox_term: float) -> str | None:
+    """The inner target a certificate meets, "eta_k" or "relative", or None.
+
+    residual is ||u|| and prox_term ||x_tilde - c_k||/rho_k.
+    """
+    if residual <= eta_k:
+        return "eta_k"
+    if residual <= _RELATIVE_STOP * prox_term:
+        return "relative"
+    return None
 
 
 def _norm(v: Array) -> float:
@@ -381,7 +407,7 @@ def _worst(report: KktReport) -> float:
     return max(report.stationarity_residual, report.complementarity_residual)
 
 
-def _grows(step_norm: float, rho: float, complementarity: float, residual: float) -> bool:
+def _grows(row: OuterTraceRow, has_cone: bool) -> bool:
     """Whether rho grows by zeta after an outer step: when a term it controls binds.
 
     The prox-step term ||x_new - c_k||/rho_k, for the step's center c_k,
@@ -389,12 +415,22 @@ def _grows(step_norm: float, rho: float, complementarity: float, residual: float
     empty cone) shrink as rho grows; the inner residual ||u|| does not.
     rho grows when the larger of the first two exceeds ||u|| and is held
     otherwise, so rho_k = rho0 * zeta**j for the j grows so far, at most
-    rho0 * zeta**k, and a held step has ||x_new - c_k||/rho_k <= ||u||.  A
-    step that ends by the relative test with ||u|| > eta_k has ||x_new -
-    c_k||/rho_k >= 2 ||u|| > ||u|| and grows rho, so a held step ended at
-    ||u|| <= eta_k and its stationarity bound is at most 2 eta_k.
+    rho0 * zeta**k, and a step held by this test has ||x_new - c_k||/rho_k
+    <= ||u|| <= eta_k and a stationarity bound of at most 2 eta_k.
+
+    Under a non-empty cone a step that the relative test ends with ||u|| >
+    eta_k (``stop == "relative"``) holds rho too, although its prox-step
+    term is at least 2 ||u||: the hybrid proximal extragradient method takes
+    such steps at a fixed weight.  Its stationarity residual is at most
+    ||u|| + ||x_new - c_k||/rho_k, and the bound rho_k <= rho0 * zeta**k
+    still holds.  Under an empty cone (the proximal-point method) such a
+    step still grows rho: criterion 5's near-singular quartic, with mu = 0,
+    runs out of its outer budget when rho is held there.
     """
-    return max(step_norm / rho, complementarity) > residual
+    if has_cone and row.stop == "relative":
+        return False
+    prox_term = _norm(row.certificate.x_tilde - row.center) / row.rho_k
+    return max(prox_term, row.kkt.complementarity_residual) > row.certificate.residual
 
 
 def prox_al(conic: ConicProblem, params: OuterParams, init_x, init_lam) -> ProxAlResult:
@@ -410,9 +446,12 @@ def prox_al(conic: ConicProblem, params: OuterParams, init_x, init_lam) -> ProxA
     a_{k+1}^2 = (1 - a_{k+1}) a_k^2 + q a_{k+1} for q = mu rho_{k+1}/(1 +
     mu rho_{k+1}); with mu = 0 this is Guler's sequence.  An inner solve
     starts at c_k where P is finite, and at x_k otherwise.  rho grows by
-    zeta after the steps ``_grows`` selects, and is held otherwise.  An
-    inner solve checks after every M-th iteration and whenever its
-    lambda_prod has quartered since its previous check, and ends at the
+    zeta after the steps ``_grows`` selects, and is held otherwise; with a
+    non-empty cone it is held after every step that the relative test ends
+    above eta_k (``OuterTraceRow.stop``), whose stationarity residual is at
+    most ||u|| + ||x_tilde - c_k||/rho_k.  An inner solve checks after every
+    M-th iteration and whenever its lambda_prod has quartered since its
+    previous check, and ends at the
     first checked certificate that meets its target, ||u|| <= eta_k or the
     relative test rho_k ||u|| <= ||x_tilde - c_k||/2 (Solodov and Svaiter's
     hybrid proximal extragradient test, Set-Valued Analysis 1999), or that
@@ -455,7 +494,7 @@ def prox_al(conic: ConicProblem, params: OuterParams, init_x, init_lam) -> ProxA
         def done(cert):
             nonlocal accepted
             prox_term = _norm(cert.x_tilde - center) / rho_k
-            at_target = cert.residual <= eta_k or cert.residual <= _RELATIVE_STOP * prox_term
+            at_target = _inner_target(cert.residual, eta_k, prox_term) is not None
             # ||u|| + prox_term bounds the stationarity residual ||u - (x_tilde - c_k)/rho_k||
             if at_target or cert.residual + prox_term <= params.epsilon:
                 gval, lam_new = sub.smooth.multiplier(cert.x_tilde)
@@ -482,25 +521,23 @@ def prox_al(conic: ConicProblem, params: OuterParams, init_x, init_lam) -> ProxA
             )
         x_new = res.x
         report = kkt_report(conic, lam_new, res.certificate, rho_k, center, lam, gval)
-        rows.append(
-            OuterTraceRow(
-                k=k,
-                rho_k=rho_k,
-                eta_k=eta_k,
-                inner_iters=len(res.trace.rows),
-                grad_evals=counters.grad_f_evals,
-                prox_evals=counters.prox_evals,
-                certificate=res.certificate,
-                center=center,
-                lam_prev=lam,
-                lam_new=lam_new,
-                kkt=report,
-            )
+        row = OuterTraceRow(
+            k=k,
+            rho_k=rho_k,
+            eta_k=eta_k,
+            inner_iters=len(res.trace.rows),
+            grad_evals=counters.grad_f_evals,
+            prox_evals=counters.prox_evals,
+            certificate=res.certificate,
+            center=center,
+            lam_prev=lam,
+            lam_new=lam_new,
+            kkt=report,
         )
+        rows.append(row)
         if _worst(report) <= params.epsilon:
             return ProxAlResult(x=x_new, lam=lam_new, report=report, trace=trace)
-        x_step = _norm(x_new - center)
-        grows += _grows(x_step, rho_k, report.complementarity_residual, res.certificate.residual)
+        grows += _grows(row, conic.cone.dim > 0)
         rho_k = params.rho0 * params.zeta**grows
         # Catalyst momentum: a_{k+1}^2 = (1 - a_{k+1}) a_k^2 + q a_{k+1}, with
         # q = mu/(mu + 1/rho_{k+1}); the center is extrapolated past x_new

@@ -209,8 +209,15 @@ def _polar(cone: ConeSpec, u: Array) -> Array:
 
 
 def project_dual(cone: ConeSpec, u) -> Array:
-    """Euclidean projection onto the dual cone K* (Moreau complement of -K)."""
+    """Euclidean projection onto the dual cone K* (Moreau complement of -K).
+
+    Without an SOC block it is one np.maximum against ``cone.dual_floor``, which
+    agrees with u - project_polar(cone, u) up to the sign of a zero, passes a
+    NaN on, and maps -inf on an orthant coordinate to 0.
+    """
     u = _as_vector(u, cone.dim, "u")
+    if cone.dual_floor is not None:
+        return np.maximum(u, cone.dual_floor)
     return u - _polar(cone, u)
 
 

@@ -423,6 +423,30 @@ class TestExtrapolatedCenters:
             assert same_report(again, row.kkt)
 
 
+class TestHeldRelativeStops:
+    def test_mu0_nonneg_instance_certifies(self):
+        """A feasible mu = 0 instance under a nonnegativity prox, at the sweep's
+        settings.  While relative stops grew rho, rho reached 1,280 and the inner
+        solve of outer step 17 ran out of its 20,000 iterations with a best
+        residual of 2.3e-4 against eta_17 = 1.7e-7.  Holding rho at those stops
+        certifies it at rho = 40."""
+        spec = ConstrainedSpec(
+            QuarticSpec(n=5, k_terms=3, seed=4, mu_add=0.0, prox=NonnegativeTerm(5)),
+            m1=2, m2=1, seed=9,
+        )
+        conic = gen_constrained(spec).conic
+        res = prox_al(conic, SWEEP_PARAMS, np.zeros(5), np.zeros(3))
+        rows = res.trace.rows
+        assert (len(rows), res.trace.counters.grad_f_evals) == (39, 3186)
+        assert max(res.report.stationarity_residual, res.report.complementarity_residual) <= 1e-5
+        assert "relative" in [row.stop for row in rows[:-1]]
+        last = rows[-1]
+        assert last.rho_k == 40.0
+        again = kkt_report(conic, last.lam_new, last.certificate, last.rho_k, last.center,
+                           last.lam_prev)
+        assert same_report(again, res.report)
+
+
 class TestKktReport:
     def test_exact_pair_gives_zero_residuals(self, ineq1d):
         x, lam = np.array([1.0]), np.array([2.0])
@@ -589,13 +613,15 @@ def mixed_cone_conic():
     return ConicProblem(base=base, constraint=constraint, cone=cone)
 
 
-def grow_decisions(rows, params):
+def grow_decisions(rows, params, has_cone):
     """Check a trace's schedule row by row; return each step's grow decision.
 
     eta_k is eta0 * sigma**k and rho_k is rho0 * zeta**j, both bit for bit,
     where j counts the grows so far.  A step grows rho when its prox-step
     term ||x_new - center||/rho_k or its complementarity residual exceeds
-    its inner residual, recomputed here from the recorded row.
+    its inner residual, recomputed here from the recorded row, except that
+    under a non-empty cone a step the relative test ended above eta_k holds
+    rho.
     """
     decisions = []
     grows = 0
@@ -604,30 +630,40 @@ def grow_decisions(rows, params):
         assert row.rho_k == params.rho0 * params.zeta**grows
         assert row.rho_k <= params.rho0 * params.zeta**row.k
         prox_step = float(np.linalg.norm(row.certificate.x_tilde - row.center)) / row.rho_k
+        residual = row.certificate.residual
+        relative = row.eta_k < residual <= 0.5 * prox_step
+        assert (row.stop == "relative") == relative
         complementarity = row.kkt.complementarity_residual
-        decisions.append(max(prox_step, complementarity) > row.certificate.residual)
+        held = has_cone and relative
+        decisions.append(not held and max(prox_step, complementarity) > residual)
         grows += decisions[-1]
     return decisions
 
 
 class TestOuterSchedule:
-    @pytest.mark.parametrize("loop", ["ppa", "prox-al"])
+    @pytest.mark.parametrize("loop", ["ppa", "prox-al", "prox-al-relative"])
     def test_schedule_contract(self, loop, quartic_1d):
         if loop == "ppa":
             problem, params = quartic_1d, OuterParams(epsilon=1e-5, rho0=10.0)
             res = ppa_unconstrained(problem, params, [1.0])
         else:
-            # criterion-6 instance 2 (mu = 0) both holds and grows rho
-            inst = gen_constrained(criterion6_specs()[2])
+            # criterion-6 instance 2 (mu = 0) both holds and grows rho; instance
+            # 14 also holds it after relative stops above eta_k
+            inst = gen_constrained(criterion6_specs()[2 if loop == "prox-al" else 14])
             problem, params = inst.conic, OuterParams(epsilon=1e-4)
             res = prox_al(problem, params, inst.x_feas, np.zeros(problem.cone.dim))
-        mu = problem.mu if loop == "ppa" else problem.base.mu
-        decisions = grow_decisions(res.trace.rows, params.resolved(mu))
-        if loop == "prox-al":
+        has_cone = loop != "ppa"
+        mu = problem.base.mu if has_cone else problem.mu
+        rows = res.trace.rows
+        decisions = grow_decisions(rows, params.resolved(mu), has_cone)
+        if has_cone:
             assert True in decisions[:-1] and False in decisions[:-1]
-        # only the last inner solve, which stopped on the outer test, may end above eta_k
-        for row in res.trace.rows[:-1]:
-            assert row.certificate.residual <= row.eta_k
+        if loop == "prox-al-relative":
+            assert "relative" in [row.stop for row in rows[:-1]]
+        # every inner solve but the last, which may stop on the outer test,
+        # meets eta_k or the relative test (grow_decisions checks what rho did)
+        for row in rows[:-1]:
+            assert row.certificate.residual <= row.eta_k or row.stop == "relative"
 
     def test_infeasible_problem_grows_rho_every_step(self):
         # complementarity binds on every step of an infeasible problem, so

@@ -200,10 +200,16 @@ class TestProjections:
             u = np.where(rng.random(cone.dim) < 0.5, rng.choice(SPECIAL, cone.dim),
                          rng.uniform(-3.0, 3.0, cone.dim))
             polar = blockwise_polar(cone, u)
-            with np.errstate(invalid="ignore"):  # inf - inf on zero-cone coordinates
-                dual = u - polar
-                assert project_dual(cone, u).tobytes() == dual.tobytes()
             assert project_polar(cone, u).tobytes() == polar.tobytes()
+            # the dual is one np.maximum: the Moreau complement up to the sign
+            # of a zero, except that -inf on an orthant coordinate, where the
+            # complement is inf - inf, projects to 0
+            with np.errstate(invalid="ignore"):
+                complement = u - polar
+            orthant = np.repeat(np.array([kind is ConeBlock.NONNEG for kind, _ in cone.blocks],
+                                         dtype=bool), [size for _, size in cone.blocks])
+            complement[orthant & (u == -np.inf)] = 0.0
+            assert np.array_equal(project_dual(cone, u), complement, equal_nan=True)
 
     def test_soc_cones_match_the_blockwise_reference(self):
         rng = np.random.default_rng(24)
@@ -286,6 +292,12 @@ def test_cone_spec_cached_fields_stay_out_of_repr_and_equality():
     assert ConeSpec(((ConeBlock.ZERO, 2), (ConeBlock.SOC, 3), (ConeBlock.ZERO, 1))).zero_slices == (
         slice(0, 2), slice(5, 6)
     )
+    # project_dual's floor: polyhedral cones only, and read-only
+    assert MIXED.dual_floor is None
+    floor = ConeSpec(((ConeBlock.NONNEG, 2), (ConeBlock.ZERO, 1))).dual_floor
+    assert np.array_equal(floor, [0.0, 0.0, -np.inf])
+    with pytest.raises(ValueError, match="read-only"):
+        floor[0] = 1.0
 
 
 def reference_box_value(box, x):
