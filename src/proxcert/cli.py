@@ -334,7 +334,12 @@ class RunOutcome:
 
 
 def execute(spec: RunSpec, epsilon: float | None = None) -> RunOutcome:
-    """Run the configured solver; never raises on timeout (exit code 2 instead)."""
+    """Run the configured solver; never raises on timeout (exit code 2 instead).
+
+    The solve runs with NumPy's overflow and invalid-value warnings off: the
+    solver reports a non-finite trial itself, as ``NonFiniteOracleOutput``,
+    so that such a failure is the one ``solve failed:`` line ``main`` prints.
+    """
     epsilon = spec.epsilon if epsilon is None else epsilon
     solver = _SOLVERS[spec.solver]
     built, meta = build_problem(spec)
@@ -348,7 +353,8 @@ def execute(spec: RunSpec, epsilon: float | None = None) -> RunOutcome:
     init = (x0, np.zeros(built.cone.dim)) if solver.conic else (x0,)
     code, termination = 0, "certified" if solver.budget is None else "iteration-budget"
     try:
-        result = globals()[solver.entry](built, params, *init)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = globals()[solver.entry](built, params, *init)
         trace = result if isinstance(result, ApgTrace) else result.trace
     except SolveTimeout as exc:
         code, termination, trace = 2, "timeout", exc.trace
@@ -462,28 +468,22 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand and give each failure its line and exit code: an error
-    prints ``error: ...`` and returns 1, a solve failure ``solve failed: ...`` and 2.
-
-    NumPy's overflow and invalid-value warnings are off while it runs, so that a
-    failure is one line: the solver reports a non-finite trial itself, as
-    ``NonFiniteOracleOutput``.
-    """
+    prints ``error: ...`` and returns 1, a solve failure ``solve failed: ...`` and 2."""
     args = _parser().parse_args(argv)
-    with np.errstate(over="ignore", invalid="ignore"):
+    try:
+        if args.command == "solve":
+            return run(args.spec, trace_path=args.trace, summary_path=args.summary)
         try:
-            if args.command == "solve":
-                return run(args.spec, trace_path=args.trace, summary_path=args.summary)
-            try:
-                epsilons = [float(tok) for tok in args.eps.split(",")]
-            except ValueError:
-                raise SpecError("--eps must be a comma-separated list of numbers") from None
-            return sweep(args.spec, epsilons, args.out)
-        except (SpecError, ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except LineSearchFailure as exc:
-            print(f"solve failed: {exc}", file=sys.stderr)
-            return 2
+            epsilons = [float(tok) for tok in args.eps.split(",")]
+        except ValueError:
+            raise SpecError("--eps must be a comma-separated list of numbers") from None
+        return sweep(args.spec, epsilons, args.out)
+    except (SpecError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except LineSearchFailure as exc:
+        print(f"solve failed: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

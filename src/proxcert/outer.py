@@ -159,12 +159,16 @@ class OuterTraceRow:
         return math.sqrt(x_step**2 + _norm(self.lam_new - self.lam_prev) ** 2)
 
     @property
+    def prox_term(self) -> float:
+        """||x_new - c_k||/rho_k, the prox-step term of the step's witness."""
+        return _norm(self.certificate.x_tilde - self.center) / self.rho_k
+
+    @property
     def stop(self) -> str:
         """Why the step's inner solve ended: "eta_k" (||u|| <= eta_k), "relative"
         (rho_k ||u|| <= ||x_new - c_k||/2 with ||u|| above eta_k) or "outer"
         (neither, but it proved the outer test, whose step then ends the solve)."""
-        prox_term = _norm(self.certificate.x_tilde - self.center) / self.rho_k
-        return _inner_target(self.certificate.residual, self.eta_k, prox_term) or "outer"
+        return _inner_target(self.certificate.residual, self.eta_k, self.prox_term) or "outer"
 
 
 @dataclass
@@ -427,10 +431,10 @@ def _grows(row: OuterTraceRow, has_cone: bool) -> bool:
     step still grows rho: criterion 5's near-singular quartic, with mu = 0,
     runs out of its outer budget when rho is held there.
     """
-    if has_cone and row.stop == "relative":
+    prox_term, residual = row.prox_term, row.certificate.residual
+    if has_cone and _inner_target(residual, row.eta_k, prox_term) == "relative":
         return False
-    prox_term = _norm(row.certificate.x_tilde - row.center) / row.rho_k
-    return max(prox_term, row.kkt.complementarity_residual) > row.certificate.residual
+    return max(prox_term, row.kkt.complementarity_residual) > residual
 
 
 def prox_al(conic: ConicProblem, params: OuterParams, init_x, init_lam) -> ProxAlResult:

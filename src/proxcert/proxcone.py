@@ -216,7 +216,7 @@ def project_dual(cone: ConeSpec, u) -> Array:
     NaN on, and maps -inf on an orthant coordinate to 0.
     """
     u = _as_vector(u, cone.dim, "u")
-    if cone.dual_floor is not None:
+    if not cone.has_soc:
         return np.maximum(u, cone.dual_floor)
     return u - _polar(cone, u)
 

@@ -295,8 +295,8 @@ class TestSolve:
     def test_an_overflowing_first_step_is_a_solve_failure(self, tmp_path, capsys):
         # the alpha recursion is exact at gamma0 = 1e200, and the first
         # trial's curvature test overflows, which the solve reports as its one
-        # line: the CLI turns NumPy's overflow warnings off, so none escapes
-        # (under this suite's filterwarnings, one would fail the test)
+        # line: the CLI solves with NumPy's overflow warnings off, so none
+        # escapes (under this suite's filterwarnings, one would fail the test)
         doc = {
             "version": 1,
             "solver": "apg",
