@@ -305,9 +305,9 @@ def _curvature(gamma, y, f_y, grad_y, x_new, f_new):
     Accepted: 2 gamma (f(x_new) - f(y) - <grad f(y), x_new - y>) <= ||x_new - y||^2.
     """
     diff = x_new - y
-    cross = float(grad_y @ diff)
+    cross = float(grad_y.dot(diff))
     lhs = 2.0 * gamma * (f_new - f_y - cross)
-    rhs = float(diff @ diff)
+    rhs = float(diff.dot(diff))
     scale = abs(f_new) + abs(f_y) + abs(cross)
     return lhs, rhs, scale, accepts_curvature_bound(lhs, rhs, gamma, scale)
 
@@ -473,7 +473,7 @@ def residual_certificate(
         x_tilde=x_tilde,
         gamma_tilde=gamma_tilde,
         witness=witness,
-        residual=math.sqrt(witness @ witness),
+        residual=math.sqrt(witness.dot(witness)),
     )
 
 

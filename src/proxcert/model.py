@@ -3,8 +3,8 @@
 Oracles are pure functions of x.  Evaluation counting lives in thin wrappers
 produced by :func:`instrument_composite`, never in the oracles themselves,
 so problems stay immutable and shareable.  Every accelerated solve wraps
-the problem it is given, so these wrappers book every gradient and prox
-call of every solver, the outer loop's subproblems included; the
+the problem it is given, so these wrappers book every gradient, prox call
+and f value of every solver, the outer loop's subproblems included; the
 subproblem oracle (``outer.SubproblemOracle``) books only the constraint
 map, adjoint and cone-projection calls, which the wrappers cannot see.
 """
@@ -220,10 +220,10 @@ class AffineConstraint:
         return self.matrix.shape[0]
 
     def value(self, x: Array) -> Array:
-        return self.matrix @ x + self.shift
+        return self.matrix.dot(x) + self.shift
 
     def adjoint_apply(self, x: Array, v: Array) -> Array:
-        return self.matrix.T @ v
+        return self.matrix.T.dot(v)
 
 
 @dataclass(frozen=True)
@@ -253,17 +253,16 @@ class ConeSpec:
     """Product cone: ordered blocks of nonnegative-orthant, zero, and second-order cones.
 
     Second-order blocks store the scalar coordinate first: (t, xbar) with
-    ||xbar|| <= t.  ``dim``, ``has_soc``, ``zero_slices`` (the coordinates
-    of each zero block) and ``dual_floor`` are derived from the blocks once,
-    at construction.  For a cone with no SOC block, ``dual_floor`` is the
+    ||xbar|| <= t.  ``dim``, ``zero_slices`` (the coordinates of each zero
+    block) and ``dual_floor`` are derived from the blocks once, at
+    construction.  For a cone with no SOC block, ``dual_floor`` is the
     read-only vector that is 0 on orthant and -inf on zero-block coordinates,
     so that the projection onto K* is ``np.maximum(u, dual_floor)``; with an
-    SOC block it is None.
+    SOC block it is None, which is how the projections tell the two apart.
     """
 
     blocks: tuple[tuple[ConeBlock, int], ...]
     dim: int = field(init=False, repr=False, compare=False)
-    has_soc: bool = field(init=False, repr=False, compare=False)
     zero_slices: tuple[slice, ...] = field(init=False, repr=False, compare=False)
     dual_floor: Array | None = field(init=False, repr=False, compare=False)
 
@@ -278,15 +277,13 @@ class ConeSpec:
             if kind is ConeBlock.ZERO:
                 zero_slices.append(slice(start, start + size))
             start += size
-        has_soc = any(kind is ConeBlock.SOC for kind, _ in blocks)
         floor = None
-        if not has_soc:
+        if all(kind is not ConeBlock.SOC for kind, _ in blocks):
             floor = np.zeros(start)
             for zero in zero_slices:
                 floor[zero] = -np.inf
             floor.flags.writeable = False
         object.__setattr__(self, "dim", start)
-        object.__setattr__(self, "has_soc", has_soc)
         object.__setattr__(self, "zero_slices", tuple(zero_slices))
         object.__setattr__(self, "dual_floor", floor)
 
@@ -334,19 +331,26 @@ class ConicProblem:
 
 @dataclass
 class OracleCounters:
-    """Evaluation tallies for one solver invocation (single writer)."""
+    """Evaluation tallies for one solver invocation (single writer).
+
+    f_evals counts the values of f the solver asks for on their own: the
+    start value, and one per backtracking trial of an iteration or of a
+    certificate check.  A value that comes with a gradient, from a fused
+    call, books a gradient only.
+    """
 
     grad_f_evals: int = 0
     prox_evals: int = 0
     g_evals: int = 0
     adjoint_evals: int = 0
     cone_proj_evals: int = 0
+    f_evals: int = 0
 
 
 class _CountingSmooth:
     # Real methods, not __getattr__ forwarding: the image methods run once
-    # per backtracking trial.  An image or a value from an image books
-    # nothing, like value(); a gradient from an image books one.
+    # per backtracking trial.  An image books nothing; a value books one f
+    # value, from an image or not, and a gradient books one gradient.
     def __init__(self, inner: SmoothOracle, counters: OracleCounters):
         self._inner = inner
         self._counters = counters
@@ -358,6 +362,7 @@ class _CountingSmooth:
         return None if self._image is None else self._image(x)
 
     def value_at(self, x: Array, r: Array) -> float:
+        self._counters.f_evals += 1
         return self._inner.value_at(x, r)
 
     def value_and_gradient_at(self, x: Array, r: Array) -> tuple[float, Array]:
@@ -365,6 +370,7 @@ class _CountingSmooth:
         return self._inner.value_and_gradient_at(x, r)
 
     def value(self, x: Array) -> float:
+        self._counters.f_evals += 1
         return self._inner.value(x)
 
     def gradient(self, x: Array) -> Array:

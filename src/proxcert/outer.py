@@ -250,7 +250,7 @@ class SubproblemOracle:
         self._constraint = conic.constraint if conic.cone.dim else None
         self._cone = conic.cone
         self._lam = np.asarray(lam, dtype=float).copy()
-        self._lam_sq = float(self._lam @ self._lam)
+        self._lam_sq = float(self._lam.dot(self._lam))
 
     def multiplier(self, x: Array) -> tuple[Array, Array]:
         """(g(x), project_dual(lam + rho g(x))): the projected dual ascent step at x.
@@ -280,8 +280,8 @@ class SubproblemOracle:
 
     def _value(self, f: float, dx: Array, proj: Array) -> float:
         # an empty product costs more than the rest of a proximal-point value
-        d = math.sqrt(float(proj @ proj)) if proj.size else 0.0
-        return float(f + (d * d - self._lam_sq + float(dx @ dx)) / (2.0 * self._rho))
+        d = math.sqrt(float(proj.dot(proj))) if proj.size else 0.0
+        return float(f + (d * d - self._lam_sq + float(dx.dot(dx))) / (2.0 * self._rho))
 
     def _gradient(self, x: Array, g: Array, dx: Array, proj: Array) -> Array:
         if self._constraint is not None:
@@ -336,7 +336,7 @@ def _inner_target(residual: float, eta_k: float, prox_term: float) -> str | None
 
 def _norm(v: Array) -> float:
     """||v|| for a vector v: what np.linalg.norm computes, without its overhead."""
-    return math.sqrt(v @ v)
+    return math.sqrt(v.dot(v))
 
 
 def kkt_report(

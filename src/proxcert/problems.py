@@ -73,19 +73,19 @@ class QuarticOracle:
         return self.rows.shape[1]
 
     def value(self, x: Array) -> float:
-        return self.value_at(x, self.rows @ x - self.offsets)
+        return self.value_at(x, self.rows.dot(x) - self.offsets)
 
     def gradient(self, x: Array) -> Array:
-        r = self.rows @ x - self.offsets
+        r = self.rows.dot(x) - self.offsets
         return self._gradient(x, r, r * r)
 
     def value_and_gradient(self, x: Array) -> tuple[float, Array]:
-        return self.value_and_gradient_at(x, self.rows @ x - self.offsets)
+        return self.value_and_gradient_at(x, self.rows.dot(x) - self.offsets)
 
     def image(self, x: Array) -> Array | None:
         if self.rows.size < IMAGE_MIN_ENTRIES:
             return None
-        return self.rows @ x - self.offsets
+        return self.rows.dot(x) - self.offsets
 
     def value_at(self, x: Array, r: Array) -> float:
         return self._value(x, r * r)
@@ -99,13 +99,13 @@ class QuarticOracle:
     # against about 1 us per product.  Every entry point forms r2 and the
     # powers the same way, so all five agree bit for bit.
     def _value(self, x: Array, r2: Array) -> float:
-        out = 0.25 * float(self.coeffs @ (r2 * r2))
+        out = 0.25 * float(self.coeffs.dot(r2 * r2))
         if self.mu_add:
-            out += 0.5 * self.mu_add * float(x @ x)
+            out += 0.5 * self.mu_add * float(x.dot(x))
         return out
 
     def _gradient(self, x: Array, r: Array, r2: Array) -> Array:
-        grad = self.rows.T @ (self.coeffs * (r2 * r))
+        grad = self.rows.T.dot(self.coeffs * (r2 * r))
         if self.mu_add:
             grad = grad + self.mu_add * x
         return grad
@@ -172,8 +172,8 @@ def gen_constrained(spec: ConstrainedSpec) -> ConstrainedInstance:
     C /= np.linalg.norm(C, axis=1, keepdims=True)
     x_feas = rng.uniform(-0.5, 0.5, size=n)
     slack = rng.uniform(0.2, 1.0, size=spec.m1)
-    d = B @ x_feas + slack
-    e = C @ x_feas
+    d = B.dot(x_feas) + slack
+    e = C.dot(x_feas)
     constraint = AffineConstraint(matrix=np.vstack([B, C]), shift=-np.concatenate([d, e]))
     cone = ConeSpec.orthant_and_zero(spec.m1, spec.m2)
     conic = ConicProblem(base=base, constraint=constraint, cone=cone)
@@ -197,7 +197,7 @@ def ineq_quadratic_1d() -> ConicProblem:
 
 def eq_quadratic_2d() -> ConicProblem:
     """min ||x||^2/2 subject to x1 + x2 = 1; optimal pair is (0.5, 0.5), lam = -0.5."""
-    smooth = CallableSmooth(2, lambda x: 0.5 * float(x @ x), lambda x: x.copy())
+    smooth = CallableSmooth(2, lambda x: 0.5 * float(x.dot(x)), lambda x: x.copy())
     problem = CompositeProblem(smooth=smooth, nonsmooth=ZeroTerm(2), mu=1.0)
     constraint = AffineConstraint(matrix=np.array([[1.0, 1.0]]), shift=np.array([-1.0]))
     return ConicProblem(base=problem, constraint=constraint, cone=ConeSpec.zeros(1))

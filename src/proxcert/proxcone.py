@@ -160,7 +160,7 @@ class SquaredL2Term:
     def value(self, x: Array) -> float:
         x = _as_vector(x, self.dim, "x")
         d = x - self.center
-        return 0.5 * self.coef * float(d @ d)
+        return 0.5 * self.coef * float(d.dot(d))
 
     def prox(self, gamma: float, z: Array) -> Array:
         gamma = _check_gamma(gamma)
@@ -197,7 +197,7 @@ def _polar(cone: ConeSpec, u: Array) -> Array:
     out = np.minimum(u, 0.0)
     for zero in cone.zero_slices:
         out[zero] = 0.0
-    if cone.has_soc:
+    if cone.dual_floor is None:  # an SOC block
         start = 0
         for kind, size in cone.blocks:
             stop = start + size
@@ -216,7 +216,7 @@ def project_dual(cone: ConeSpec, u) -> Array:
     NaN on, and maps -inf on an orthant coordinate to 0.
     """
     u = _as_vector(u, cone.dim, "u")
-    if not cone.has_soc:
+    if cone.dual_floor is not None:
         return np.maximum(u, cone.dual_floor)
     return u - _polar(cone, u)
 
@@ -224,7 +224,7 @@ def project_dual(cone: ConeSpec, u) -> Array:
 def dist_polar(cone: ConeSpec, u) -> float:
     """Distance from u to -K, equal to ||project_dual(cone, u)||."""
     dual = project_dual(cone, u)
-    return math.sqrt(float(dual @ dual))
+    return math.sqrt(float(dual.dot(dual)))
 
 
 def require_in_dual(cone: ConeSpec, lam: Array) -> None:
@@ -252,5 +252,5 @@ def normal_cone_gap(cone: ConeSpec, lam, w) -> tuple[float, float]:
     w = _as_vector(w, cone.dim, "w")
     require_in_dual(cone, lam)
     membership = dist_polar(cone, w)
-    complementarity = abs(float(lam @ w))
+    complementarity = abs(float(lam.dot(w)))
     return membership, complementarity

@@ -333,6 +333,8 @@ class TestSolve:
         last = rows[-1]
         assert int(last["grad_evals"]) == summary["totals"]["grad_f_evals"]
         assert int(last["prox_evals"]) == summary["totals"]["prox_evals"]
+        # the start value, then one f value per trial, each with its prox
+        assert summary["totals"]["f_evals"] == 1 + summary["totals"]["prox_evals"]
         unchecked = [r for r in rows if r["cert_residual"] == ""]
         assert len(unchecked) < len(rows)
 
@@ -343,6 +345,7 @@ class TestSolve:
         last = rows[-1]
         assert int(last["grad_evals"]) == summary["totals"]["grad_f_evals"]
         assert int(last["prox_evals"]) == summary["totals"]["prox_evals"]
+        assert summary["totals"]["f_evals"] == len(rows) + summary["totals"]["prox_evals"]
         assert float(last["stat_res"]) == summary["residual_bound"]
 
     def test_rerun_is_deterministic(self, tmp_path):

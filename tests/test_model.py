@@ -12,10 +12,14 @@ from proxcert import (
     L1Term,
     NonnegativeTerm,
     OracleCounters,
+    OuterParams,
     SquaredL2Term,
     ZeroTerm,
+    apg_run,
     apg_terminating,
     instrument_composite,
+    ppa_unconstrained,
+    prox_al,
     value_and_gradient,
 )
 from proxcert.model import AffineConstraint
@@ -23,11 +27,13 @@ from proxcert.problems import (
     IMAGE_MIN_ENTRIES,
     QuarticSpec,
     eq_quadratic_2d,
+    gen_constrained,
     gen_quartic,
     ineq_quadratic_1d,
 )
 
 from conftest import SeparateOnly, make_quadratic, make_quartic_1d
+from helpers import criterion6_specs, recorded_iterates
 from helpers import check_gradient, composite_value
 
 
@@ -183,10 +189,54 @@ def test_instrument_composite_counts_only_oracle_calls():
     problem = instrument_composite(make_quadratic(), counters)
     x = np.array([1.0])
     problem.smooth.value(x)
-    assert counters.grad_f_evals == 0
+    assert (counters.grad_f_evals, counters.f_evals) == (0, 1)
     problem.smooth.gradient(x)
     problem.nonsmooth.prox(1.0, x)
-    assert (counters.grad_f_evals, counters.prox_evals) == (1, 1)
+    assert (counters.grad_f_evals, counters.prox_evals, counters.f_evals) == (1, 1, 1)
+
+
+def _f_values(trace):
+    """The f values an accelerated solve with ``trace`` asks for on their own.
+
+    One start value, one per backtracking trial of an iteration and one per
+    trial of a certificate check; a fused value comes with its gradient.
+    """
+    trials = sum(row.n_t + 1 for row in trace.rows)
+    checks = sum(row.cert_backtracks + 1 for row in trace.rows if row.certificate is not None)
+    return 1 + trials + checks
+
+
+class TestFValueCount:
+    @pytest.mark.parametrize("n, k_terms", [(6, 4), (100, IMAGE_MIN_ENTRIES // 100)])
+    def test_accelerated_solves(self, n, k_terms):
+        # below and at the image gate: a value from an image books one too
+        problem = gen_quartic(QuarticSpec(n=n, k_terms=k_terms, seed=6, mu_add=0.5))
+        res = apg_terminating(problem, ApgParams(epsilon=1e-6), np.zeros(n))
+        counters = res.trace.counters
+        assert any(row.certificate is not None for row in res.trace.rows)
+        assert counters.f_evals == _f_values(res.trace)
+        # each trial costs one prox as well
+        assert counters.f_evals == 1 + counters.prox_evals
+        trace = apg_run(problem, ApgParams(max_iters=25), np.zeros(n))
+        assert trace.counters.f_evals == _f_values(trace) == 1 + trace.counters.prox_evals
+
+    def test_outer_solves(self):
+        # every inner solve books its own start value; nothing between two
+        # inner solves, and no cone or multiplier call, books an f value
+        quartic = gen_quartic(QuarticSpec(n=8, k_terms=3, seed=5, prox=NonnegativeTerm(8)))
+        conic = gen_constrained(criterion6_specs()[2]).conic
+        solves = [
+            lambda: ppa_unconstrained(quartic, OuterParams(epsilon=1e-7), np.zeros(8)),
+            lambda: prox_al(conic, OuterParams(epsilon=1e-4), np.zeros(conic.base.dim),
+                            np.zeros(conic.cone.dim)),
+        ]
+        for solve in solves:
+            with recorded_iterates() as recording:
+                res = solve()
+            counters = res.trace.counters
+            assert len(recording.inner) == len(res.trace.rows) > 1
+            assert counters.f_evals == sum(_f_values(inner.trace) for inner in recording.inner)
+            assert counters.f_evals == len(res.trace.rows) + counters.prox_evals
 
 
 class TestValueAndGradient:
@@ -239,7 +289,7 @@ class TestValueAndGradient:
             CompositeProblem(wrap(base.smooth), base.nonsmooth, mu=1.0), counters
         )
         value_and_gradient(problem.smooth, np.ones(3))
-        assert (counters.grad_f_evals, counters.prox_evals) == (1, 0)
+        assert (counters.grad_f_evals, counters.prox_evals, counters.f_evals) == (1, 0, 0)
 
 
     def test_image_calls_book_a_gradient_only_with_the_gradient(self):
@@ -250,10 +300,10 @@ class TestValueAndGradient:
         x = np.linspace(-1.0, 1.0, n)
         r = smooth.image(x)
         assert smooth.value_at(x, r) == base.smooth.value(x)
-        assert counters.grad_f_evals == 0
+        assert (counters.grad_f_evals, counters.f_evals) == (0, 1)
         f, g = smooth.value_and_gradient_at(x, r)
         assert (f, g.tolist()) == (base.smooth.value(x), base.smooth.gradient(x).tolist())
-        assert (counters.grad_f_evals, counters.prox_evals) == (1, 0)
+        assert (counters.grad_f_evals, counters.prox_evals, counters.f_evals) == (1, 0, 1)
 
     def test_counting_wrapper_offers_no_image_for_plain_oracles(self):
         smooth = instrument_composite(make_quadratic(), OracleCounters()).smooth

@@ -196,7 +196,7 @@ class TestProjections:
             random_cone(rng, (ConeBlock.NONNEG, ConeBlock.ZERO)) for _ in range(300)
         ]
         for cone in cones:
-            assert not cone.has_soc
+            assert cone.dual_floor is not None
             u = np.where(rng.random(cone.dim) < 0.5, rng.choice(SPECIAL, cone.dim),
                          rng.uniform(-3.0, 3.0, cone.dim))
             polar = blockwise_polar(cone, u)
@@ -216,7 +216,7 @@ class TestProjections:
         kinds = (ConeBlock.NONNEG, ConeBlock.ZERO, ConeBlock.SOC)
         for _ in range(300):
             cone = ConeSpec(random_cone(rng, kinds).blocks + ((ConeBlock.SOC, 3),))
-            assert cone.has_soc
+            assert cone.dual_floor is None
             u = rng.uniform(-3.0, 3.0, cone.dim)
             soc = np.repeat([kind is ConeBlock.SOC for kind, _ in cone.blocks],
                             [size for _, size in cone.blocks])

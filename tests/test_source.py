@@ -1,9 +1,11 @@
-"""Guards on the library's source text."""
+"""Guards on the library's source text, and the premises they rest on."""
 
 import ast
 import dataclasses
 import inspect
 from pathlib import Path
+
+import numpy as np
 
 import proxcert
 from proxcert import ApgParams, SubproblemOracle, certified_prox_step, trial_step
@@ -41,6 +43,47 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_library_multiplies_through_ndarray_dot():
+    # ``@`` and np.matmul go through the matmul gufunc machinery, whose
+    # dispatch cost about twice that of ndarray.dot on the short vectors of a
+    # small solve; the library calls a.dot(b), with the operands in the same
+    # order, wherever it means a @ b
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in _nodes(path)
+        if isinstance(node, ast.MatMult) or _is_call(node, "matmul")
+    ]
+    assert found == []
+
+
+# (m, n) of the operands below: empty, tiny, the sizes of a small constrained
+# solve, and the 500 x 2000 matrix of a large quartic
+PRODUCT_SHAPES = ((0, 0), (0, 4), (3, 0), (1, 1), (1, 7), (8, 12), (12, 8), (37, 301), (500, 2000))
+
+
+def test_dot_gives_the_bits_of_matmul():
+    # the premise of the guard above: for the float64 operand shapes the
+    # library multiplies, ndarray.dot returns the bytes a @ b returns, so the
+    # swap moved no iterate.  A NumPy or BLAS change that breaks it fails
+    # here, by name, before it fails a pinned count
+    rng = np.random.default_rng(31)
+    for m, n in PRODUCT_SHAPES:
+        for _ in range(3):
+            # entries over 16 decades, so that a change of summation order shows
+            A = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-8, 8, (m, n))
+            x, y = (rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n) for _ in range(2))
+            v = rng.standard_normal(m)
+            products = {
+                "1-D . 1-D": (x, y),
+                "1-D . itself": (x, x),
+                "2-D . 1-D": (A, x),
+                "A.T . 1-D": (A.T, v),
+            }
+            for name, (a, b) in products.items():
+                assert a.dot(b).tobytes() == (a @ b).tobytes(), f"{name} at m = {m}, n = {n}"
 
 
 def test_one_line_search():
@@ -161,16 +204,17 @@ def _increments(paths, counters):
 
 def test_one_counting_layer():
     # every solve wraps its problem with instrument_composite, whose wrappers
-    # book gradients and prox calls; the subproblem oracle books only the
-    # calls that wrapper cannot see
-    solver = _increments(MODULES, {"grad_f_evals", "prox_evals"})
+    # book gradients, prox calls and f values; the subproblem oracle books
+    # only the calls that wrapper cannot see
+    solver = _increments(MODULES, {"grad_f_evals", "prox_evals", "f_evals"})
     oracle = _increments(MODULES, {"g_evals", "adjoint_evals", "cone_proj_evals"})
     assert {name for name, _, _ in solver} == {"model.py"}
     assert {(name, cls) for name, cls, _ in oracle} == {("outer.py", "SubproblemOracle")}
     assert {field for _, _, field in solver + oracle} == {
-        "grad_f_evals", "prox_evals", "g_evals", "adjoint_evals", "cone_proj_evals"
+        "grad_f_evals", "prox_evals", "f_evals", "g_evals", "adjoint_evals", "cone_proj_evals"
     }
-    assert len(solver) + len(oracle) <= 7
+    # two f-value sites: value and value_at
+    assert len(solver) + len(oracle) <= 9
 
 
 def test_cli_maps_each_failure_to_its_exit_code_in_main():
