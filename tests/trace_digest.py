@@ -76,7 +76,7 @@ def _feed(h, obj) -> None:
         h.update(f"{type(obj).__name__} {len(obj)}".encode())
         for item in obj:
             _feed(h, item)
-    elif isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+    elif obj is None or isinstance(obj, int):  # bool is an int
         h.update(repr(obj).encode())
     elif isinstance(obj, float):
         h.update(b"float" + struct.pack("<d", obj))
