@@ -376,16 +376,20 @@ def trial_step(problem: CompositeProblem, state: ApgState, gamma: float) -> Tria
     )
 
 
-def _point(problem: CompositeProblem, value, name: str) -> Array:
-    """``value`` as a float array; ValueError unless it is a finite point of dom P in R^dim."""
+def _point(problem: CompositeProblem, value, name: str) -> tuple[Array, float]:
+    """``value`` as a float array, and P there.
+
+    ValueError unless it is a finite point of dom P in R^dim.
+    """
     x = np.asarray(value, dtype=float)
     if x.shape != (problem.dim,):
         raise ValueError(f"{name} has shape {x.shape}, expected ({problem.dim},)")
     if not np.isfinite(x).all():
         raise ValueError(f"{name} must be finite")
-    if not problem.nonsmooth.value(x) < math.inf:
+    p_x = problem.nonsmooth.value(x)
+    if not p_x < math.inf:
         raise ValueError(f"{name} must lie in the domain of the nonsmooth term")
-    return x
+    return x, p_x
 
 
 def initial_state(
@@ -396,18 +400,25 @@ def initial_state(
     gamma0, the state's cap, and alpha0 are those of ``params.resolved(problem.mu)``.
     It starts at gamma0, or at min(gamma0, first_step) when first_step is given.
     """
+    return _start(problem, params, init, first_step)[0]
+
+
+def _start(problem, params, init, first_step):
+    """``initial_state`` and P at its point, which the domain test valued."""
     params = params.resolved(problem.mu)
     gamma0, alpha0 = params.gamma0, params.alpha0
     if first_step is not None and not first_step > 0:
         raise ValueError(f"first_step must be positive, got {first_step}")
-    x = _point(problem, init, "init").copy()
+    x, p_x = _point(problem, init, "init")
+    x = x.copy()
     image = getattr(problem.smooth, "image", None)
     rx = None if image is None else image(x)
-    return ApgState(
-        t=1, x=x, z=x.copy(), alpha_prev=alpha0, gamma_prev=gamma0,
-        start=gamma0 if first_step is None else min(gamma0, first_step), cap=gamma0,
-        lambda_prod=1.0, rx=rx, rz=rx,
+    state = ApgState(
+        1, x, x.copy(), alpha0, gamma0,  # t, x, z, alpha_prev, gamma_prev
+        gamma0 if first_step is None else min(gamma0, first_step), gamma0,  # start, cap
+        1.0, rx, rx,  # lambda_prod, rx, rz
     )
+    return state, p_x
 
 
 def apg_iteration(
@@ -491,7 +502,7 @@ def certified_prox_step(
     unless v passes the checks ``initial_state`` applies to init and
     gamma_start is positive and finite.
     """
-    v = _point(problem, v, "v")
+    v = _point(problem, v, "v")[0]
     if not 0 < gamma_start < math.inf:
         raise ValueError(f"gamma_start must be positive and finite, got {gamma_start}")
     smooth = problem.smooth
@@ -523,16 +534,16 @@ def _accelerated(problem, params, init, counters, first_step=None, done=None):
     """
     counters = OracleCounters() if counters is None else counters
     problem = instrument_composite(problem, counters)
-    state = initial_state(problem, params, init, first_step)
-    # initial_state checked that x lies in the domain of P; on the image
-    # path f comes from the start point's raw image
+    # P at the start is the value its domain test took; on the image path
+    # f comes from the start point's raw image
+    state, p_init = _start(problem, params, init, first_step)
     x, rx = state.x, state.rx
     f_init = problem.smooth.value(x) if rx is None else problem.smooth.value_at(x, rx)
     nonsmooth = problem.nonsmooth
     trace = ApgTrace(
         rows=[],
         counters=counters,
-        F_init=f_init + nonsmooth.value(x),
+        F_init=f_init + p_init,
         gamma0=state.gamma_prev,
         alpha0=state.alpha_prev,
         mu=problem.mu,

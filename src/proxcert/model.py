@@ -109,7 +109,10 @@ class ProxTerm(Protocol):
 
 def value_and_gradient(oracle: SmoothOracle, x: Array) -> tuple[float, Array]:
     """(value(x), gradient(x)) in one fused call when the oracle offers one."""
-    return fused_method(oracle)(x)
+    fused = getattr(oracle, "value_and_gradient", None)
+    if fused is not None:
+        return fused(x)
+    return oracle.value(x), oracle.gradient(x)
 
 
 def fused_method(oracle: SmoothOracle) -> Callable[[Array], tuple[float, Array]]:
@@ -350,11 +353,15 @@ class OracleCounters:
 class _CountingSmooth:
     # Real methods, not __getattr__ forwarding: the image methods run once
     # per backtracking trial.  An image books nothing; a value books one f
-    # value, from an image or not, and a gradient books one gradient.
+    # value, from an image or not, and a gradient books one gradient.  The
+    # inner methods are looked up once, here, so a call costs one frame.
     def __init__(self, inner: SmoothOracle, counters: OracleCounters):
-        self._inner = inner
         self._counters = counters
         self._image = getattr(inner, "image", None)
+        self._value_at = getattr(inner, "value_at", None)
+        self._value_and_gradient_at = getattr(inner, "value_and_gradient_at", None)
+        self._value = inner.value
+        self._gradient = inner.gradient
         self._fused = fused_method(inner)
         self.dim = inner.dim
 
@@ -363,19 +370,19 @@ class _CountingSmooth:
 
     def value_at(self, x: Array, r: Array) -> float:
         self._counters.f_evals += 1
-        return self._inner.value_at(x, r)
+        return self._value_at(x, r)
 
     def value_and_gradient_at(self, x: Array, r: Array) -> tuple[float, Array]:
         self._counters.grad_f_evals += 1
-        return self._inner.value_and_gradient_at(x, r)
+        return self._value_and_gradient_at(x, r)
 
     def value(self, x: Array) -> float:
         self._counters.f_evals += 1
-        return self._inner.value(x)
+        return self._value(x)
 
     def gradient(self, x: Array) -> Array:
         self._counters.grad_f_evals += 1
-        return self._inner.gradient(x)
+        return self._gradient(x)
 
     def value_and_gradient(self, x: Array) -> tuple[float, Array]:
         self._counters.grad_f_evals += 1
@@ -383,17 +390,16 @@ class _CountingSmooth:
 
 
 class _CountingProx:
+    # value books nothing, so it is the inner term's own bound method
     def __init__(self, inner: ProxTerm, counters: OracleCounters):
-        self._inner = inner
         self._counters = counters
+        self._prox = inner.prox
+        self.value = inner.value
         self.dim = inner.dim
-
-    def value(self, x: Array) -> float:
-        return self._inner.value(x)
 
     def prox(self, gamma: float, z: Array) -> Array:
         self._counters.prox_evals += 1
-        return self._inner.prox(gamma, z)
+        return self._prox(gamma, z)
 
 
 def instrument_composite(problem: CompositeProblem, counters: OracleCounters) -> CompositeProblem:
@@ -407,5 +413,7 @@ def instrument_composite(problem: CompositeProblem, counters: OracleCounters) ->
 
 def require_count(name: str, value) -> None:
     """Raise ValueError unless ``value`` is an integer of at least 1; a bool is not one."""
+    if type(value) is int and value >= 1:  # the common case, before the slow ABC test
+        return
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")

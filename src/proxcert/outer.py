@@ -97,10 +97,13 @@ class OuterParams:
         require_count("max_outer", self.max_outer)
         self.inner_params()  # the inner fields' checks are ApgParams's
 
-    def inner_params(self) -> ApgParams:
-        """The inner solves' settings, before the loop sets gamma0 and epsilon."""
+    def inner_params(
+        self, gamma0: float = ApgParams.gamma0, epsilon: float | None = None
+    ) -> ApgParams:
+        """The inner solves' settings at the gamma0 and epsilon the loop sets on each step."""
         return ApgParams(
-            delta=self.delta, M=self.M, max_iters=self.max_iters, max_backtracks=self.max_backtracks
+            gamma0=gamma0, delta=self.delta, M=self.M, epsilon=epsilon,
+            max_iters=self.max_iters, max_backtracks=self.max_backtracks,
         )
 
     def resolved(self, mu: float) -> OuterParams:
@@ -228,8 +231,8 @@ class SubproblemOracle:
     """
 
     __slots__ = (
-        "dim", "_smooth", "_fused", "_counters", "_center", "_rho", "_constraint", "_cone",
-        "_lam", "_lam_sq",
+        "dim", "_f", "_grad_f", "_fused", "_counters", "_center", "_rho", "_map", "_adjoint",
+        "_cone", "_lam", "_lam_sq",
     )
 
     def __init__(
@@ -242,12 +245,16 @@ class SubproblemOracle:
     ):
         smooth = conic.base.smooth
         self.dim = smooth.dim
-        self._smooth = smooth
+        # the callees of every evaluation, looked up once; _map is None under an empty cone
+        self._f = smooth.value
+        self._grad_f = smooth.gradient
         self._fused = fused_method(smooth)
+        constraint = conic.constraint if conic.cone.dim else None
+        self._map = None if constraint is None else constraint.value
+        self._adjoint = None if constraint is None else constraint.adjoint_apply
         self._counters = OracleCounters() if counters is None else counters
         self._center = np.asarray(center, dtype=float)
         self._rho = rho
-        self._constraint = conic.constraint if conic.cone.dim else None
         self._cone = conic.cone
         self._lam = np.asarray(lam, dtype=float).copy()
         self._lam_sq = float(self._lam.dot(self._lam))
@@ -257,20 +264,20 @@ class SubproblemOracle:
 
         Under an empty cone both are empty and nothing is called.
         """
-        if self._constraint is None:
+        if self._map is None:
             return self._lam, self._lam
         counters = self._counters
         counters.g_evals += 1
         counters.cone_proj_evals += 1
-        gval = self._constraint.value(x)
+        gval = self._map(x)
         # project_dual is called through this module's name, which tracers rebind
         return gval, project_dual(self._cone, self._lam + self._rho * gval)
 
     def value(self, x: Array) -> float:
-        return self._value(self._smooth.value(x), x - self._center, self.multiplier(x)[1])
+        return self._value(self._f(x), x - self._center, self.multiplier(x)[1])
 
     def gradient(self, x: Array) -> Array:
-        return self._gradient(x, self._smooth.gradient(x), x - self._center, self.multiplier(x)[1])
+        return self._gradient(x, self._grad_f(x), x - self._center, self.multiplier(x)[1])
 
     def value_and_gradient(self, x: Array) -> tuple[float, Array]:
         proj = self.multiplier(x)[1]
@@ -284,9 +291,9 @@ class SubproblemOracle:
         return float(f + (d * d - self._lam_sq + float(dx.dot(dx))) / (2.0 * self._rho))
 
     def _gradient(self, x: Array, g: Array, dx: Array, proj: Array) -> Array:
-        if self._constraint is not None:
+        if self._adjoint is not None:
             self._counters.adjoint_evals += 1
-            g = g + self._constraint.adjoint_apply(x, proj)
+            g = g + self._adjoint(x, proj)
         return g + dx / self._rho
 
 
@@ -377,9 +384,18 @@ def kkt_report(
         raise ValueError(
             f"constraint map returned shape {gval.shape}, expected ({conic.cone.dim},)"
         )
+    if not conic.cone.dim:
+        # an empty w lies in the normal cone of the empty cone exactly, and
+        # lam_new - lam_prev is empty, so nothing is left to compute or test
+        return KktReport(
+            stationarity_witness=s,
+            complementarity_witness=np.zeros(0),
+            stationarity_residual=_norm(s),
+            complementarity_residual=0.0,
+            witness_defects=(0.0, 0.0),
+        )
     w = (lam_prev + rho * gval - lam_new) / rho
-    # an empty w lies in the normal cone of the empty cone exactly
-    defects = normal_cone_gap(conic.cone, lam_new, w) if conic.cone.dim else (0.0, 0.0)
+    defects = normal_cone_gap(conic.cone, lam_new, w)
     membership, complementarity = defects
     tolerance = 1e-9 * (1.0 + _norm(w))
     if not (membership <= tolerance and complementarity <= tolerance * (1.0 + _norm(lam_new))):
@@ -489,7 +505,6 @@ def prox_al(conic: ConicProblem, params: OuterParams, init_x, init_lam) -> ProxA
     first_step = None
     grows = 0
     rho_k = params.rho0
-    inner = params.inner_params()
     for k in range(params.max_outer):
         eta_k = params.eta0 * params.sigma**k
         sub = build_al_subproblem(conic, center, lam, rho_k, counters=counters)
@@ -509,7 +524,7 @@ def prox_al(conic: ConicProblem, params: OuterParams, init_x, init_lam) -> ProxA
         try:
             res = apg_terminating(
                 sub,
-                replace(inner, gamma0=step_clamp(sub.mu), epsilon=eta_k),
+                params.inner_params(step_clamp(sub.mu), eta_k),
                 start,
                 counters=counters,
                 done=done,

@@ -6,6 +6,7 @@ import pytest
 
 from proxcert import (
     ApgParams,
+    BoxTerm,
     CallableSmooth,
     CompositeProblem,
     InvariantViolation,
@@ -437,6 +438,30 @@ class TestApgTerminating:
     def test_rejects_init_of_the_wrong_shape(self, quadratic, init):
         with pytest.raises(ValueError, match=r"init has shape .*, expected \(1,\)"):
             initial_state(quadratic, ApgParams(), init)
+
+
+def test_a_solve_values_its_start_once():
+    # F_init adds the P value the domain test of x1 took, so P is valued
+    # once at x1, not once for the test and again for F_init
+    x1 = np.full(3, 0.25)
+    box = BoxTerm(np.full(3, -0.5), np.full(3, 0.5))
+    at_start = []
+
+    class CountingBox:
+        dim = 3
+
+        def value(self, x):
+            if np.array_equal(x, x1):
+                at_start.append(x)
+            return box.value(x)
+
+        def prox(self, gamma, z):
+            return box.prox(gamma, z)
+
+    problem = gen_quartic(QuarticSpec(n=3, k_terms=2, seed=1, mu_add=1.0, prox=CountingBox()))
+    res = apg_terminating(problem, ApgParams(epsilon=1e-8), x1)
+    assert len(at_start) == 1
+    assert res.trace.F_init == problem.smooth.value(x1) + box.value(x1)
 
 
 def test_trajectory_invariants_on_quartic():

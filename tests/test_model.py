@@ -22,7 +22,7 @@ from proxcert import (
     prox_al,
     value_and_gradient,
 )
-from proxcert.model import AffineConstraint
+from proxcert.model import AffineConstraint, require_count
 from proxcert.problems import (
     IMAGE_MIN_ENTRIES,
     QuarticSpec,
@@ -138,6 +138,20 @@ class TestProblemValidation:
         wide = AffineConstraint(np.ones((2, 3)), np.zeros(2))
         with pytest.raises(ValueError, match="constraint input dim 3 != problem dim 1"):
             ConicProblem(quadratic, wide, ConeSpec.nonneg(2))
+
+
+class TestRequireCount:
+    # the exact-int fast path neither widens nor narrows the accepted set
+    @pytest.mark.parametrize("value", [1, 7, np.int64(3)], ids=repr)
+    def test_accepts_positive_integers(self, value):
+        require_count("count", value)
+
+    @pytest.mark.parametrize(
+        "value", [0, -2, True, False, 1.0, np.float64(2.0), "3"], ids=repr
+    )
+    def test_rejects_everything_else(self, value):
+        with pytest.raises(ValueError, match=r"^count must be a positive integer, got "):
+            require_count("count", value)
 
 
 def test_bundled_oracles_pass_gradient_check():

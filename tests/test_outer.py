@@ -33,6 +33,7 @@ from proxcert.model import (
     CompositeProblem,
     ConeBlock,
 )
+from proxcert import outer
 from proxcert.outer import OuterTrace, _require_dual
 from proxcert.problems import (
     ConstrainedSpec,
@@ -524,6 +525,26 @@ class TestKktReport:
         for conic, lam in ((ineq1d, np.array([1.0])), (empty, np.zeros(0))):
             with pytest.raises(ValueError, match="rho must be positive and finite"):
                 kkt_report(conic, lam, cert, rho, x + 1.0, lam)
+
+    def test_empty_cone_report_needs_no_cone_arithmetic(self, monkeypatch):
+        # a proximal-point step's report: the empty witness lies in the
+        # normal cone of the empty cone exactly, so no defect is computed
+        def refuse(*args):
+            raise RuntimeError("normal_cone_gap called under an empty cone")
+
+        monkeypatch.setattr(outer, "normal_cone_gap", refuse)
+        problem = gen_quartic(QuarticSpec(n=4, k_terms=2, seed=3, prox=NonnegativeTerm(4)))
+        res = ppa_unconstrained(problem, OuterParams(epsilon=1e-6), np.zeros(4))
+        assert len(res.trace.rows) > 1
+        for row in res.trace.rows:
+            report, cert = row.kkt, row.certificate
+            witness = report.complementarity_witness
+            assert witness.dtype == np.float64 and witness.shape == (0,)
+            assert report.complementarity_residual == 0.0
+            assert report.witness_defects == (0.0, 0.0)
+            s = cert.witness - (cert.x_tilde - row.center) / row.rho_k
+            assert report.stationarity_witness.tobytes() == s.tobytes()
+            assert report.stationarity_residual == np.sqrt(s.dot(s))
 
     def test_mismatched_multiplier_is_an_invariant_violation(self, ineq1d):
         x = np.array([0.75])

@@ -17,14 +17,22 @@ def test_two_runs_print_the_same_digest(capsys):
 
 
 def test_one_ulp_anywhere_moves_the_digest():
-    res = trace_digest.solves()["ppa_0"]()
+    solve = trace_digest.solves()["ppa_0"]()
+    res = solve.result
     row = res.trace.rows[-1]
     nudged_x = dataclasses.replace(res, x=np.nextafter(res.x, np.inf))
     nudged_rho = dataclasses.replace(row, rho_k=np.nextafter(row.rho_k, np.inf))
     nudged_trace = dataclasses.replace(res.trace, rows=res.trace.rows[:-1] + [nudged_rho])
+    # an inner solve's start value, which the outer result does not hold
+    first = solve.inner[0]
+    nudged_start = dataclasses.replace(first, F_init=np.nextafter(first.F_init, np.inf))
+    assert len(solve.inner) == len(res.trace.rows)
     digests = {
-        trace_digest.digest(res),
-        trace_digest.digest(nudged_x),
-        trace_digest.digest(dataclasses.replace(res, trace=nudged_trace)),
+        trace_digest.digest(solve),
+        trace_digest.digest(dataclasses.replace(solve, result=nudged_x)),
+        trace_digest.digest(
+            dataclasses.replace(solve, result=dataclasses.replace(res, trace=nudged_trace))
+        ),
+        trace_digest.digest(dataclasses.replace(solve, inner=[nudged_start] + solve.inner[1:])),
     }
-    assert len(digests) == 3
+    assert len(digests) == 4

@@ -14,6 +14,12 @@ counter of that solve.  The solves are
 - ``image``: ``apg_terminating`` at eps 1e-6 on a quartic with 30,000
   matrix entries, so on the affine-image path.
 
+An ``al_*`` or ``ppa_*`` digest also covers the ``ApgTrace`` of every inner
+solve of the outer loop (its F_init, gamma0, alpha0, mu, first_step and
+rows), recorded by ``helpers.recorded_iterates``, since code that only
+inner solves run, such as an inner solve's start, leaves no other mark on
+the outer result.
+
 The counters digested are the gradient, prox, g, adjoint and cone
 projection totals.  ``f_evals`` is left out: it equals the number of
 accelerated solves plus ``prox_evals`` (``tests/test_model.py``), so it
@@ -49,7 +55,7 @@ from proxcert import (
 )
 from proxcert.problems import QuarticSpec, gen_constrained, gen_quartic
 
-from helpers import criterion6_specs
+from helpers import criterion6_specs, recorded_iterates
 
 COUNTER_KEYS = ("grad_f_evals", "prox_evals", "g_evals", "adjoint_evals", "cone_proj_evals")
 
@@ -91,6 +97,20 @@ def digest(result) -> str:
     return h.hexdigest()
 
 
+@dataclasses.dataclass
+class OuterSolve:
+    """An outer-loop result and the ApgTrace of each of its inner solves, in step order."""
+
+    result: object
+    inner: list
+
+
+def _with_inner_traces(solve) -> OuterSolve:
+    with recorded_iterates() as recording:
+        result = solve()
+    return OuterSolve(result, [inner.trace for inner in recording.inner])
+
+
 def _ppa_problems():
     """The first PPA_SOLVES problems of a ppa_mu0 pass, as the benchmark draws them."""
     rng = np.random.default_rng(PPA_SEED)
@@ -108,17 +128,20 @@ def _ppa_problems():
 
 
 def solves() -> dict:
-    """Name -> a call that runs the solve and returns its result."""
+    """Name -> a call that runs the solve and returns what is digested.
+
+    That is the result for ``image`` and an OuterSolve for the others.
+    """
     out = {}
     for i, spec in enumerate(criterion6_specs()):
         inst = gen_constrained(spec)
-        out[f"al_{i:02d}"] = lambda inst=inst: prox_al(
+        out[f"al_{i:02d}"] = lambda inst=inst: _with_inner_traces(lambda: prox_al(
             inst.conic, OuterParams(epsilon=1e-4), inst.x_feas, np.zeros(inst.conic.cone.dim)
-        )
+        ))
     for i, problem in enumerate(_ppa_problems()):
-        out[f"ppa_{i}"] = lambda problem=problem: ppa_unconstrained(
+        out[f"ppa_{i}"] = lambda problem=problem: _with_inner_traces(lambda: ppa_unconstrained(
             problem, OuterParams(epsilon=1e-7), np.zeros(problem.dim)
-        )
+        ))
     image = gen_quartic(QuarticSpec(n=200, k_terms=150, seed=31, mu_add=0.1))
     out["image"] = lambda: apg_terminating(image, ApgParams(epsilon=1e-6), np.zeros(200))
     return out
