@@ -240,7 +240,6 @@ class ApgTrace:
 
     rows: list[TraceRow]
     counters: OracleCounters
-    F_init: float
     gamma0: float
     alpha0: float
     mu: float
@@ -376,8 +375,8 @@ def trial_step(problem: CompositeProblem, state: ApgState, gamma: float) -> Tria
     )
 
 
-def _point(problem: CompositeProblem, value, name: str) -> tuple[Array, float]:
-    """``value`` as a float array, and P there.
+def _point(problem: CompositeProblem, value, name: str) -> Array:
+    """``value`` as a float array.
 
     ValueError unless it is a finite point of dom P in R^dim.
     """
@@ -386,10 +385,9 @@ def _point(problem: CompositeProblem, value, name: str) -> tuple[Array, float]:
         raise ValueError(f"{name} has shape {x.shape}, expected ({problem.dim},)")
     if not np.isfinite(x).all():
         raise ValueError(f"{name} must be finite")
-    p_x = problem.nonsmooth.value(x)
-    if not p_x < math.inf:
+    if not problem.nonsmooth.value(x) < math.inf:
         raise ValueError(f"{name} must lie in the domain of the nonsmooth term")
-    return x, p_x
+    return x
 
 
 def initial_state(
@@ -400,25 +398,18 @@ def initial_state(
     gamma0, the state's cap, and alpha0 are those of ``params.resolved(problem.mu)``.
     It starts at gamma0, or at min(gamma0, first_step) when first_step is given.
     """
-    return _start(problem, params, init, first_step)[0]
-
-
-def _start(problem, params, init, first_step):
-    """``initial_state`` and P at its point, which the domain test valued."""
     params = params.resolved(problem.mu)
     gamma0, alpha0 = params.gamma0, params.alpha0
     if first_step is not None and not first_step > 0:
         raise ValueError(f"first_step must be positive, got {first_step}")
-    x, p_x = _point(problem, init, "init")
-    x = x.copy()
+    x = _point(problem, init, "init").copy()
     image = getattr(problem.smooth, "image", None)
     rx = None if image is None else image(x)
-    state = ApgState(
+    return ApgState(
         1, x, x.copy(), alpha0, gamma0,  # t, x, z, alpha_prev, gamma_prev
         gamma0 if first_step is None else min(gamma0, first_step), gamma0,  # start, cap
         1.0, rx, rx,  # lambda_prod, rx, rz
     )
-    return state, p_x
 
 
 def apg_iteration(
@@ -502,7 +493,7 @@ def certified_prox_step(
     unless v passes the checks ``initial_state`` applies to init and
     gamma_start is positive and finite.
     """
-    v = _point(problem, v, "v")[0]
+    v = _point(problem, v, "v")
     if not 0 < gamma_start < math.inf:
         raise ValueError(f"gamma_start must be positive and finite, got {gamma_start}")
     smooth = problem.smooth
@@ -534,16 +525,11 @@ def _accelerated(problem, params, init, counters, first_step=None, done=None):
     """
     counters = OracleCounters() if counters is None else counters
     problem = instrument_composite(problem, counters)
-    # P at the start is the value its domain test took; on the image path
-    # f comes from the start point's raw image
-    state, p_init = _start(problem, params, init, first_step)
-    x, rx = state.x, state.rx
-    f_init = problem.smooth.value(x) if rx is None else problem.smooth.value_at(x, rx)
+    state = initial_state(problem, params, init, first_step)
     nonsmooth = problem.nonsmooth
     trace = ApgTrace(
         rows=[],
         counters=counters,
-        F_init=f_init + p_init,
         gamma0=state.gamma_prev,
         alpha0=state.alpha_prev,
         mu=problem.mu,

@@ -336,10 +336,10 @@ class ConicProblem:
 class OracleCounters:
     """Evaluation tallies for one solver invocation (single writer).
 
-    f_evals counts the values of f the solver asks for on their own: the
-    start value, and one per backtracking trial of an iteration or of a
-    certificate check.  A value that comes with a gradient, from a fused
-    call, books a gradient only.
+    f_evals counts the values of f the solver asks for on their own: one
+    per backtracking trial of an iteration or of a certificate check, none
+    at the start.  A value that comes with a gradient, from a fused call,
+    books a gradient only.
     """
 
     grad_f_evals: int = 0

@@ -16,10 +16,9 @@ c_{k+1} = x_{k+1}.  A step's witness u - (x_{k+1} - c_k)/rho_k is an outer
 subgradient for any center, so every certificate keeps its meaning.  The
 loop stops at the first outer step whose KKT residuals are at most the
 outer epsilon, and an inner solve at the first certificate that meets
-eta_k, or the relative test rho_k ||u|| <= ||x_{k+1} - c_k||/2 of the
-hybrid proximal extragradient method (Solodov and Svaiter 1999; Monteiro
-and Svaiter 2013), or already proves them, which the paper's end-of-step
-test implies.
+eta_k, or the relative test of the hybrid proximal extragradient method
+(``_inner_target``), or already proves them, which the paper's
+end-of-step test implies.
 An inner solve checks a certificate after every M-th iteration and as soon
 as its lambda_prod has quartered since its previous check (see
 ``apg_terminating``), so within a few iterations while its steps stay near
@@ -56,9 +55,9 @@ class OuterParams:
     eta_k = eta0 * sigma**k at every outer step.  rho starts at rho0 and
     grows by zeta after the steps ``_grows`` selects, so rho_k <= rho0 *
     zeta**k.  An inner solve ends at ||u|| <= eta_k or at the relative test
-    rho_k ||u|| <= ||x_{k+1} - c_k||/2 (c_k the step's center), whose factor
-    1/2 is fixed (``_RELATIVE_STOP``), not a field; under a non-empty cone a
-    step that the relative test ends above eta_k holds rho.
+    (``_inner_target``), whose factor ``_RELATIVE_STOP`` is fixed, not a
+    field; under a non-empty cone a step that the relative test ends above
+    eta_k holds rho.
     A set rho0 must be positive and finite; None defaults per problem (see
     ``resolved``).  delta, M, max_iters and max_backtracks are the inner
     solves' ``ApgParams`` fields of those names, with their defaults and
@@ -168,9 +167,9 @@ class OuterTraceRow:
 
     @property
     def stop(self) -> str:
-        """Why the step's inner solve ended: "eta_k" (||u|| <= eta_k), "relative"
-        (rho_k ||u|| <= ||x_new - c_k||/2 with ||u|| above eta_k) or "outer"
-        (neither, but it proved the outer test, whose step then ends the solve)."""
+        """Why the step's inner solve ended: the target ``_inner_target`` names,
+        "eta_k" or "relative", or "outer" (neither, but it proved the outer
+        test, whose step then ends the solve)."""
         return _inner_target(self.certificate.residual, self.eta_k, self.prox_term) or "outer"
 
 
@@ -332,7 +331,9 @@ _RELATIVE_STOP = 0.5
 def _inner_target(residual: float, eta_k: float, prox_term: float) -> str | None:
     """The inner target a certificate meets, "eta_k" or "relative", or None.
 
-    residual is ||u|| and prox_term ||x_tilde - c_k||/rho_k.
+    residual is ||u|| and prox_term ||x_tilde - c_k||/rho_k, for the step's
+    center c_k.  "eta_k" when ||u|| <= eta_k; otherwise "relative" when the
+    relative test rho_k ||u|| <= _RELATIVE_STOP ||x_tilde - c_k|| holds.
     """
     if residual <= eta_k:
         return "eta_k"
@@ -440,7 +441,7 @@ def _grows(row: OuterTraceRow, has_cone: bool) -> bool:
 
     Under a non-empty cone a step that the relative test ends with ||u|| >
     eta_k (``stop == "relative"``) holds rho too, although its prox-step
-    term is at least 2 ||u||: the hybrid proximal extragradient method takes
+    term exceeds ||u||: the hybrid proximal extragradient method takes
     such steps at a fixed weight.  Its stationarity residual is at most
     ||u|| + ||x_new - c_k||/rho_k, and the bound rho_k <= rho0 * zeta**k
     still holds.  Under an empty cone (the proximal-point method) such a
@@ -448,7 +449,7 @@ def _grows(row: OuterTraceRow, has_cone: bool) -> bool:
     runs out of its outer budget when rho is held there.
     """
     prox_term, residual = row.prox_term, row.certificate.residual
-    if has_cone and _inner_target(residual, row.eta_k, prox_term) == "relative":
+    if has_cone and row.stop == "relative":
         return False
     return max(prox_term, row.kkt.complementarity_residual) > residual
 
@@ -472,10 +473,9 @@ def prox_al(conic: ConicProblem, params: OuterParams, init_x, init_lam) -> ProxA
     most ||u|| + ||x_tilde - c_k||/rho_k.  An inner solve checks after every
     M-th iteration and whenever its lambda_prod has quartered since its
     previous check, and ends at the
-    first checked certificate that meets its target, ||u|| <= eta_k or the
-    relative test rho_k ||u|| <= ||x_tilde - c_k||/2 (Solodov and Svaiter's
-    hybrid proximal extragradient test, Set-Valued Analysis 1999), or that
-    proves the outer stopping rule: ||u|| + ||x_tilde - c_k||/rho_k <=
+    first checked certificate that meets its target (``_inner_target``:
+    ||u|| <= eta_k or the relative test), or that proves the outer
+    stopping rule: ||u|| + ||x_tilde - c_k||/rho_k <=
     epsilon, which costs no oracle call, and then ||lam_new - lam_k||/rho_k
     <= epsilon for the updated multiplier lam_new.  The target tests cost no oracle call either.
     lam_new costs one counted g(x_tilde) and one counted cone projection,

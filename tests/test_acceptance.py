@@ -158,11 +158,12 @@ def test_criterion_3_descent_envelope():
         F_hat = composite_value(problem, x_hat)
         init = np.full(n, 0.5)
         trace = apg_run(problem, ApgParams(max_iters=200), init)
+        F_init = composite_value(problem, init)
         anchor = (
-            trace.F_init - F_hat
+            F_init - F_hat
             + trace.alpha0**2 / (2.0 * trace.gamma0) * float((init - x_hat) @ (init - x_hat))
         )
-        slack = 1e-9 * (1.0 + abs(trace.F_init))
+        slack = 1e-9 * (1.0 + abs(F_init))
         for row in trace.rows:
             if row.F - F_hat > row.lambda_prod * anchor + slack:
                 violations.append((seed, mu, row.t))

@@ -276,7 +276,8 @@ class TestApgRun:
         """Objective gap decays inside the 1/t^2 envelope built from observed steps."""
         params = ApgParams(gamma0=1.0, delta=0.5)
         trace = apg_run(quartic_1d, replace(params, max_iters=200), [1.0])
-        r0_sq = trace.F_init + trace.alpha0**2 / (2.0 * trace.gamma0)  # F* = 0, x* = 0
+        F_init = composite_value(quartic_1d, np.array([1.0]))
+        r0_sq = F_init + trace.alpha0**2 / (2.0 * trace.gamma0)  # F* = 0, x* = 0
         gamma_min = min(row.gamma_t for row in trace.rows)
         speed = trace.alpha0 * math.sqrt(min(1.0, params.delta * gamma_min / trace.gamma0))
         for row in trace.rows:
@@ -441,8 +442,8 @@ class TestApgTerminating:
 
 
 def test_a_solve_values_its_start_once():
-    # F_init adds the P value the domain test of x1 took, so P is valued
-    # once at x1, not once for the test and again for F_init
+    # P is valued once at x1, by its domain test, and f not at all: the
+    # first call to the smooth oracle that returns a value brings a gradient
     x1 = np.full(3, 0.25)
     box = BoxTerm(np.full(3, -0.5), np.full(3, 0.5))
     at_start = []
@@ -459,9 +460,25 @@ def test_a_solve_values_its_start_once():
             return box.prox(gamma, z)
 
     problem = gen_quartic(QuarticSpec(n=3, k_terms=2, seed=1, mu_add=1.0, prox=CountingBox()))
-    res = apg_terminating(problem, ApgParams(epsilon=1e-8), x1)
+    calls = []
+
+    class RecordingSmooth:
+        dim = 3
+
+        def __getattr__(self, name):
+            method = getattr(problem.smooth, name)
+
+            def record(*args):
+                calls.append(name)
+                return method(*args)
+
+            return record
+
+    recording = CompositeProblem(RecordingSmooth(), problem.nonsmooth, mu=problem.mu)
+    apg_terminating(recording, ApgParams(epsilon=1e-8), x1)
     assert len(at_start) == 1
-    assert res.trace.F_init == problem.smooth.value(x1) + box.value(x1)
+    first_gradient = next(i for i, name in enumerate(calls) if "gradient" in name)
+    assert [name for name in calls[:first_gradient] if name.startswith("value")] == []
 
 
 def test_trajectory_invariants_on_quartic():
@@ -534,10 +551,11 @@ def test_descent_envelope_against_reference():
         F_hat = composite_value(problem, x_hat)
         init = np.full(4, 0.5)
         trace = apg_run(problem, ApgParams(max_iters=150), init)
-        anchor = trace.F_init - F_hat + trace.alpha0**2 / (2 * trace.gamma0) * float(
+        F_init = composite_value(problem, init)
+        anchor = F_init - F_hat + trace.alpha0**2 / (2 * trace.gamma0) * float(
             (init - x_hat) @ (init - x_hat)
         )
-        slack = 1e-9 * (1.0 + abs(trace.F_init))
+        slack = 1e-9 * (1.0 + abs(F_init))
         for row in trace.rows:
             assert row.F - F_hat <= row.lambda_prod * anchor + slack
 
@@ -624,4 +642,3 @@ def test_certificate_checks_never_move_the_iteration(spec):
         ]
 
     assert steps(plain) == steps(checked)
-    assert plain.F_init == checked.F_init

@@ -156,7 +156,7 @@ def test_a_trial_maps_one_new_point():
     assert trials > len(trace.rows)  # some trials backtracked
     assert tally.calls == Counter(
         image=1 + trials,
-        value_at=1 + trials,  # F at the start point, from its image
+        value_at=trials,
         value_and_gradient_at=trials,
     )
 

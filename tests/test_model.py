@@ -212,12 +212,13 @@ def test_instrument_composite_counts_only_oracle_calls():
 def _f_values(trace):
     """The f values an accelerated solve with ``trace`` asks for on their own.
 
-    One start value, one per backtracking trial of an iteration and one per
-    trial of a certificate check; a fused value comes with its gradient.
+    One per backtracking trial of an iteration and one per trial of a
+    certificate check, none at the start; a fused value comes with its
+    gradient.
     """
     trials = sum(row.n_t + 1 for row in trace.rows)
     checks = sum(row.cert_backtracks + 1 for row in trace.rows if row.certificate is not None)
-    return 1 + trials + checks
+    return trials + checks
 
 
 class TestFValueCount:
@@ -230,13 +231,13 @@ class TestFValueCount:
         assert any(row.certificate is not None for row in res.trace.rows)
         assert counters.f_evals == _f_values(res.trace)
         # each trial costs one prox as well
-        assert counters.f_evals == 1 + counters.prox_evals
+        assert counters.f_evals == counters.prox_evals
         trace = apg_run(problem, ApgParams(max_iters=25), np.zeros(n))
-        assert trace.counters.f_evals == _f_values(trace) == 1 + trace.counters.prox_evals
+        assert trace.counters.f_evals == _f_values(trace) == trace.counters.prox_evals
 
     def test_outer_solves(self):
-        # every inner solve books its own start value; nothing between two
-        # inner solves, and no cone or multiplier call, books an f value
+        # only the inner solves' trials book f values; nothing between two
+        # inner solves, and no cone or multiplier call, books one
         quartic = gen_quartic(QuarticSpec(n=8, k_terms=3, seed=5, prox=NonnegativeTerm(8)))
         conic = gen_constrained(criterion6_specs()[2]).conic
         solves = [
@@ -250,7 +251,7 @@ class TestFValueCount:
             counters = res.trace.counters
             assert len(recording.inner) == len(res.trace.rows) > 1
             assert counters.f_evals == sum(_f_values(inner.trace) for inner in recording.inner)
-            assert counters.f_evals == len(res.trace.rows) + counters.prox_evals
+            assert counters.f_evals == counters.prox_evals
 
 
 class TestValueAndGradient:

@@ -340,7 +340,7 @@ class TestProxAl:
         conic = ConicProblem(base=ineq1d.base, constraint=counting, cone=ineq1d.cone)
         res = prox_al(conic, OuterParams(epsilon=1e-4), np.zeros(1), np.zeros(1))
         assert len(res.trace.rows) == 4
-        assert res.trace.counters.g_evals == 80
+        assert res.trace.counters.g_evals == 76
         assert len(raw_calls) == res.trace.counters.g_evals
         last = res.trace.rows[-1]
         again = kkt_report(ineq1d, last.lam_new, last.certificate, last.rho_k, last.center,

@@ -59,7 +59,7 @@ PAPER_RULE_TOTALS = {2: (4301, 4105, 8430, 4301, 8430), 19: (669, 642, 1335, 669
         # [10] * 8 + [20, 10, 30, 60, 40] and the center at the last
         # iterate, and (2565, 2443, 5032, 2565, 5032) with rho grown on
         # every step.
-        (2, (167, 157, 344, 167, 344), [10] * 10),
+        (2, (167, 157, 334, 167, 334), [10] * 10),
         # mu = 1, n = 4, 3 orthant and 5 zero constraints.  rho_k is 40
         # from k = 2 and 80 from k = 8 on.  Was (135, 127, 278, 135, 278)
         # over 8 outer steps of 10 inner iterations with checks every M-th
@@ -68,7 +68,7 @@ PAPER_RULE_TOTALS = {2: (4301, 4105, 8430, 4301, 8430), 19: (669, 642, 1335, 669
         # 187, 386) with inner iterations [10] * 11 and the center at the
         # last iterate, and (286, 271, 577, 286, 577) with rho grown on
         # every step.
-        (19, (182, 171, 373, 182, 373), [7, 9] + [10] * 7 + [20]),
+        (19, (182, 171, 363, 182, 363), [7, 9] + [10] * 7 + [20]),
     ],
 )
 def test_criterion6_instance_counts(i, expected_totals, expected_inner):

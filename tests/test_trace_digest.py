@@ -23,9 +23,9 @@ def test_one_ulp_anywhere_moves_the_digest():
     nudged_x = dataclasses.replace(res, x=np.nextafter(res.x, np.inf))
     nudged_rho = dataclasses.replace(row, rho_k=np.nextafter(row.rho_k, np.inf))
     nudged_trace = dataclasses.replace(res.trace, rows=res.trace.rows[:-1] + [nudged_rho])
-    # an inner solve's start value, which the outer result does not hold
+    # an inner solve's first step, which the outer result does not hold
     first = solve.inner[0]
-    nudged_start = dataclasses.replace(first, F_init=np.nextafter(first.F_init, np.inf))
+    nudged_start = dataclasses.replace(first, first_step=np.nextafter(first.first_step, np.inf))
     assert len(solve.inner) == len(res.trace.rows)
     digests = {
         trace_digest.digest(solve),

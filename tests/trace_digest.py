@@ -15,15 +15,15 @@ counter of that solve.  The solves are
   matrix entries, so on the affine-image path.
 
 An ``al_*`` or ``ppa_*`` digest also covers the ``ApgTrace`` of every inner
-solve of the outer loop (its F_init, gamma0, alpha0, mu, first_step and
-rows), recorded by ``helpers.recorded_iterates``, since code that only
-inner solves run, such as an inner solve's start, leaves no other mark on
-the outer result.
+solve of the outer loop (its gamma0, alpha0, mu, first_step and rows),
+recorded by ``helpers.recorded_iterates``, since code that only inner
+solves run, such as an inner solve's start, leaves no other mark on the
+outer result.
 
 The counters digested are the gradient, prox, g, adjoint and cone
-projection totals.  ``f_evals`` is left out: it equals the number of
-accelerated solves plus ``prox_evals`` (``tests/test_model.py``), so it
-adds nothing, and without it trees from before the counter compare too.
+projection totals.  ``f_evals`` is left out: it equals ``prox_evals``
+(``tests/test_model.py``), so it adds nothing, and without it trees from
+before the counter compare too.
 
     PYTHONPATH=src python tests/trace_digest.py
     PYTHONPATH=src python tests/trace_digest.py --only al_02 image
